@@ -17,17 +17,26 @@ for the first ``A + 3`` steps using the known key prefix
 ``S[1] < A + 3`` and ``S[1] + S[S[1]] == A + 3``, the sample votes for
 ``key[A] = (out - j - S[A + 3]) mod 256``.
 
-Vote tables are plain 256-entry integer lists; profiling shows the
-partial KSA (≤ 16 swaps per sample) dominates, and at the sample counts
-the benchmarks use (≤ a few hundred thousand) pure Python completes in
-well under a second per key byte, so no numpy vectorization is
-warranted (guides: measure before optimizing).
+One numpy kernel computes every vote table: a bucket's samples are rows
+of one ``(n, 256)`` uint8 state matrix (uint8 arithmetic wraps mod 256,
+as RC4 does), and a KSA round is a column swap by fancy indexing.  The
+ranked search asks for thousands of tables per key, so the kernel keeps
+two bounded caches per bucket, both dropped when the bucket's samples
+change:
+
+* the state after the 3 IV rounds, built once per bucket;
+* the state after the further rounds over ``known_prefix[:-1]``, one per
+  key byte.  The ``search_width`` siblings of a search node share that
+  prefix, so each of them costs one KSA round plus the resolve step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import compress
+from typing import Iterable, Optional
+
+import numpy as np
 
 from repro.obs.runtime import active_profiler
 
@@ -93,6 +102,11 @@ class FmsAttack:
         self.key_length = key_length
         # Samples bucketed by the root-key byte index their IV targets.
         self._buckets: dict[int, list[FmsSample]] = {a: [] for a in range(key_length)}
+        # Vote-kernel caches, keyed by bucket and dropped when it grows:
+        # (state, j, outs, rows) after the 3 IV rounds, and
+        # (parent prefix, state, j) after the rounds over known_prefix[:-1].
+        self._iv_rounds: dict[int, tuple] = {}
+        self._parent_rounds: dict[int, tuple] = {}
         self.samples_seen = 0
         self.weak_samples = 0
 
@@ -108,6 +122,8 @@ class FmsAttack:
         if not 0 <= a < self.key_length:
             return False
         self._buckets[a].append(FmsSample(iv, first_keystream_byte & 0xFF))
+        self._iv_rounds.pop(a, None)
+        self._parent_rounds.pop(a, None)
         self.weak_samples += 1
         return True
 
@@ -130,46 +146,43 @@ class FmsAttack:
         ``key[0:a]``; recovery is inherently sequential because the
         partial KSA for byte ``a`` consumes all earlier bytes.
 
-        For large sample buckets the computation dispatches to the
-        numpy-vectorized kernel (:mod:`repro.crypto.fms_fast`), which
-        is measurably faster past ~50 samples; ``use_numpy`` forces the
-        choice for testing.  Both paths produce identical tables
-        (property-tested).
+        ``use_numpy`` is accepted and ignored: there is one kernel.  It
+        is kept for subclasses that forward it, such as the benchmark's
+        ``perfbench.workloads.CountingFmsAttack``.
         """
         if len(known_prefix) != a:
             raise ValueError("known_prefix must contain exactly the first a bytes")
         prof = active_profiler()
         if prof is None:
-            return self._votes_for_byte(a, known_prefix, use_numpy)
+            return self._votes_for_byte(a, known_prefix)
         with prof.span("crypto.fms"):
-            return self._votes_for_byte(a, known_prefix, use_numpy)
+            return self._votes_for_byte(a, known_prefix)
 
-    def _votes_for_byte(self, a: int, known_prefix: bytes,
-                        use_numpy: Optional[bool]) -> list[int]:
-        bucket = self._buckets[a]
-        if use_numpy is None:
-            from repro.crypto.fms_fast import MIN_SAMPLES_FOR_NUMPY
-            use_numpy = len(bucket) >= MIN_SAMPLES_FOR_NUMPY
-        if use_numpy:
-            from repro.crypto.fms_fast import votes_for_byte_vectorized
-            return votes_for_byte_vectorized(bucket, a, known_prefix)
-        votes = [0] * 256
+    def _votes_for_byte(self, a: int, known_prefix: bytes) -> list[int]:
+        base = self._iv_rounds.get(a)
+        if base is None:
+            bucket = self._buckets[a]
+            if not bucket:
+                return [0] * 256
+            base = self._iv_rounds[a] = _after_iv_rounds(bucket)
+        state, j, outs, rows = base
+        if a:
+            parent = known_prefix[:-1]
+            cached = self._parent_rounds.get(a)
+            if cached is None or cached[0] != parent:
+                parent_state, parent_j = state.copy(), j.copy()
+                _ksa_rounds(parent_state, parent_j, rows, 3, parent)
+                cached = self._parent_rounds[a] = (parent, parent_state, parent_j)
+            _, parent_state, parent_j = cached
+            state, j = parent_state.copy(), parent_j.copy()
+            _ksa_rounds(state, j, rows, a + 2, known_prefix[-1:])
         rounds = a + 3
-        for sample in self._buckets[a]:
-            key = sample.iv + known_prefix  # per-packet key prefix, length a+3
-            # Partial KSA over the known prefix.
-            s = list(range(256))
-            j = 0
-            for i in range(rounds):
-                j = (j + s[i] + key[i]) & 0xFF
-                s[i], s[j] = s[j], s[i]
-            s1 = s[1]
-            # Resolved condition: the leaked byte survives the rest of KSA
-            # with probability ~ e^-3 ≈ 5%.
-            if s1 < rounds and (s1 + s[s1]) % 256 == rounds:
-                guess = (sample.first_keystream_byte - j - s[rounds]) & 0xFF
-                votes[guess] += 1
-        return votes
+        s1 = state[:, 1]
+        # Resolved condition: the leaked byte survives the rest of KSA
+        # with probability ~ e^-3 ≈ 5%.
+        resolved = (s1 < rounds) & (s1 + state[rows, s1] == rounds)
+        guesses = outs - j - state[:, rounds]
+        return np.bincount(guesses[resolved], minlength=256).tolist()
 
     def recover(
         self,
@@ -208,8 +221,11 @@ class FmsAttack:
         if a == self.key_length:
             return prefix if verifier(prefix) else None
         votes = self.votes_for_byte(a, prefix)
-        ranked = sorted(range(256), key=lambda b: (-votes[b], b))
-        candidates = [b for b in ranked[:width] if votes[b] > 0] or ranked[:1]
+        # Rank only the bytes that got votes; the sort is stable, so ties
+        # keep ascending byte order.  With no votes, byte 0 leads.
+        ranked = sorted(compress(range(256), votes), key=votes.__getitem__,
+                        reverse=True)
+        candidates = ranked[:width] or ranked[:1] or [0]
         for candidate in candidates:
             found = self._search(prefix + bytes([candidate]), verifier, width, budget)
             if found is not None:
@@ -217,3 +233,29 @@ class FmsAttack:
             if budget[0] <= 0:
                 return None
         return None
+
+
+def _after_iv_rounds(bucket: list[FmsSample]) -> tuple:
+    """``(state, j, outs, rows)`` of ``bucket`` after the 3 IV rounds."""
+    n = len(bucket)
+    ivs = np.frombuffer(b"".join(s.iv for s in bucket), np.uint8).reshape(n, 3)
+    outs = np.fromiter((s.first_keystream_byte for s in bucket), np.uint8, n)
+    state = np.tile(np.arange(256, dtype=np.uint8), (n, 1))
+    j = np.zeros(n, dtype=np.uint8)
+    rows = np.arange(n)
+    _ksa_rounds(state, j, rows, 0, ivs.T)
+    return state, j, outs, rows
+
+
+def _ksa_rounds(state: np.ndarray, j: np.ndarray, rows: np.ndarray,
+                start: int, keys) -> None:
+    """Run KSA rounds ``start, start + 1, ...`` in place, one per key byte.
+
+    Each key byte is an int shared by every row or a per-row array.
+    """
+    for i, k in enumerate(keys, start):
+        si = state[:, i].copy()
+        j += si
+        j += k
+        state[:, i] = state[rows, j]
+        state[rows, j] = si

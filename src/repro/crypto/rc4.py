@@ -9,11 +9,9 @@ algorithm (KSA) state evolution, because the FMS attack
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.obs.runtime import active_profiler
 
-__all__ = ["RC4", "rc4_keystream", "ksa", "prga"]
+__all__ = ["RC4", "rc4_keystream", "ksa"]
 
 
 def ksa(key: bytes) -> list[int]:
@@ -26,36 +24,10 @@ def ksa(key: bytes) -> list[int]:
         raise ValueError("RC4 key must be non-empty")
     s = list(range(256))
     j = 0
-    klen = len(key)
-    for i in range(256):
-        j = (j + s[i] + key[i % klen]) & 0xFF
+    for i, k in zip(range(256), key * (256 // len(key) + 1)):
+        j = (j + s[i] + k) & 0xFF
         s[i], s[j] = s[j], s[i]
     return s
-
-
-def ksa_partial(key: bytes, rounds: int) -> tuple[list[int], int]:
-    """Run only the first ``rounds`` KSA swaps; used by the FMS attack.
-
-    Returns the partial permutation and the running ``j`` value.
-    """
-    s = list(range(256))
-    j = 0
-    klen = len(key)
-    for i in range(rounds):
-        j = (j + s[i] + key[i % klen]) & 0xFF
-        s[i], s[j] = s[j], s[i]
-    return s, j
-
-
-def prga(s: list[int]) -> Iterator[int]:
-    """RC4 pseudo-random generation algorithm over a scheduled state."""
-    s = list(s)
-    i = j = 0
-    while True:
-        i = (i + 1) & 0xFF
-        j = (j + s[i]) & 0xFF
-        s[i], s[j] = s[j], s[i]
-        yield s[(s[i] + s[j]) & 0xFF]
 
 
 class RC4:
@@ -72,12 +44,27 @@ class RC4:
     """
 
     def __init__(self, key: bytes) -> None:
-        self._gen = prga(ksa(key))
+        self._s = ksa(key)
+        self._i = self._j = 0
 
+    # keystream() and _crypt() each run the PRGA loop inline rather than
+    # share a helper: FMS sample collection calls keystream(1) once per
+    # sample, and the benchmark's per-layer tracer (perfbench/tracer.py)
+    # would time that extra call per sample and charge it to RC4.
     def keystream(self, n: int) -> bytes:
         """Next ``n`` keystream bytes."""
-        g = self._gen
-        return bytes(next(g) for _ in range(n))
+        out = bytearray(n)
+        s, i, j = self._s, self._i, self._j
+        for k in range(n):
+            i = (i + 1) & 0xFF
+            si = s[i]
+            j = (j + si) & 0xFF
+            sj = s[j]
+            s[i] = sj
+            s[j] = si
+            out[k] = s[(si + sj) & 0xFF]
+        self._i, self._j = i, j
+        return bytes(out)
 
     def crypt(self, data: bytes) -> bytes:
         """XOR ``data`` with the next keystream bytes (encrypt == decrypt)."""
@@ -88,8 +75,18 @@ class RC4:
             return self._crypt(data)
 
     def _crypt(self, data: bytes) -> bytes:
-        g = self._gen
-        return bytes(b ^ next(g) for b in data)
+        out = bytearray(data)
+        s, i, j = self._s, self._i, self._j
+        for k, b in enumerate(out):
+            i = (i + 1) & 0xFF
+            si = s[i]
+            j = (j + si) & 0xFF
+            sj = s[j]
+            s[i] = sj
+            s[j] = si
+            out[k] = b ^ s[(si + sj) & 0xFF]
+        self._i, self._j = i, j
+        return bytes(out)
 
 
 def rc4_keystream(key: bytes, n: int) -> bytes:

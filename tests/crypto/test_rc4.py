@@ -1,10 +1,37 @@
-"""RC4 against published test vectors and structural properties."""
+"""RC4 against published test vectors, structural properties, and
+textbook reference loops (``ksa_partial``, ``prga``) kept here as
+oracles for the optimised cipher."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.rc4 import RC4, ksa, ksa_partial, prga, rc4_keystream
+from repro.crypto.rc4 import RC4, ksa, rc4_keystream
+
+
+def ksa_partial(key: bytes, rounds: int) -> tuple[list[int], int]:
+    """The first ``rounds`` KSA swaps, as FMS reasons about them.
+
+    Returns the partial permutation and the running ``j`` value.
+    """
+    s = list(range(256))
+    j = 0
+    klen = len(key)
+    for i in range(rounds):
+        j = (j + s[i] + key[i % klen]) & 0xFF
+        s[i], s[j] = s[j], s[i]
+    return s, j
+
+
+def prga(s: list[int]):
+    """RC4 pseudo-random generation algorithm over a scheduled state."""
+    s = list(s)
+    i = j = 0
+    while True:
+        i = (i + 1) & 0xFF
+        j = (j + s[i]) & 0xFF
+        s[i], s[j] = s[j], s[i]
+        yield s[(s[i] + s[j]) & 0xFF]
 
 
 # Classic vectors (Wikipedia / original cypherpunks posting).
@@ -72,3 +99,25 @@ def test_prga_generator_matches_class():
     gen = prga(ksa(b"genkey"))
     from_gen = bytes(next(gen) for _ in range(12))
     assert from_gen == rc4_keystream(b"genkey", 12)
+
+
+@given(st.binary(min_size=1, max_size=300))
+def test_ksa_matches_reference(key):
+    """Every key length, including ones that do not divide 256."""
+    assert ksa(key) == ksa_partial(key, 256)[0]
+
+
+@given(st.binary(min_size=1, max_size=32),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 600)), max_size=8))
+def test_interleaved_keystream_and_crypt_match_reference(key, calls):
+    """Any sequence of keystream/crypt calls continues one PRGA stream."""
+    gen = prga(ksa(key))
+    cipher = RC4(key)
+    for use_crypt, n in calls:
+        expected = bytes(next(gen) for _ in range(n))
+        if use_crypt:
+            data = bytes(range(256)) * 3
+            assert cipher.crypt(data[:n]) == \
+                bytes(a ^ b for a, b in zip(data, expected))
+        else:
+            assert cipher.keystream(n) == expected
