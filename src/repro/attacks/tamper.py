@@ -25,6 +25,7 @@ from typing import Optional
 from repro.hosts.host import Host
 from repro.netstack.ipv4 import PROTO_TCP, IPv4Packet
 from repro.netstack.tcp import TcpSegment
+from repro.sim.errors import ReproError
 
 __all__ = ["InPathTamperer", "compromise_gateway"]
 
@@ -97,7 +98,7 @@ class InPathTamperer:
         try:
             segment = TcpSegment.from_bytes(packet.payload, packet.src,
                                             packet.dst, verify_checksum=False)
-        except Exception:
+        except ReproError:
             return packet
         if not segment.payload:
             return packet

@@ -17,9 +17,12 @@ from repro.dot11.mac import MacAddress
 __all__ = ["CapturedFrame", "FrameCapture"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapturedFrame:
-    """One overheard frame with radio metadata (time, channel, RSSI)."""
+    """One overheard frame with radio metadata (time, channel, RSSI).
+
+    Slotted, like :class:`Dot11Frame`: a capture holds thousands.
+    """
 
     time: float
     channel: int

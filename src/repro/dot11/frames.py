@@ -175,8 +175,18 @@ _MAC_HEADER = HeaderSpec(
     u16("seqctl"),
 )
 
+#: One-entry memo of :meth:`Dot11Frame.parse_beacon`: ``(frame, info)``
+#: for the last beacon decoded.  Every NIC in range and every WIDS
+#: detector reads the same frame object back to back, so one entry
+#: serves them all.  It holds the frame itself, so an identity match can
+#: never be a recycled id, and it is sound for the same reason the
+#: encode cache is: wire fields are never mutated after construction.
+#: Kept here, not on the frame, so captured beacons carry no decoded
+#: copy.
+_last_beacon: tuple = (None, None)
 
-@dataclass
+
+@dataclass(slots=True)
 class Dot11Frame:
     """One 802.11 frame.
 
@@ -184,6 +194,9 @@ class Dot11Frame:
     BSSID (management / infrastructure-data usage).  ``body`` is the
     frame body *as transmitted*: for protected data frames that means
     the WEP-expanded ciphertext.
+
+    Slotted: a monitor capture keeps every overheard frame until its
+    world is collected, so the per-frame size sets a run's peak memory.
     """
 
     subtype: FrameSubtype
@@ -363,9 +376,18 @@ class Dot11Frame:
     # management-body parsers
     # ------------------------------------------------------------------
     def parse_beacon(self) -> "BeaconInfo":
-        """Parse a beacon or probe-response body."""
+        """Parse a beacon or probe-response body.
+
+        Repeat calls on the frame decoded last return the same
+        :class:`BeaconInfo` (see ``_last_beacon``); errors are raised
+        afresh on every call and never cached.
+        """
+        global _last_beacon
         if self.subtype not in (FrameSubtype.BEACON, FrameSubtype.PROBE_RESP):
             raise ProtocolError("not a beacon/probe-response frame")
+        last = _last_beacon  # one read: a racing writer costs only a miss
+        if last[0] is self:
+            return last[1]
         if len(self.body) < 12:
             raise ProtocolError("beacon body too short")
         timestamp, interval, capability = struct.unpack("<QHH", self.body[:12])
@@ -374,7 +396,7 @@ class Dot11Frame:
         ds = find_ie(ies, IeId.DS_PARAMETER)
         rsn = find_ie(ies, IeId.RSN)
         csa = find_ie(ies, IeId.CHANNEL_SWITCH)
-        return BeaconInfo(
+        info = BeaconInfo(
             timestamp=timestamp,
             interval_tu=interval,
             capability=capability,
@@ -384,6 +406,8 @@ class Dot11Frame:
             rsn=rsn.data if rsn else None,
             csa=csa.data if csa else None,
         )
+        _last_beacon = (self, info)
+        return info
 
     def parse_auth(self) -> tuple[int, int, int, Optional[bytes]]:
         """Return (algorithm, transaction seq, status, challenge or None)."""

@@ -81,7 +81,7 @@ class MacAddress:
         return bool(self._bytes[0] & 0x02)
 
     def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self._bytes)
+        return self._bytes.hex(":")
 
     def __repr__(self) -> str:
         return f"MacAddress('{self}')"

@@ -9,7 +9,7 @@ from repro.hosts.host import Host
 from repro.hosts.services import DnsResolver
 from repro.httpsim.messages import HttpRequest, HttpResponse, HttpStreamParser
 from repro.netstack.addressing import IPv4Address
-from repro.sim.errors import ProtocolError
+from repro.sim.errors import ProtocolError, ReproError
 
 __all__ = ["HttpClient", "parse_url"]
 
@@ -85,7 +85,7 @@ class HttpClient:
         self.fetches += 1
         try:
             conn = self.host.tcp_connect(ip, parsed.port)
-        except Exception:
+        except ReproError:
             self.errors += 1
             self.host.sim.call_soon(on_response, None)
             return

@@ -14,10 +14,10 @@ Feeds come in two forms: :meth:`WidsEngine.attach` taps any
 the ambient :func:`wids_watch` context observes every medium without
 placing a radio in the world at all (zero-perturbation).
 
-Fleet scale (PR 10): correlation shards by ``(subject, band)``
+Fleet scale: correlation shards by ``(subject, band)``
 (:class:`~repro.wids.correlate.ShardedCorrelator`, merge-law exact),
-evaluation is single-pass with offline threshold derivation, a
-sliding-window ROC retunes thresholds online
+evaluation scans each capture once and records every threshold's first
+crossing on the way, a sliding-window ROC retunes thresholds online
 (:mod:`~repro.wids.adaptive`), and the generation-based
 evasion-vs-detection campaign (:mod:`~repro.wids.armsrace`) scores both
 sides on Pareto frontiers.
@@ -47,9 +47,7 @@ from repro.wids.evaluation import (
     GroundTruth,
     Scorecard,
     evaluate,
-    evaluate_rescan,
     evaluate_with_crossings,
-    score_trajectory,
 )
 from repro.wids.runtime import WidsWatch, active_wids, wids_watch
 
@@ -70,10 +68,8 @@ __all__ = [
     "active_wids",
     "default_detectors",
     "evaluate",
-    "evaluate_rescan",
     "evaluate_with_crossings",
     "get_detector_class",
     "register",
-    "score_trajectory",
     "wids_watch",
 ]

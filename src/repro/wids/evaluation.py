@@ -2,16 +2,21 @@
 
 Ground truth comes from the scenario itself — we *built* the world, so
 we know whether a rogue is present and when the attack started.
-:func:`evaluate` scans a finished capture **once per detector**,
-records the evidence-score trajectory (every ``(t, subject,
-cumulative-score)`` event in stream order), and derives every
-``SWEEP`` threshold cell offline from that trajectory.  The key fact
-making this sound: detector ``observe()`` is threshold-independent
-(thresholds only gate the correlator), and the correlator opens its
-first alert at the first event where any subject's running score
-reaches the threshold — so each cell falls out of the trajectory with
-no rescan, bit-identical to the per-threshold rescan the repo used to
-do (kept as :func:`evaluate_rescan` and pinned by a differential test).
+:func:`evaluate` scans a finished capture **once**: each frame goes to
+every registered detector in registry order, so all of them read a
+beacon back to back and share one decode (the ``parse_beacon`` memo).
+Per detector it keeps each subject's running evidence total and, for
+every ``SWEEP`` threshold, the time of the first event whose total
+reaches it; no event list is stored.  This is sound because detector
+``observe()`` is threshold-independent (thresholds only gate the
+correlator), each detector still sees the whole capture in order, and
+the correlator opens its first alert at the first event where any
+subject's running score reaches the threshold — the totals here are
+the same float additions (``0.0 + s1 + s2 + ...``, stream order) it
+performs.  The per-threshold engine rescan and the trajectory this
+replaces are kept as oracles in the test suite, which pins the cells
+and crossings to them.
+
 The scored decision per world:
 
 =====================  ======================  =====================
@@ -44,16 +49,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.dot11.capture import FrameCapture
 from repro.obs.metrics import CounterMetric, MetricsRegistry, TimerMetric
 from repro.obs.runtime import obs_metrics
-from repro.wids.detectors import DETECTORS, Detector
-from repro.wids.engine import WidsEngine
+from repro.wids.detectors import DETECTORS
 
 __all__ = [
     "GroundTruth",
     "Scorecard",
     "evaluate",
-    "evaluate_rescan",
     "evaluate_with_crossings",
-    "score_trajectory",
 ]
 
 _CELLS = ("tp", "fp", "fn", "tn")
@@ -76,59 +78,20 @@ def _thr_value(token: str) -> float:
     return float(token[3:].replace("_", "."))
 
 
-def score_trajectory(
-    detector: Detector, capture: FrameCapture
-) -> List[Tuple[float, str, float]]:
-    """One detector's evidence trajectory over a capture, stream order.
-
-    Each element is ``(t, subject, cumulative_score)`` — the subject's
-    running evidence total *after* folding that event in.  The per-
-    subject accumulation is the same sequence of float additions the
-    correlator performs (``0.0 + s1 + s2 + ...`` in stream order), so
-    cumulative scores here equal correlator evidence scores bit-for-bit.
-    """
-    events: List[Tuple[float, str, float]] = []
-    totals: Dict[str, float] = {}
-    for cap in list(capture.frames):
-        t = cap.time
-        for detection in detector.observe(cap):
-            cum = totals.get(detection.subject, 0.0) + detection.score
-            totals[detection.subject] = cum
-            events.append((t, detection.subject, cum))
-    return events
-
-
-def _first_crossing_t(
-    events: List[Tuple[float, str, float]], threshold: float
-) -> Optional[float]:
-    """Time of the first alert a correlator at ``threshold`` would open.
-
-    The correlator checks ``score >= threshold`` on every ingest while
-    the pair has no open alert, so the first event (in stream order)
-    whose cumulative score reaches the threshold is exactly the first
-    alert's opening time — any earlier-crossing subject would have
-    produced an earlier event.
-    """
-    for t, _subject, cum in events:
-        if cum >= threshold:
-            return t
-    return None
-
-
 def evaluate_with_crossings(
     capture: FrameCapture,
     truth: GroundTruth,
     *,
     registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[MetricsRegistry, Dict[str, Dict[float, Optional[float]]]]:
-    """Single-pass :func:`evaluate` that also returns the crossing map.
+    """:func:`evaluate` that also returns the crossing map.
 
     The second return value maps ``detector -> {threshold: t}`` with the
     sim time a correlator at that threshold would open its first alert
     (``None`` = never) — every ``SWEEP`` point of every detector, from
-    the same one trajectory pass that produced the cells.  The arms-race
-    campaign scores *tuned* operating points offline from this map
-    without re-running any world.
+    the same one scan that produced the cells.  The arms-race campaign
+    scores *tuned* operating points offline from this map without
+    re-running any world.
     """
     local = registry if registry is not None else MetricsRegistry()
     ambient = obs_metrics()
@@ -143,13 +106,24 @@ def evaluate_with_crossings(
         if ambient is not None and ambient is not local:
             ambient.add_time(name, seconds)
 
-    crossings: Dict[str, Dict[float, Optional[float]]] = {}
+    crossings: Dict[str, Dict[float, Optional[float]]] = {
+        name: dict.fromkeys(cls.SWEEP) for name, cls in DETECTORS.items()}
+    # Per detector: instance, per-subject running totals, its crossing
+    # row, and the thresholds not yet crossed, ascending.
+    scans = [(cls(), {}, crossings[name], sorted(set(cls.SWEEP)))
+             for name, cls in DETECTORS.items()]
+    for cap in list(capture.frames):
+        t = cap.time
+        for detector, totals, crossed, pending in scans:
+            for detection in detector.observe(cap):
+                cum = totals.get(detection.subject, 0.0) + detection.score
+                totals[detection.subject] = cum
+                while pending and pending[0] <= cum:
+                    crossed[pending.pop(0)] = t
+
     for name, cls in DETECTORS.items():
-        events = score_trajectory(cls(), capture)
-        crossings[name] = {}
         for threshold in cls.SWEEP:
-            first_t = _first_crossing_t(events, threshold)
-            crossings[name][threshold] = first_t
+            first_t = crossings[name][threshold]
             alerted = first_t is not None
             if truth.rogue_present:
                 cell = "tp" if alerted else "fn"
@@ -171,10 +145,9 @@ def evaluate(
 ) -> MetricsRegistry:
     """Score every registered detector over one world's capture.
 
-    Single-pass: each detector scans the capture once; every threshold
-    cell of its ``SWEEP`` ladder is derived from the recorded
-    trajectory.  Cells and time-to-detect are bit-identical to
-    :func:`evaluate_rescan` (the differential test pins this).
+    One scan of the capture feeds every detector; every threshold cell
+    of each ``SWEEP`` ladder comes from the first crossings recorded on
+    the way.
 
     Writes ``wids.eval.*`` into ``registry`` (a fresh one when omitted)
     **and** into the ambient :func:`obs_metrics` registry when one is
@@ -183,50 +156,6 @@ def evaluate(
     is what the fleet ships and merges.
     """
     local, _ = evaluate_with_crossings(capture, truth, registry=registry)
-    return local
-
-
-def evaluate_rescan(
-    capture: FrameCapture,
-    truth: GroundTruth,
-    *,
-    registry: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
-    """Reference implementation: full engine rescan per (detector, thr).
-
-    O(frames x detectors x thresholds) — kept as the trusted-by-
-    construction oracle the single-pass :func:`evaluate` is diffed
-    against, not for production use.
-    """
-    local = registry if registry is not None else MetricsRegistry()
-    ambient = obs_metrics()
-
-    def incr(name: str) -> None:
-        local.incr(name)
-        if ambient is not None and ambient is not local:
-            ambient.incr(name)
-
-    def add_time(name: str, seconds: float) -> None:
-        local.add_time(name, seconds)
-        if ambient is not None and ambient is not local:
-            ambient.add_time(name, seconds)
-
-    for name, cls in DETECTORS.items():
-        for threshold in cls.SWEEP:
-            engine = WidsEngine([cls(threshold=threshold)],
-                                record_metrics=False)
-            engine.scan(capture)
-            alerted = bool(engine.alerts)
-            if truth.rogue_present:
-                cell = "tp" if alerted else "fn"
-            else:
-                cell = "fp" if alerted else "tn"
-            incr(f"wids.eval.{name}.{_thr_token(threshold)}.{cell}")
-            if (alerted and truth.rogue_present
-                    and threshold == cls.default_threshold):
-                first = engine.alerts[0]
-                add_time(f"wids.eval.{name}.ttd_s",
-                         max(0.0, first.t - truth.attack_start_s))
     return local
 
 

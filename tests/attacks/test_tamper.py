@@ -6,6 +6,12 @@ from repro.attacks.tamper import InPathTamperer, compromise_gateway
 from repro.core.scenario import TARGET_IP, build_corp_scenario, build_wired_office
 from repro.httpsim.browser import Browser
 from repro.httpsim.client import HttpClient
+from repro.netstack.addressing import IPv4Address
+from repro.netstack.ipv4 import PROTO_TCP, IPv4Packet
+from repro.netstack.tcp import TcpSegment
+
+SRV = IPv4Address("10.0.0.2")
+CLI = IPv4Address("10.0.0.1")
 
 
 def test_tamperer_validates_args(wired_pair):
@@ -14,6 +20,33 @@ def test_tamperer_validates_args(wired_pair):
         InPathTamperer(a, mode="nonsense")
     with pytest.raises(ValueError):
         InPathTamperer(a, mode="replace")  # no rules
+
+
+def test_truncated_tcp_payload_passes_through_unmodified(wired_pair):
+    _, a, _ = wired_pair
+    tamperer = InPathTamperer(a, mode="corrupt", corrupt_nth=1)
+    full = TcpSegment(src_port=80, dst_port=4000, seq=1, ack=1, flags=0x18,
+                      window=8192, payload=b"MD5SUM").to_bytes(SRV, CLI)
+    for cut in (0, 5, 19):
+        packet = IPv4Packet(src=SRV, dst=CLI, proto=PROTO_TCP,
+                            payload=full[:cut])
+        assert tamperer._maybe_tamper(packet) is packet
+    assert tamperer.tampered == 0
+
+
+def test_decoder_bug_is_not_swallowed(wired_pair, monkeypatch):
+    """Only the typed decode errors mean "not a TCP segment"; anything
+    else is a simulator bug and must surface."""
+    _, a, _ = wired_pair
+    tamperer = InPathTamperer(a, mode="corrupt")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("decoder bug")
+
+    monkeypatch.setattr(TcpSegment, "from_bytes", broken)
+    packet = IPv4Packet(src=SRV, dst=CLI, proto=PROTO_TCP, payload=b"x")
+    with pytest.raises(RuntimeError):
+        tamperer._maybe_tamper(packet)
 
 
 def test_gateway_compromise_rewrites_responses():

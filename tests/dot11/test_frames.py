@@ -1,5 +1,7 @@
 """802.11 frame serialization, parsing, and body decoders."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.dot11.frames import (
     make_probe_request,
     make_probe_response,
 )
+from repro.dot11.ies import IeId, InformationElement
 from repro.dot11.mac import BROADCAST, MacAddress
 from repro.sim.errors import ProtocolError
 
@@ -161,3 +164,79 @@ def test_rogue_beacon_is_byte_identical_to_legit():
     legit = make_beacon(AP, "CORP", 6, privacy=True, timestamp=777, seq=9)
     rogue = make_beacon(AP, "CORP", 6, privacy=True, timestamp=777, seq=9)
     assert legit.to_bytes() == rogue.to_bytes()
+
+
+# ----------------------------------------------------------------------
+# parse_beacon's one-entry memo
+# ----------------------------------------------------------------------
+
+_ADVERTS = st.tuples(
+    st.booleans(),                      # probe response, else beacon
+    st.text(max_size=8),                # SSID
+    st.integers(1, 14),                 # channel
+    st.booleans(),                      # privacy
+    st.integers(0, 2**64 - 1),          # timestamp
+    st.sampled_from((None, b"\x01\x00", b"\x01\x00\x80")),  # RSN body
+)
+
+
+def _advert(probe, ssid, channel, privacy, timestamp, rsn):
+    extra = [InformationElement(IeId.RSN, rsn)] if rsn is not None else None
+    if probe:
+        return make_probe_response(AP, STA, ssid, channel, privacy=privacy,
+                                   timestamp=timestamp, extra_ies=extra)
+    return make_beacon(AP, ssid, channel, privacy=privacy,
+                       timestamp=timestamp, extra_ies=extra)
+
+
+@given(st.lists(_ADVERTS, min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), max_size=24))
+def test_parse_beacon_memo_matches_fresh_decode(adverts, order):
+    """Any interleaving of calls (A, B, A, A, ...) returns what a fresh
+    decode of the frame's own bytes returns."""
+    frames = [_advert(*a) for a in adverts]
+    expected = [Dot11Frame.from_bytes(f.to_bytes()).parse_beacon()
+                for f in frames]
+    for i in order:
+        i %= len(frames)
+        assert frames[i].parse_beacon() == expected[i]
+
+
+def test_parse_beacon_repeat_returns_the_same_info():
+    beacon = make_beacon(AP, "CORP", 6)
+    assert beacon.parse_beacon() is beacon.parse_beacon()
+
+
+def test_parse_beacon_errors_are_never_cached():
+    good = make_beacon(AP, "CORP", 6)
+    short = Dot11Frame(subtype=FrameSubtype.BEACON, addr1=BROADCAST,
+                       addr2=AP, addr3=AP, body=b"\x00" * 11)
+    truncated = Dot11Frame(subtype=FrameSubtype.PROBE_RESP, addr1=STA,
+                           addr2=AP, addr3=AP,
+                           body=struct.pack("<QHH", 0, 100, 1) + b"\x00\x05ab")
+    for bad in (short, truncated):
+        for _ in range(2):
+            assert good.parse_beacon().ssid == "CORP"
+            with pytest.raises(ProtocolError):
+                bad.parse_beacon()
+            with pytest.raises(ProtocolError):
+                bad.parse_beacon()
+
+
+def test_parse_beacon_rejects_other_subtypes_after_a_hit():
+    beacon = make_beacon(AP, "CORP", 6)
+    beacon.parse_beacon()
+    for frame in (make_deauth(AP, STA, AP), make_probe_request(STA, "CORP")):
+        with pytest.raises(ProtocolError):
+            frame.parse_beacon()
+    assert beacon.parse_beacon().channel == 6
+
+
+def test_parse_beacon_with_body_copy_decodes_fresh():
+    beacon = make_beacon(AP, "CORP", 6)
+    assert beacon.parse_beacon().ssid == "CORP"
+    twin = beacon.with_body(make_beacon(AP, "EVIL", 11).body)
+    info = twin.parse_beacon()
+    assert (info.ssid, info.channel) == ("EVIL", 11)
+    assert (beacon.parse_beacon().ssid, beacon.parse_beacon().channel) == \
+        ("CORP", 6)

@@ -71,6 +71,7 @@ def test_random_uses_oui():
 @given(st.binary(min_size=6, max_size=6))
 def test_roundtrip_via_string(raw):
     a = MacAddress(raw)
+    assert str(a) == ":".join(f"{b:02x}" for b in raw)
     assert MacAddress(str(a)) == a
 
 

@@ -90,6 +90,16 @@ def test_http_client_connection_refused(wired_pair):
     assert client.errors == 1
 
 
+def test_http_client_no_route_counts_an_error(wired_pair):
+    sim, client_host, _ = wired_pair
+    client = HttpClient(client_host)
+    results = []
+    client.get("http://192.0.2.1/x", results.append)  # off-link, no gateway
+    sim.run_for(1.0)
+    assert results == [None]
+    assert client.errors == 1 and client.fetches == 1
+
+
 def test_http_client_hostname_without_resolver(wired_pair):
     sim, client_host, _ = wired_pair
     client = HttpClient(client_host)

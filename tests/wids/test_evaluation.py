@@ -1,18 +1,111 @@
-"""Evaluation harness: confusion cells, ROC, ttd, and the merge law."""
+"""Evaluation harness: confusion cells, ROC, ttd, and the merge law.
+
+The two reference implementations the single-scan :func:`evaluate` is
+diffed against live here: :func:`evaluate_rescan` (a full engine rescan
+per detector and threshold, trusted by construction) and
+:func:`score_trajectory` + :func:`_first_crossing_t` (the recorded
+evidence trajectory of one detector, scanned per threshold).
+"""
 
 import json
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dot11.capture import CapturedFrame, FrameCapture
-from repro.dot11.frames import make_beacon
-from repro.dot11.mac import MacAddress
+from repro.dot11.frames import make_beacon, make_deauth, make_probe_response
+from repro.dot11.ies import IeId, InformationElement
+from repro.dot11.mac import BROADCAST, MacAddress
 from repro.obs import collecting
 from repro.obs.metrics import MetricsRegistry
-from repro.wids.detectors import DETECTORS
+from repro.obs.runtime import obs_metrics
+from repro.wids.detectors import DETECTORS, Detector
+from repro.wids.engine import WidsEngine
 from repro.wids.evaluation import (GroundTruth, Scorecard, ScoreRow,
                                    _thr_token, _thr_value, evaluate,
-                                   evaluate_rescan, evaluate_with_crossings)
+                                   evaluate_with_crossings)
 
 AP = MacAddress("aa:bb:cc:dd:00:01")
+
+
+# ----------------------------------------------------------------------
+# oracles
+# ----------------------------------------------------------------------
+
+def evaluate_rescan(
+    capture: FrameCapture,
+    truth: GroundTruth,
+    *,
+    registry: Optional[MetricsRegistry] = None,
+) -> MetricsRegistry:
+    """Full engine rescan per (detector, threshold).
+
+    O(frames x detectors x thresholds), trusted by construction: each
+    cell is whether a real engine at that threshold alerts at all.
+    """
+    local = registry if registry is not None else MetricsRegistry()
+    ambient = obs_metrics()
+
+    def incr(name: str) -> None:
+        local.incr(name)
+        if ambient is not None and ambient is not local:
+            ambient.incr(name)
+
+    def add_time(name: str, seconds: float) -> None:
+        local.add_time(name, seconds)
+        if ambient is not None and ambient is not local:
+            ambient.add_time(name, seconds)
+
+    for name, cls in DETECTORS.items():
+        for threshold in cls.SWEEP:
+            engine = WidsEngine([cls(threshold=threshold)],
+                                record_metrics=False)
+            engine.scan(capture)
+            alerted = bool(engine.alerts)
+            if truth.rogue_present:
+                cell = "tp" if alerted else "fn"
+            else:
+                cell = "fp" if alerted else "tn"
+            incr(f"wids.eval.{name}.{_thr_token(threshold)}.{cell}")
+            if (alerted and truth.rogue_present
+                    and threshold == cls.default_threshold):
+                first = engine.alerts[0]
+                add_time(f"wids.eval.{name}.ttd_s",
+                         max(0.0, first.t - truth.attack_start_s))
+    return local
+
+
+def score_trajectory(
+    detector: Detector, capture: FrameCapture
+) -> List[Tuple[float, str, float]]:
+    """One detector's evidence trajectory over a capture, stream order.
+
+    Each element is ``(t, subject, cumulative_score)``: the subject's
+    running evidence total *after* folding that event in, by the same
+    float additions the correlator performs.
+    """
+    events: List[Tuple[float, str, float]] = []
+    totals: Dict[str, float] = {}
+    for cap in list(capture.frames):
+        t = cap.time
+        for detection in detector.observe(cap):
+            cum = totals.get(detection.subject, 0.0) + detection.score
+            totals[detection.subject] = cum
+            events.append((t, detection.subject, cum))
+    return events
+
+
+def _first_crossing_t(
+    events: List[Tuple[float, str, float]], threshold: float
+) -> Optional[float]:
+    """Time of the first alert a correlator at ``threshold`` would open:
+    the first event, in stream order, whose cumulative score reaches it."""
+    for t, _subject, cum in events:
+        if cum >= threshold:
+            return t
+    return None
 
 
 def _cap(frame, t=0.0, ch=1):
@@ -142,12 +235,8 @@ def test_scorecard_snapshot_roundtrip_and_report():
 
 
 def test_single_pass_matches_rescan_differential():
-    """PR 10 equivalence: trajectory-derived cells == per-threshold rescan.
-
-    The single-pass evaluate() must be bit-identical to the old
-    O(frames x detectors x thresholds) engine rescan on every world
-    shape — rogue (with ttd timers) and benign (tn-only) alike.
-    """
+    """Single-scan cells == per-threshold rescan, bit for bit, on every
+    world shape: rogue (with ttd timers) and benign (tn-only) alike."""
     worlds = [
         (_rogue_capture(), GroundTruth(rogue_present=True,
                                        attack_start_s=0.005)),
@@ -197,3 +286,85 @@ def test_scorecard_empty_registry():
     assert card.mean_ttd_s("fingerprint") is None
     assert card.to_json_dict() == {"rows": [], "roc": {}, "auc": {},
                                    "time_to_detect_s": {}}
+
+
+# ----------------------------------------------------------------------
+# single scan == oracles over generated captures
+# ----------------------------------------------------------------------
+
+TWIN = MacAddress("aa:bb:cc:dd:00:02")
+CLIENT = MacAddress("00:02:2d:00:00:07")
+
+#: One generated event: (radio, own address, dt, kind, seq step,
+#: interval TU, privacy, air channel, advertised channel, RSN body, CSA,
+#: burst).
+_EVENTS = st.tuples(
+    st.integers(0, 1),
+    st.sampled_from((False, False, True)),
+    st.floats(0.0, 0.3, allow_nan=False),
+    st.sampled_from(("beacon", "beacon", "beacon", "probe", "deauth")),
+    st.sampled_from((1, 1, 1, 2, 100, 3000)),
+    st.sampled_from((100, 100, 100, 50, 0)),
+    st.booleans(),
+    st.sampled_from((1, 1, 6)),
+    st.sampled_from((1, 1, 6)),
+    st.sampled_from((None, None, b"\x01\x00", b"\x01\x00\x80")),
+    st.sampled_from((False, False, False, True)),
+    st.integers(1, 12),
+)
+
+
+@st.composite
+def _worlds(draw):
+    """A capture from two radios sharing ``AP`` as their BSSID (radio 1
+    sometimes transmitting from its own address ``TWIN``), with jittered
+    times, diverging seq counters and configuration, and deauth bursts;
+    plus a ground-truth label."""
+    capture = FrameCapture()
+    seqs = [draw(st.integers(0, 4095)), draw(st.integers(0, 4095))]
+    t = 0.0
+    for (radio, own, dt, kind, step, interval, privacy, air_ch, adv_ch,
+         rsn, csa, burst) in draw(st.lists(_EVENTS, max_size=50)):
+        t += dt
+        seqs[radio] = (seqs[radio] + step) % 4096
+        src = TWIN if radio == 1 and own else AP
+        extra = []
+        if rsn is not None:
+            extra.append(InformationElement(IeId.RSN, rsn))
+        if csa:
+            extra.append(InformationElement(IeId.CHANNEL_SWITCH,
+                                            b"\x01\x06\x03"))
+        if kind == "deauth":
+            for i in range(burst):
+                capture.add(_cap(make_deauth(src, BROADCAST, AP,
+                                             seq=(seqs[radio] + i) % 4096),
+                                 t=t + i * 0.01, ch=air_ch))
+            continue
+        if kind == "beacon":
+            frame = make_beacon(AP, "CORP", adv_ch, privacy=privacy,
+                                interval_tu=interval, seq=seqs[radio],
+                                extra_ies=extra)
+        else:
+            frame = make_probe_response(AP, CLIENT, "CORP", adv_ch,
+                                        privacy=privacy, seq=seqs[radio],
+                                        extra_ies=extra)
+        if src is TWIN:
+            frame = replace(frame, addr2=TWIN)
+        capture.add(_cap(frame, t=t, ch=air_ch))
+    truth = GroundTruth(rogue_present=draw(st.booleans()),
+                        attack_start_s=draw(st.floats(0.0, 2.0)))
+    return capture, truth
+
+
+@settings(max_examples=60, deadline=None)
+@given(_worlds())
+def test_single_scan_matches_oracles(world):
+    """Every detector x SWEEP crossing equals the trajectory oracle's,
+    and the cells and ttd timers equal the rescan oracle's."""
+    capture, truth = world
+    reg, crossings = evaluate_with_crossings(capture, truth)
+    for name, cls in DETECTORS.items():
+        events = score_trajectory(cls(), capture)
+        assert crossings[name] == {thr: _first_crossing_t(events, thr)
+                                   for thr in cls.SWEEP}
+    assert reg.snapshot() == evaluate_rescan(capture, truth).snapshot()
