@@ -30,18 +30,30 @@ GOLDENS_PATH = os.path.join(os.path.dirname(__file__),
 
 #: Experiment id -> the runner keyword arguments of each pinned run.
 #: E-FMS is pinned at one trial per cell (both key lengths, all six
-#: sample counts) to keep the tier-1 suite fast; the others run at their
-#: registered defaults, each in under a second.
+#: sample counts) and E-VPNOH at a 4 s transfer instead of its default
+#: 20 s, to keep the tier-1 suite fast; the others run at their
+#: registered defaults, each in about a second or less.
 PINNED = {
+    "E-8021X": [{}],
+    "E-CNN": [{}],
     "E-CSA": [{}],
+    "E-DEAUTH": [{}],
     "E-DETECT": [{}],
     "E-DOWNGRADE": [{}],
     "E-FMS": [{"trials": 1}],
+    "E-MAC": [{}],
+    "E-NETSED": [{}],
     "E-PMF": [{}],
+    "E-PROM": [{}],
+    "E-VPNOH": [{"duration_s": 4.0}],
+    "E-WEP": [{}],
     "E-WIDS": [{}],
+    "E-WIRED": [{}],
     "FIG1": [{}],
     "FIG2": [{}],
+    "FIG3": [{}],
     "X-CONTAIN": [{}],
+    "X-PATH": [{}],
 }
 
 COMMENT = (
