@@ -13,12 +13,8 @@ import pytest
 
 from conftest import record_fields
 
-from repro.crypto.crc import crc32
 from repro.crypto.fms import FmsAttack, weak_iv_for
-from repro.crypto.md5 import md5
 from repro.crypto.rc4 import RC4, rc4_keystream
-from repro.crypto.sha1 import sha1
-from repro.crypto.hmac import hmac_sha1
 from repro.crypto.wep import WepKey, wep_decrypt, wep_encrypt
 from repro.dot11.frames import Dot11Frame, make_beacon, make_data
 from repro.dot11.mac import MacAddress
@@ -31,22 +27,6 @@ STA = MacAddress("00:02:2d:00:00:07")
 
 def test_rc4_throughput_4k(benchmark):
     benchmark(lambda: RC4(b"benchmark-key").crypt(BLOB_4K))
-
-
-def test_md5_throughput_4k(benchmark):
-    benchmark(md5, BLOB_4K)
-
-
-def test_sha1_throughput_4k(benchmark):
-    benchmark(sha1, BLOB_4K)
-
-
-def test_crc32_throughput_4k(benchmark):
-    benchmark(crc32, BLOB_4K)
-
-
-def test_hmac_sha1_small_record(benchmark):
-    benchmark(hmac_sha1, b"k" * 20, b"m" * 256)
 
 
 def test_wep_encrypt_decrypt_frame(benchmark):

@@ -10,13 +10,14 @@ content:
   hotspot and wired-office comparison settings.
 * :mod:`repro.core.threatmodel` — the §1–§3 threat taxonomy with
   wired/wireless applicability.
+* :mod:`repro.core.experiments` / :mod:`repro.core.registry` — one
+  runner per table or figure, registered under its experiment id for
+  the CLI and the benchmark harness.
 * :mod:`repro.core.campaign` — multi-seed trial runner.
-* :mod:`repro.core.metrics` / :mod:`repro.core.report` — result
-  aggregation and table rendering for the benchmark harness.
+* :mod:`repro.core.report` — table rendering.
 """
 
 from repro.core.campaign import TrialStats, run_trials
-from repro.core.metrics import CaptureMetrics, DownloadMetrics
 from repro.core.report import format_table
 from repro.core.scenario import (
     CorpScenario,
@@ -29,9 +30,7 @@ from repro.core.scenario import (
 from repro.core.threatmodel import Threat, ThreatApplicability, threat_taxonomy
 
 __all__ = [
-    "CaptureMetrics",
     "CorpScenario",
-    "DownloadMetrics",
     "HotspotScenario",
     "Threat",
     "ThreatApplicability",

@@ -8,13 +8,13 @@ office extending east; the rogue parks near the victim.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.attacks.rogue_ap import RogueAccessPoint
 from repro.attacks.trojan import build_trojan_site
 from repro.crypto.keystore import KeyStore
-from repro.crypto.md5 import md5_hexdigest
 from repro.crypto.wep import WepKey
 from repro.defense.vpn import VpnClient, VpnServer
 from repro.dot11.mac import MacAddress
@@ -162,7 +162,7 @@ def build_corp_scenario(
 
     evil = wan.add_server(sim, "evil-web", EVIL_IP)
     evil_site, trojan, _ = build_trojan_site(binary)
-    fake_md5 = md5_hexdigest(trojan)
+    fake_md5 = hashlib.md5(trojan).hexdigest()
     HttpServer(evil, evil_site, 80)
 
     dns_host = wan.add_server(sim, "corp-dns", DNS_IP)

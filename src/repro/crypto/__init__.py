@@ -1,33 +1,31 @@
-"""From-scratch cryptographic primitives used by the reproduction.
+"""Cryptographic primitives used by the reproduction.
 
 The paper's attack and defense both hinge on *real* cryptography:
 
 * WEP uses RC4 with a 24-bit IV and a CRC-32 integrity check value;
   its famous weakness (Fluhrer–Mantin–Shamir, reference [3] of the
   paper) is what lets an outside attacker "retrieve the WEP key via
-  Airsnort" (§4).  We implement RC4, WEP, and the FMS key-recovery
-  attack from first principles.
-* The download page publishes an MD5SUM; the attack's punchline is
-  that the victim's MD5 verification *passes* on the trojaned binary
-  because netsed also rewrote the published digest.  MD5 is
-  implemented from scratch (RFC 1321).
-* The PPP-over-SSH VPN (§5.3) needs a key exchange, a stream cipher and
-  a MAC: classic finite-field Diffie–Hellman, RC4, and HMAC-SHA1
-  (RFC 2104 / FIPS 180-1), all implemented here.
+  Airsnort" (§4).  RC4, WEP, and the FMS key-recovery attack are
+  implemented here from first principles, as are TKIP's Michael MIC and
+  the finite-field Diffie–Hellman of the VPN key exchange: they are the
+  paper's subject, and the standard library has no equivalent.
+* The digests come from the standard library, as they came from
+  shipped libraries on the paper's laptops: ``hashlib.md5`` for the
+  download page's published MD5SUM (which netsed rewrites so that the
+  victim's check *passes* on the trojaned binary), ``hmac`` with SHA-1
+  for the PPP-over-SSH VPN's record MAC (§5.3) and the handshake MICs,
+  and ``zlib.crc32`` for the WEP ICV and the 802.11 FCS.  CRC-32 is
+  linear, which is why the WEP ICV provides no integrity.
 
 None of this is intended for production use — it exists so that the
 paper's experiments run on genuine cryptographic behaviour rather than
 boolean flags.
 """
 
-from repro.crypto.crc import crc32
 from repro.crypto.dh import DiffieHellman, DH_GROUP_1536
 from repro.crypto.fms import FmsAttack, FmsSample, is_weak_iv
-from repro.crypto.hmac import hmac, hmac_md5, hmac_sha1
 from repro.crypto.keystore import KeyStore
-from repro.crypto.md5 import md5, md5_hexdigest
 from repro.crypto.rc4 import RC4, rc4_keystream
-from repro.crypto.sha1 import sha1, sha1_hexdigest
 from repro.crypto.tkip import MichaelMic, TkipSession
 from repro.crypto.wep import WepError, WepKey, wep_decrypt, wep_encrypt
 
@@ -42,16 +40,8 @@ __all__ = [
     "TkipSession",
     "WepError",
     "WepKey",
-    "crc32",
-    "hmac",
-    "hmac_md5",
-    "hmac_sha1",
     "is_weak_iv",
-    "md5",
-    "md5_hexdigest",
     "rc4_keystream",
-    "sha1",
-    "sha1_hexdigest",
     "wep_decrypt",
     "wep_encrypt",
 ]

@@ -15,10 +15,10 @@ group arithmetic.
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 from dataclasses import dataclass
 
-from repro.crypto.hmac import hmac_sha1
-from repro.crypto.sha1 import sha1
 
 __all__ = ["DhGroup", "DiffieHellman", "DH_GROUP_1536", "derive_key"]
 
@@ -92,7 +92,8 @@ def derive_key(shared: bytes, label: str, length: int, session_id: bytes = b"") 
     out = b""
     counter = 0
     while len(out) < length:
-        out += sha1(shared + label.encode("utf-8") + session_id + bytes([counter]))
+        out += hashlib.sha1(shared + label.encode("utf-8") + session_id
+                            + bytes([counter])).digest()
         counter += 1
     return out[:length]
 
@@ -104,4 +105,4 @@ def authenticate_exchange(psk: bytes, transcript: bytes) -> bytes:
     rogue AP from simply MITM-ing the key exchange itself (§5.2
     requirement 2).
     """
-    return hmac_sha1(psk, transcript)
+    return hmac.digest(psk, transcript, "sha1")

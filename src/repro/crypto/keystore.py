@@ -20,10 +20,10 @@ certificate authority several hundred dollars").
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.crypto.sha1 import sha1
 from repro.sim.errors import ConfigurationError
 
 __all__ = ["Credential", "KeyStore"]
@@ -57,7 +57,7 @@ class Credential:
 
     def fingerprint(self) -> str:
         """Short identifier safe to log (never the secret itself)."""
-        return sha1(self.secret)[:6].hex()
+        return hashlib.sha1(self.secret).digest()[:6].hex()
 
 
 class KeyStore:

@@ -22,10 +22,10 @@ per IEEE 802.11i.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 from repro.crypto.rc4 import RC4
-from repro.crypto.sha1 import sha1
 from repro.sim.errors import IntegrityError
 
 __all__ = ["MichaelMic", "TkipSession", "TkipError"]
@@ -116,7 +116,7 @@ class TkipSession:
 
     def _packet_key(self, tsc: int) -> bytes:
         material = self.temporal_key + self.transmitter + struct.pack("<Q", tsc)
-        return sha1(material)[:16]
+        return hashlib.sha1(material).digest()[:16]
 
     def encapsulate(self, plaintext: bytes) -> bytes:
         """Protect ``plaintext``: returns ``TSC(6) | RC4(plaintext | MIC)``."""

@@ -22,9 +22,9 @@ classic "ASCII key" entry mode on period hardware.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
-from repro.crypto.crc import crc32
 from repro.crypto.rc4 import RC4
 from repro.sim.errors import IntegrityError
 
@@ -113,7 +113,7 @@ def wep_encrypt(key: WepKey, iv: bytes, plaintext: bytes, key_id: int = 0) -> by
     """Encrypt a frame body: returns ``IV | KeyID | RC4(plaintext | ICV)``."""
     if not 0 <= key_id <= 3:
         raise ValueError("WEP KeyID is 2 bits")
-    icv = crc32(plaintext).to_bytes(4, "little")
+    icv = zlib.crc32(plaintext).to_bytes(4, "little")
     cipher = RC4(key.per_packet_key(iv))
     return iv + bytes([key_id << 6]) + cipher.crypt(plaintext + icv)
 
@@ -132,7 +132,7 @@ def wep_decrypt(key: WepKey, body: bytes) -> bytes:
     cipher = RC4(key.per_packet_key(iv))
     decrypted = cipher.crypt(body[HEADER_LEN:])
     plaintext, icv = decrypted[:-ICV_LEN], decrypted[-ICV_LEN:]
-    if crc32(plaintext).to_bytes(4, "little") != icv:
+    if zlib.crc32(plaintext).to_bytes(4, "little") != icv:
         raise WepError("WEP ICV check failed (wrong key or tampered frame)")
     return plaintext
 

@@ -9,8 +9,9 @@ count (a dictionary-attack cost knob) is out of scope.
 
 from __future__ import annotations
 
-from repro.crypto.hmac import hmac_sha1
-from repro.crypto.sha1 import sha1
+import hashlib
+import hmac
+
 from repro.dot11.mac import MacAddress
 
 __all__ = ["derive_ptk", "psk_from_passphrase"]
@@ -21,7 +22,8 @@ def psk_from_passphrase(passphrase: str, ssid: str) -> bytes:
     out = b""
     counter = 0
     while len(out) < 32:
-        out += sha1(passphrase.encode() + b"\x00" + ssid.encode() + bytes([counter]))
+        out += hashlib.sha1(passphrase.encode() + b"\x00" + ssid.encode()
+                            + bytes([counter])).digest()
         counter += 1
     return out[:32]
 
@@ -34,6 +36,7 @@ def derive_ptk(psk: bytes, anonce: bytes, snonce: bytes,
     out = b""
     counter = 0
     while len(out) < 48:
-        out += hmac_sha1(psk, b"Pairwise key expansion" + macs + nonces + bytes([counter]))
+        out += hmac.digest(psk, b"Pairwise key expansion" + macs + nonces
+                           + bytes([counter]), "sha1")
         counter += 1
     return out[:48]

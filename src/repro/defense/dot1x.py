@@ -24,10 +24,10 @@ trust topology, not the framing.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.crypto.md5 import md5
 
 __all__ = ["EapAuthServer", "Dot1xAuthenticator", "Dot1xSupplicant", "EapCode"]
 
@@ -50,7 +50,7 @@ class EapMessage:
 
 def chap_md5_response(ident: int, password: bytes, challenge: bytes) -> bytes:
     """RFC 1994 CHAP response: MD5(id || secret || challenge)."""
-    return md5(bytes([ident & 0xFF]) + password + challenge)
+    return hashlib.md5(bytes([ident & 0xFF]) + password + challenge).digest()
 
 
 class EapAuthServer:

@@ -16,10 +16,10 @@ style), replay window.
 
 from __future__ import annotations
 
+import hmac
 import struct
 from typing import Callable, Optional
 
-from repro.crypto.hmac import constant_time_equal, hmac_sha1
 from repro.crypto.rc4 import RC4
 from repro.hosts.host import Host, UdpSocket
 from repro.hosts.nic import TunInterface
@@ -42,7 +42,7 @@ def esp_seal(enc_key: bytes, mac_key: bytes, seq: int, inner: bytes) -> bytes:
     """One ESP-ish datagram: ``seq(4) | ct | mac12``."""
     seq_bytes = struct.pack(">I", seq)
     ciphertext = RC4(_packet_key(enc_key, seq)).crypt(inner)
-    mac = hmac_sha1(mac_key, seq_bytes + ciphertext)[:TRUNC_MAC]
+    mac = hmac.digest(mac_key, seq_bytes + ciphertext, "sha1")[:TRUNC_MAC]
     return seq_bytes + ciphertext + mac
 
 
@@ -52,7 +52,8 @@ def esp_open(enc_key: bytes, mac_key: bytes, datagram: bytes) -> Optional[tuple[
         return None
     seq_bytes, ciphertext, mac = (datagram[:4], datagram[4:-TRUNC_MAC],
                                   datagram[-TRUNC_MAC:])
-    if not constant_time_equal(hmac_sha1(mac_key, seq_bytes + ciphertext)[:TRUNC_MAC], mac):
+    expected = hmac.digest(mac_key, seq_bytes + ciphertext, "sha1")[:TRUNC_MAC]
+    if not hmac.compare_digest(expected, mac):
         return None
     (seq,) = struct.unpack(">I", seq_bytes)
     return seq, RC4(_packet_key(enc_key, seq)).crypt(ciphertext)

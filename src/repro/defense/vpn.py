@@ -25,15 +25,15 @@ tunnelled UDP rides a reliable stream — E-VPNOH measures the damage.
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.crypto.dh import DH_GROUP_1536, DhGroup, DiffieHellman, derive_key
-from repro.crypto.hmac import constant_time_equal, hmac_sha1
 from repro.crypto.keystore import KeyStore
 from repro.crypto.rc4 import RC4
-from repro.crypto.sha1 import sha1
 from repro.hosts.host import Host
 from repro.hosts.nic import TunInterface
 from repro.netstack.addressing import IPv4Address, Network
@@ -105,7 +105,7 @@ class SshRecordLayer:
         seq = struct.pack(">I", self._tx_seq)
         self._tx_seq += 1
         ciphertext = self._tx_cipher.crypt(plaintext)
-        mac = hmac_sha1(self._mac_tx_key, seq + ciphertext)
+        mac = hmac.digest(self._mac_tx_key, seq + ciphertext, "sha1")
         return seq + ciphertext + mac
 
     def open(self, record: bytes) -> Optional[bytes]:
@@ -124,7 +124,8 @@ class SshRecordLayer:
                 m.incr("vpn.hmac_failures")
             return None
         seq_bytes, ciphertext, mac = record[:4], record[4:-MAC_LEN], record[-MAC_LEN:]
-        if not constant_time_equal(hmac_sha1(self._mac_rx_key, seq_bytes + ciphertext), mac):
+        expected = hmac.digest(self._mac_rx_key, seq_bytes + ciphertext, "sha1")
+        if not hmac.compare_digest(expected, mac):
             self.integrity_failures += 1
             if m is not None:
                 m.incr("vpn.hmac_failures")
@@ -142,7 +143,7 @@ class SshRecordLayer:
 
 
 def _derive_record_layer(shared: bytes, transcript: bytes, is_client: bool) -> SshRecordLayer:
-    session_id = sha1(transcript)
+    session_id = hashlib.sha1(transcript).digest()
     c2s_enc = derive_key(shared, "enc-c2s", 16, session_id)
     s2c_enc = derive_key(shared, "enc-s2c", 16, session_id)
     c2s_mac = derive_key(shared, "mac-c2s", 20, session_id)
@@ -264,8 +265,8 @@ class VpnClient:
         server_pub = int.from_bytes(payload[:pub_len], "big")
         tag = payload[pub_len:pub_len + MAC_LEN]
         transcript = self._transcript + payload[:pub_len]
-        expected = hmac_sha1(self._psk, b"server" + transcript)
-        if not constant_time_equal(tag, expected):
+        expected = hmac.digest(self._psk, b"server" + transcript, "sha1")
+        if not hmac.compare_digest(tag, expected):
             # An impostor endpoint (e.g. a rogue answering for the VPN
             # address) cannot produce this tag: no shared secret.
             self.host.sim.trace.emit("vpn.server_auth_failed", self.host.name,
@@ -278,7 +279,7 @@ class VpnClient:
             self._fail()
             return
         self._records = _derive_record_layer(shared, transcript, is_client=True)
-        client_tag = hmac_sha1(self._psk, b"client" + transcript)
+        client_tag = hmac.digest(self._psk, b"client" + transcript, "sha1")
         self._conn.send(_frame(_MSG_CLIENT_AUTH, client_tag))
 
     def _on_config(self, payload: bytes) -> None:
@@ -487,7 +488,7 @@ class VpnServer:
         client_pub = int.from_bytes(pub_raw, "big")
         my_pub = session.dh.public.to_bytes(pub_len, "big")
         session.transcript = payload + my_pub
-        tag = hmac_sha1(session.psk, b"server" + session.transcript)
+        tag = hmac.digest(session.psk, b"server" + session.transcript, "sha1")
         session.conn.send(_frame(_MSG_SERVER_HELLO, my_pub + tag))
         try:
             shared = session.dh.shared_secret(client_pub)
@@ -501,8 +502,8 @@ class VpnServer:
         if session.psk is None or session.records is None:
             session.conn.abort()
             return
-        expected = hmac_sha1(session.psk, b"client" + session.transcript)
-        if not constant_time_equal(payload, expected):
+        expected = hmac.digest(session.psk, b"client" + session.transcript, "sha1")
+        if not hmac.compare_digest(payload, expected):
             self.auth_failures += 1
             self.host.sim.trace.emit("vpn.client_auth_failed", self.host.name,
                                      client=session.name)

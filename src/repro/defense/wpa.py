@@ -19,12 +19,11 @@ from the PSK and both nonces, MIC-protected; data protection via
 
 from __future__ import annotations
 
+import hmac
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.crypto.hmac import constant_time_equal, hmac_sha1
-from repro.crypto.sha1 import sha1
 from repro.crypto.tkip import TkipSession
 from repro.dot11.mac import MacAddress
 
@@ -65,13 +64,13 @@ class WpaPskAuthenticator:
         snonce, mic2 = supplicant.msg1(anonce, self.ap_mac)
         ptk = derive_ptk(self.psk, anonce, snonce, self.ap_mac, supplicant.sta_mac)
         keys = _Keys.from_ptk(ptk)
-        expected_mic2 = hmac_sha1(keys.kck, b"msg2" + snonce)
-        if not constant_time_equal(mic2, expected_mic2):
+        expected_mic2 = hmac.digest(keys.kck, b"msg2" + snonce, "sha1")
+        if not hmac.compare_digest(mic2, expected_mic2):
             # Wrong PSK on the client (or an impostor without the key).
             self.mic_failures += 1
             return None
         # Message 3: confirm, MIC'd under the KCK.
-        mic3 = hmac_sha1(keys.kck, b"msg3" + anonce)
+        mic3 = hmac.digest(keys.kck, b"msg3" + anonce, "sha1")
         ok = supplicant.msg3(mic3)
         if not ok:
             self.mic_failures += 1
@@ -100,15 +99,15 @@ class WpaPskSupplicant:
         ptk = derive_ptk(self.psk, anonce, snonce, ap_mac, self.sta_mac)
         self._keys = _Keys.from_ptk(ptk)
         self._anonce = anonce
-        return snonce, hmac_sha1(self._keys.kck, b"msg2" + snonce)
+        return snonce, hmac.digest(self._keys.kck, b"msg2" + snonce, "sha1")
 
     def msg3(self, mic3: bytes) -> bool:
         """Verify message 3 — the step that *does* authenticate the AP's
         key knowledge.  A rogue without the PSK fails here; a rogue
         *with* it (any valid client) passes."""
         assert self._keys is not None and self._anonce is not None
-        expected = hmac_sha1(self._keys.kck, b"msg3" + self._anonce)
-        if not constant_time_equal(mic3, expected):
+        expected = hmac.digest(self._keys.kck, b"msg3" + self._anonce, "sha1")
+        if not hmac.compare_digest(mic3, expected):
             self.mic_failures += 1
             return False
         self.established = True

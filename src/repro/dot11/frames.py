@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import enum
 import struct
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.crypto.crc import crc32
 from repro.dot11.ies import (
     IeId,
     InformationElement,
@@ -300,7 +300,7 @@ class Dot11Frame:
             seqctl=((self.seq & 0x0FFF) << 4) | (self.frag & 0x0F),
         ) + self.body
         if with_fcs:
-            raw += crc32(raw).to_bytes(4, "little")
+            raw += zlib.crc32(raw).to_bytes(4, "little")
         rec = flight_recorder()
         if rec is not None and self.trace_id is not None:
             rec.hop("dot11", "encode", trace_id=self.trace_id,
@@ -326,7 +326,7 @@ class Dot11Frame:
             if len(view) < HEADER_LEN + FCS_LEN:
                 raise ProtocolError("frame too short")
             payload, fcs = view[:-FCS_LEN], view[-FCS_LEN:]
-            if crc32(payload) != int.from_bytes(fcs, "little"):
+            if zlib.crc32(payload) != int.from_bytes(fcs, "little"):
                 raise ProtocolError("FCS check failed (corrupted frame)")
         else:
             if len(view) < HEADER_LEN:

@@ -24,11 +24,11 @@ valid client's rogue succeeds, over the real radio path.
 
 from __future__ import annotations
 
+import hmac
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.crypto.hmac import constant_time_equal, hmac_sha1
 from repro.crypto.tkip import TkipSession
 from repro.crypto.wpa_kdf import derive_ptk
 from repro.dot11.mac import MacAddress
@@ -100,7 +100,7 @@ class ApWpaSession:
 
     def _send_msg3(self) -> None:
         assert self.keys is not None
-        mic3 = hmac_sha1(self.keys.kck, b"msg3" + self.anonce)
+        mic3 = hmac.digest(self.keys.kck, b"msg3" + self.anonce, "sha1")
         self._awaiting = _MSG4
         self.send_eapol(_pack(_MSG3, mic3))
         self._arm(self._send_msg3)
@@ -133,8 +133,8 @@ class ApWpaSession:
             ptk = derive_ptk(self.psk, self.anonce, snonce,
                              self.ap_mac, self.sta_mac)
             keys = WpaKeys.from_ptk(ptk)
-            if not constant_time_equal(
-                    mic2, hmac_sha1(keys.kck, b"msg2" + snonce)):
+            if not hmac.compare_digest(
+                    mic2, hmac.digest(keys.kck, b"msg2" + snonce, "sha1")):
                 self.mic_failures += 1
                 return  # wrong PSK on the client; keep waiting / retrying
             self.keys = keys
@@ -142,8 +142,8 @@ class ApWpaSession:
             self._send_msg3()
         elif msg == _MSG4 and self._awaiting == _MSG4 and self.keys is not None:
             mic4 = payload[1:1 + MIC_LEN]
-            if not constant_time_equal(
-                    mic4, hmac_sha1(self.keys.kck, b"msg4" + self.anonce)):
+            if not hmac.compare_digest(
+                    mic4, hmac.digest(self.keys.kck, b"msg4" + self.anonce, "sha1")):
                 self.mic_failures += 1
                 return
             self._cancel()
@@ -186,17 +186,17 @@ class StaWpaSession:
             ptk = derive_ptk(self.psk, self.anonce, self.snonce,
                              self.ap_mac, self.sta_mac)
             self.keys = WpaKeys.from_ptk(ptk)
-            mic2 = hmac_sha1(self.keys.kck, b"msg2" + self.snonce)
+            mic2 = hmac.digest(self.keys.kck, b"msg2" + self.snonce, "sha1")
             self.send_eapol(_pack(2, self.snonce, mic2))
         elif msg == 3 and self.keys is not None and self.anonce is not None:
             mic3 = payload[1:1 + MIC_LEN]
-            if not constant_time_equal(
-                    mic3, hmac_sha1(self.keys.kck, b"msg3" + self.anonce)):
+            if not hmac.compare_digest(
+                    mic3, hmac.digest(self.keys.kck, b"msg3" + self.anonce, "sha1")):
                 # The network failed to prove PSK knowledge: a keyless
                 # rogue.  Refuse; never install keys.
                 self.mic_failures += 1
                 return
-            mic4 = hmac_sha1(self.keys.kck, b"msg4" + self.anonce)
+            mic4 = hmac.digest(self.keys.kck, b"msg4" + self.anonce, "sha1")
             self.send_eapol(_pack(4, mic4))
             self.tx = TkipSession(self.keys.tk, self.keys.mic_sta_to_ap,
                                   self.sta_mac.bytes)

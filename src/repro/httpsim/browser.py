@@ -12,11 +12,11 @@ updates" (``patched=False``) is compromised by an injected exploit.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.crypto.md5 import md5_hexdigest
 from repro.hosts.host import Host
 from repro.httpsim.client import HttpClient, parse_url
 from repro.httpsim.downloads import is_trojaned
@@ -122,7 +122,7 @@ class Browser:
                 finish()
                 return
             blob = response.body
-            outcome.computed_md5 = md5_hexdigest(blob)
+            outcome.computed_md5 = hashlib.md5(blob).hexdigest()
             if outcome.published_md5 is not None:
                 outcome.md5_ok = outcome.computed_md5 == outcome.published_md5.lower()
                 if not outcome.md5_ok:

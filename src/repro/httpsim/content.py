@@ -9,9 +9,9 @@ properly."
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Optional
 
-from repro.crypto.md5 import md5_hexdigest
 from repro.httpsim.messages import HttpRequest, HttpResponse
 
 __all__ = ["Website", "make_download_page", "make_news_page"]
@@ -66,7 +66,7 @@ def make_download_page(
     Returns the MD5 hex digest that was published.
     """
     binary_path = binary_path or f"/{binary_name}"
-    digest = md5_hexdigest(binary)
+    digest = hashlib.md5(binary).hexdigest()
     html = (
         "<html><head><title>Download</title></head><body>\n"
         "<h1>Get the software</h1>\n"

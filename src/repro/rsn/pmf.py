@@ -22,11 +22,11 @@ MME wire layout (802.11-2016 §9.4.2.55): u16 key id, 6-byte IPN,
 
 from __future__ import annotations
 
+import hmac
 import struct
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.crypto.hmac import constant_time_equal, hmac_sha1
 from repro.dot11.frames import Dot11Frame
 from repro.dot11.ies import IeId, InformationElement, find_ie
 from repro.sim.errors import ProtocolError
@@ -41,7 +41,7 @@ MME_LEN = 2 + _IPN_LEN + _MIC_LEN  # keyid + ipn + mic
 
 def derive_igtk(kck: bytes) -> bytes:
     """Integrity group key for management frames, from the pairwise KCK."""
-    return hmac_sha1(kck, b"BIP IGTK")[:16]
+    return hmac.digest(kck, b"BIP IGTK", "sha1")[:16]
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def mme_for_frame(frame: Dot11Frame, igtk: bytes, ipn: int) -> Mme:
     ``frame.body`` must hold the unprotected body (e.g. the 2-byte
     reason); the caller appends ``mme.to_ie()`` to it afterwards.
     """
-    mic = hmac_sha1(igtk, _mic_input(frame, ipn))[:_MIC_LEN]
+    mic = hmac.digest(igtk, _mic_input(frame, ipn), "sha1")[:_MIC_LEN]
     return Mme(key_id=4, ipn=ipn, mic=mic)
 
 
@@ -115,7 +115,7 @@ def verify_mgmt_mic(frame: Dot11Frame, igtk: bytes,
     # trailing IE list begins... minus the MME element itself).
     stripped = frame.with_body(
         frame.body[:len(frame.body) - (MME_LEN + 2)])
-    expected = hmac_sha1(igtk, _mic_input(stripped, mme.ipn))[:_MIC_LEN]
-    if not constant_time_equal(mme.mic, expected):
+    expected = hmac.digest(igtk, _mic_input(stripped, mme.ipn), "sha1")[:_MIC_LEN]
+    if not hmac.compare_digest(mme.mic, expected):
         return None
     return mme.ipn

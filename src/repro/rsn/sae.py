@@ -29,11 +29,11 @@ the downgrade/PMF scenarios measure.
 
 from __future__ import annotations
 
+import hmac
 import struct
 from typing import Optional
 
 from repro.crypto.dh import DH_GROUP_1536, DhGroup, DiffieHellman
-from repro.crypto.hmac import constant_time_equal, hmac_sha1
 from repro.dot11.ies import IeId, InformationElement
 from repro.dot11.mac import MacAddress
 from repro.rsn.ie import RSN_OUI, VendorIe
@@ -127,30 +127,32 @@ class SaeParty:
         # produce or verify a confirm.
         transcript = self._macs + _sorted_pair(self._own_commit,
                                                self._peer_commit)
-        keyseed = hmac_sha1(self._password, shared + transcript)
-        self._kck = hmac_sha1(keyseed, b"SAE KCK")
-        self.pmk = (hmac_sha1(keyseed, b"SAE PMK" + b"\x00")
-                    + hmac_sha1(keyseed, b"SAE PMK" + b"\x01"))[:_PMK_LEN]
+        keyseed = hmac.digest(self._password, shared + transcript, "sha1")
+        self._kck = hmac.digest(keyseed, b"SAE KCK", "sha1")
+        self.pmk = (hmac.digest(keyseed, b"SAE PMK" + b"\x00", "sha1")
+                    + hmac.digest(keyseed, b"SAE PMK" + b"\x01", "sha1"))[:_PMK_LEN]
 
     # -- confirm -------------------------------------------------------
     def confirm_bytes(self) -> bytes:
         """Transcript MAC proving we hold the password *and* the secret."""
         if self._kck is None or self._peer_commit is None:
             raise SaeError("SAE confirm before processing peer commit")
-        return hmac_sha1(
+        return hmac.digest(
             self._kck,
             b"sae-confirm" + self._own_commit + self._peer_commit,
+            "sha1",
         )[:_CONFIRM_LEN]
 
     def process_confirm(self, raw: bytes) -> bool:
         """Verify the peer's confirm; True marks the handshake complete."""
         if self._kck is None or self._peer_commit is None:
             return False
-        expected = hmac_sha1(
+        expected = hmac.digest(
             self._kck,
             b"sae-confirm" + self._peer_commit + self._own_commit,
+            "sha1",
         )[:_CONFIRM_LEN]
-        if len(raw) == _CONFIRM_LEN and constant_time_equal(bytes(raw), expected):
+        if len(raw) == _CONFIRM_LEN and hmac.compare_digest(bytes(raw), expected):
             self.confirmed = True
             return True
         return False

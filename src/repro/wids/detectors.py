@@ -10,9 +10,9 @@ Two families live here:
   evaluation sweeps, and the CLI can enumerate them.
 
 * The **offline** :class:`SeqCtlMonitor` — the §2.3 sequence-control
-  analyser migrated verbatim from ``repro.defense.detection`` (which
-  remains as a deprecated re-export shim).  It post-processes a whole
-  capture into per-transmitter :class:`SpoofVerdict`\\ s; the streaming
+  analyser (also re-exported by :mod:`repro.defense`).  It
+  post-processes a whole capture into per-transmitter
+  :class:`SpoofVerdict`\\ s; the streaming
   :class:`SeqCtlAnomalyDetector` is its online counterpart.
 
 The streaming seqctl detector deliberately counts only *large* forward
@@ -408,7 +408,7 @@ class UnexpectedCsaDetector(Detector):
 
 
 # ----------------------------------------------------------------------
-# offline sequence-control monitor (migrated from repro.defense.detection)
+# offline sequence-control monitor
 # ----------------------------------------------------------------------
 
 @dataclass

@@ -2,10 +2,8 @@
 
 from repro.workloads.roaming import RoamingOutcome, simulate_roaming_client
 from repro.workloads.traffic import BulkTcpTransfer, CbrUdpStream, WepTrafficPump
-from repro.workloads.web import BrowsingWorkload
 
 __all__ = [
-    "BrowsingWorkload",
     "BulkTcpTransfer",
     "CbrUdpStream",
     "RoamingOutcome",

@@ -1,10 +1,11 @@
 """Hostile hotspot (§1.3.2/§5.1) and trojan packaging."""
 
+import hashlib
+
 import pytest
 
 from repro.attacks.trojan import build_trojan_site, trojanize
 from repro.core.scenario import build_hotspot_scenario
-from repro.crypto.md5 import md5_hexdigest
 from repro.httpsim.downloads import LEGIT_MAGIC, TROJAN_MAGIC, is_trojaned, make_binary
 from repro.sim.rng import SimRandom
 
@@ -26,7 +27,7 @@ def test_trojan_md5_differs():
     """Different bytes → different MD5 — the reason the paper's attack
     must rewrite the published digest too."""
     binary = make_binary("tool", 512, SimRandom(2))
-    assert md5_hexdigest(binary) != md5_hexdigest(trojanize(binary))
+    assert hashlib.md5(binary).hexdigest() != hashlib.md5(trojanize(binary)).hexdigest()
 
 
 def test_trojanize_arbitrary_blob():

@@ -1,14 +1,12 @@
-"""Core layer: threat taxonomy, campaign runner, metrics, reporting."""
+"""Core layer: threat taxonomy, campaign runner, reporting."""
 
 import math
 
 import pytest
 
 from repro.core.campaign import TrialStats, run_trials
-from repro.core.metrics import DownloadMetrics, TunnelMetrics
 from repro.core.report import format_kv, format_table
 from repro.core.threatmodel import Threat, ThreatApplicability, threat_taxonomy
-from repro.httpsim.browser import DownloadOutcome
 
 
 def test_taxonomy_covers_paper_threats():
@@ -59,21 +57,6 @@ def test_run_trials_reproducible():
     a = run_trials(10, trial)
     b = run_trials(10, trial)
     assert a.values == b.values
-
-
-def test_download_metrics_from_outcome():
-    outcome = DownloadOutcome(page_url="u", md5_ok=True, executed=True, trojaned=True)
-    m = DownloadMetrics.from_outcome(outcome)
-    assert m.compromised and m.md5_check_passed and m.attempted
-
-
-def test_tunnel_metrics():
-    m = TunnelMetrics(offered=10, delivered=8,
-                      latencies_s=[0.1, 0.2, 0.3, 0.4])
-    assert m.delivery_ratio == 0.8
-    assert m.mean_latency_s == pytest.approx(0.25)
-    assert m.latency_quantile(0.99) == 0.4
-    assert math.isnan(TunnelMetrics().mean_latency_s)
 
 
 def test_format_table_alignment():

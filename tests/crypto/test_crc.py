@@ -1,11 +1,12 @@
-"""CRC-32 against zlib and its linearity (the WEP ICV flaw)."""
+"""CRC-32: the table-driven oracle against zlib, and the linearity of
+``zlib.crc32`` that breaks the WEP ICV."""
 
 import zlib
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.crc import crc32, crc32_combine_xor, crc32_table
+from tests.crypto.oracles import CRC32_TABLE, crc32
 
 
 @given(st.binary(max_size=2048))
@@ -14,21 +15,20 @@ def test_matches_zlib(data):
 
 
 def test_known_values():
-    assert crc32(b"") == 0
-    assert crc32(b"123456789") == 0xCBF43926  # the standard check value
+    for crc in (crc32, zlib.crc32):
+        assert crc(b"") == 0
+        assert crc(b"123456789") == 0xCBF43926  # the standard check value
 
 
-def test_incremental_computation():
-    whole = crc32(b"hello world")
+@given(st.binary(max_size=256), st.binary(max_size=256))
+def test_incremental_computation(a, b):
     # zlib-style chaining
-    part = crc32(b" world", crc32(b"hello"))
-    assert whole == part
+    assert crc32(b, crc32(a)) == zlib.crc32(b, zlib.crc32(a)) == zlib.crc32(a + b)
 
 
 def test_table_shape():
-    table = crc32_table()
-    assert len(table) == 256
-    assert len(set(table)) == 256  # all entries distinct
+    assert len(CRC32_TABLE) == 256
+    assert len(set(CRC32_TABLE)) == 256  # all entries distinct
 
 
 @given(st.binary(min_size=4, max_size=64), st.binary(min_size=4, max_size=64))
@@ -42,4 +42,5 @@ def test_linearity_enables_wep_bit_flipping(a, b):
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
     xored = bytes(x ^ y for x, y in zip(a, b))
-    assert crc32(xored) == crc32_combine_xor(crc32(a), crc32(b), crc32(b"\x00" * n))
+    assert zlib.crc32(xored) == (zlib.crc32(a) ^ zlib.crc32(b)
+                                 ^ zlib.crc32(b"\x00" * n))

@@ -3,9 +3,10 @@
 Two fixture files under ``tests/crypto/fixtures/``:
 
 - ``hmac_rfc2202.json`` — the complete RFC 2202 vector sets for
-  HMAC-MD5 and HMAC-SHA-1 (seven cases each).  These pin the repo's
-  from-scratch RFC 2104 implementation to the published answers, not
-  merely to the stdlib.
+  HMAC-MD5 and HMAC-SHA-1 (seven cases each).  These pin both the
+  standard library's ``hmac`` and the RFC 2104 oracle in
+  ``tests/crypto/oracles.py`` to the published answers, not merely to
+  each other.
 - ``wpa_kdf_kat.json`` — pinned outputs of the repo's labelled-SHA1
   WPA KDF.  The KDF is a documented simplification (see the
   ``wpa_kdf`` module docstring) so there is no external standard to
@@ -15,14 +16,15 @@ Two fixture files under ``tests/crypto/fixtures/``:
 
 from __future__ import annotations
 
+import hmac as stdhmac
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.crypto.hmac import hmac_md5, hmac_sha1
 from repro.crypto.wpa_kdf import derive_ptk, psk_from_passphrase
 from repro.dot11.mac import MacAddress
+from tests.crypto.oracles import MD5, SHA1, hmac
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RFC2202 = json.loads((FIXTURES / "hmac_rfc2202.json").read_text())
@@ -32,15 +34,17 @@ WPA_KDF = json.loads((FIXTURES / "wpa_kdf_kat.json").read_text())
 @pytest.mark.parametrize("case", RFC2202["hmac_md5"],
                          ids=lambda c: c["name"])
 def test_rfc2202_hmac_md5(case):
-    got = hmac_md5(bytes.fromhex(case["key"]), bytes.fromhex(case["data"]))
-    assert got.hex() == case["digest"]
+    key, data = bytes.fromhex(case["key"]), bytes.fromhex(case["data"])
+    assert hmac(key, data, MD5).hex() == case["digest"]
+    assert stdhmac.digest(key, data, "md5").hex() == case["digest"]
 
 
 @pytest.mark.parametrize("case", RFC2202["hmac_sha1"],
                          ids=lambda c: c["name"])
 def test_rfc2202_hmac_sha1(case):
-    got = hmac_sha1(bytes.fromhex(case["key"]), bytes.fromhex(case["data"]))
-    assert got.hex() == case["digest"]
+    key, data = bytes.fromhex(case["key"]), bytes.fromhex(case["data"])
+    assert hmac(key, data, SHA1).hex() == case["digest"]
+    assert stdhmac.digest(key, data, "sha1").hex() == case["digest"]
 
 
 def test_rfc2202_fixture_is_complete():

@@ -1,10 +1,11 @@
 """WEP: framing, roundtrip, failure modes, and the bit-flipping flaw."""
 
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.crc import crc32
 from repro.crypto.rc4 import rc4_keystream
 from repro.crypto.wep import (
     IvGenerator,
@@ -87,7 +88,7 @@ def test_bit_flipping_attack_defeats_icv():
     for i, d in enumerate(full_delta):
         body[4 + i] ^= d
     # Fix the encrypted ICV: crc(p^d) = crc(p) ^ crc(d) ^ crc(0).
-    icv_delta = crc32(bytes(full_delta)) ^ crc32(b"\x00" * len(plaintext))
+    icv_delta = zlib.crc32(bytes(full_delta)) ^ zlib.crc32(b"\x00" * len(plaintext))
     icv_delta_bytes = icv_delta.to_bytes(4, "little")
     for i, d in enumerate(icv_delta_bytes):
         body[4 + len(plaintext) + i] ^= d

@@ -1,7 +1,5 @@
 """§2.3 detection: sequence-control monitoring, site survey, wired census."""
 
-import pytest
-
 from repro.attacks.deauth import DeauthAttacker
 from repro.attacks.sniffer import MonitorSniffer
 from repro.core.scenario import build_corp_scenario
@@ -169,24 +167,3 @@ def test_wired_census_catches_uninventoried_device():
     scenario.sim.run_for(2.0)
     unknown = wired_side_census(scenario.lan, [scenario.ap.bssid])
     assert victim.wlan.mac in unknown
-
-
-# ----------------------------------------------------------------------
-# the repro.defense.detection tombstone (shim retired in PR 10)
-# ----------------------------------------------------------------------
-
-def test_removed_shim_import_fails_with_migration_message():
-    # The deprecated re-export shim is gone; the path now raises an
-    # ImportError that names the new home.  Force a fresh import — a
-    # cached (failed) module entry would mask the message.
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.defense.detection", None)
-    with pytest.raises(ImportError, match=r"repro\.wids\.detectors"):
-        importlib.import_module("repro.defense.detection")
-    # The migrated names stay importable from their real home and the
-    # defense package facade.
-    from repro.defense import SeqCtlMonitor as pkg_monitor
-    from repro.wids.detectors import SeqCtlMonitor as home_monitor
-    assert pkg_monitor is home_monitor

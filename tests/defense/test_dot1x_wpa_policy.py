@@ -124,14 +124,14 @@ def test_wpa_client_detects_keyless_rogue_ap():
     assert not sta.established
     # ...and a pushy rogue that barrels on to msg3 is caught by the
     # client: the msg3 MIC is the step that authenticates the network.
-    from repro.crypto.hmac import hmac_sha1
+    import hmac
     from repro.defense.wpa import derive_ptk, _Keys
     sta2 = WpaPskSupplicant(psk, STA_MAC, SimRandom(5))
     anonce = b"R" * 32
     snonce, _mic2 = sta2.msg1(anonce, AP_MAC)
     rogue_ptk = derive_ptk(psk_from_passphrase("guess", "CORP"),
                            anonce, snonce, AP_MAC, STA_MAC)
-    rogue_mic3 = hmac_sha1(_Keys.from_ptk(rogue_ptk).kck, b"msg3" + anonce)
+    rogue_mic3 = hmac.digest(_Keys.from_ptk(rogue_ptk).kck, b"msg3" + anonce, "sha1")
     assert sta2.msg3(rogue_mic3) is False
     assert not sta2.established
     assert sta2.mic_failures == 1

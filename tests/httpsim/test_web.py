@@ -1,8 +1,9 @@
 """Website content, HTTP server/client over the stack, and the Browser."""
 
+import hashlib
+
 import pytest
 
-from repro.crypto.md5 import md5_hexdigest
 from repro.httpsim.browser import Browser
 from repro.httpsim.client import HttpClient, parse_url
 from repro.httpsim.content import Website, make_download_page, make_news_page
@@ -41,7 +42,7 @@ def test_make_download_page_publishes_real_md5():
     site = Website()
     binary = make_binary("tool", 1024, SimRandom(1))
     digest = make_download_page(site, binary=binary)
-    assert digest == md5_hexdigest(binary)
+    assert digest == hashlib.md5(binary).hexdigest()
     page = site.handle(HttpRequest("GET", "/download.html"))
     assert b"href=file.tgz" in page.body
     assert digest.encode() in page.body

@@ -331,25 +331,3 @@ def test_deauth_window_prunes_old_frames():
     caps += [_cap(make_deauth(AP, STA, AP), t=100.0 + i * 0.1)
              for i in range(8)]
     assert _detections(det, caps) == []
-
-
-# ----------------------------------------------------------------------
-# the retired deprecation shim (tombstone since PR 10)
-# ----------------------------------------------------------------------
-
-def test_defense_detection_tombstone_raises_with_clear_message():
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.defense.detection", None)
-    with pytest.raises(ImportError) as exc:
-        importlib.import_module("repro.defense.detection")
-    message = str(exc.value)
-    assert "removed" in message
-    assert "repro.wids.detectors" in message
-    # package-level re-exports still resolve to the migrated classes
-    from repro.defense import SeqCtlMonitor as pkg_monitor
-    from repro.defense import SpoofVerdict as pkg_verdict
-    from repro.wids import detectors as home
-    assert pkg_monitor is home.SeqCtlMonitor
-    assert pkg_verdict is home.SpoofVerdict

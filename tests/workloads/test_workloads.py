@@ -6,7 +6,6 @@ from repro.core.scenario import build_corp_scenario
 from repro.sim.rng import SimRandom
 from repro.workloads.roaming import RoamingOutcome, simulate_roaming_client
 from repro.workloads.traffic import BulkTcpTransfer, CbrUdpStream
-from repro.workloads.web import BrowsingWorkload
 
 
 @pytest.fixture(scope="module")
@@ -40,22 +39,6 @@ def test_bulk_tcp_goodput(traffic_world):
     assert xfer.received_bytes >= 100_000
     # 802.11b payload rates top out well under 11 Mb/s.
     assert 100_000 < xfer.goodput_bps < 11_000_000
-
-
-def test_browsing_workload(traffic_world):
-    scenario, victim = traffic_world
-    from repro.httpsim.browser import Browser
-    browser = Browser(victim)
-    workload = BrowsingWorkload(
-        scenario.sim, browser,
-        ["http://198.51.100.80/download.html",
-         "http://198.51.100.80/missing.html"],
-        think_time_s=1.0)
-    workload.start()
-    scenario.sim.run_for(60.0)
-    assert workload.done
-    assert workload.pages_loaded == 1
-    assert workload.pages_failed == 1
 
 
 # ----------------------------------------------------------------------
