@@ -6,8 +6,6 @@ One registration per claim the repo has shipped:
 * ``radio/fanout_frames_per_s`` — dense-crowd beacon delivery through
   the vectorized radio kernel (PR 7), the number the ROADMAP's
   vectorized-radio item promised to move;
-* ``radio/kernel_speedup`` — vector vs. scalar reference on the same
-  world, locking the PR 7 speedup in as a tracked ratio;
 * ``wire/checksum_mb_per_s``, ``wire/encode_cache_hit_rate``,
   ``wire/encode_cached_speedup`` — PR 5's streaming checksum and
   ~144x encode cache;
@@ -19,10 +17,8 @@ One registration per claim the repo has shipped:
   in the environment capture; a 1-core box legitimately reports <1);
 * ``wids/eval_alerts_per_s`` — PR 4's full E-WIDS evaluation, the
   sustained-throughput discipline the WIDS survey calls for;
-* ``wids/correlator_alerts_per_s``, ``wids/shard_merge_alerts_per_s``
-  — PR 10's alert-storm ingest path, unsharded and through the 4-way
-  sharded correlator + ``open_seq`` merge (digest cross-checked
-  against the serial run every time);
+* ``wids/correlator_alerts_per_s`` — synthetic alert-storm evidence
+  through ``AlertCorrelator.ingest``;
 * ``trace/overhead_ratio`` — PR 3's flight recorder must stay a small
   multiple of an unrecorded run (lower is better);
 * ``fleet/open_loop_sessions_per_s``, ``telemetry/snapshot_export_per_s``
@@ -79,7 +75,7 @@ def sim_event_dispatch(scale: float = 1.0) -> BenchSample:
 # radio — fan-out heavy delivery (the vectorized-kernel "before" number)
 # --------------------------------------------------------------------------
 
-def _fanout_world(kernel: str, receivers: int, transmissions: int):
+def _fanout_world(receivers: int, transmissions: int):
     """Dense-crowd beacon fan-out: ``receivers`` co-located clients all
     hearing one AP (the stadium/crowded-floor case the vectorized kernel
     targets).  Returns ``(elapsed_s, deliveries)``.
@@ -97,7 +93,7 @@ def _fanout_world(kernel: str, receivers: int, transmissions: int):
     from repro.sim.kernel import Simulator
 
     sim = Simulator(seed=2)
-    medium = Medium(sim, kernel=kernel)
+    medium = Medium(sim)
     tx = RadioPort("tx", Position(0, 0), 1)
     medium.attach(tx)
     sink = lambda frame, rssi, channel: None
@@ -124,31 +120,11 @@ def radio_fanout(scale: float = 1.0) -> BenchSample:
     """Beacon fan-out delivery rate across a dense receiver field."""
     receivers = _scaled(200, scale, 40)
     transmissions = _scaled(400, scale, 100)
-    elapsed, deliveries = _fanout_world("vector", receivers, transmissions)
+    elapsed, deliveries = _fanout_world(receivers, transmissions)
     return BenchSample(
         value=deliveries / elapsed,
         payload={"receivers": receivers, "transmissions": transmissions,
                  "deliveries": deliveries})
-
-
-@register("radio", "kernel_speedup", unit="x", higher_is_better=True)
-def radio_kernel_speedup(scale: float = 1.0) -> BenchSample:
-    """Vectorized-kernel speedup over the scalar reference, same world.
-
-    Both kernels run the identical dense fan-out; the payload asserts
-    they delivered the same frame count (the differential harness proves
-    the stronger bit-identity claim — this locks the perf ratio in as a
-    tracked number).
-    """
-    receivers = _scaled(200, scale, 40)
-    transmissions = _scaled(200, scale, 50)
-    scalar_s, scalar_n = _fanout_world("scalar", receivers, transmissions)
-    vector_s, vector_n = _fanout_world("vector", receivers, transmissions)
-    return BenchSample(
-        value=scalar_s / vector_s,
-        payload={"receivers": receivers, "transmissions": transmissions,
-                 "deliveries": vector_n,
-                 "deliveries_match": scalar_n == vector_n})
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +396,7 @@ def wids_correlator_throughput(scale: float = 1.0) -> BenchSample:
 
     A pre-built synthetic alert storm (hot subjects hammering the
     open-alert update path, 5% churn growing the evidence map) is fed
-    through one unsharded correlator; only the ingest loop is timed.
+    through one correlator; only the ingest loop is timed.
     """
     from repro.wids.correlate import AlertCorrelator
     from repro.wids.storm import alert_storm, storm_digest
@@ -430,45 +406,12 @@ def wids_correlator_throughput(scale: float = 1.0) -> BenchSample:
     correlator = AlertCorrelator()
     ingest = correlator.ingest
     t0 = time.perf_counter()
-    for detector, threshold, detection, t, trace_id, band in events:
-        ingest(detector, threshold, detection, t, trace_id, band=band)
+    for detector, threshold, detection, t, trace_id in events:
+        ingest(detector, threshold, detection, t, trace_id)
     elapsed = time.perf_counter() - t0
     digest = storm_digest(correlator)
     return BenchSample(value=n / elapsed,
                        payload={"events": n, **digest})
-
-
-@register("wids", "shard_merge_alerts_per_s", unit="alerts/s",
-          higher_is_better=True)
-def wids_shard_merge_throughput(scale: float = 1.0) -> BenchSample:
-    """The same storm through a 4-way ``ShardedCorrelator`` + ``merge``.
-
-    Times the full sharded path — route, per-shard ingest, and the
-    final ``open_seq`` k-way merge — and cross-checks the digest
-    against the unsharded run (the merge law, enforced every bench
-    run).
-    """
-    from repro.wids.correlate import AlertCorrelator, ShardedCorrelator
-    from repro.wids.storm import alert_storm, run_storm, storm_digest
-
-    n = _scaled(1_000_000, scale, 100_000)
-    events = alert_storm(n, subjects=64, detectors=4, churn=0.05, seed=7)
-    sharded = ShardedCorrelator(shards=4)
-    ingest = sharded.ingest
-    t0 = time.perf_counter()
-    for detector, threshold, detection, t, trace_id, band in events:
-        ingest(detector, threshold, detection, t, trace_id, band=band)
-    merged = sharded.merge()
-    elapsed = time.perf_counter() - t0
-    digest = storm_digest(sharded)
-    serial_digest = storm_digest(run_storm(AlertCorrelator(), events))
-    if digest != serial_digest:
-        raise AssertionError(
-            "sharded merge law violated: sharded and serial correlators "
-            "disagree on the same storm")
-    return BenchSample(value=n / elapsed,
-                       payload={"events": n, "shards": 4,
-                                "merged_alerts": len(merged), **digest})
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 __all__ = [
     "CHANNELS_11B",
-    "band_of",
     "channel_center_mhz",
     "channel_rejection_db",
     "channels_overlap",
@@ -23,16 +22,6 @@ CHANNELS_11B = tuple(range(1, 12))
 
 _BASE_MHZ = 2407  # channel n center = 2407 + 5n MHz (n = 1..13)
 _CH14_MHZ = 2484
-
-
-def band_of(channel: int) -> str:
-    """Coarse band label for a channel number: ``2g4`` or ``5g``.
-
-    Channels 1–14 are the 2.4 GHz ISM band (all this simulation's
-    802.11b worlds); anything higher is treated as 5 GHz.  Used as the
-    second half of the WIDS sharded-correlation routing key.
-    """
-    return "2g4" if channel <= 14 else "5g"
 
 
 def channel_center_mhz(channel: int) -> int:

@@ -9,9 +9,9 @@ determinism contract intact:
 * a trial's result depends only on its seed, never on worker assignment
   or completion order;
 * per-worker partials are reduced **in seed order** through the
-  mergeable stats layer (:mod:`repro.sim.stats`,
-  :class:`~repro.core.campaign.TrialStats`), so parallel aggregates are
-  bit-for-bit identical to serial ones;
+  mergeable stats layer (:class:`~repro.core.campaign.TrialStats` and
+  :mod:`repro.obs.metrics`), so parallel aggregates are bit-for-bit
+  identical to serial ones;
 * per-trial faults (exceptions, timeouts, dead workers) are retried and
   then *recorded*, never allowed to abort the sweep.
 

@@ -247,6 +247,7 @@ class _SnapshotListener:
         try:
             self.on_snapshot(index, payload)  # type: ignore[misc]
         except Exception as exc:
+            # Broad on purpose: contains any crash in a user's listener.
             self.error = exc
 
 
@@ -270,6 +271,7 @@ def _run_serial(n, trial, seed_base, timeout, retries, trace_indices,
             except _TrialTimeout:
                 kind, message = FAIL_TIMEOUT, f"trial exceeded its {timeout}s timeout"
             except Exception as exc:
+                # Broad on purpose: contains any crash in a user's trial.
                 kind, message = FAIL_ERROR, f"{type(exc).__name__}: {exc}"
             else:
                 value = outcome

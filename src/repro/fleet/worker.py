@@ -172,6 +172,7 @@ def worker_main(worker_id: int, trial: Callable[[int], Any], seed_base: int,
                               f"trial exceeded its {timeout}s timeout"))
             continue
         except Exception as exc:
+            # Broad on purpose: contains any crash in a user's trial.
             result_queue.put(("fail", worker_id, index, FAIL_ERROR,
                               f"{type(exc).__name__}: {exc}"))
             continue

@@ -20,7 +20,7 @@ Four pieces (see DESIGN.md §8–§9):
   :func:`recording`, exportable as pcap (``LINKTYPE_IEEE802_11``) or
   Chrome trace-event JSON (``python -m repro trace EXP``).
 
-The registry obeys the ``merge()`` law of :mod:`repro.sim.stats`, so
+The registry obeys the ``merge()`` law of :mod:`repro.obs.metrics`, so
 :mod:`repro.fleet` ships one snapshot per trial and reduces them in
 seed order (``python -m repro sweep --metrics out.json``); a one-shot
 profile of any registered experiment is ``python -m repro profile EXP``.

@@ -2,12 +2,16 @@
 
 Counters, gauges, timers, and histograms, addressed by dotted names
 (``radio.deliveries``, ``tcp.retransmits``, ``netfilter.dnat_hits``).
-Every type obeys the same ``merge()`` law as the accumulators in
-:mod:`repro.sim.stats`: folding per-shard partials together **in shard
-order** is indistinguishable from a single-pass accumulation over the
-whole observation stream.  That law is what lets :mod:`repro.fleet`
-ship one snapshot per trial and reduce them in seed order into an
-aggregate identical to a serial run's.
+These are the repo's one family of mergeable stats, and every type
+obeys one ``merge()`` law: ``a.merge(b)`` folds ``b``'s observations
+into ``a`` (and returns ``a``), and folding per-shard partials together
+**in shard order**, over *any* ordered split of the observation stream
+(empty and single-sample partials included), is indistinguishable from
+a single-pass accumulation over the whole — exactly for discrete state
+(counts, bins, min/max) and to float rounding for derived sums.  Two
+histograms merge only when their binning is identical.  That law is
+what lets :mod:`repro.fleet` ship one snapshot per trial and reduce
+them in seed order into an aggregate identical to a serial run's.
 
 This module imports only the standard library on purpose: it is pulled
 in by :mod:`repro.sim.kernel` (the innermost module of the system), so
@@ -182,9 +186,8 @@ class TimerMetric:
 class HistogramMetric:
     """Fixed-bin histogram over ``[lo, hi)``; out-of-range tracked apart.
 
-    Same binning semantics (and therefore the same bin-for-bin merge
-    law) as :class:`repro.sim.stats.Histogram`, reimplemented here so
-    the obs package stays dependency-free.
+    Bins are half-open and merge bin for bin; observations below ``lo``
+    count as underflow and at or above ``hi`` as overflow.
     """
 
     kind = "histogram"
@@ -221,9 +224,8 @@ class HistogramMetric:
         always inside the occupied bucket's edges, and — because it is
         computed purely from bin counts — invariant under the merge law
         (folding shards and then asking for a quantile equals asking the
-        single-pass histogram).  Underflow/overflow samples are excluded,
-        mirroring :meth:`repro.sim.stats.Histogram.quantile`; ``nan``
-        when no in-range sample was observed.
+        single-pass histogram).  Underflow/overflow samples are
+        excluded; ``nan`` when no in-range sample was observed.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile fraction must be in [0, 1], got {q}")

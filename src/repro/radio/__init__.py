@@ -6,11 +6,13 @@ from the restricted physical access of traditional wired networks"
 (§3).  This package models exactly that difference: every transmission
 is delivered to every radio in range on an overlapping channel, with
 RSSI from a log-distance path-loss model, optional frame loss,
-collisions, and jamming.
+collisions, and jamming.  One propagation kernel,
+:class:`VectorKernel`, resolves every transmission from cached pair
+geometry.
 """
 
 from repro.radio.interference import Jammer
-from repro.radio.kernel import KERNELS, ScalarKernel, VectorKernel
+from repro.radio.kernel import VectorKernel
 from repro.radio.medium import Medium, RadioPort
 from repro.radio.mobility import LinearMobility
 from repro.radio.propagation import FrameLossModel, LogDistancePathLoss, Position
@@ -18,12 +20,10 @@ from repro.radio.propagation import FrameLossModel, LogDistancePathLoss, Positio
 __all__ = [
     "FrameLossModel",
     "Jammer",
-    "KERNELS",
     "LinearMobility",
     "LogDistancePathLoss",
     "Medium",
     "Position",
     "RadioPort",
-    "ScalarKernel",
     "VectorKernel",
 ]

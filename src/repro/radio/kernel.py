@@ -1,25 +1,20 @@
-"""Propagation kernels: scalar reference and the vectorized fast path.
+"""The radio propagation kernel: cached geometry, batched fan-out.
 
 :class:`Medium` resolves every transmission against every attached
-:class:`~repro.radio.medium.RadioPort`.  The *scalar* kernel is the
-original per-(tx, rx) formulation — ``math.hypot`` + ``math.log10`` +
-channel rejection recomputed for every pair on every transmission.  It
-is kept verbatim as the differential-testing reference
-(``Medium(kernel="scalar")``).
-
-The *vector* kernel (the default) makes dense worlds tractable by
-never recomputing geometry that has not changed:
+:class:`~repro.radio.medium.RadioPort`.  Recomputing ``math.hypot`` +
+``math.log10`` + channel rejection for every pair on every
+transmission makes dense worlds intractable, so :class:`VectorKernel`
+never recomputes geometry that has not changed:
 
 * **Pair path-loss rows** — for each transmitter, the base (shadowing-
   free) path loss to every attached port, computed once with the exact
-  same scalar ``math`` calls the reference uses and then reused.  Rows
-  are maintained incrementally: ``attach`` appends one pair per cached
-  row, ``detach`` deletes one column, and a station *move* updates only
-  that station's column in every cached row (and drops the mover's own
-  row).  NumPy — when available — is used only for IEEE-exact
-  operations (elementwise add/sub/compare), never for ``hypot``/
-  ``log10``, which differ from ``math`` by 1 ULP on ~1% of inputs and
-  would break bit-identity with the scalar reference.
+  scalar ``math`` calls and then reused.  Rows are maintained
+  incrementally: ``attach`` appends one pair per cached row, ``detach``
+  deletes one column, and a station *move* updates only that station's
+  column in every cached row (and drops the mover's own row).  NumPy
+  is used only for IEEE-exact operations (elementwise add/sub/compare),
+  never for ``hypot``/``log10``, which differ from ``math`` by 1 ULP on
+  ~1% of inputs and would break bit-identity with the per-pair loops.
 * **Rejection rows** — per transmit channel, the dB of channel
   rejection each receiver applies (``inf`` = deaf), updated in place
   when a port retunes.
@@ -29,16 +24,16 @@ never recomputing geometry that has not changed:
   counter, the transmitter's power/channel, and the loss-model
   parameters are unchanged.
 
-RNG-order preservation rules (the contract the differential harness
-in ``tests/radio/test_kernel_equivalence.py`` proves):
+The per-pair loops live on as a test oracle
+(``tests/radio/scalar_oracle.py``); the differential harness in
+``tests/radio/test_kernel_equivalence.py`` proves this kernel
+bit-identical to them under these RNG-order rules:
 
-1. With shadowing disabled (the default), the scalar path draws no RNG
-   while computing RSSI, so serving RSSI from cache consumes zero
-   draws — identical stream.
-2. With shadowing enabled, the scalar path draws one ``gauss`` per
-   ``rssi_between`` in receiver order; the vector kernel falls back to
-   a cached-geometry *scalar-order* loop that makes exactly those
-   draws (plans are bypassed entirely).
+1. With shadowing disabled (the default), per-pair RSSI draws no RNG,
+   so serving RSSI from cache consumes zero draws — identical stream.
+2. With shadowing enabled, every RSSI draws one ``gauss`` in receiver
+   order; the kernel falls back to a cached-geometry *per-pair-order*
+   loop that makes exactly those draws (plans are bypassed entirely).
 3. Delivery bernoullis replicate :meth:`SimRandom.bernoulli` exactly,
    including its no-draw shortcuts at ``p <= 0`` and ``p >= 1``.
 4. Receivers are always visited in port order, so interleaved draws
@@ -55,29 +50,17 @@ snapshot check.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.dot11.channels import channel_rejection_db, channels_overlap
 from repro.obs.runtime import obs_metrics
-from repro.sim.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.radio.medium import Medium, RadioPort, _InFlight
 
-try:  # numpy accelerates row arithmetic; plain lists work identically.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
-__all__ = ["KERNELS", "DEFAULT_KERNEL", "ScalarKernel", "VectorKernel",
-           "make_kernel"]
-
-KERNELS = ("vector", "scalar")
-
-#: Kernel used when ``Medium(kernel=None)``; tests flip this to run
-#: whole prebuilt scenarios (which construct their own Medium) under
-#: the scalar reference for end-to-end differential comparison.
-DEFAULT_KERNEL = "vector"
+__all__ = ["VectorKernel"]
 
 _DEAF = float("inf")
 
@@ -91,10 +74,9 @@ _REJECTION: dict = {}
 
 
 def rejection_db(tx_channel: int, rx_channel: int, any_channel: bool) -> float:
-    """Scalar channel rejection with ``inf`` standing in for "deaf".
+    """Channel rejection in dB, with ``inf`` standing in for "deaf".
 
-    Mirrors :meth:`Medium._channel_rejection` (``any_channel`` wins
-    before any channel validation, exactly like the reference).
+    ``any_channel`` wins before any channel validation.
     """
     if any_channel:
         return 0.0
@@ -107,83 +89,6 @@ def rejection_db(tx_channel: int, rx_channel: int, any_channel: bool) -> float:
             cached = channel_rejection_db(tx_channel, rx_channel)
         _REJECTION[key] = cached
     return cached
-
-
-def make_kernel(name: Optional[str], medium: "Medium"):
-    """Resolve a kernel by name (``None`` -> :data:`DEFAULT_KERNEL`)."""
-    resolved = DEFAULT_KERNEL if name is None else name
-    if resolved == "vector":
-        return VectorKernel(medium)
-    if resolved == "scalar":
-        return ScalarKernel(medium)
-    raise ConfigurationError(
-        f"unknown radio kernel {name!r}; expected one of {KERNELS}")
-
-
-class ScalarKernel:
-    """The original per-pair formulation, kept as the reference path."""
-
-    name = "scalar"
-
-    def __init__(self, medium: "Medium") -> None:
-        self.medium = medium
-
-    # -- invalidation hooks: nothing is cached, nothing to do ----------
-    def on_attach(self, port) -> None:
-        pass
-
-    def on_detach(self, port) -> None:
-        pass
-
-    def on_move(self, port) -> None:
-        pass
-
-    def on_phy_change(self, port) -> None:
-        pass
-
-    # -- propagation ---------------------------------------------------
-    def rssi(self, tx: "RadioPort", rx: "RadioPort") -> float:
-        medium = self.medium
-        distance = tx.position.distance_to(rx.position)
-        return medium.path_loss.rssi_dbm(tx.tx_power_dbm, distance,
-                                         medium._rng)
-
-    def mark_collisions(self, new: "_InFlight", inflight) -> None:
-        medium = self.medium
-        for other in inflight:
-            if not channels_overlap(new.channel, other.channel):
-                continue
-            # At each potential receiver, the weaker of two overlapping
-            # signals is corrupted; both are if within the capture margin.
-            for rx in medium.ports:
-                if rx is new.port or rx is other.port:
-                    continue
-                rssi_new = self.rssi(new.port, rx)
-                rssi_other = self.rssi(other.port, rx)
-                if not (medium.loss_model.hearable(rssi_new)
-                        and medium.loss_model.hearable(rssi_other)):
-                    continue
-                if rssi_new - rssi_other >= medium.capture_margin_db:
-                    other.collide_at(rx)
-                elif rssi_other - rssi_new >= medium.capture_margin_db:
-                    new.collide_at(rx)
-                else:
-                    new.collide_at(rx)
-                    other.collide_at(rx)
-
-    def fan_out(self, entry: "_InFlight", m, rec, tid) -> None:
-        medium = self.medium
-        tx_port = entry.port
-        for rx in medium.ports:
-            if rx is tx_port or not rx.enabled or rx.on_receive is None:
-                continue
-            rejection = medium._channel_rejection(entry.channel, rx)
-            if rejection is None:
-                continue
-            rssi = self.rssi(tx_port, rx) - rejection
-            if not medium.loss_model.hearable(rssi):
-                continue
-            medium._deliver(entry, rx, rssi, m, rec, tid)
 
 
 class _TxPlan:
@@ -211,9 +116,8 @@ class _TxPlan:
 
 
 class VectorKernel:
-    """Cached-geometry, batched fan-out kernel (bit-identical to scalar)."""
-
-    name = "vector"
+    """Cached-geometry, batched fan-out kernel (bit-identical to the
+    per-pair loops)."""
 
     def __init__(self, medium: "Medium") -> None:
         self.medium = medium
@@ -261,16 +165,10 @@ class VectorKernel:
         port_of = self._port_of
         for tx_id, row in self._pl_rows.items():
             value = self._pair_base_loss(port_of(tx_id), port)
-            if _np is not None:
-                self._pl_rows[tx_id] = _np.append(row, value)
-            else:
-                row.append(value)
+            self._pl_rows[tx_id] = np.append(row, value)
         for channel, row in self._rej_rows.items():
             value = rejection_db(channel, port.channel, port.any_channel)
-            if _np is not None:
-                self._rej_rows[channel] = _np.append(row, value)
-            else:
-                row.append(value)
+            self._rej_rows[channel] = np.append(row, value)
         self._bump()
         self._record_sizes()
 
@@ -283,16 +181,10 @@ class VectorKernel:
                 self._idx[pid] = i - 1
         self._pl_rows.pop(id(port), None)
         self._plans.pop(id(port), None)
-        for tx_id, row in list(self._pl_rows.items()):
-            if _np is not None:
-                self._pl_rows[tx_id] = _np.delete(row, k)
-            else:
-                del row[k]
-        for channel, row in list(self._rej_rows.items()):
-            if _np is not None:
-                self._rej_rows[channel] = _np.delete(row, k)
-            else:
-                del row[k]
+        for tx_id, row in self._pl_rows.items():
+            self._pl_rows[tx_id] = np.delete(row, k)
+        for channel, row in self._rej_rows.items():
+            self._rej_rows[channel] = np.delete(row, k)
         self._bump()
         self._record_sizes()
 
@@ -345,8 +237,7 @@ class VectorKernel:
         if row is not None:
             return row
         ports = self.medium.ports
-        values = [self._pair_base_loss(tx, rx) for rx in ports]
-        row = _np.asarray(values) if _np is not None else values
+        row = np.asarray([self._pair_base_loss(tx, rx) for rx in ports])
         if id(tx) not in self._idx:
             # The frame was in flight when its transmitter detached.
             # Compute the geometry but never cache it: no on_detach will
@@ -368,9 +259,8 @@ class VectorKernel:
         row = self._rej_rows.get(channel)
         if row is not None:
             return row
-        values = [rejection_db(channel, rx.channel, rx.any_channel)
-                  for rx in self.medium.ports]
-        row = _np.asarray(values) if _np is not None else values
+        row = np.asarray([rejection_db(channel, rx.channel, rx.any_channel)
+                           for rx in self.medium.ports])
         self._rej_rows[channel] = row
         return row
 
@@ -403,32 +293,24 @@ class VectorKernel:
         rej = self._rej_row(tx.channel)
         power = tx.tx_power_dbm
         ports = medium.ports
-        # Scalar reference op order per receiver:
+        # Per-pair op order per receiver:
         #   rssi = (power - base_loss) - rejection
         # numpy add/sub/compare are IEEE-exact, so the batched floats
-        # are bit-identical to the loop the scalar kernel runs.
+        # are bit-identical to computing each pair on its own.
         audible = medium.loss_model.threshold_dbm - 10.0
         success = medium.loss_model.success_probability
         targets = []
-        if _np is not None:
-            rssi_row = (power - row) - rej
-            hear = rssi_row >= audible
-            tx_k = self._idx.get(id(tx))
-            if tx_k is not None:
-                hear[tx_k] = False
-            for k in _np.flatnonzero(hear):
-                rx = ports[k]
-                if not rx.enabled or rx.on_receive is None:
-                    continue
-                rssi = float(rssi_row[k])
-                targets.append((rx, rx.on_receive, rssi, success(rssi)))
-        else:
-            for k, rx in enumerate(ports):
-                if rx is tx or not rx.enabled or rx.on_receive is None:
-                    continue
-                rssi = (power - row[k]) - rej[k]
-                if rssi >= audible:
-                    targets.append((rx, rx.on_receive, rssi, success(rssi)))
+        rssi_row = (power - row) - rej
+        hear = rssi_row >= audible
+        tx_k = self._idx.get(id(tx))
+        if tx_k is not None:
+            hear[tx_k] = False
+        for k in np.flatnonzero(hear):
+            rx = ports[k]
+            if not rx.enabled or rx.on_receive is None:
+                continue
+            rssi = float(rssi_row[k])
+            targets.append((rx, rx.on_receive, rssi, success(rssi)))
         plan = _TxPlan(self._version, power, tx.channel, targets)
         if id(tx) not in self._idx:
             # Detached mid-flight (see _row): a plan keyed by a freed
@@ -530,25 +412,14 @@ class VectorKernel:
         row_new = self._row(new.port)
         row_other = self._row(other.port)
         p_new, p_other = new.port.tx_power_dbm, other.port.tx_power_dbm
-        if _np is not None:
-            rssi_new = p_new - row_new
-            rssi_other = p_other - row_other
-            hear = (rssi_new >= audible) & (rssi_other >= audible)
-            for key in (id(new.port), id(other.port)):
-                k = self._idx.get(key)
-                if k is not None:
-                    hear[k] = False
-            candidates = _np.flatnonzero(hear)
-        else:
-            rssi_new = [p_new - v for v in row_new]
-            rssi_other = [p_other - v for v in row_other]
-            excluded = {self._idx.get(id(new.port)),
-                        self._idx.get(id(other.port))}
-            candidates = [k for k in range(len(ports))
-                          if k not in excluded
-                          and rssi_new[k] >= audible
-                          and rssi_other[k] >= audible]
-        for k in candidates:
+        rssi_new = p_new - row_new
+        rssi_other = p_other - row_other
+        hear = (rssi_new >= audible) & (rssi_other >= audible)
+        for key in (id(new.port), id(other.port)):
+            k = self._idx.get(key)
+            if k is not None:
+                hear[k] = False
+        for k in np.flatnonzero(hear):
             rn, ro = float(rssi_new[k]), float(rssi_other[k])
             rx = ports[k]
             if rn - ro >= margin:

@@ -14,23 +14,21 @@ model is coarse — no CSMA/CA backoff — because none of the paper's
 results depend on contention behaviour; experiments that need a clean
 medium simply pace their traffic.
 
-Propagation is resolved by a pluggable *kernel* (see
-:mod:`repro.radio.kernel`): the default ``"vector"`` kernel serves
-RSSI and fan-out plans from an incrementally maintained station-pair
-geometry cache, and ``Medium(kernel="scalar")`` keeps the original
-per-pair reference path for differential testing.  The two are
-bit-identical — same deliveries, same drops, same RNG draws.
+Propagation is resolved by :class:`~repro.radio.kernel.VectorKernel`,
+which serves RSSI and fan-out plans from an incrementally maintained
+station-pair geometry cache.  The tests hold it bit-identical to a
+per-pair test oracle — same deliveries, same drops, same RNG draws.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.dot11.channels import channel_rejection_db, channels_overlap
+from repro.dot11.channels import channels_overlap
 from repro.dot11.frames import Dot11Frame
 from repro.obs.lineage import flight_recorder
 from repro.obs.runtime import active_profiler, obs_metrics
-from repro.radio.kernel import make_kernel
+from repro.radio.kernel import VectorKernel
 from repro.radio.propagation import FrameLossModel, LogDistancePathLoss, Position
 from repro.sim.errors import ConfigurationError
 from repro.sim.kernel import Simulator
@@ -199,7 +197,6 @@ class Medium:
         *,
         collisions: bool = True,
         capture_margin_db: float = 10.0,
-        kernel: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.path_loss = path_loss or LogDistancePathLoss()
@@ -212,13 +209,11 @@ class Medium:
         self._jammers: list = []  # populated by interference.Jammer
         # Per-channel medium reservation (CSMA-style deferral).
         self._busy_until: dict[int, float] = {}
-        # Propagation kernel: "vector" (cached geometry, the default)
-        # or "scalar" (the per-pair reference path).
-        self._kernel = make_kernel(kernel, self)
+        self._kernel = VectorKernel(self)
 
     @property
-    def kernel(self):
-        """The active propagation kernel (``.name`` is its identity)."""
+    def kernel(self) -> VectorKernel:
+        """The propagation kernel (its cache is introspectable)."""
         return self._kernel
 
     # ------------------------------------------------------------------
@@ -348,11 +343,12 @@ class Medium:
                  m, rec, tid, p_base: Optional[float] = None) -> None:
         """Resolve one (hearable) receiver: collision, loss, delivery.
 
-        Shared by both kernels so the observable per-receiver sequence
-        — counters, metrics, recorder hops, the bernoulli draw, the
-        callback — cannot drift between them.  ``p_base`` lets the
-        vector kernel supply the success probability it precomputed
-        from the identical RSSI (bit-equal to recomputing it here).
+        The kernel's slow path and the per-pair test oracle both end
+        here, so the observable per-receiver sequence — counters,
+        metrics, recorder hops, the bernoulli draw, the callback —
+        cannot drift between them.  ``p_base`` lets the kernel supply
+        the success probability it precomputed from the identical RSSI
+        (bit-equal to recomputing it here).
         """
         collided = entry.collided_at
         if collided is not None and rx in collided:
@@ -393,14 +389,6 @@ class Medium:
             # in response — is causally downstream of it.
             with rec.frame_context(tid):
                 rx.on_receive(entry.frame, rssi, entry.channel)
-
-    def _channel_rejection(self, tx_channel: int, rx: RadioPort) -> Optional[float]:
-        """dB of attenuation rx applies to tx_channel, or None if deaf to it."""
-        if rx.any_channel:
-            return 0.0
-        if not channels_overlap(tx_channel, rx.channel):
-            return None
-        return channel_rejection_db(tx_channel, rx.channel)
 
     def _jamming_loss(self, channel: int, rx: RadioPort) -> float:
         loss = 0.0

@@ -10,18 +10,13 @@ insertion sequence).
 
 from repro.sim.kernel import Event, ScheduleError, Simulator
 from repro.sim.rng import SimRandom
-from repro.sim.stats import Counter, Histogram, TimeSeries, Welford
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
-    "Counter",
     "Event",
-    "Histogram",
     "ScheduleError",
     "SimRandom",
     "Simulator",
-    "TimeSeries",
     "Trace",
     "TraceRecord",
-    "Welford",
 ]

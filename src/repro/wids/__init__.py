@@ -14,13 +14,12 @@ Feeds come in two forms: :meth:`WidsEngine.attach` taps any
 the ambient :func:`wids_watch` context observes every medium without
 placing a radio in the world at all (zero-perturbation).
 
-Fleet scale: correlation shards by ``(subject, band)``
-(:class:`~repro.wids.correlate.ShardedCorrelator`, merge-law exact),
-evaluation scans each capture once and records every threshold's first
-crossing on the way, a sliding-window ROC retunes thresholds online
-(:mod:`~repro.wids.adaptive`), and the generation-based
-evasion-vs-detection campaign (:mod:`~repro.wids.armsrace`) scores both
-sides on Pareto frontiers.
+One :class:`~repro.wids.correlate.AlertCorrelator` per engine turns
+evidence into alerts; evaluation scans each capture once and records
+every threshold's first crossing on the way, a sliding-window ROC
+retunes thresholds online (:mod:`~repro.wids.adaptive`), and the
+generation-based evasion-vs-detection campaign
+(:mod:`~repro.wids.armsrace`) scores both sides on Pareto frontiers.
 
 This package deliberately does **not** import
 :mod:`repro.wids.experiment` or :mod:`repro.wids.armsrace` here: the
@@ -31,7 +30,7 @@ scenarios.
 
 from repro.wids.adaptive import AdaptiveThreshold
 from repro.wids.alerts import Alert
-from repro.wids.correlate import AlertCorrelator, ShardedCorrelator
+from repro.wids.correlate import AlertCorrelator
 from repro.wids.detectors import (
     DETECTORS,
     Detection,
@@ -61,7 +60,6 @@ __all__ = [
     "GroundTruth",
     "Scorecard",
     "SeqCtlMonitor",
-    "ShardedCorrelator",
     "SpoofVerdict",
     "WidsEngine",
     "WidsWatch",

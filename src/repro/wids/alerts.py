@@ -39,12 +39,6 @@ class Alert:
     last_evidence_t: float
     reason: str = ""
     trace_ids: list[int] = field(default_factory=list)
-    # Stream position of the ingest that opened this alert.  The serial
-    # alert order is exactly ascending open_seq, which is what lets
-    # ShardedCorrelator.merge() reassemble per-shard alert lists into
-    # the unsharded order bit-for-bit.  Bookkeeping, not payload — it is
-    # deliberately absent from to_dict().
-    open_seq: int = 0
 
     @property
     def severity(self) -> str:

@@ -8,53 +8,23 @@ after that *updates* the open alert (score, count, last-seen time,
 contributing trace_ids) rather than duplicating it — a deauth flood is
 one alert with a rising score, not ten thousand.
 
-Fleet scale comes from :class:`ShardedCorrelator`: evidence is
-partitioned by ``(subject, band)`` across independent
-:class:`AlertCorrelator` shards, each of which can be fed from its own
-stream, and :meth:`ShardedCorrelator.merge` reassembles the exact
-serial alert order.  The merge obeys the repo's fleet merge law:
-
-    serial == sharded == parallel
-
-Every ingest carries a monotone stream sequence number (``seq``); an
-alert records the ``seq`` of the ingest that opened it (``open_seq``),
-and because the serial alert order *is* open-``seq`` order, merging the
-per-shard alert lists by ``open_seq`` reproduces the unsharded
-correlator bit-for-bit — alerts, scores, counts, trace_ids, and
-threshold-crossing order (pinned by a hypothesis differential in
-``tests/wids/test_correlate_sharded.py``).
-
 Memory under alert floods is bounded by ``max_evidence``: when the
 evidence map outgrows the bound, the oldest *alert-less* entries are
 evicted in insertion order (entries with an open alert are never
 evicted — the alert must keep updating).  Eviction trades exactness
 for a memory ceiling: a re-appearing evicted subject restarts its
-accumulation, so the sharded == unsharded law is only exact in the
-default unbounded mode.
+accumulation.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
-from heapq import merge as _heapq_merge
 from typing import Dict, List, Optional, Tuple
 
 from repro.wids.alerts import MAX_TRACE_IDS, Alert
 from repro.wids.detectors import Detection
 
-__all__ = ["AlertCorrelator", "ShardedCorrelator", "shard_index"]
-
-
-def shard_index(subject: str, band: Optional[str], shards: int) -> int:
-    """Deterministic shard routing for one ``(subject, band)`` pair.
-
-    Uses CRC-32, *not* ``hash()`` — Python string hashing is randomized
-    per process, and routing must agree across runs, workers, and the
-    committed goldens.
-    """
-    key = f"{subject}\x00{band or ''}".encode()
-    return zlib.crc32(key) % shards
+__all__ = ["AlertCorrelator"]
 
 
 @dataclass(slots=True)
@@ -88,25 +58,10 @@ class AlertCorrelator:
         self.alerts: List[Alert] = []
         self.max_evidence = max_evidence
         self.evicted = 0
-        self._seq = 0  # monotone per-ingest stream position
 
     def ingest(self, detector: str, threshold: float, detection: Detection,
-               t: float, trace_id: Optional[int] = None, *,
-               band: Optional[str] = None,
-               seq: Optional[int] = None) -> Optional[Alert]:
-        """Fold one detection in; return the alert iff it *newly* opened.
-
-        ``seq`` is the position of this event in the overall stream.
-        Callers feeding one serial stream leave it ``None`` (an internal
-        counter is used); a sharding front-end passes the global stream
-        position so per-shard alerts can be merged back into serial
-        order.  ``band`` is accepted for interface parity with
-        :class:`ShardedCorrelator` (routing happens there, not here).
-        """
-        del band  # single-shard: no routing
-        self._seq += 1
-        if seq is None:
-            seq = self._seq
+               t: float, trace_id: Optional[int] = None) -> Optional[Alert]:
+        """Fold one detection in; return the alert iff it *newly* opened."""
         key = (detector, detection.subject)
         ev = self._evidence.get(key)
         if ev is None:
@@ -143,7 +98,6 @@ class AlertCorrelator:
                 last_evidence_t=ev.last_t,
                 reason=ev.reason,
                 trace_ids=ev.trace_ids,  # shared; to_dict() copies
-                open_seq=seq,
             )
             ev.alert = alert
             self.alerts.append(alert)
@@ -182,98 +136,3 @@ class AlertCorrelator:
     def evidence_size(self) -> int:
         """Live evidence entries (the quantity ``max_evidence`` bounds)."""
         return len(self._evidence)
-
-
-class ShardedCorrelator:
-    """Evidence partitioned by ``(subject, band)`` across N shards.
-
-    Drop-in for :class:`AlertCorrelator`: same :meth:`ingest` signature,
-    same :attr:`alerts` property (merged lazily).  Each shard is an
-    independent :class:`AlertCorrelator`, so shards can also be fed
-    separately — e.g. one per fleet worker — and :meth:`merge` folds
-    their alert lists back into the exact serial threshold-crossing
-    order by ``open_seq``.
-
-    Routing pins a subject to the shard chosen by the *first* band it
-    was seen with: a subject later heard on another band (a multichannel
-    twin roaming across the 2.4/5 GHz split) keeps routing to its pinned
-    shard, which is what keeps per-subject accumulation — and therefore
-    the merge law — exact.
-    """
-
-    def __init__(self, shards: int = 4, *,
-                 max_evidence: Optional[int] = None) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        # max_evidence is a per-shard bound: total evidence <= shards * bound.
-        self._shards: List[AlertCorrelator] = [
-            AlertCorrelator(max_evidence=max_evidence) for _ in range(shards)
-        ]
-        self._route: Dict[str, int] = {}  # subject -> pinned shard index
-        self._seq = 0
-        self._merged: List[Alert] = []
-        self._merged_count = -1  # cache key: total alerts at last merge
-
-    @property
-    def shards(self) -> List[AlertCorrelator]:
-        return self._shards
-
-    def shard_of(self, subject: str, band: Optional[str] = None) -> int:
-        """The shard index ``subject`` routes to (pinned at first sight)."""
-        idx = self._route.get(subject)
-        if idx is None:
-            idx = shard_index(subject, band, len(self._shards))
-            self._route[subject] = idx
-        return idx
-
-    def ingest(self, detector: str, threshold: float, detection: Detection,
-               t: float, trace_id: Optional[int] = None, *,
-               band: Optional[str] = None,
-               seq: Optional[int] = None) -> Optional[Alert]:
-        self._seq += 1
-        if seq is None:
-            seq = self._seq
-        shard = self._shards[self.shard_of(detection.subject, band)]
-        return shard.ingest(detector, threshold, detection, t, trace_id,
-                            seq=seq)
-
-    def merge(self) -> List[Alert]:
-        """All alerts in serial threshold-crossing order.
-
-        Within a shard, alerts are already in ascending ``open_seq``
-        order (the stream position of the opening ingest), and ``seq``
-        values are globally unique, so a k-way merge on ``open_seq``
-        reconstructs the exact order the unsharded correlator would have
-        produced.
-        """
-        total = sum(len(s.alerts) for s in self._shards)
-        if total != self._merged_count:
-            self._merged = list(_heapq_merge(
-                *(s.alerts for s in self._shards),
-                key=lambda a: a.open_seq))
-            self._merged_count = total
-        return self._merged
-
-    @property
-    def alerts(self) -> List[Alert]:
-        return self.merge()
-
-    def evidence_score(self, detector: str, subject: str) -> float:
-        idx = self._route.get(subject)
-        if idx is None:
-            return 0.0
-        return self._shards[idx].evidence_score(detector, subject)
-
-    def open_alert(self, detector: str, subject: str) -> Optional[Alert]:
-        idx = self._route.get(subject)
-        if idx is None:
-            return None
-        return self._shards[idx].open_alert(detector, subject)
-
-    @property
-    def evicted(self) -> int:
-        return sum(s.evicted for s in self._shards)
-
-    @property
-    def evidence_size(self) -> int:
-        return sum(s.evidence_size for s in self._shards)

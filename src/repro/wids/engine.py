@@ -21,10 +21,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional
 
 from repro.dot11.capture import CapturedFrame, FrameCapture
-from repro.dot11.channels import band_of
 from repro.obs.runtime import obs_metrics
 from repro.wids.alerts import Alert
-from repro.wids.correlate import AlertCorrelator, ShardedCorrelator
+from repro.wids.correlate import AlertCorrelator
 from repro.wids.detectors import Detector, default_detectors
 
 __all__ = ["WidsEngine"]
@@ -33,24 +32,17 @@ __all__ = ["WidsEngine"]
 class WidsEngine:
     """A detector bank plus correlator consuming one frame stream.
 
-    ``shards > 1`` swaps the single :class:`AlertCorrelator` for a
-    :class:`ShardedCorrelator` partitioned by ``(subject, band)`` —
-    alert results are bit-identical (the merge law), the evidence maps
-    just live in independent shards.  ``max_evidence`` bounds the
-    evidence map(s) so an alert flood cannot grow memory without bound.
+    ``max_evidence`` bounds the correlator's evidence map so an alert
+    flood cannot grow memory without bound.
     """
 
     def __init__(self, detectors: Optional[Iterable[Detector]] = None, *,
-                 record_metrics: bool = True, shards: int = 1,
+                 record_metrics: bool = True,
                  max_evidence: Optional[int] = None) -> None:
         self.detectors: List[Detector] = (
             list(detectors) if detectors is not None else default_detectors()
         )
-        if shards > 1:
-            self.correlator = ShardedCorrelator(
-                shards, max_evidence=max_evidence)
-        else:
-            self.correlator = AlertCorrelator(max_evidence=max_evidence)
+        self.correlator = AlertCorrelator(max_evidence=max_evidence)
         self.frames_seen = 0
         # Offline evaluation replays disable this so threshold sweeps
         # don't inflate the live ``wids.*`` counters.
@@ -78,14 +70,13 @@ class WidsEngine:
         if m is not None:
             m.incr("wids.frames")
         trace_id = cap.frame.trace_id
-        band = band_of(cap.channel)
         for detector in self.detectors:
             for detection in detector.observe(cap):
                 if m is not None:
                     m.incr(f"wids.evidence.{detector.name}")
                 opened = self.correlator.ingest(
                     detector.name, detector.threshold, detection,
-                    cap.time, trace_id, band=band)
+                    cap.time, trace_id)
                 if opened is not None and m is not None:
                     m.incr("wids.alerts")
                     m.incr(f"wids.alerts.{detector.name}")

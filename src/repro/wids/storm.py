@@ -1,14 +1,14 @@
 """Synthetic alert storms: correlator load with zero simulation cost.
 
-The correlator benches need millions of evidence events per second —
+The correlator bench needs millions of evidence events per second —
 no simulated world produces frames that fast, so the storm generator
 fabricates the *detector output* directly: a deterministic stream of
-``(detector, threshold, Detection, t, trace_id, band)`` tuples shaped
+``(detector, threshold, Detection, t, trace_id)`` tuples shaped
 like a hostile airspace (a few hot subjects flooding, a long tail of
 one-off subjects churning past).  Everything is pre-built so a timed
 loop measures only :meth:`AlertCorrelator.ingest`, and the stream is a
-pure function of the arguments (``random.Random(seed)``), so bench
-payloads and differential tests are repeat-deterministic.
+pure function of the arguments (``random.Random(seed)``), so the bench
+payload is repeat-deterministic.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from repro.wids.correlate import ShardedCorrelator
+from repro.wids.correlate import AlertCorrelator
 from repro.wids.detectors import Detection
 
-__all__ = ["StormEvent", "alert_storm", "run_storm", "storm_digest"]
+__all__ = ["StormEvent", "alert_storm", "storm_digest"]
 
 #: One pre-built evidence event:
-#: ``(detector, threshold, detection, t, trace_id, band)``.
-StormEvent = Tuple[str, float, Detection, float, Optional[int], str]
-
-_BANDS = ("2g4", "5g")
+#: ``(detector, threshold, detection, t, trace_id)``.
+StormEvent = Tuple[str, float, Detection, float, Optional[int]]
 
 
 def alert_storm(n: int, *, subjects: int = 64, detectors: int = 4,
@@ -37,58 +35,36 @@ def alert_storm(n: int, *, subjects: int = 64, detectors: int = 4,
     pair eventually opens an alert and then hammers the update path —
     the hot path under a real flood); a ``churn`` fraction of events
     instead introduce a brand-new one-shot subject, which is what grows
-    the evidence map and exercises eviction.  Subjects are pinned to a
-    band at creation, so the stream satisfies the sharded-routing
-    stability precondition by construction.
+    the evidence map and exercises eviction.
     """
     if not 0.0 <= churn <= 1.0:
         raise ValueError("churn must be in [0, 1]")
     rng = random.Random(seed)
     det_names = [f"storm-det-{i}" for i in range(detectors)]
-    hot = [(f"storm:subj:{i:04d}", _BANDS[i % 2],
-            Detection(subject=f"storm:subj:{i:04d}", score=1.0,
-                      reason="storm"))
+    hot = [Detection(subject=f"storm:subj:{i:04d}", score=1.0,
+                     reason="storm")
            for i in range(subjects)]
     events: List[StormEvent] = []
     churn_id = 0
     for i in range(n):
         detector = det_names[i % detectors]
         if churn and rng.random() < churn:
-            subject = f"storm:churn:{churn_id:08d}"
+            detection = Detection(subject=f"storm:churn:{churn_id:08d}",
+                                  score=1.0, reason="storm")
             churn_id += 1
-            band = _BANDS[churn_id % 2]
-            detection = Detection(subject=subject, score=1.0, reason="storm")
         else:
-            _subject, band, detection = hot[rng.randrange(subjects)]
+            detection = hot[rng.randrange(subjects)]
         trace_id = i if i % 7 == 0 else None
-        events.append((detector, threshold, detection, i * 1e-4,
-                       trace_id, band))
+        events.append((detector, threshold, detection, i * 1e-4, trace_id))
     return events
 
 
-def run_storm(correlator, events: List[StormEvent]):
-    """Feed a pre-built storm through any correlator; returns it back.
-
-    Works for :class:`AlertCorrelator` and :class:`ShardedCorrelator`
-    alike (both take ``band=``).  Not the timed path — the benches
-    inline the loop to keep call overhead out of the measurement — but
-    the shared reference feed for tests.
-    """
-    ingest = correlator.ingest
-    for detector, threshold, detection, t, trace_id, band in events:
-        ingest(detector, threshold, detection, t, trace_id, band=band)
-    return correlator
-
-
-def storm_digest(correlator) -> dict:
+def storm_digest(correlator: AlertCorrelator) -> dict:
     """Deterministic summary of a correlator's end state after a storm.
 
-    Used as bench payload (repeat-identical) and as a cheap cross-check
-    that two correlators saw the same stream.
+    Used as the bench payload (repeat-identical).
     """
-    alerts = (correlator.merge()
-              if isinstance(correlator, ShardedCorrelator)
-              else correlator.alerts)
+    alerts = correlator.alerts
     # Keys deliberately avoid ``_s`` substrings: bench payloads are
     # linted against timing-looking names.
     return {

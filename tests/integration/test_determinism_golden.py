@@ -4,8 +4,9 @@ The whole reproduction rests on one property: a simulated world is a
 pure function of its seed.  These tests pin that down at three levels —
 the full FIG2 download-MITM world (trace-for-trace), the campaign
 layer (serial and parallel sweeps must agree bit-for-bit), and the
-observability layer (enabling metrics/profiling must not change any
-simulated result: the zero-perturbation invariant).
+observability layer (enabling metrics, profiling, the flight recorder
+or the ambient WIDS watch must not change any simulated result: the
+zero-perturbation invariant).
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.obs import collecting
 from repro.obs.lineage import recording
 from repro.radio.propagation import Position
 from repro.wids import Scorecard, WidsEngine, wids_watch
+from tests.integration.gen_experiment_goldens import golden_runs, result_digest
 
 
 def _run_fig2_world(seed):
@@ -58,26 +60,26 @@ def test_fig2_world_identical_for_identical_seed():
     assert counters_a == counters_b
 
 
-def test_fig2_world_identical_under_scalar_and_vector_kernels():
+def test_fig2_world_identical_under_scalar_and_vector_kernels(monkeypatch):
     """End-to-end kernel differential on a *real* scenario.
 
     The hypothesis harness (tests/radio/test_kernel_equivalence.py)
     sweeps synthetic worlds; this golden locks the same claim on the
-    full FIG2 rogue-MITM world: flipping the radio kernel from the
-    vectorized default to the scalar reference must not move one trace
-    record or counter.  (Every other test in this file runs under the
-    vectorized default, so serial==parallel and the zero-perturbation
-    goldens already exercise it implicitly.)
+    full FIG2 rogue-MITM world: substituting the per-pair scalar oracle
+    for the vectorized kernel in every medium the scenario builds must
+    not move one trace record or counter.  (Every other test in this
+    file runs under the vectorized kernel, so serial==parallel and the
+    zero-perturbation goldens already exercise it implicitly.)
     """
-    import repro.radio.kernel as radio_kernel
+    import repro.radio.medium as radio_medium
+    from repro.sim.kernel import Simulator
+    from tests.radio.scalar_oracle import ScalarKernel
 
-    assert radio_kernel.DEFAULT_KERNEL == "vector"
     vector_cats, vector_counters = _run_fig2_world(seed=11)
-    radio_kernel.DEFAULT_KERNEL = "scalar"
-    try:
-        scalar_cats, scalar_counters = _run_fig2_world(seed=11)
-    finally:
-        radio_kernel.DEFAULT_KERNEL = "vector"
+    monkeypatch.setattr(radio_medium, "VectorKernel", ScalarKernel)
+    assert isinstance(radio_medium.Medium(Simulator(seed=0)).kernel,
+                      ScalarKernel)
+    scalar_cats, scalar_counters = _run_fig2_world(seed=11)
     assert vector_cats == scalar_cats
     assert vector_counters == scalar_counters
 
@@ -94,16 +96,36 @@ def test_fig2_campaign_identical_serial_vs_parallel():
 # one bit of any simulated result
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("exp_id", ["FIG1", "FIG2", "E-DETECT"])
-def test_experiment_payload_identical_with_obs_on_off_absent(exp_id):
+def _as_unrecorded(node):
+    """``node`` as an unrecorded run holds it: every alert's
+    ``trace_ids`` is empty, because only the flight recorder assigns
+    lineage ids.  The ids are the recorder's output, not a change to the
+    simulated world."""
+    if isinstance(node, dict):
+        return {key: [] if key == "trace_ids" else _as_unrecorded(value)
+                for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_as_unrecorded(value) for value in node]
+    return node
+
+
+GOLDEN_RUNS = golden_runs()
+
+
+@pytest.mark.parametrize("exp_id,kwargs,sha256", GOLDEN_RUNS,
+                         ids=[exp_id for exp_id, _, _ in GOLDEN_RUNS])
+def test_experiment_payload_identical_with_obs_on_off_absent(
+        exp_id, kwargs, sha256):
+    """Every pinned experiment, with all instrumentation on at once and
+    with metrics collection off, matches its committed digest — the
+    digest of the run with no context installed at all."""
     runner = get_experiment(exp_id).runner
-    absent = runner()  # no context installed at all
-    with collecting(metrics=True, profile=True):
-        enabled = runner()
+    with collecting(metrics=True, profile=True), recording(), wids_watch():
+        everything_on = runner(**kwargs)
     with collecting(metrics=False):
-        disabled = runner()
-    assert enabled == absent
-    assert disabled == absent
+        metrics_off = runner(**kwargs)
+    assert result_digest(_as_unrecorded(everything_on)) == sha256
+    assert result_digest(metrics_off) == sha256
 
 
 def test_fig2_trace_contents_identical_with_obs_enabled():

@@ -20,6 +20,7 @@ from repro.dot11.mac import MacAddress
 from repro.radio.medium import Medium, RadioPort
 from repro.radio.propagation import LogDistancePathLoss, Position
 from repro.sim.kernel import Simulator
+from tests.radio.scalar_oracle import ScalarKernel
 
 AP = MacAddress("aa:bb:cc:dd:00:01")
 
@@ -50,7 +51,7 @@ def _fresh_rssi(medium: Medium, tx: RadioPort, rx: RadioPort) -> float:
 def test_cached_rssi_equals_fresh_computation_after_any_interleaving(
         positions, ops):
     sim = Simulator(seed=7)
-    medium = Medium(sim, kernel="vector")
+    medium = Medium(sim)
     ports = [RadioPort(f"p{i}", Position(x, y), 1)
              for i, (x, y) in enumerate(positions)]
     for p in ports:
@@ -89,7 +90,7 @@ def test_rssi_is_symmetric_for_equal_powers(ax, ay, bx, by, power):
     tx powers the cached RSSI must be *exactly* symmetric — each
     direction cached in a different transmitter's row."""
     sim = Simulator(seed=7)
-    medium = Medium(sim, kernel="vector")
+    medium = Medium(sim)
     a = RadioPort("a", Position(ax, ay), 1, tx_power_dbm=power)
     b = RadioPort("b", Position(bx, by), 1, tx_power_dbm=power)
     medium.attach(a)
@@ -101,7 +102,7 @@ def test_sub_decimetre_distances_clamp_to_point_one_metre():
     """Coincident and near-coincident ports hit the 0.1 m clamp — the
     cache must reproduce it, not divide by a tiny distance."""
     sim = Simulator(seed=7)
-    medium = Medium(sim, kernel="vector")
+    medium = Medium(sim)
     a = RadioPort("a", Position(0.0, 0.0), 1)
     coincident = RadioPort("b", Position(0.0, 0.0), 1)
     near = RadioPort("c", Position(0.05, 0.0), 1)
@@ -116,7 +117,7 @@ def test_move_updates_cached_rows_incrementally():
     """Movement patches the mover's column in cached rows (row_updates)
     rather than rebuilding every row from scratch (row_builds)."""
     sim = Simulator(seed=7)
-    medium = Medium(sim, kernel="vector")
+    medium = Medium(sim)
     ports = [RadioPort(f"p{i}", Position(float(i * 3), 0.0), 1)
              for i in range(4)]
     for p in ports:
@@ -147,7 +148,7 @@ def test_direct_position_write_is_visible_on_next_transmission():
     through move_to(), so the very next transmission uses the new
     geometry — no warm-up transmission, no manual invalidation."""
     sim = Simulator(seed=7)
-    medium = Medium(sim, kernel="vector")
+    medium = Medium(sim)
     tx = RadioPort("tx", Position(0.0, 0.0), 1)
     rx = RadioPort("rx", Position(10.0, 0.0), 1)
     medium.attach(tx)
@@ -175,7 +176,7 @@ def test_receiver_move_invalidates_delivery_plans_too():
     """Plans cache per-receiver RSSI; a *receiver* moving must
     invalidate the transmitter's plan, not just the mover's own row."""
     sim = Simulator(seed=7)
-    medium = Medium(sim, kernel="vector")
+    medium = Medium(sim)
     tx = RadioPort("tx", Position(0.0, 0.0), 1)
     rx = RadioPort("rx", Position(5.0, 0.0), 1)
     medium.attach(tx)
@@ -198,8 +199,7 @@ def test_detach_mid_flight_leaves_no_stale_row():
     by a detached port and on_move/on_attach refresh columns on the
     premise that every cached transmitter is attached."""
     sim = Simulator(seed=7)
-    medium = Medium(sim, path_loss=LogDistancePathLoss(shadowing_sigma_db=0.0),
-                    kernel="vector")
+    medium = Medium(sim, path_loss=LogDistancePathLoss(shadowing_sigma_db=0.0))
     tx = RadioPort("tx", Position(0.0, 0.0), 1, tx_power_dbm=5.0)
     rx = RadioPort("rx", Position(0.0, 0.0), 1, tx_power_dbm=5.0)
     heard = _Recorder(rx)
@@ -220,10 +220,12 @@ def test_detach_mid_flight_leaves_no_stale_row():
 
 def test_detach_mid_flight_delivery_matches_scalar_kernel():
     """The uncached fan-out for a detached transmitter is bit-identical
-    to the scalar reference."""
+    to the per-pair scalar oracle."""
     def run(kernel):
         sim = Simulator(seed=11)
-        medium = Medium(sim, kernel=kernel)
+        medium = Medium(sim)
+        if kernel == "scalar":
+            medium._kernel = ScalarKernel(medium)
         tx = RadioPort("tx", Position(0.0, 0.0), 1, tx_power_dbm=5.0)
         rx = RadioPort("rx", Position(4.0, 3.0), 1, tx_power_dbm=5.0)
         heard = _Recorder(rx)

@@ -1,11 +1,12 @@
 """Differential harness: the vectorized kernel is *bit-identical* to
-the scalar reference.
+the per-pair scalar oracle.
 
 Every hypothesis-generated world — random positions, channels, tx
 powers, shadowing on/off, collisions from carrier-sense-off injectors,
 mobility mid-run, attach/detach mid-run — is executed twice with the
-same seed, once under ``Medium(kernel="scalar")`` and once under
-``kernel="vector"``.  The runs must agree on:
+same seed, once with the medium's kernel swapped for
+:class:`~tests.radio.scalar_oracle.ScalarKernel` and once under the
+kernel ``Medium`` builds.  The runs must agree on:
 
 * the full delivery sequence, **including exact RSSI floats** (a 1-ULP
   drift would fail — this is why the kernel computes pair geometry with
@@ -17,7 +18,7 @@ same seed, once under ``Medium(kernel="scalar")`` and once under
 * the ``radio.*`` metrics snapshot (minus the kernel's own
   ``radio.kernel.*`` cache telemetry, which intentionally differs).
 
-CI runs this file as the dedicated ``kernel-equivalence`` step with a
+CI runs this file as a dedicated step with a
 fixed profile (``derandomize=True`` keeps the corpus stable across
 runs, so a red build is always reproducible locally).
 """
@@ -31,6 +32,7 @@ from repro.obs.runtime import collecting
 from repro.radio.medium import Medium, RadioPort
 from repro.radio.propagation import FrameLossModel, LogDistancePathLoss, Position
 from repro.sim.kernel import Simulator
+from tests.radio.scalar_oracle import ScalarKernel
 
 AP = MacAddress("aa:bb:cc:dd:00:01")
 
@@ -76,7 +78,8 @@ _world = st.fixed_dictionaries({
 
 
 def _run_world(kernel: str, spec: dict) -> dict:
-    """Execute one drawn world under ``kernel`` and return everything
+    """Execute one drawn world under ``kernel`` ("scalar" swaps in the
+    oracle, "vector" keeps the medium's own) and return everything
     observable: delivery log, counters, RNG states, radio metrics."""
     with collecting() as col:
         sim = Simulator(seed=spec["seed"])
@@ -84,8 +87,9 @@ def _run_world(kernel: str, spec: dict) -> dict:
             sim,
             LogDistancePathLoss(shadowing_sigma_db=spec["sigma"]),
             FrameLossModel(extra_loss=spec["extra_loss"]),
-            kernel=kernel,
         )
+        if kernel == "scalar":
+            medium._kernel = ScalarKernel(medium)
         log: list = []
         ports = []
         for i, p in enumerate(spec["ports"]):

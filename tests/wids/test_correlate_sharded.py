@@ -1,107 +1,13 @@
-"""The sharded correlator and its merge law: serial == sharded == split.
-
-The load-bearing PR 10 property, pinned three ways on hypothesis-drawn
-evidence streams: the unsharded :class:`AlertCorrelator`, the
-:class:`ShardedCorrelator` facade fed the same serial stream, and N
-independently-fed shards (one per route, as a fleet of workers would
-hold them) merged by ``open_seq`` must produce bit-identical alerts —
-same order, same scores/counts/times/trace_ids/open_seq.
+"""The alert correlator: one alert per (detector, subject), updated in
+place, with a bounded evidence map that never evicts an open alert.
 """
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.wids.alerts import Alert
-from repro.wids.correlate import (AlertCorrelator, ShardedCorrelator,
-                                  shard_index)
+from repro.wids.correlate import AlertCorrelator
 from repro.wids.detectors import Detection
-from repro.wids.storm import alert_storm, run_storm, storm_digest
-
-# ---------------------------------------------------------------------------
-# hypothesis stream: a handful of subjects x detectors, scores that make
-# thresholds cross at awkward places, optional trace ids and bands
-# ---------------------------------------------------------------------------
-
-_SUBJECTS = ["ap:evil", "ap:corp", "sta:07", "sta:42", "ap:ghost"]
-_DETECTORS = ["fingerprint", "seqctl", "deauth-flood"]
-_BANDS = [None, "2g4", "5g"]
-
-_event = st.tuples(
-    st.sampled_from(_DETECTORS),
-    st.sampled_from(_SUBJECTS),
-    st.floats(min_value=0.1, max_value=4.0, allow_nan=False,
-              allow_infinity=False),
-    st.sampled_from(_BANDS),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=99)),
-)
-
-_streams = st.lists(_event, min_size=0, max_size=200)
-
-
-def _feed(correlator, events, threshold=5.0):
-    for i, (detector, subject, score, band, trace_id) in enumerate(events):
-        correlator.ingest(detector, threshold,
-                          Detection(subject=subject, score=score,
-                                    reason=f"ev{i}"),
-                          t=i * 0.01, trace_id=trace_id, band=band)
-    return correlator
-
-
-def _alert_tuple(a: Alert):
-    return (a.detector, a.subject, a.t, a.score, a.count,
-            a.first_evidence_t, a.last_evidence_t, a.reason,
-            list(a.trace_ids), a.open_seq)
-
-
-def _assert_identical(alerts_a, alerts_b):
-    assert [_alert_tuple(a) for a in alerts_a] == \
-        [_alert_tuple(a) for a in alerts_b]
-
-
-@settings(max_examples=100, deadline=None)
-@given(events=_streams, shards=st.integers(min_value=1, max_value=6))
-def test_merge_law_serial_equals_sharded_equals_split(events, shards):
-    serial = _feed(AlertCorrelator(), events)
-
-    facade = _feed(ShardedCorrelator(shards=shards), events)
-    _assert_identical(serial.alerts, facade.merge())
-
-    # split feed: each shard held and fed independently (the fleet
-    # shape), with the global stream position passed explicitly
-    split = [AlertCorrelator() for _ in range(shards)]
-    route = {}
-    for i, (detector, subject, score, band, trace_id) in enumerate(events):
-        idx = route.setdefault(subject, shard_index(subject, band, shards))
-        split[idx].ingest(detector, 5.0,
-                          Detection(subject=subject, score=score,
-                                    reason=f"ev{i}"),
-                          t=i * 0.01, trace_id=trace_id, seq=i + 1)
-    probe = ShardedCorrelator(shards=shards)
-    probe._shards = split
-    _assert_identical(serial.alerts, probe.merge())
-
-    # end-state probes agree too
-    for detector in _DETECTORS:
-        for subject in _SUBJECTS:
-            assert facade.evidence_score(detector, subject) == \
-                serial.evidence_score(detector, subject)
-            a, b = (serial.open_alert(detector, subject),
-                    facade.open_alert(detector, subject))
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert _alert_tuple(a) == _alert_tuple(b)
-
-
-def test_storm_digest_sharded_equals_serial():
-    events = alert_storm(5000, subjects=16, detectors=3, churn=0.1, seed=3)
-    serial = run_storm(AlertCorrelator(), events)
-    sharded = run_storm(ShardedCorrelator(shards=4), events)
-    assert storm_digest(serial) == storm_digest(sharded)
-    _assert_identical(serial.alerts, sharded.merge())
 
 
 def test_trace_ids_update_path_does_not_recopy():
-    """Satellite (a): evidence after an alert opens must not rebuild the
+    """Evidence after an alert opens must not rebuild the
     trace_ids list — the alert shares it, and new ids keep arriving."""
     c = AlertCorrelator()
     det = Detection(subject="ap:evil", score=3.0, reason="spoof")
@@ -117,20 +23,6 @@ def test_trace_ids_update_path_does_not_recopy():
     assert alert.trace_ids is shared
     assert alert.trace_ids == [1, 2, 3, 4, 5, 6, 7]
     assert alert.count == 7 and alert.score == 21.0
-
-
-def test_band_pins_subject_to_first_shard():
-    """A subject roaming bands keeps accumulating on one shard."""
-    c = ShardedCorrelator(shards=4)
-    det = Detection(subject="ap:twin", score=2.0, reason="twin")
-    c.ingest("fingerprint", 5.0, det, t=0.0, band="2g4")
-    first = c.shard_of("ap:twin")
-    c.ingest("fingerprint", 5.0, det, t=0.1, band="5g")
-    alert = c.ingest("fingerprint", 5.0, det, t=0.2, band="5g")
-    assert c.shard_of("ap:twin", "5g") == first
-    assert alert is not None and alert.score == 6.0
-    assert c.evidence_score("fingerprint", "ap:twin") == 6.0
-    assert len(c.merge()) == 1
 
 
 def test_max_evidence_bounds_map_and_counts_evictions():
@@ -160,29 +52,7 @@ def test_eviction_never_drops_open_alerts():
     assert c.evidence_size <= 4
 
 
-def test_sharded_max_evidence_is_per_shard():
-    c = ShardedCorrelator(shards=2, max_evidence=4)
-    for i in range(64):
-        c.ingest("fingerprint", 1e9,
-                 Detection(subject=f"churn:{i:03d}", score=1.0, reason="x"),
-                 t=i * 0.01)
-    assert c.evidence_size <= 2 * 4
-    assert c.evicted == 64 - c.evidence_size
-
-
-def test_shard_index_is_stable_and_in_range():
-    # CRC-based: must not depend on PYTHONHASHSEED; pin a few goldens
-    assert shard_index("ap:evil", "2g4", 4) == \
-        shard_index("ap:evil", "2g4", 4)
-    for shards in (1, 2, 4, 7):
-        for subject in _SUBJECTS:
-            for band in _BANDS:
-                assert 0 <= shard_index(subject, band, shards) < shards
-
-
 def test_constructor_validation():
     import pytest
     with pytest.raises(ValueError):
         AlertCorrelator(max_evidence=0)
-    with pytest.raises(ValueError):
-        ShardedCorrelator(shards=0)

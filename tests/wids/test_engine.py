@@ -156,30 +156,7 @@ def test_engine_benign_traffic_no_alerts():
     assert engine.alerts == []
 
 
-def test_engine_sharded_equals_unsharded_on_live_capture():
-    """PR 10: a sharded engine hears a mixed-band world identically."""
-    caps = _flood_caps()
-    # interleave a channel-6 twin so band routing actually splits work
-    caps += [_cap(make_beacon(AP, "CORP", 6, seq=3000 + i),
-                  t=i * 0.1 + 0.05, ch=6) for i in range(20)]
-    caps.sort(key=lambda c: c.time)
-
-    engines = {}
-    for shards in (1, 4):
-        capture = FrameCapture()
-        engine = WidsEngine(shards=shards, record_metrics=False)
-        engine.attach(capture)
-        for cap in caps:
-            capture.add(cap)
-        engines[shards] = engine
-    assert [a.to_dict() for a in engines[1].alerts] == \
-        [a.to_dict() for a in engines[4].alerts]
-    assert engines[1].frames_seen == engines[4].frames_seen == len(caps)
-
-
 def test_engine_max_evidence_passthrough():
     engine = WidsEngine([DeauthFloodDetector()], record_metrics=False,
                         max_evidence=2)
     assert engine.correlator.max_evidence == 2
-    sharded = WidsEngine(shards=2, record_metrics=False, max_evidence=2)
-    assert all(s.max_evidence == 2 for s in sharded.correlator.shards)
