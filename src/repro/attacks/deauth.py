@@ -18,7 +18,7 @@ from typing import Optional
 from repro.dot11.frames import FrameSubtype, ReasonCode, make_deauth
 from repro.dot11.mac import BROADCAST, MacAddress
 from repro.dot11.seqctl import MirroredSequenceCounter, SequenceCounter
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.radio.medium import Medium, RadioPort
 from repro.radio.propagation import Position
 from repro.sim.kernel import Simulator
@@ -112,6 +112,6 @@ class DeauthAttacker:
                             seq=self.seqctl.next())
         self.port.transmit(frame)
         self.frames_injected += 1
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("attack.deauth.injected")

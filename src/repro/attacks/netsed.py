@@ -26,8 +26,7 @@ from typing import Callable, Optional
 from repro.hosts.host import Host
 from repro.netstack.addressing import IPv4Address
 from repro.netstack.tcp import TcpConnection
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.sim.errors import ConfigurationError
 
 __all__ = ["NetsedProxy", "NetsedRule", "StreamingRewriter", "parse_rule"]
@@ -178,10 +177,11 @@ class NetsedProxy:
     # ------------------------------------------------------------------
     def _on_client(self, client: TcpConnection) -> None:
         self.connections_proxied += 1
-        m = obs_metrics()
+        obs = instruments()
+        m = obs.metrics
         if m is not None:
             m.incr("attack.netsed.connections")
-        rec = flight_recorder()
+        rec = obs.recorder
         if rec is not None and rec.current() is not None:
             rec.hop("netsed", "accept", host=self.host.name,
                     t=self.host.sim.now, client=str(client.remote_ip),
@@ -211,7 +211,7 @@ class NetsedProxy:
         def on_up_data(data: bytes) -> None:
             hits_before = down_rw.replacements
             rewritten = down_rw.process(data)
-            rec = flight_recorder()
+            rec = instruments().recorder
             if rec is not None and rec.current() is not None \
                     and down_rw.replacements > hits_before:
                 # The MITM's defining moment: record which rules fired
@@ -237,7 +237,7 @@ class NetsedProxy:
             self.total_replacements += down_rw.replacements
             if up_rw is not None:
                 self.total_replacements += up_rw.replacements
-            m = obs_metrics()
+            m = instruments().metrics
             if m is not None:
                 rewrites = down_rw.replacements + (up_rw.replacements if up_rw else 0)
                 if rewrites:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.hosts.host import Host
 from repro.netstack.addressing import IPv4Address
-from repro.obs.lineage import flight_recorder
+from repro.obs.runtime import instruments
 from repro.sim.errors import ConfigurationError
 
 __all__ = ["Parprouted"]
@@ -67,7 +67,7 @@ class Parprouted:
         if existing is not None and existing.network.prefix_len == 32:
             return  # already pinned
         self.host.routing.add_host(sender, iface.name)
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and rec.current() is not None:
             rec.hop("parprouted", "learn", host=self.host.name,
                     t=self.host.sim.now, station=str(sender),

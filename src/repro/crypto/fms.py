@@ -38,7 +38,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.obs.runtime import active_profiler
+from repro.obs.runtime import instruments
 
 __all__ = ["FmsSample", "FmsAttack", "is_weak_iv", "weak_iv_for"]
 
@@ -152,7 +152,7 @@ class FmsAttack:
         """
         if len(known_prefix) != a:
             raise ValueError("known_prefix must contain exactly the first a bytes")
-        prof = active_profiler()
+        prof = instruments().profiler
         if prof is None:
             return self._votes_for_byte(a, known_prefix)
         with prof.span("crypto.fms"):

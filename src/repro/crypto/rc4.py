@@ -9,7 +9,7 @@ algorithm (KSA) state evolution, because the FMS attack
 
 from __future__ import annotations
 
-from repro.obs.runtime import active_profiler
+from repro.obs.runtime import instruments
 
 __all__ = ["RC4", "rc4_keystream", "ksa"]
 
@@ -68,7 +68,7 @@ class RC4:
 
     def crypt(self, data: bytes) -> bytes:
         """XOR ``data`` with the next keystream bytes (encrypt == decrypt)."""
-        prof = active_profiler()
+        prof = instruments().profiler
         if prof is None:
             return self._crypt(data)
         with prof.span("crypto.rc4"):

@@ -8,14 +8,13 @@
 * :mod:`repro.defense.dot1x` / :mod:`repro.defense.wpa` — the
   link-layer mechanisms §2.2 shows are insufficient (no network
   authentication; shared PSK).
-* :mod:`repro.wids` (re-exported here for compatibility) /
-  :mod:`repro.defense.audit` — the §2.3 monitoring practices
-  (sequence-control analysis, now the first detector of the WIDS
-  registry, wired-side census, radio site survey).
+* :mod:`repro.wids` (re-exported here for compatibility) — the §2.3
+  monitoring practices (sequence-control analysis, now the first
+  detector of the WIDS registry; multi-channel and beacon-fingerprint
+  detectors in place of a radio site survey).
 * :mod:`repro.defense.policy` — the §5.2 VPN-requirements checklist.
 """
 
-from repro.defense.audit import radio_site_survey, wired_side_census
 from repro.defense.containment import ContainmentAction, ContainmentSensor
 from repro.wids.detectors import SeqCtlMonitor, SpoofVerdict
 from repro.defense.dot1x import Dot1xAuthenticator, Dot1xSupplicant, EapAuthServer
@@ -44,6 +43,4 @@ __all__ = [
     "check_first_hop",
     "check_vpn_requirements",
     "derive_ptk",
-    "radio_site_survey",
-    "wired_side_census",
 ]

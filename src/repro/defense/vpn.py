@@ -40,8 +40,7 @@ from repro.netstack.addressing import IPv4Address, Network
 from repro.netstack.ipv4 import IPv4Packet
 from repro.netstack.routing import Route
 from repro.netstack.tcp import TcpConnection
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.sim.errors import ConfigurationError, ProtocolError
 
 __all__ = ["VpnClient", "VpnServer", "SshRecordLayer"]
@@ -99,7 +98,7 @@ class SshRecordLayer:
         self.replays_dropped = 0
 
     def seal(self, plaintext: bytes) -> bytes:
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("vpn.records_sealed")
         seq = struct.pack(">I", self._tx_seq)
@@ -117,7 +116,7 @@ class SshRecordLayer:
         order unless an on-path attacker modified them — in which case
         the session is torn down (as real SSH does on MAC failure).
         """
-        m = obs_metrics()
+        m = instruments().metrics
         if len(record) < 4 + MAC_LEN:
             self.integrity_failures += 1
             if m is not None:
@@ -313,7 +312,7 @@ class VpnClient:
         if not self.connected or self._records is None or self._conn is None:
             return
         self.packets_tunnelled += 1
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and rec.current() is not None:
             rec.hop("vpn", "encap", host=self.host.name,
                     t=self.host.sim.now, dst=str(packet.dst),
@@ -334,7 +333,7 @@ class VpnClient:
         except ProtocolError:
             return
         self.packets_received += 1
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and rec.current() is not None:
             rec.hop("vpn", "decap", host=self.host.name,
                     t=self.host.sim.now, src=str(packet.src),
@@ -537,7 +536,7 @@ class VpnServer:
         except ProtocolError:
             return
         if session.tun is not None:
-            rec = flight_recorder()
+            rec = instruments().recorder
             if rec is not None and rec.current() is not None:
                 rec.hop("vpn", "decap", host=self.host.name,
                         t=self.host.sim.now, client=session.name,
@@ -547,7 +546,7 @@ class VpnServer:
     def _to_client(self, session: _Session, packet: IPv4Packet) -> None:
         if session.records is None:
             return
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and rec.current() is not None:
             rec.hop("vpn", "encap", host=self.host.name,
                     t=self.host.sim.now, client=session.name,

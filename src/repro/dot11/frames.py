@@ -32,8 +32,7 @@ from repro.dot11.ies import (
     ssid_ie,
 )
 from repro.dot11.mac import BROADCAST, MacAddress
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import active_profiler, obs_metrics
+from repro.obs.runtime import instruments
 from repro.sim.errors import ProtocolError
 from repro.wire import EncodeCache, HeaderSpec, fixed_bytes, u8, u16
 
@@ -264,7 +263,7 @@ class Dot11Frame:
     # serialization
     # ------------------------------------------------------------------
     def to_bytes(self, with_fcs: bool = True) -> bytes:
-        prof = active_profiler()
+        prof = instruments().profiler
         if prof is None:
             return self._encode(with_fcs)
         with prof.span("codec.frame.encode"):
@@ -277,7 +276,7 @@ class Dot11Frame:
         raw = cache.get(with_fcs)
         if raw is not None:
             return raw
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("dot11.frames_encoded")
         fc0 = (self.frame_type.value << 2) | (self.subtype.subtype_bits << 4)
@@ -301,7 +300,7 @@ class Dot11Frame:
         ) + self.body
         if with_fcs:
             raw += zlib.crc32(raw).to_bytes(4, "little")
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and self.trace_id is not None:
             rec.hop("dot11", "encode", trace_id=self.trace_id,
                     bytes=len(raw), subtype=self.subtype.name)
@@ -310,7 +309,7 @@ class Dot11Frame:
     @classmethod
     def from_bytes(cls, raw: "bytes | bytearray | memoryview",
                    with_fcs: bool = True) -> "Dot11Frame":
-        prof = active_profiler()
+        prof = instruments().profiler
         if prof is None:
             return cls._decode(raw, with_fcs)
         with prof.span("codec.frame.decode"):
@@ -318,7 +317,7 @@ class Dot11Frame:
 
     @classmethod
     def _decode(cls, raw: "bytes | bytearray | memoryview", with_fcs: bool) -> "Dot11Frame":
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("dot11.frames_decoded")
         view = memoryview(raw)
@@ -342,7 +341,7 @@ class Dot11Frame:
             subtype = FrameSubtype(flat)
         except ValueError as exc:
             raise ProtocolError(f"unsupported frame subtype {flat:#x}") from exc
-        rec = flight_recorder()
+        rec = instruments().recorder
         trace_id = None
         if rec is not None:
             # A frame re-parsed from sniffed bytes is the *same* frame:

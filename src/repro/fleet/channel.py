@@ -7,11 +7,12 @@ cumulative :class:`~repro.obs.metrics.MetricsRegistry` snapshots —
 while the trial is still running, so the parent can export a live
 merged view.
 
-The channel is ambient, mirroring :func:`repro.obs.runtime.collecting`:
-the scheduler installs a publisher around each trial (a direct callback
-in serial mode, a result-queue writer inside worker processes) and the
-trial calls :func:`fleet_publish` whenever it has something to say.
-With no publisher installed the call is a no-op costing one global read
+The channel is the ``publish`` field of the one ambient
+:func:`repro.obs.runtime.instruments` record: the scheduler installs a
+publisher around each trial (a direct callback in serial mode, a
+result-queue writer inside worker processes) and the trial calls
+:func:`fleet_publish` whenever it has something to say.  With no
+publisher installed the call is a no-op costing one global read
 — so a trial that publishes runs bit-identically under ``run_campaign``
 with or without ``on_snapshot``, and under a bare direct call.
 
@@ -24,27 +25,23 @@ whether anyone is listening (the exporter-on/off determinism golden in
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
+
+from repro.obs.runtime import installed, instruments
 
 __all__ = ["fleet_publish", "publishing"]
-
-_publisher: Optional[Callable[[dict], None]] = None
 
 
 @contextmanager
 def publishing(publish: Callable[[dict], None]) -> Iterator[None]:
     """Install ``publish`` as the ambient snapshot publisher for the block.
 
-    Contexts nest (innermost wins) and restore on exit even when the
+    It is the ``publish`` field of :func:`repro.obs.runtime.installed`:
+    contexts nest (innermost wins) and restore on exit even when the
     body raises — including the worker's SIGALRM trial timeout.
     """
-    global _publisher
-    previous = _publisher
-    _publisher = publish
-    try:
+    with installed(publish=publish):
         yield
-    finally:
-        _publisher = previous
 
 
 def fleet_publish(payload: dict) -> None:
@@ -55,6 +52,6 @@ def fleet_publish(payload: dict) -> None:
     payload per trial, so a lost or coalesced snapshot never loses
     information, merely staleness.
     """
-    publisher = _publisher
-    if publisher is not None:
-        publisher(payload)
+    publish = instruments().publish
+    if publish is not None:
+        publish(payload)

@@ -34,10 +34,8 @@ from repro.fleet.channel import publishing
 from repro.fleet.errors import (FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT,
                                 FleetError, TrialFailure)
 from repro.fleet.reduce import campaign_stats
-from repro.fleet.worker import (LineageCollectingTrial,
-                                MetricsCollectingTrial, TrialOutcome,
-                                _TrialTimeout, outcome_extra, run_one,
-                                worker_main)
+from repro.fleet.worker import (ObservedTrial, TrialOutcome, _TrialTimeout,
+                                outcome_extra, run_one, worker_main)
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["CampaignResult", "run_campaign"]
@@ -200,10 +198,9 @@ def run_campaign(n: int, trial: Callable[[int], Any], *,
         raise FleetError(f"trial count must be >= 0, got {n}")
     if retries < 0:
         raise FleetError(f"retries must be >= 0, got {retries}")
-    if flight_recorder > 0:
-        trial = LineageCollectingTrial(trial, flight_recorder)
-    if collect_metrics:
-        trial = MetricsCollectingTrial(trial)
+    if collect_metrics or flight_recorder > 0:
+        trial = ObservedTrial(trial, metrics=collect_metrics,
+                              lineage_sample=flight_recorder)
     trace_indices = frozenset(range(min(max(sample_traces, 0), n)))
     listener = _SnapshotListener(on_snapshot)
     started = time.perf_counter()

@@ -41,12 +41,12 @@ from typing import Any, Callable, FrozenSet, Optional
 
 from repro.fleet.channel import publishing
 from repro.fleet.errors import FAIL_ERROR, FAIL_TIMEOUT
-from repro.obs.lineage import recording
-from repro.obs.runtime import collecting
+from repro.obs.lineage import FlightRecorder
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import installed
 from repro.sim.trace import Trace
 
-__all__ = ["LineageCollectingTrial", "MetricsCollectingTrial",
-           "TrialOutcome", "run_one", "worker_main"]
+__all__ = ["ObservedTrial", "TrialOutcome", "run_one", "worker_main"]
 
 
 @dataclass
@@ -61,7 +61,7 @@ class TrialOutcome:
 
     ``metrics`` carries the trial's observability snapshot
     (:meth:`MetricsRegistry.snapshot`); it is normally attached by
-    :class:`MetricsCollectingTrial` rather than by the trial itself.
+    :class:`ObservedTrial` rather than by the trial itself.
     """
 
     value: Any
@@ -70,55 +70,43 @@ class TrialOutcome:
     lineage: Optional[list] = None
 
 
-class MetricsCollectingTrial:
-    """Picklable wrapper that runs a trial inside a metrics context.
+class ObservedTrial:
+    """Picklable wrapper that runs a trial under the campaign's observers.
 
-    The wrapped trial executes under :func:`repro.obs.runtime.collecting`,
-    so every instrumented hot point in the stack records into a fresh
-    per-trial registry; the snapshot ships to the parent on the trial's
-    ``TrialOutcome``.  Collection is observational only, so the trial's
-    value is identical with or without the wrapper (the fleet's
-    determinism contract extends to metrics: parent-side seed-order
-    merge == one serial registry).
+    ``metrics=True`` installs a fresh per-trial
+    :class:`~repro.obs.metrics.MetricsRegistry`, whose snapshot ships
+    to the parent on the trial's ``TrialOutcome`` (parent-side
+    seed-order merge == one serial registry).  ``lineage_sample=N > 0``
+    installs a :class:`~repro.obs.lineage.FlightRecorder` whose ring
+    buffer keeps only the newest ``N`` lineages, so worker memory and
+    the result-queue payload stay bounded however much traffic the
+    trial generates; raw frame bytes are clipped by
+    :meth:`FlightRecorder.to_dicts`'s ``raw_limit`` on the way out.
+    Both are observational only, so the trial's value is identical with
+    or without the wrapper.
     """
 
-    def __init__(self, trial: Callable[[int], Any]) -> None:
+    def __init__(self, trial: Callable[[int], Any], *, metrics: bool = False,
+                 lineage_sample: int = 0) -> None:
         self.trial = trial
+        self.metrics = metrics
+        self.lineage_sample = lineage_sample
 
     def __call__(self, seed: int) -> "TrialOutcome":
-        with collecting() as col:
+        fields: dict = {}
+        if self.metrics:
+            fields["metrics"] = MetricsRegistry()
+        if self.lineage_sample > 0:
+            fields["recorder"] = FlightRecorder(self.lineage_sample)
+        with installed(**fields):
             result = self.trial(seed)
-        snapshot = col.snapshot()
-        if isinstance(result, TrialOutcome):
-            result.metrics = snapshot
-            return result
-        return TrialOutcome(value=result, metrics=snapshot)
-
-
-class LineageCollectingTrial:
-    """Picklable wrapper that runs a trial under a flight recorder.
-
-    The recorder's ring buffer *is* the truncation: with
-    ``capacity=sample`` only the newest ``sample`` lineages survive the
-    trial, so worker memory and the result-queue payload stay bounded no
-    matter how much traffic the trial generates.  Raw frame bytes are
-    clipped by :meth:`FlightRecorder.to_dicts`'s ``raw_limit`` on the
-    way out.  Recording is observational only — the fleet's determinism
-    contract (trial value depends only on the seed) is unchanged.
-    """
-
-    def __init__(self, trial: Callable[[int], Any], sample: int = 256) -> None:
-        self.trial = trial
-        self.sample = max(1, sample)
-
-    def __call__(self, seed: int) -> "TrialOutcome":
-        with recording(capacity=self.sample) as rec:
-            result = self.trial(seed)
-        lineage = rec.to_dicts()
-        if isinstance(result, TrialOutcome):
-            result.lineage = lineage
-            return result
-        return TrialOutcome(value=result, lineage=lineage)
+        if not isinstance(result, TrialOutcome):
+            result = TrialOutcome(value=result)
+        if "metrics" in fields:
+            result.metrics = fields["metrics"].snapshot()
+        if "recorder" in fields:
+            result.lineage = fields["recorder"].to_dicts()
+        return result
 
 
 class _TrialTimeout(Exception):

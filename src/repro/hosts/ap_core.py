@@ -40,8 +40,7 @@ from repro.crypto.tkip import TkipError
 from repro.hosts.nic import Interface
 from repro.hosts.wpa_link import ETHERTYPE_EAPOL, ApWpaSession
 from repro.netstack.ethernet import llc_decap, llc_encap
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.radio.medium import Medium, RadioPort
 from repro.radio.propagation import Position
 from repro.dot11.ies import IeId, find_ie
@@ -280,7 +279,7 @@ class ApCore:
                               from_ds=True, protected=protected,
                               seq=self.seqctl.next())
         self.port.transmit(frame)
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and frame.trace_id is not None:
             rec.hop("ap", "tx", trace_id=frame.trace_id, host=self.name,
                     t=self.sim.now, dst=str(dst_mac),
@@ -562,7 +561,7 @@ class ApCore:
         self._next_aid += 1
         self.associations_granted += 1
         self.sim.trace.emit("dot11.ap_assoc", self.name, sta=str(sta))
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("dot11.ap_associations")
         self.port.transmit(make_assoc_response(
@@ -629,7 +628,7 @@ class ApCore:
         except ProtocolError:
             return
         dst = frame.destination  # addr3 for to-DS frames
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and frame.trace_id is not None:
             rec.hop("ap", "uplink", trace_id=frame.trace_id, host=self.name,
                     t=self.sim.now, src=str(frame.source), dst=str(dst),

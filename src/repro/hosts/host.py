@@ -30,7 +30,7 @@ from repro.netstack.tcp import (
     TcpSegment,
 )
 from repro.netstack.udp import UdpDatagram
-from repro.obs.lineage import flight_recorder
+from repro.obs.runtime import instruments
 from repro.sim.errors import ConfigurationError, NetworkError, ProtocolError, SocketError
 from repro.sim.kernel import Simulator
 
@@ -294,7 +294,7 @@ class Host:
             return
         self.packets_forwarded += 1
         self._capture("forward", iface.name, packet)
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and rec.current() is not None:
             # On the rogue this is the parprouted/ip_forward bridge hop:
             # the packet crossed from one interface toward the other.
@@ -352,7 +352,7 @@ class Host:
     # local delivery
     # ------------------------------------------------------------------
     def _deliver_local(self, packet: IPv4Packet, iface: Interface) -> None:
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and rec.current() is not None:
             rec.hop("ip", "deliver", host=self.name, t=self.sim.now,
                     proto=packet.proto, src=str(packet.src),

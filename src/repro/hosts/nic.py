@@ -34,8 +34,7 @@ from repro.crypto.wep import WepKey, IvGenerator, wep_decrypt, wep_encrypt, WepE
 from repro.netstack.addressing import IPv4Address, Network
 from repro.netstack.ethernet import EthernetFrame, WiredPort, llc_decap, llc_encap
 from repro.netstack.ipv4 import IPv4Packet
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.radio.medium import Medium, RadioPort
 from repro.radio.propagation import Position
 from repro.rsn.ie import AkmSuite, CsaIe, RsnIe, RsnSelection, negotiate
@@ -546,7 +545,7 @@ class WirelessInterface(Interface):
         self._watch_beacons()
         self.sim.trace.emit("dot11.assoc", self.name,
                             bssid=str(self.bssid), channel=self.channel)
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("dot11.sta_associations")
         if self.on_associated is not None:
@@ -640,7 +639,7 @@ class WirelessInterface(Interface):
         frame = make_data(self.mac, dst_mac, self.bssid, body,
                           to_ds=True, protected=protected, seq=self.seqctl.next())
         self.port.transmit(frame)
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and frame.trace_id is not None:
             rec.hop("nic", "tx", trace_id=frame.trace_id,
                     host=self._hop_host(), t=self.sim.now,
@@ -710,7 +709,7 @@ class WirelessInterface(Interface):
         self.csa_switches += 1
         self.sim.trace.emit("dot11.csa_switch", self.name,
                             bssid=str(self.bssid), channel=new_channel)
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("dot11.csa_switches")
 
@@ -838,7 +837,7 @@ class WirelessInterface(Interface):
                 self.pmf_discards += 1
                 self.sim.trace.emit("dot11.pmf_discard", self.name,
                                     bssid=str(frame.addr2))
-                m = obs_metrics()
+                m = instruments().metrics
                 if m is not None:
                     m.incr("dot11.pmf_discards")
                 return
@@ -849,7 +848,7 @@ class WirelessInterface(Interface):
             reason = int(ReasonCode.UNSPECIFIED)
         self.sim.trace.emit("dot11.deauth_rx", self.name,
                             bssid=str(frame.addr2), reason=reason)
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("dot11.deauths_received")
         self._record_failure()
@@ -897,7 +896,7 @@ class WirelessInterface(Interface):
             ethertype, payload = llc_decap(body)
         except ProtocolError:
             return
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None and frame.trace_id is not None:
             rec.hop("nic", "deliver", trace_id=frame.trace_id,
                     host=self._hop_host(), t=self.sim.now,

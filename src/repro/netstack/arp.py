@@ -15,8 +15,7 @@ from typing import Optional, Union
 
 from repro.dot11.mac import MacAddress
 from repro.netstack.addressing import IPv4Address
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.sim.errors import ProtocolError
 from repro.wire import HeaderSpec, fixed_bytes, u8, u16
 
@@ -30,7 +29,7 @@ def record_arp_hop(host: str, iface: str, arp: "ArpPacket", t: float) -> None:
     flight recorder is installed and a frame is being delivered (the
     lineage context carries the id).
     """
-    rec = flight_recorder()
+    rec = instruments().recorder
     if rec is None or rec.current() is None:
         return
     rec.hop("arp", arp.op.name.lower(), host=host, t=t, iface=iface,
@@ -124,7 +123,7 @@ class ArpTable:
         self._entries: dict[IPv4Address, tuple[MacAddress, float]] = {}
 
     def learn(self, ip: IPv4Address, mac: MacAddress, now: float) -> None:
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("arp.learned")
             prior = self._entries.get(ip)
@@ -136,7 +135,7 @@ class ArpTable:
     def lookup(self, ip: IPv4Address, now: float) -> Optional[MacAddress]:
         entry = self._entries.get(ip)
         if entry is None:
-            m = obs_metrics()
+            m = instruments().metrics
             if m is not None:
                 m.incr("arp.lookup_misses")
             return None

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from repro.dot11.mac import BROADCAST, MacAddress
-from repro.obs.lineage import flight_recorder
+from repro.obs.runtime import instruments
 from repro.sim.errors import ConfigurationError, ProtocolError
 from repro.sim.kernel import Simulator
 from repro.wire import HeaderSpec, fixed_bytes, u16
@@ -106,7 +106,7 @@ class WiredPort:
         if self.segment is None:
             raise ConfigurationError(f"wired port {self.name!r} not attached to a segment")
         self.tx_frames += 1
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None:
             if frame.trace_id is None:
                 object.__setattr__(
@@ -124,7 +124,7 @@ class WiredPort:
         if not self.promiscuous and frame.dst != self.mac and not frame.dst.is_broadcast and not frame.dst.is_multicast:
             return
         self.rx_frames += 1
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is None or frame.trace_id is None:
             self.on_receive(frame)
             return
@@ -212,5 +212,5 @@ class Switch(LanSegment):
                 self.sim.schedule(self.LATENCY_S, port.deliver, frame)
 
     def mac_table(self) -> dict[MacAddress, str]:
-        """Learned MAC → port-name map (used by the §2.3 wired-side audit)."""
+        """Learned MAC → port-name map."""
         return {mac: port.name for mac, port in self._table.items()}

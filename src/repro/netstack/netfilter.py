@@ -25,8 +25,7 @@ from repro.netstack.addressing import IPv4Address, Network
 from repro.netstack.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, IPv4Packet
 from repro.netstack.tcp import TcpSegment
 from repro.netstack.udp import UdpDatagram
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.sim.errors import ConfigurationError
 
 __all__ = [
@@ -404,7 +403,7 @@ class Netfilter:
         """
         self.counters[chain] += 1
         natted = False
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("netfilter.traversals")
         if nat and chain in (Chain.PREROUTING, Chain.OUTPUT, Chain.POSTROUTING):
@@ -454,7 +453,7 @@ class Netfilter:
     def _record_nat_hop(chain: Chain, action: str, before: IPv4Packet,
                         after: IPv4Packet, now: float) -> None:
         """Lineage hop for a NAT rewrite (before/after addressing)."""
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is None or rec.current() is None:
             return
         rec.hop("netfilter", action, t=now, chain=chain.value,

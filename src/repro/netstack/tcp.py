@@ -27,8 +27,7 @@ from typing import Callable, Optional, Union
 
 from repro.netstack.addressing import IPv4Address
 from repro.netstack.ipv4 import PROTO_TCP
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.sim.errors import ProtocolError, SocketError
 from repro.sim.kernel import Event, Simulator
 from repro.wire import (
@@ -369,11 +368,12 @@ class TcpConnection:
         )
         self.segments_sent += 1
         self.bytes_sent += len(payload)
-        m = obs_metrics()
+        obs = instruments()
+        m = obs.metrics
         if m is not None:
             m.incr("tcp.segments_sent")
             m.incr("tcp.bytes_sent", len(payload))
-        rec = flight_recorder()
+        rec = obs.recorder
         if rec is not None:
             tid = rec.current()
             if tid is None:
@@ -444,7 +444,7 @@ class TcpConnection:
             return
         self.timeouts += 1
         self._consecutive_timeouts += 1
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("tcp.timeouts")
         if self._consecutive_timeouts > 15:
@@ -463,10 +463,11 @@ class TcpConnection:
     def _retransmit_front(self) -> None:
         """Resend whatever starts at snd_una (SYN, FIN, or data)."""
         self.retransmissions += 1
-        m = obs_metrics()
+        obs = instruments()
+        m = obs.metrics
         if m is not None:
             m.incr("tcp.retransmits")
-        rec = flight_recorder()
+        rec = obs.recorder
         if rec is not None and self._lineage_hint is not None:
             rec.hop("tcp", "retransmit", trace_id=self._lineage_hint,
                     host=f"{self.local_ip}:{self.local_port}",
@@ -489,10 +490,11 @@ class TcpConnection:
     def handle_segment(self, segment: TcpSegment) -> None:
         """Process one incoming segment addressed to this connection."""
         self.segments_received += 1
-        m = obs_metrics()
+        obs = instruments()
+        m = obs.metrics
         if m is not None:
             m.incr("tcp.segments_received")
-        rec = flight_recorder()
+        rec = obs.recorder
         if rec is not None:
             tid = rec.current()
             if tid is not None:
@@ -584,7 +586,7 @@ class TcpConnection:
             if self._dupacks == self.DUPACK_THRESHOLD:
                 # Fast retransmit / simplified fast recovery.
                 self.fast_retransmits += 1
-                m = obs_metrics()
+                m = instruments().metrics
                 if m is not None:
                     m.incr("tcp.fast_retransmits")
                 self.ssthresh = max(self.flight_size / 2.0, 2.0 * self.mss)
@@ -665,7 +667,7 @@ class TcpConnection:
     # RTT estimation (Jacobson/Karels)
     # ------------------------------------------------------------------
     def _update_rtt(self, sample: float) -> None:
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.add_time("tcp.rtt", sample)
         if self.srtt is None:

@@ -9,11 +9,14 @@ Four pieces (see DESIGN.md §8–§9):
 * :mod:`repro.obs.profiler` — wall-clock :class:`Profiler` spans around
   kernel event dispatch and the known hot paths (radio fan-out,
   RC4/FMS, the frame codec);
-* :mod:`repro.obs.runtime` — the ambient :func:`collecting` context
-  that turns the instrumentation on.  When no context is active every
-  hook short-circuits, and the hard invariant holds: simulated results
-  are bit-for-bit identical with observability enabled, disabled, or
-  absent.
+* :mod:`repro.obs.runtime` — the one ambient :class:`Instrumentation`
+  record (metrics, profiler, recorder, WIDS watch, fleet publisher),
+  read with :func:`instruments` and replaced field by field with
+  :func:`installed`; :func:`collecting` installs a registry and
+  optionally a profiler.  A field left ``None`` is an observer that is
+  off, every hook short-circuits on it, and the hard invariant holds:
+  simulated results are bit-for-bit identical with observability
+  enabled, disabled, or absent.
 * :mod:`repro.obs.lineage` + :mod:`repro.obs.export` — the causal
   frame-lineage :class:`FlightRecorder` (per-frame ``trace_id``, hop
   records, parent/child span links, last-N ring buffer) installed with
@@ -28,13 +31,12 @@ profile of any registered experiment is ``python -m repro profile EXP``.
 
 from repro.obs.export import (LINKTYPE_IEEE802_11, chrome_trace_dict,
                               pcap_bytes, write_chrome_trace, write_pcap)
-from repro.obs.lineage import (FlightRecorder, Hop, Lineage, flight_recorder,
-                               recording)
+from repro.obs.lineage import FlightRecorder, Hop, Lineage, recording
 from repro.obs.metrics import (CounterMetric, GaugeMetric, HistogramMetric,
                                MetricsRegistry, TimerMetric)
 from repro.obs.profiler import Profiler
-from repro.obs.runtime import (Collection, active_profiler, collecting,
-                               obs_metrics)
+from repro.obs.runtime import (Collection, Instrumentation, collecting,
+                               installed, instruments)
 
 __all__ = [
     "Collection",
@@ -43,16 +45,16 @@ __all__ = [
     "GaugeMetric",
     "HistogramMetric",
     "Hop",
+    "Instrumentation",
     "LINKTYPE_IEEE802_11",
     "Lineage",
     "MetricsRegistry",
     "Profiler",
     "TimerMetric",
-    "active_profiler",
     "chrome_trace_dict",
     "collecting",
-    "flight_recorder",
-    "obs_metrics",
+    "installed",
+    "instruments",
     "pcap_bytes",
     "recording",
     "write_chrome_trace",

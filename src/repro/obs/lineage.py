@@ -28,7 +28,7 @@ causality, not full program causality.
 Zero-perturbation contract
 --------------------------
 Identical to metrics/profiling: every call site guards with
-``rec = flight_recorder()`` / ``if rec is not None`` so the absent
+``rec = instruments().recorder`` / ``if rec is not None`` so the absent
 path costs one global read; the recorder never touches the simulation
 RNG (ids come from a plain counter) and the simulation never reads
 anything back out of it.  The determinism goldens pin that a run is
@@ -46,7 +46,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
-__all__ = ["FlightRecorder", "Hop", "Lineage", "flight_recorder", "recording"]
+from repro.obs.runtime import installed
+
+__all__ = ["FlightRecorder", "Hop", "Lineage", "recording"]
 
 
 @dataclass(frozen=True)
@@ -354,28 +356,16 @@ class FlightRecorder:
                 "hops": hops, "evicted": self.evicted}
 
 
-_active: Optional[FlightRecorder] = None
-
-
 @contextmanager
 def recording(capacity: int = 4096, *, max_hops: int = 96,
               capture_bytes: bool = True) -> Iterator[FlightRecorder]:
     """Install a fresh :class:`FlightRecorder` for the duration of the block.
 
-    Nests like :func:`repro.obs.runtime.collecting` (innermost wins) and
-    restores the previous recorder even when the body raises.
+    It becomes the ``recorder`` field of :func:`repro.obs.runtime.installed`,
+    so it nests like every other observer (innermost wins) and the
+    previous recorder is restored even when the body raises.
     """
-    global _active
-    previous = _active
     recorder = FlightRecorder(capacity, max_hops=max_hops,
                               capture_bytes=capture_bytes)
-    _active = recorder
-    try:
+    with installed(recorder=recorder):
         yield recorder
-    finally:
-        _active = previous
-
-
-def flight_recorder() -> Optional[FlightRecorder]:
-    """The active recorder — or ``None`` (record nothing)."""
-    return _active

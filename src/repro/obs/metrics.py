@@ -127,8 +127,8 @@ class TimerMetric:
     """Accumulated durations: count, total, min, max.
 
     Used both for simulated-time durations (e.g. per-connection RTT
-    samples) and wall-clock spans exported from a
-    :class:`~repro.obs.profiler.Profiler`.
+    samples) and the wall-clock spans a
+    :class:`~repro.obs.profiler.Profiler` keeps.
     """
 
     kind = "timer"
@@ -294,20 +294,15 @@ class MetricsRegistry:
     The registry is the unit the fleet ships between processes: a
     worker snapshots its trial's registry with :meth:`snapshot`, the
     parent rebuilds each with :meth:`from_snapshot` and folds them
-    together with :meth:`merge` in seed order.
-
-    ``enabled=False`` turns every recording method into a cheap no-op
-    (one attribute test) — the hook the zero-perturbation golden tests
-    exercise.  Reading (snapshots, reports) is always allowed.
+    together with :meth:`merge` in seed order.  To record nothing,
+    install no registry (see :func:`repro.obs.runtime.installed`).
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
     # ------------------------------------------------------------------
-    # get-or-create accessors (create even when disabled: cheap, and a
-    # disabled registry should still snapshot a stable shape)
+    # get-or-create accessors
     # ------------------------------------------------------------------
     def _get(self, name: str, cls, *args) -> Any:
         metric = self._metrics.get(name)
@@ -332,26 +327,18 @@ class MetricsRegistry:
         return self._get(name, HistogramMetric, lo, hi, bins)
 
     # ------------------------------------------------------------------
-    # recording conveniences (all no-ops when disabled)
+    # recording conveniences
     # ------------------------------------------------------------------
     def incr(self, name: str, by: int = 1) -> None:
-        if not self.enabled:
-            return
         self.counter(name).incr(by)
 
     def set_gauge(self, name: str, value: float) -> None:
-        if not self.enabled:
-            return
         self.gauge(name).set(value)
 
     def add_time(self, name: str, seconds: float) -> None:
-        if not self.enabled:
-            return
         self.timer(name).add(seconds)
 
     def observe(self, name: str, x: float, *, lo: float, hi: float, bins: int) -> None:
-        if not self.enabled:
-            return
         self.histogram(name, lo, hi, bins).observe(x)
 
     # ------------------------------------------------------------------

@@ -1,45 +1,87 @@
-"""The ambient collection context that instrumentation reports into.
+"""The one ambient instrumentation context.
 
-Hot-path code asks two questions, both answered here in a handful of
-machine instructions when observability is off:
+Every observer the simulation reports into is a field of one
+:class:`Instrumentation` record — the metrics registry, the profiler,
+the frame-lineage recorder (:func:`repro.obs.lineage.recording`), the
+WIDS watch (:func:`repro.wids.runtime.wids_watch`) and the fleet's
+snapshot publisher (:func:`repro.fleet.channel.publishing`) — and this
+module holds the repo's only ambient hook: the installed record.
+``None`` means that observer is off.  Hot-path code looks the record up
+once with :func:`instruments` and guards each field::
 
-* :func:`obs_metrics` — the active :class:`MetricsRegistry`, or ``None``
-  when collection is absent/disabled.  Call sites guard with
-  ``m = obs_metrics()`` / ``if m is not None: m.incr(...)`` so the
-  common (off) path costs one global read and one comparison.
-* :func:`active_profiler` — the active :class:`Profiler` or ``None``;
-  call sites only open a span when one is installed.
+    m = instruments().metrics
+    if m is not None:
+        m.incr("radio.deliveries")
 
-A context is installed with :func:`collecting`::
+:func:`installed` replaces the named fields for the duration of a block.
+Contexts nest, the innermost wins field by field, and the previous
+record is restored on exit even when the body raises — including the
+fleet worker's SIGALRM trial timeout.  :func:`collecting` installs a
+fresh registry and, optionally, a profiler::
 
     with collecting(profile=True) as col:
         result = spec.runner()          # any number of Simulators inside
     print(col.profiler.report())
     payload = col.snapshot()            # mergeable metrics dict
 
-Contexts nest (the innermost wins) and are restored on exit even when
-the body raises — including the fleet worker's SIGALRM trial timeout.
-The simulation never reads anything back out of the context, so
-entering one cannot change simulated results (the zero-perturbation
-invariant pinned by the determinism golden tests).
+The simulation never reads anything back out of the record, so
+installing an observer cannot change simulated results (the
+zero-perturbation invariant pinned by the determinism golden tests).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profiler
 
-__all__ = ["Collection", "active_profiler", "collecting", "obs_metrics"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs.lineage import FlightRecorder
+    from repro.wids.runtime import WidsWatch
+
+__all__ = ["Collection", "Instrumentation", "collecting", "installed",
+           "instruments"]
+
+
+@dataclass(frozen=True, slots=True)
+class Instrumentation:
+    """The installed observers; ``None`` means that one is off."""
+
+    metrics: Optional[MetricsRegistry] = None
+    profiler: Optional[Profiler] = None
+    recorder: Optional["FlightRecorder"] = None
+    wids: Optional["WidsWatch"] = None
+    publish: Optional[Callable[[dict], None]] = None
+
+
+_current = Instrumentation()
+
+
+def instruments() -> Instrumentation:
+    """The installed :class:`Instrumentation` record."""
+    return _current
+
+
+@contextmanager
+def installed(**fields: Any) -> Iterator[Instrumentation]:
+    """Replace the named fields of the record for the duration of the block."""
+    global _current
+    previous = _current
+    _current = replace(previous, **fields)
+    try:
+        yield _current
+    finally:
+        _current = previous
 
 
 class Collection:
     """One observability session: a registry plus an optional profiler."""
 
-    def __init__(self, *, metrics: bool = True, profile: bool = False) -> None:
-        self.registry = MetricsRegistry(enabled=metrics)
+    def __init__(self, *, profile: bool = False) -> None:
+        self.registry = MetricsRegistry()
         self.profiler: Optional[Profiler] = Profiler() if profile else None
 
     def snapshot(self) -> dict:
@@ -47,36 +89,15 @@ class Collection:
         return self.registry.snapshot()
 
 
-_active: Optional[Collection] = None
-
-
 @contextmanager
 def collecting(*, metrics: bool = True, profile: bool = False) -> Iterator[Collection]:
     """Install a fresh :class:`Collection` for the duration of the block.
 
-    ``metrics=False`` installs a *disabled* registry: instrumentation
-    still finds a context but every recording call is a no-op — the
-    "disabled" leg of the zero-perturbation golden tests.
+    ``metrics=False`` installs no registry (instrumentation records
+    nothing and ``col.registry`` stays empty) — the "off" leg of the
+    zero-perturbation golden tests.
     """
-    global _active
-    previous = _active
-    collection = Collection(metrics=metrics, profile=profile)
-    _active = collection
-    try:
+    collection = Collection(profile=profile)
+    with installed(metrics=collection.registry if metrics else None,
+                   profiler=collection.profiler):
         yield collection
-    finally:
-        _active = previous
-
-
-def obs_metrics() -> Optional[MetricsRegistry]:
-    """The active, enabled registry — or ``None`` (record nothing)."""
-    collection = _active
-    if collection is None or not collection.registry.enabled:
-        return None
-    return collection.registry
-
-
-def active_profiler() -> Optional[Profiler]:
-    """The active profiler — or ``None`` (skip the span)."""
-    collection = _active
-    return collection.profiler if collection is not None else None

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.dot11.channels import channel_rejection_db, channels_overlap
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.radio.medium import Medium, RadioPort, _InFlight
@@ -214,7 +214,7 @@ class VectorKernel:
         return self.medium.ports[self._idx[port_id]]
 
     def _record_sizes(self) -> None:
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.set_gauge("radio.kernel.pl_rows", len(self._pl_rows))
             m.set_gauge("radio.kernel.plans", len(self._plans))
@@ -249,7 +249,7 @@ class VectorKernel:
             self._pl_rows.pop(next(iter(self._pl_rows)))
         self._pl_rows[id(tx)] = row
         self.row_builds += 1
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("radio.kernel.row_builds")
             m.set_gauge("radio.kernel.pl_rows", len(self._pl_rows))
@@ -321,7 +321,7 @@ class VectorKernel:
             self._plans.pop(next(iter(self._plans)))
         self._plans[id(tx)] = plan
         self.plan_builds += 1
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("radio.kernel.plan_builds")
             m.set_gauge("radio.kernel.plans", len(self._plans))

@@ -26,13 +26,11 @@ from typing import Callable, Optional
 
 from repro.dot11.channels import channels_overlap
 from repro.dot11.frames import Dot11Frame
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import active_profiler, obs_metrics
+from repro.obs.runtime import Instrumentation, instruments
 from repro.radio.kernel import VectorKernel
 from repro.radio.propagation import FrameLossModel, LogDistancePathLoss, Position
 from repro.sim.errors import ConfigurationError
 from repro.sim.kernel import Simulator
-from repro.wids.runtime import active_wids
 
 __all__ = ["Medium", "RadioPort"]
 
@@ -225,7 +223,7 @@ class Medium:
         self.ports.append(port)
         self._kernel.on_attach(port)
         port.attach(self)
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.set_gauge("radio.ports", len(self.ports))
         return port
@@ -238,7 +236,7 @@ class Medium:
             # Clear the back-reference so a detached port cannot keep
             # transmitting into this medium through a stale handle.
             port._medium = None
-            m = obs_metrics()
+            m = instruments().metrics
             if m is not None:
                 m.set_gauge("radio.ports", len(self.ports))
 
@@ -270,12 +268,13 @@ class Medium:
                     start = until
             if start > now:
                 start += self._rng.uniform(50e-6, 400e-6)  # DIFS + backoff slots
-        m = obs_metrics()
+        obs = instruments()
+        m = obs.metrics
         if m is not None:
             m.incr("radio.transmissions")
             if start > now:
                 m.incr("radio.deferrals")
-        rec = flight_recorder()
+        rec = obs.recorder
         if rec is not None:
             if frame.trace_id is None:
                 # First transmission: open the lineage (parented to the
@@ -317,27 +316,25 @@ class Medium:
 
     def _complete(self, entry: _InFlight) -> None:
         """Deliver a finished transmission to every eligible receiver."""
-        prof = active_profiler()
-        if prof is None:
-            self._fan_out(entry)
+        obs = instruments()
+        if obs.profiler is None:
+            self._fan_out(entry, obs)
         else:
-            with prof.span("radio.fanout"):
-                self._fan_out(entry)
+            with obs.profiler.span("radio.fanout"):
+                self._fan_out(entry, obs)
 
-    def _fan_out(self, entry: _InFlight) -> None:
+    def _fan_out(self, entry: _InFlight, obs: Instrumentation) -> None:
         if entry in self._inflight:
             self._inflight.remove(entry)
         # Offer the frame to the ambient WIDS watch *before* any
         # per-receiver work: no RNG has been drawn for this delivery
         # yet, so observing here cannot perturb the world (the same
         # zero-perturbation placement the determinism goldens pin).
-        wids = active_wids()
-        if wids is not None:
-            wids.offer(self, entry.frame, entry.channel, self.sim.now)
-        m = obs_metrics()
-        rec = flight_recorder()
+        if obs.wids is not None:
+            obs.wids.offer(self, entry.frame, entry.channel, self.sim.now)
+        rec = obs.recorder
         tid = entry.frame.trace_id if rec is not None else None
-        self._kernel.fan_out(entry, m, rec, tid)
+        self._kernel.fan_out(entry, obs.metrics, rec, tid)
 
     def _deliver(self, entry: _InFlight, rx: RadioPort, rssi: float,
                  m, rec, tid, p_base: Optional[float] = None) -> None:

@@ -23,7 +23,7 @@ from repro.dot11.frames import make_beacon
 from repro.dot11.mac import MacAddress
 from repro.dot11.seqctl import SequenceCounter
 from repro.hosts.ap_core import ApCore
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.radio.medium import Medium, RadioPort
 from repro.radio.propagation import Position
 from repro.rsn.ie import CsaIe, RsnIe
@@ -155,6 +155,6 @@ class CsaLureAttack:
                             extra_ies=self._extra_ies)
         self.port.transmit(frame)
         self.frames_injected += 1
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("attack.csa_lure.injected")

@@ -22,8 +22,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Optional
 
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import active_profiler
+from repro.obs.runtime import instruments
 from repro.sim.errors import SimulationError
 from repro.sim.rng import SimRandom
 from repro.sim.trace import Trace
@@ -124,7 +123,7 @@ class Simulator:
         self.rng = SimRandom(seed)
         self.trace = Trace()
         self.trace.bind_clock(lambda: self._now)
-        rec = flight_recorder()
+        rec = instruments().recorder
         if rec is not None:
             # Write-only registration: the flight recorder never feeds
             # anything back into the simulation (zero perturbation); it
@@ -242,7 +241,7 @@ class Simulator:
                 raise SimulationError("event queue corrupted: time went backwards")
             self._now = ev.time
             self._events_dispatched += 1
-            prof = active_profiler()
+            prof = instruments().profiler
             if prof is None:
                 ev.fn(*ev.args, **ev.kwargs)
             else:

@@ -38,7 +38,7 @@ from repro.core.scenario import CorpScenario, GATEWAY_IP, TARGET_IP
 from repro.hosts.station import Station
 from repro.httpsim.browser import Browser
 from repro.httpsim.client import HttpClient
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.radio.propagation import Position
 
 __all__ = ["OpenLoopSessions", "LATENCY_METRIC", "LATENCY_BINS",
@@ -245,7 +245,7 @@ class OpenLoopSessions:
             self.latency_sum_s += latency
             self._incr("telemetry.sessions.completed")
             self._incr(f"telemetry.sessions.kind.{session.kind}")
-            metrics = obs_metrics()
+            metrics = instruments().metrics
             if metrics is not None:
                 metrics.observe(LATENCY_METRIC, latency, lo=0.0,
                                 hi=LATENCY_HI_S, bins=LATENCY_BINS)
@@ -282,12 +282,12 @@ class OpenLoopSessions:
     # ------------------------------------------------------------------
     @staticmethod
     def _incr(name: str, by: int = 1) -> None:
-        metrics = obs_metrics()
+        metrics = instruments().metrics
         if metrics is not None:
             metrics.incr(name, by)
 
     @staticmethod
     def _gauge(name: str, value: float) -> None:
-        metrics = obs_metrics()
+        metrics = instruments().metrics
         if metrics is not None:
             metrics.set_gauge(name, value)

@@ -24,7 +24,7 @@ the same event sequence bit for bit.  The determinism golden in
 publishes the whole registry, not a delta — and the final publish is
 the last registry-mutating act of the trial.  The last snapshot a
 listener sees for a seed therefore equals the trial's own
-``MetricsCollectingTrial`` snapshot, which is what makes the JSON-lines
+``ObservedTrial`` snapshot, which is what makes the JSON-lines
 stream replayable to the exact in-process merged view.
 
 **Graceful stop.**  ``request_stop()`` raises a module-level flag that
@@ -42,7 +42,7 @@ from typing import Optional
 
 from repro.core.scenario import build_corp_scenario
 from repro.fleet.channel import fleet_publish
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.telemetry.sessions import OpenLoopSessions
 from repro.wids.runtime import wids_watch
 
@@ -140,7 +140,7 @@ class OpenLoopShard:
 
     def _tick(self, watch) -> None:
         """Fold WIDS state into the registry, then publish it upstream."""
-        metrics = obs_metrics()
+        metrics = instruments().metrics
         if metrics is not None:
             alerts = watch.alerts()
             emitted = metrics.counter("telemetry.alerts.emitted")

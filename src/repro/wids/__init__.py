@@ -22,10 +22,8 @@ generation-based evasion-vs-detection campaign
 (:mod:`~repro.wids.armsrace`) scores both sides on Pareto frontiers.
 
 This package deliberately does **not** import
-:mod:`repro.wids.experiment` or :mod:`repro.wids.armsrace` here: the
-radio layer feeds the ambient watch, so ``repro.wids`` must stay
-importable from :mod:`repro.radio.medium` without dragging in
-scenarios.
+:mod:`repro.wids.experiment` or :mod:`repro.wids.armsrace` here, so
+importing ``repro.wids`` never drags in scenarios.
 """
 
 from repro.wids.adaptive import AdaptiveThreshold
@@ -48,7 +46,7 @@ from repro.wids.evaluation import (
     evaluate,
     evaluate_with_crossings,
 )
-from repro.wids.runtime import WidsWatch, active_wids, wids_watch
+from repro.wids.runtime import WidsWatch, wids_watch
 
 __all__ = [
     "AdaptiveThreshold",
@@ -63,7 +61,6 @@ __all__ = [
     "SpoofVerdict",
     "WidsEngine",
     "WidsWatch",
-    "active_wids",
     "default_detectors",
     "evaluate",
     "evaluate_with_crossings",

@@ -34,7 +34,7 @@ from repro.dot11.capture import CapturedFrame, FrameCapture
 from repro.dot11.frames import BeaconInfo, FrameSubtype
 from repro.dot11.mac import MacAddress
 from repro.dot11.seqctl import SEQ_MODULO, SequenceCounter
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.sim.errors import ProtocolError
 
 __all__ = [
@@ -489,7 +489,7 @@ class SeqCtlMonitor:
             spoofed = True
             reason = (f"interleaved sequence streams: {anomalies} anomalous "
                       f"gaps in {len(seqs)} frames")
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("detect.analyses")
             m.incr("detect.anomalies", anomalies)

@@ -10,10 +10,11 @@ The engine is strictly observational: it never touches the simulation
 RNG, never schedules an event, and only *reads* frames, so attaching
 or detaching it cannot change simulated results (the same
 zero-perturbation discipline as :mod:`repro.obs`, pinned by the
-determinism goldens).  Metrics go to the ambient
-:func:`~repro.obs.runtime.obs_metrics` registry when one is installed:
-``wids.frames``, ``wids.evidence.<detector>``, ``wids.alerts`` and
-``wids.alerts.<detector>``.
+determinism goldens).  Metrics go to the ambient registry,
+``instruments().metrics``, when one is installed: ``wids.frames``,
+``wids.evidence.<detector>``, ``wids.alerts`` and
+``wids.alerts.<detector>``.  An offline replay that must not count
+runs with ``installed(metrics=None)``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional
 
 from repro.dot11.capture import CapturedFrame, FrameCapture
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.wids.alerts import Alert
 from repro.wids.correlate import AlertCorrelator
 from repro.wids.detectors import Detector, default_detectors
@@ -37,16 +38,12 @@ class WidsEngine:
     """
 
     def __init__(self, detectors: Optional[Iterable[Detector]] = None, *,
-                 record_metrics: bool = True,
                  max_evidence: Optional[int] = None) -> None:
         self.detectors: List[Detector] = (
             list(detectors) if detectors is not None else default_detectors()
         )
         self.correlator = AlertCorrelator(max_evidence=max_evidence)
         self.frames_seen = 0
-        # Offline evaluation replays disable this so threshold sweeps
-        # don't inflate the live ``wids.*`` counters.
-        self.record_metrics = record_metrics
 
     # ------------------------------------------------------------------
     # feeds
@@ -66,7 +63,7 @@ class WidsEngine:
     # ------------------------------------------------------------------
     def process(self, cap: CapturedFrame) -> None:
         self.frames_seen += 1
-        m = obs_metrics() if self.record_metrics else None
+        m = instruments().metrics
         if m is not None:
             m.incr("wids.frames")
         trace_id = cap.frame.trace_id

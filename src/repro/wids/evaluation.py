@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dot11.capture import FrameCapture
 from repro.obs.metrics import CounterMetric, MetricsRegistry, TimerMetric
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 from repro.wids.detectors import DETECTORS
 
 __all__ = [
@@ -94,7 +94,7 @@ def evaluate_with_crossings(
     re-running any world.
     """
     local = registry if registry is not None else MetricsRegistry()
-    ambient = obs_metrics()
+    ambient = instruments().metrics
 
     def incr(name: str) -> None:
         local.incr(name)
@@ -150,7 +150,7 @@ def evaluate(
     the way.
 
     Writes ``wids.eval.*`` into ``registry`` (a fresh one when omitted)
-    **and** into the ambient :func:`obs_metrics` registry when one is
+    **and** into the ambient ``instruments().metrics`` registry when one is
     installed — the local copy keeps experiment payloads independent of
     ambient observability state (zero-perturbation), the ambient copy
     is what the fleet ships and merges.

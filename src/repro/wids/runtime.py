@@ -1,9 +1,10 @@
 """The ambient WIDS watch: intrusion detection without a sniffer host.
 
-:func:`wids_watch` installs a :class:`WidsWatch` the radio layer feeds
-directly: :meth:`Medium._fan_out` offers every completed transmission
-to :func:`active_wids` *before* any per-receiver work, so the watch
-sees the whole band the way an ideal distributed sensor would.
+:func:`wids_watch` installs a :class:`WidsWatch` as the ``wids`` field
+of the ambient :func:`repro.obs.runtime.instruments` record, and the
+radio layer feeds it directly: :meth:`Medium._fan_out` offers every
+completed transmission to it *before* any per-receiver work, so the
+watch sees the whole band the way an ideal distributed sensor would.
 
 The hook is placed, deliberately, where it cannot perturb the world:
 it runs before any receiver-RSSI RNG draw, never registers a radio
@@ -25,11 +26,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dot11.capture import CapturedFrame, FrameCapture
 from repro.dot11.frames import Dot11Frame
+from repro.obs.runtime import installed
 from repro.wids.alerts import Alert
-from repro.wids.detectors import Detector
 from repro.wids.engine import WidsEngine
 
-__all__ = ["WidsWatch", "active_wids", "wids_watch"]
+__all__ = ["WidsWatch", "wids_watch"]
 
 
 class WidsWatch:
@@ -86,24 +87,11 @@ class WidsWatch:
         return sum(engine.frames_seen for engine in self.engines())
 
 
-_active: Optional[WidsWatch] = None
-
-
 @contextmanager
 def wids_watch(*, capacity: int = 4096,
                thresholds: Optional[Dict[str, float]] = None
                ) -> Iterator[WidsWatch]:
     """Install a fresh :class:`WidsWatch` for the duration of the block."""
-    global _active
-    previous = _active
     watch = WidsWatch(capacity=capacity, thresholds=thresholds)
-    _active = watch
-    try:
+    with installed(wids=watch):
         yield watch
-    finally:
-        _active = previous
-
-
-def active_wids() -> Optional[WidsWatch]:
-    """The active watch — or ``None`` (the radio layer offers nothing)."""
-    return _active

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional
 
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import instruments
 
 __all__ = ["EncodeCache"]
 
@@ -40,14 +40,14 @@ class EncodeCache:
 
     def get(self, key: Hashable) -> Optional[bytes]:
         raw = self._entries.get(key)
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("codec.encode_cache.hits" if raw is not None
                    else "codec.encode_cache.lookup_misses")
         return raw
 
     def put(self, key: Hashable, raw: bytes) -> bytes:
-        m = obs_metrics()
+        m = instruments().metrics
         if m is not None:
             m.incr("codec.encode_cache.misses")
         self._entries[key] = raw

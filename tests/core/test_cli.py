@@ -133,7 +133,8 @@ def test_cli_profile_json_snapshot(tmp_path, capsys):
     assert payload["elapsed_s"] > 0
     assert any(cat.startswith("kernel.") for cat in payload["profile"])
     for acc in payload["profile"].values():
-        assert set(acc) == {"count", "total_s", "min_s", "max_s"}
+        assert set(acc) == {"kind", "count", "total_s", "min_s", "max_s"}
+        assert acc["kind"] == "timer"
     for metric in payload["metrics"].values():
         assert metric["kind"] in {"counter", "gauge", "timer", "histogram"}
 

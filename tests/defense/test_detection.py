@@ -1,9 +1,8 @@
-"""§2.3 detection: sequence-control monitoring, site survey, wired census."""
+"""§2.3 detection: sequence-control monitoring."""
 
 from repro.attacks.deauth import DeauthAttacker
 from repro.attacks.sniffer import MonitorSniffer
 from repro.core.scenario import build_corp_scenario
-from repro.defense.audit import AuthorizedAp, radio_site_survey, wired_side_census
 from repro.wids.detectors import SeqCtlMonitor
 from repro.dot11.capture import CapturedFrame, FrameCapture
 from repro.dot11.frames import make_beacon
@@ -106,64 +105,3 @@ def test_deauth_injector_detected():
     attacker.stop()
     verdict = SeqCtlMonitor(sniffer.capture).analyze_transmitter(scenario.ap.bssid)
     assert verdict.spoofed
-
-
-# ----------------------------------------------------------------------
-# audits
-# ----------------------------------------------------------------------
-
-def test_site_survey_flags_cloned_bssid_on_new_channel():
-    scenario = build_corp_scenario(seed=94)
-    sniffer = MonitorSniffer(scenario.sim, scenario.medium, Position(15.0, 5.0))
-    scenario.sim.run_for(5.0)
-    inventory = [AuthorizedAp(bssid=scenario.ap.bssid, ssid="CORP", channel=1)]
-    findings = radio_site_survey(sniffer.capture, inventory)
-    assert len(findings) == 1
-    assert findings[0].channel == 6
-    assert "cloned" in findings[0].issue
-
-
-def test_site_survey_clean_inventory_no_findings():
-    scenario = build_corp_scenario(seed=95, with_rogue=False)
-    sniffer = MonitorSniffer(scenario.sim, scenario.medium, Position(15.0, 5.0))
-    scenario.sim.run_for(5.0)
-    inventory = [AuthorizedAp(bssid=scenario.ap.bssid, ssid="CORP", channel=1)]
-    assert radio_site_survey(sniffer.capture, inventory) == []
-
-
-def test_site_survey_flags_foreign_ssid_advertiser():
-    cap = FrameCapture()
-    foreign = MacAddress("66:66:66:66:66:66")
-    cap.add(CapturedFrame(time=0, channel=3, rssi_dbm=-40,
-                          frame=make_beacon(foreign, "CORP", 3)))
-    findings = radio_site_survey(cap, [AuthorizedAp(BSSID, "CORP", 1)])
-    assert len(findings) == 1
-    assert "unknown BSSID" in findings[0].issue
-
-
-def test_wired_census_blind_to_parprouted_rogue():
-    """§2.3's wired-side monitoring cannot see the Fig. 1 rogue: it
-    bridges at L3 behind its own valid-client MAC."""
-    scenario = build_corp_scenario(seed=96)
-    victim = scenario.add_victim()
-    scenario.sim.run_for(5.0)
-    rtts = []
-    victim.ping("10.0.0.1", on_reply=rtts.append)
-    scenario.sim.run_for(3.0)
-    assert rtts  # traffic flowed through the rogue onto the wire
-    inventory = [scenario.ap.bssid,
-                 scenario.wan.router.interfaces["lan0"].mac,
-                 victim.wlan.mac,
-                 scenario.rogue.eth1.mac]  # the attacker IS an inventoried client
-    unknown = wired_side_census(scenario.lan, inventory)
-    assert unknown == []  # nothing new ever appeared on the wire
-
-
-def test_wired_census_catches_uninventoried_device():
-    scenario = build_corp_scenario(seed=97, with_rogue=False)
-    victim = scenario.add_victim()
-    scenario.sim.run_for(5.0)
-    victim.ping("10.0.0.1")
-    scenario.sim.run_for(2.0)
-    unknown = wired_side_census(scenario.lan, [scenario.ap.bssid])
-    assert victim.wlan.mac in unknown

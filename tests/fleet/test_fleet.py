@@ -70,8 +70,8 @@ def traced_trial(seed):
 
 def metric_trial(seed):
     """Records seed-dependent metrics through the ambient obs context."""
-    from repro.obs.runtime import obs_metrics
-    m = obs_metrics()
+    from repro.obs.runtime import instruments
+    m = instruments().metrics
     if m is not None:
         m.incr("fleet.test.calls")
         m.incr("fleet.test.seed_sum", seed)
@@ -233,8 +233,8 @@ def test_collect_metrics_wraps_trial_outcome_trials():
 
 def lineage_trial(seed):
     """Transmits `seed % 3 + 1` frames through an ambient flight recorder."""
-    from repro.obs.lineage import flight_recorder
-    rec = flight_recorder()
+    from repro.obs.runtime import instruments
+    rec = instruments().recorder
     if rec is not None:
         for i in range(seed % 3 + 1):
             tid = rec.begin("dot11", f"host{seed}", float(i))
@@ -324,9 +324,9 @@ def test_empty_campaign():
 def publishing_trial(seed):
     """Publishes three cumulative snapshots through the ambient channel."""
     from repro.fleet import fleet_publish
-    from repro.obs.runtime import obs_metrics
+    from repro.obs.runtime import instruments
 
-    m = obs_metrics()
+    m = instruments().metrics
     for step in range(3):
         if m is not None:
             m.incr("fleet.test.progress")
@@ -407,9 +407,9 @@ def test_snapshots_without_listener_are_discarded():
 
 def rich_trial(seed):
     """Metrics + trace in one trial, for payload round-trips."""
-    from repro.obs.runtime import obs_metrics
+    from repro.obs.runtime import instruments
 
-    m = obs_metrics()
+    m = instruments().metrics
     if m is not None:
         m.incr("fleet.test.calls")
         m.observe("fleet.test.hist", float(seed % 7), lo=0.0, hi=8.0, bins=4)

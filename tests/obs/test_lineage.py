@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.obs.lineage import (FlightRecorder, Hop, Lineage, flight_recorder,
-                               recording)
+from repro.obs.lineage import FlightRecorder, Hop, Lineage, recording
+from repro.obs.runtime import instruments
 
 
 # ----------------------------------------------------------------------
@@ -234,20 +234,20 @@ def test_lineage_dict_roundtrip_preserves_hops_dropped():
 # ----------------------------------------------------------------------
 
 def test_recording_installs_and_restores_nested():
-    assert flight_recorder() is None
+    assert instruments().recorder is None
     with recording(capacity=8) as outer:
-        assert flight_recorder() is outer
+        assert instruments().recorder is outer
         with recording(capacity=4) as inner:
-            assert flight_recorder() is inner
-        assert flight_recorder() is outer
-    assert flight_recorder() is None
+            assert instruments().recorder is inner
+        assert instruments().recorder is outer
+    assert instruments().recorder is None
 
 
 def test_recording_restores_on_exception():
     with pytest.raises(RuntimeError):
         with recording():
             raise RuntimeError("boom")
-    assert flight_recorder() is None
+    assert instruments().recorder is None
 
 
 def test_simulator_registers_its_trace_with_the_recorder():

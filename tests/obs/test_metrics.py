@@ -251,16 +251,6 @@ def test_registry_merge_deep_copies_absent_metrics():
     assert dst.value("only.here") == 2
 
 
-def test_disabled_registry_records_nothing():
-    reg = MetricsRegistry(enabled=False)
-    reg.incr("a")
-    reg.set_gauge("b", 1.0)
-    reg.add_time("c", 1.0)
-    reg.observe("d", 1.0, lo=0.0, hi=10.0, bins=2)
-    assert reg.snapshot() == {}
-    assert reg.value("a") == 0
-
-
 def test_registry_subtree_and_queries():
     reg = MetricsRegistry()
     reg.incr("radio.deliveries", 5)

@@ -1,6 +1,7 @@
 """Profiler: span accounting, merge law, breakdown report."""
 
 import math
+from time import sleep
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,8 +44,8 @@ def test_record_accumulates_count_total_min_max():
     assert p.count("cat") == 3
     assert math.isclose(p.total_s("cat"), 0.7)
     assert math.isclose(p.mean_s("cat"), 0.7 / 3)
-    assert p._acc["cat"][2] == 0.1  # min
-    assert p._acc["cat"][3] == 0.4  # max
+    assert p.registry.get("cat").min_s == 0.1
+    assert p.registry.get("cat").max_s == 0.4
 
 
 def test_unknown_category_queries():
@@ -74,8 +75,8 @@ def test_merge_equals_single_pass(spans, cuts):
         assert merged.count(cat) == whole.count(cat)
         assert math.isclose(merged.total_s(cat), whole.total_s(cat),
                             rel_tol=1e-9, abs_tol=1e-12)
-        assert merged._acc[cat][2] == whole._acc[cat][2]
-        assert merged._acc[cat][3] == whole._acc[cat][3]
+        assert merged.registry.get(cat).min_s == whole.registry.get(cat).min_s
+        assert merged.registry.get(cat).max_s == whole.registry.get(cat).max_s
 
 
 def test_merge_copies_new_categories():
@@ -95,6 +96,37 @@ def test_to_dict_from_dict_roundtrip():
     p.record("b", 0.25)
     clone = Profiler.from_dict(p.to_dict())
     assert clone.to_dict() == p.to_dict()
+    # The same timer schema as a metrics snapshot.
+    assert p.to_dict() == p.registry.snapshot()
+    assert p.to_dict()["a"] == {"kind": "timer", "count": 2, "total_s": 2.0,
+                                "min_s": 0.5, "max_s": 1.5}
+
+
+def test_nested_span_self_time_excludes_the_inner_span():
+    p = Profiler()
+    with p.span("outer"):
+        sleep(0.002)
+        with p.span("inner"):
+            sleep(0.002)
+    assert p.count("outer") == p.count("inner") == 1
+    assert p.self_s("inner") == p.total_s("inner")
+    assert p.self_s("outer") == p.total_s("outer") - p.total_s("inner")
+    assert p.self_s("outer") > 0.0
+    assert math.isclose(p.grand_total_s(), p.total_s("outer"))
+    shares = [float(r["share"].rstrip("%")) for r in p.breakdown()]
+    assert math.isclose(sum(shares), 100.0, abs_tol=0.11)
+
+
+def test_record_inside_a_span_counts_as_its_child():
+    p = Profiler()
+    with p.span("outer"):
+        p.record("leaf", 0.0)
+    assert p.self_s("outer") == p.total_s("outer")
+    p = Profiler()
+    with p.span("outer"):
+        sleep(0.001)
+        p.record("leaf", 0.0005)
+    assert p.self_s("outer") == p.total_s("outer") - 0.0005
 
 
 def test_iter_orders_by_total_descending():

@@ -1,35 +1,40 @@
-"""The ambient collecting() context: nesting, restoration, gating."""
+"""The one ambient instrumentation context: nesting, restoration, gating."""
+
+from contextlib import contextmanager, nullcontext
+from itertools import product
 
 import pytest
 
-from repro.obs.runtime import (Collection, active_profiler, collecting,
-                               obs_metrics)
+from repro.fleet.channel import publishing
+from repro.obs.lineage import recording
+from repro.obs.runtime import (Collection, Instrumentation, collecting,
+                               installed, instruments)
+from repro.wids.runtime import wids_watch
 
 
 def test_no_context_means_none():
-    assert obs_metrics() is None
-    assert active_profiler() is None
+    assert instruments() == Instrumentation()
 
 
 def test_collecting_installs_and_restores():
     with collecting() as col:
-        assert obs_metrics() is col.registry
-        assert active_profiler() is None  # profile off by default
-    assert obs_metrics() is None
+        assert instruments().metrics is col.registry
+        assert instruments().profiler is None  # profile off by default
+    assert instruments().metrics is None
 
 
 def test_collecting_profile_enables_profiler():
     with collecting(profile=True) as col:
-        assert active_profiler() is col.profiler
+        assert instruments().profiler is col.profiler
         assert col.profiler is not None
-    assert active_profiler() is None
+    assert instruments().profiler is None
 
 
 def test_disabled_metrics_hide_the_registry():
     with collecting(metrics=False) as col:
         # Instrumentation sees "off" ...
-        assert obs_metrics() is None
-        # ... but the context still snapshots a stable (empty) shape.
+        assert instruments().metrics is None
+        # ... and the context's own registry stays empty.
         assert col.snapshot() == {}
 
 
@@ -37,9 +42,9 @@ def test_contexts_nest_innermost_wins():
     with collecting() as outer:
         outer.registry.incr("outer.only")
         with collecting() as inner:
-            assert obs_metrics() is inner.registry
-            obs_metrics().incr("inner.only")
-        assert obs_metrics() is outer.registry
+            assert instruments().metrics is inner.registry
+            instruments().metrics.incr("inner.only")
+        assert instruments().metrics is outer.registry
     assert "inner.only" not in outer.snapshot()
 
 
@@ -47,15 +52,15 @@ def test_context_restored_when_body_raises():
     with pytest.raises(RuntimeError):
         with collecting():
             raise RuntimeError("trial died")
-    assert obs_metrics() is None
-    assert active_profiler() is None
+    assert instruments().metrics is None
+    assert instruments().profiler is None
 
 
 def test_recording_through_the_ambient_context():
     with collecting(profile=True) as col:
-        m = obs_metrics()
+        m = instruments().metrics
         m.incr("radio.deliveries", 3)
-        with active_profiler().span("radio.fanout"):
+        with instruments().profiler.span("radio.fanout"):
             pass
     snap = col.snapshot()
     assert snap["radio.deliveries"]["value"] == 3
@@ -64,5 +69,55 @@ def test_recording_through_the_ambient_context():
 
 def test_collection_defaults():
     col = Collection()
-    assert col.registry.enabled
+    assert len(col.registry) == 0
     assert col.profiler is None
+
+
+def test_installed_rejects_unknown_fields():
+    with pytest.raises(TypeError):
+        with installed(nonsense=1):
+            pass
+    assert instruments() == Instrumentation()
+
+
+# ----------------------------------------------------------------------
+# every observer shares the one record
+# ----------------------------------------------------------------------
+
+@contextmanager
+def _publish_to_list():
+    with publishing([].append):
+        yield instruments().publish
+
+
+#: context -> (field it installs, how to read the installed object back)
+_OBSERVERS = {
+    "collecting": (lambda: collecting(profile=True), "metrics",
+                   lambda col: col.registry),
+    "recording": (recording, "recorder", lambda rec: rec),
+    "wids_watch": (wids_watch, "wids", lambda watch: watch),
+    "publishing": (_publish_to_list, "publish", lambda fn: fn),
+}
+_PAIRS = [(a, b) for a, b in product(_OBSERVERS, repeat=2) if a != b]
+
+
+@pytest.mark.parametrize("outer,inner", _PAIRS)
+@pytest.mark.parametrize("raises", [False, True])
+def test_nested_observers_keep_each_other_visible(outer, inner, raises):
+    outer_cm, outer_field, outer_obj = _OBSERVERS[outer]
+    inner_cm, inner_field, inner_obj = _OBSERVERS[inner]
+    with pytest.raises(RuntimeError) if raises else nullcontext():
+        with outer_cm() as a:
+            after_outer = instruments()
+            assert getattr(after_outer, outer_field) is outer_obj(a)
+            try:
+                with inner_cm() as b:
+                    record = instruments()
+                    assert getattr(record, inner_field) is inner_obj(b)
+                    # The inner observer leaves the outer one in place.
+                    assert getattr(record, outer_field) is outer_obj(a)
+                    if raises:
+                        raise RuntimeError("trial died")
+            finally:
+                assert instruments() is after_outer
+    assert instruments() == Instrumentation()

@@ -3,7 +3,7 @@
 from repro.dot11.capture import CapturedFrame, FrameCapture
 from repro.dot11.frames import make_beacon, make_deauth
 from repro.dot11.mac import BROADCAST, MacAddress
-from repro.obs import collecting
+from repro.obs import collecting, installed
 from repro.wids.alerts import MAX_TRACE_IDS, Alert
 from repro.wids.correlate import AlertCorrelator
 from repro.wids.detectors import DeauthFloodDetector, Detection
@@ -134,9 +134,9 @@ def test_engine_records_ambient_metrics():
     assert reg.value("wids.alerts.deauth-flood") == 1
 
 
-def test_engine_record_metrics_false_is_silent():
-    with collecting() as col:
-        engine = WidsEngine([DeauthFloodDetector()], record_metrics=False)
+def test_engine_with_metrics_uninstalled_is_silent():
+    with collecting() as col, installed(metrics=None):
+        engine = WidsEngine([DeauthFloodDetector()])
         capture = FrameCapture()
         engine.attach(capture)
         for cap in _flood_caps():
@@ -157,6 +157,5 @@ def test_engine_benign_traffic_no_alerts():
 
 
 def test_engine_max_evidence_passthrough():
-    engine = WidsEngine([DeauthFloodDetector()], record_metrics=False,
-                        max_evidence=2)
+    engine = WidsEngine([DeauthFloodDetector()], max_evidence=2)
     assert engine.correlator.max_evidence == 2

@@ -20,7 +20,7 @@ from repro.dot11.ies import IeId, InformationElement
 from repro.dot11.mac import BROADCAST, MacAddress
 from repro.obs import collecting
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import installed, instruments
 from repro.wids.detectors import DETECTORS, Detector
 from repro.wids.engine import WidsEngine
 from repro.wids.evaluation import (GroundTruth, Scorecard, ScoreRow,
@@ -46,7 +46,7 @@ def evaluate_rescan(
     cell is whether a real engine at that threshold alerts at all.
     """
     local = registry if registry is not None else MetricsRegistry()
-    ambient = obs_metrics()
+    ambient = instruments().metrics
 
     def incr(name: str) -> None:
         local.incr(name)
@@ -60,9 +60,9 @@ def evaluate_rescan(
 
     for name, cls in DETECTORS.items():
         for threshold in cls.SWEEP:
-            engine = WidsEngine([cls(threshold=threshold)],
-                                record_metrics=False)
-            engine.scan(capture)
+            engine = WidsEngine([cls(threshold=threshold)])
+            with installed(metrics=None):
+                engine.scan(capture)
             alerted = bool(engine.alerts)
             if truth.rogue_present:
                 cell = "tp" if alerted else "fn"
@@ -256,7 +256,7 @@ def test_crossings_match_engine_first_alert():
         capture, GroundTruth(rogue_present=True))
     for det, cls in DETECTORS.items():
         assert set(crossings[det]) == set(cls.SWEEP)
-        engine = WidsEngine([cls()], record_metrics=False)
+        engine = WidsEngine([cls()])
         engine.scan(capture)
         expected = engine.alerts[0].t if engine.alerts else None
         assert crossings[det][cls.default_threshold] == expected

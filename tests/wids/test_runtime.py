@@ -1,20 +1,21 @@
 """The ambient WIDS watch: radio-layer feed, zero perturbation."""
 
 from repro.core.scenario import build_corp_scenario
-from repro.wids.runtime import WidsWatch, active_wids, wids_watch
+from repro.obs.runtime import instruments
+from repro.wids.runtime import WidsWatch, wids_watch
 
 
 def test_active_wids_none_by_default():
-    assert active_wids() is None
+    assert instruments().wids is None
 
 
 def test_wids_watch_installs_and_restores():
     with wids_watch() as outer:
-        assert active_wids() is outer
+        assert instruments().wids is outer
         with wids_watch() as inner:
-            assert active_wids() is inner
-        assert active_wids() is outer  # nesting restores the previous
-    assert active_wids() is None
+            assert instruments().wids is inner
+        assert instruments().wids is outer  # nesting restores the previous
+    assert instruments().wids is None
 
 
 def test_wids_watch_restores_on_exception():
@@ -23,7 +24,7 @@ def test_wids_watch_restores_on_exception():
             raise RuntimeError("boom")
     except RuntimeError:
         pass
-    assert active_wids() is None
+    assert instruments().wids is None
 
 
 def test_watch_hears_the_rogue_world():
