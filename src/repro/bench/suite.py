@@ -9,6 +9,8 @@ One registration per claim the repo has shipped:
 * ``wire/checksum_mb_per_s``, ``wire/encode_cache_hit_rate``,
   ``wire/encode_cached_speedup`` — PR 5's streaming checksum and
   ~144x encode cache;
+* ``wire/beacon_roundtrips_per_s`` — beacon build → decode through the
+  content-keyed IE caches of ``repro.dot11.frames``;
 * ``netstack/tcpip_roundtrip_per_s`` — zero-copy decode + in-place
   checksum patching;
 * ``crypto/rc4_mb_per_s`` — the WEP/FMS inner loop;
@@ -225,6 +227,35 @@ def wire_rsn_ie_roundtrips(scale: float = 1.0) -> BenchSample:
     elapsed = time.perf_counter() - t0
     return BenchSample(value=rounds / elapsed,
                        payload={"rounds": rounds, "wire_crc32": crc})
+
+
+@register("wire", "beacon_roundtrips_per_s", unit="ops/s",
+          higher_is_better=True)
+def wire_beacon_roundtrips(scale: float = 1.0) -> BenchSample:
+    """``make_beacon`` → ``parse_beacon`` round trips, a fresh frame each.
+
+    An AP's beacon loop: the timestamp and sequence number change, the
+    IEs (SSID, rates, DS, RSN) do not, so this times the content-keyed
+    IE caches of ``repro.dot11.frames``, not the one-entry decode memo.
+    """
+    from repro.dot11.frames import make_beacon
+    from repro.dot11.mac import MacAddress
+    from repro.rsn.ie import RsnIe
+
+    rounds = _scaled(5_000, scale, 1_000)
+    bssid = MacAddress(_MAC_AP)
+    rsn = (RsnIe.wpa2().to_ie(),)
+    t0 = time.perf_counter()
+    for i in range(rounds):
+        info = make_beacon(bssid, "CORP", 6, privacy=True,
+                           timestamp=i * 102_400, seq=i & 0xFFF,
+                           extra_ies=rsn).parse_beacon()
+        assert info.timestamp == i * 102_400
+    elapsed = time.perf_counter() - t0
+    last = make_beacon(bssid, "CORP", 6, privacy=True, extra_ies=rsn)
+    return BenchSample(value=rounds / elapsed,
+                       payload={"rounds": rounds,
+                                "wire_crc32": zlib.crc32(last.to_bytes())})
 
 
 # --------------------------------------------------------------------------

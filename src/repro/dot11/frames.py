@@ -18,7 +18,8 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from repro.dot11.ies import (
     IeId,
@@ -174,6 +175,9 @@ _MAC_HEADER = HeaderSpec(
     u16("seqctl"),
 )
 
+#: Beacon / probe-response fixed prefix: timestamp, interval, capability.
+_BEACON_FIXED = struct.Struct("<QHH")
+
 #: One-entry memo of :meth:`Dot11Frame.parse_beacon`: ``(frame, info)``
 #: for the last beacon decoded.  Every NIC in range and every WIDS
 #: detector reads the same frame object back to back, so one entry
@@ -181,8 +185,36 @@ _MAC_HEADER = HeaderSpec(
 #: never be a recycled id, and it is sound for the same reason the
 #: encode cache is: wire fields are never mutated after construction.
 #: Kept here, not on the frame, so captured beacons carry no decoded
-#: copy.
+#: copy.  A miss falls through to the content cache ``_beacon_fields``,
+#: which serves a fresh frame whose IE tail was decoded before.
 _last_beacon: tuple = (None, None)
+
+
+# A beacon is self-asserted and constant (§3.1): from one beacon to the
+# next only the timestamp and the sequence number change.  The IE tail
+# is therefore built and decoded once per distinct content, in the two
+# caches below.  ``lru_cache`` never stores an exception, so invalid
+# arguments and truncated IEs raise on every call.
+
+@lru_cache(maxsize=256, typed=True)
+def _beacon_ies(ssid: str, channel: int,
+                extra: tuple[InformationElement, ...]) -> bytes:
+    """Packed IEs of a beacon or probe response: SSID, rates, DS, *extra*."""
+    return pack_ies([ssid_ie(ssid), rates_ie(), ds_param_ie(channel), *extra])
+
+
+@lru_cache(maxsize=256)
+def _beacon_fields(tail: bytes) -> tuple:
+    """``(ssid, channel, rsn, csa)`` decoded from a beacon's IE tail."""
+    ies = parse_ies(tail)
+    ssid = find_ie(ies, IeId.SSID)
+    ds = find_ie(ies, IeId.DS_PARAMETER)
+    rsn = find_ie(ies, IeId.RSN)
+    csa = find_ie(ies, IeId.CHANNEL_SWITCH)
+    return (ssid.data.decode("utf-8", "replace") if ssid else "",
+            ds.data[0] if ds and ds.data else 0,
+            rsn.data if rsn else None,
+            csa.data if csa else None)
 
 
 @dataclass(slots=True)
@@ -378,8 +410,9 @@ class Dot11Frame:
         """Parse a beacon or probe-response body.
 
         Repeat calls on the frame decoded last return the same
-        :class:`BeaconInfo` (see ``_last_beacon``); errors are raised
-        afresh on every call and never cached.
+        :class:`BeaconInfo` (see ``_last_beacon``), and an IE tail seen
+        before is not decoded again (``_beacon_fields``); errors are
+        raised afresh on every call and never cached.
         """
         global _last_beacon
         if self.subtype not in (FrameSubtype.BEACON, FrameSubtype.PROBE_RESP):
@@ -389,21 +422,17 @@ class Dot11Frame:
             return last[1]
         if len(self.body) < 12:
             raise ProtocolError("beacon body too short")
-        timestamp, interval, capability = struct.unpack("<QHH", self.body[:12])
-        ies = parse_ies(self.body[12:])
-        ssid = find_ie(ies, IeId.SSID)
-        ds = find_ie(ies, IeId.DS_PARAMETER)
-        rsn = find_ie(ies, IeId.RSN)
-        csa = find_ie(ies, IeId.CHANNEL_SWITCH)
+        timestamp, interval, capability = _BEACON_FIXED.unpack_from(self.body)
+        ssid, channel, rsn, csa = _beacon_fields(self.body[12:])
         info = BeaconInfo(
             timestamp=timestamp,
             interval_tu=interval,
             capability=capability,
-            ssid=ssid.data.decode("utf-8", "replace") if ssid else "",
-            channel=ds.data[0] if ds and ds.data else 0,
+            ssid=ssid,
+            channel=channel,
             bssid=self.addr3,
-            rsn=rsn.data if rsn else None,
-            csa=csa.data if csa else None,
+            rsn=rsn,
+            csa=csa,
         )
         _last_beacon = (self, info)
         return info
@@ -493,7 +522,7 @@ def make_beacon(
     interval_tu: int = 100,
     timestamp: int = 0,
     seq: int = 0,
-    extra_ies: Optional[list[InformationElement]] = None,
+    extra_ies: Optional[Sequence[InformationElement]] = None,
 ) -> Dot11Frame:
     """A beacon frame, broadcast from the AP.
 
@@ -503,10 +532,8 @@ def make_beacon(
     the default keeps the body byte-identical to the frozen goldens.
     """
     capability = CAP_ESS | (CAP_PRIVACY if privacy else 0)
-    ies = [ssid_ie(ssid), rates_ie(), ds_param_ie(channel)]
-    if extra_ies:
-        ies.extend(extra_ies)
-    body = struct.pack("<QHH", timestamp, interval_tu, capability) + pack_ies(ies)
+    body = (_BEACON_FIXED.pack(timestamp, interval_tu, capability)
+            + _beacon_ies(ssid, channel, tuple(extra_ies or ())))
     return Dot11Frame(
         subtype=FrameSubtype.BEACON,
         addr1=BROADCAST,
@@ -539,13 +566,11 @@ def make_probe_response(
     privacy: bool = False,
     timestamp: int = 0,
     seq: int = 0,
-    extra_ies: Optional[list[InformationElement]] = None,
+    extra_ies: Optional[Sequence[InformationElement]] = None,
 ) -> Dot11Frame:
     capability = CAP_ESS | (CAP_PRIVACY if privacy else 0)
-    ies = [ssid_ie(ssid), rates_ie(), ds_param_ie(channel)]
-    if extra_ies:
-        ies.extend(extra_ies)
-    body = struct.pack("<QHH", timestamp, 100, capability) + pack_ies(ies)
+    body = (_BEACON_FIXED.pack(timestamp, 100, capability)
+            + _beacon_ies(ssid, channel, tuple(extra_ies or ())))
     return Dot11Frame(
         subtype=FrameSubtype.PROBE_RESP,
         addr1=dest,

@@ -161,7 +161,7 @@ class ApCore:
             sae_group = DH_GROUP_1536
         self.sae_group = sae_group
         # Advertised in every beacon/probe response; packed once.
-        self._rsn_ies = [rsn.to_ie()] if rsn is not None else None
+        self._rsn_ies = (rsn.to_ie(),) if rsn is not None else None
         # SAE RNG substream is created lazily on the first commit, so
         # legacy (non-RSN) worlds draw nothing new — substreams are
         # independently seeded, but not creating one at all is the

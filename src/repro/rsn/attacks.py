@@ -131,7 +131,7 @@ class CsaLureAttack:
         if rsn is not None:
             ies.append(rsn.to_ie())
         ies.append(CsaIe(new_channel=lure_channel, count=csa_count).to_ie())
-        self._extra_ies = ies
+        self._extra_ies = tuple(ies)
         self._legit_channel = legit_channel
         self.frames_injected = 0
         self._stop = None

@@ -4,7 +4,9 @@ Ground truth comes from the scenario itself — we *built* the world, so
 we know whether a rogue is present and when the attack started.
 :func:`evaluate` scans a finished capture **once**: each frame goes to
 every registered detector in registry order, so all of them read a
-beacon back to back and share one decode (the ``parse_beacon`` memo).
+beacon back to back and share one decode (the ``parse_beacon`` identity
+memo; a fresh beacon with IEs seen before skips the IE decode through
+the content cache behind it).
 Per detector it keeps each subject's running evidence total and, for
 every ``SWEEP`` threshold, the time of the first event whose total
 reaches it; no event list is stored.  This is sound because detector
