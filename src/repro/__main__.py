@@ -4,22 +4,21 @@ Usage::
 
     python -m repro list                 # index of experiments
     python -m repro run FIG2             # run one and print its tables
-    python -m repro run all              # run everything (slow)
+    python -m repro run all --markdown out.md
+                                         # run everything (slow) and
+                                         # write a markdown report
+    python -m repro run FIG2 --profile --trace --wids --json out.json
+                                         # one pass under every observer:
+                                         # per-category self time +
+                                         # metrics, the reconstructed
+                                         # MITM path, the live alert
+                                         # timeline + detector scorecard
+    python -m repro run FIG2 --trace --pcap f.pcap --chrome f.json
+                                         # export the flight recorder as
+                                         # pcap + Perfetto trace events
     python -m repro threats              # the §1–3 threat taxonomy
-    python -m repro report out.md        # run everything, write markdown
     python -m repro sweep FIG2 --trials 32 --workers 4 --json out.json
                                          # multi-seed parallel campaign
-    python -m repro profile FIG2         # run under the observability
-                                         # layer, print the per-category
-                                         # time/count breakdown + metrics
-    python -m repro trace FIG2 --pcap f.pcap --chrome f.json
-                                         # run under the flight recorder,
-                                         # print the reconstructed MITM
-                                         # path, export pcap + Perfetto
-    python -m repro wids FIG2 --json scorecard.json
-                                         # run under the ambient WIDS
-                                         # watch, print the live alert
-                                         # timeline + detector scorecard
     python -m repro sweep E-WIDS --trials 8 --wids scorecard.json
                                          # merged fleet-wide scorecard
     python -m repro serve --rate 50 --duration 30 --jsonl tele.jsonl
@@ -41,6 +40,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import ExitStack
 
 from repro.core.registry import (EXPERIMENTS, SeededExperiment,
                                  get_experiment, render_result,
@@ -48,54 +48,26 @@ from repro.core.registry import (EXPERIMENTS, SeededExperiment,
 from repro.core.report import format_table
 from repro.core.threatmodel import threat_taxonomy
 
-
-def cmd_list() -> int:
-    rows = [[s.exp_id, s.title, s.paper_anchor, s.bench_target]
-            for s in EXPERIMENTS]
-    print(format_table(["id", "title", "paper", "bench target"], rows,
-                       title="Experiments (see DESIGN.md §4)"))
-    return 0
+#: Flight-recorder ring size for ``run --trace``/``--wids``.  Trace ids
+#: are assigned in sequence whatever the capacity, so alert ``trace_ids``
+#: do not depend on it.
+RECORDER_CAPACITY = 8192
 
 
-def cmd_run(exp_id: str) -> int:
-    specs = EXPERIMENTS if exp_id.lower() == "all" else [get_experiment(exp_id)]
-    for spec in specs:
-        print(f"\n=== {spec.exp_id}: {spec.title}  ({spec.paper_anchor}) ===")
-        start = time.perf_counter()
-        result = spec.runner()
-        elapsed = time.perf_counter() - start
-        print(render_result(result))
-        print(f"[{spec.exp_id} completed in {elapsed:.1f}s]")
-    return 0
-
-
-def cmd_report(path: str) -> int:
-    """Run every experiment and write a markdown results report."""
-    lines = [
-        "# Reproduction report",
-        "",
-        "Generated by `python -m repro report`.  One section per",
-        "experiment of DESIGN.md §4; compare against EXPERIMENTS.md.",
-        "",
-    ]
-    for spec in EXPERIMENTS:
-        print(f"running {spec.exp_id} ...", flush=True)
-        start = time.perf_counter()
-        result = spec.runner()
-        elapsed = time.perf_counter() - start
-        lines.append(f"## {spec.exp_id} — {spec.title}")
-        lines.append("")
-        lines.append(f"Paper anchor: {spec.paper_anchor}; bench: "
-                     f"`{spec.bench_target}`; runtime {elapsed:.1f}s.")
-        lines.append("")
-        lines.append("```")
-        lines.append(render_result(result))
-        lines.append("```")
-        lines.append("")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+def _write(path: str, text: str) -> int:
+    """Write ``text`` to ``path``: 0 on success, 1 (reported) on failure."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {path}")
     return 0
+
+
+def _write_json(path: str, payload: dict) -> int:
+    return _write(path, json.dumps(payload, indent=2))
 
 
 def _jsonable(value):
@@ -109,131 +81,95 @@ def _jsonable(value):
     return str(value)
 
 
-def cmd_profile(exp_id: str, json_path: str | None = None) -> int:
-    """Run one experiment under the observability layer and report.
+def cmd_list(args: argparse.Namespace) -> int:
+    rows = [[s.exp_id, s.title, s.paper_anchor, s.bench_target]
+            for s in EXPERIMENTS]
+    print(format_table(["id", "title", "paper", "bench target"], rows,
+                       title="Experiments (see DESIGN.md §4)"))
+    return 0
 
-    Prints the wall-clock profiling breakdown (kernel dispatch by
-    module, radio fan-out, frame codec, RC4/FMS) and the metrics
-    registry the run accumulated.  ``--json`` additionally writes the
-    raw snapshot for machine consumption.
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """Run one experiment (or ``all``) under the observers the flags ask for.
+
+    Every observer is installed through the one ambient instrumentation
+    context around a single call of the runner, so any mix of
+    ``--profile``, ``--trace`` and ``--wids`` costs one pass:
+
+    * ``--profile``: the per-category self-time breakdown and the
+      metrics registry the run accumulated;
+    * ``--trace`` (implied by ``--pcap``/``--chrome``/``--follow``): the
+      flight recorder's causal chain to the netsed rewrite (or the
+      ``--follow`` lineage), plus pcap / Chrome trace-event exports;
+    * ``--wids``: the ambient WIDS watch's alert timeline, each alert
+      linked to the lineage ``trace_id``\\ s of its frames, and the
+      detector scorecard when the run recorded ``wids.eval.*`` metrics.
+
+    ``--json`` writes every requested section; with ``all`` it writes
+    one such record per experiment under ``runs``.
+    ``--markdown`` writes the rendered tables as a report.
     """
-    from repro.obs import collecting
-
-    spec = get_experiment(exp_id)  # KeyError -> exit 2, handled by main()
-    print(f"profiling {spec.exp_id}: {spec.title}  ({spec.paper_anchor})")
-    start = time.perf_counter()
-    with collecting(profile=True) as col:
-        spec.runner()
-    elapsed = time.perf_counter() - start
-    print(f"[{spec.exp_id} completed in {elapsed:.1f}s]\n")
-    print(col.profiler.report())
-    print()
-    print(col.registry.report())
-    if json_path:
-        payload = {
-            "experiment": spec.exp_id,
-            "title": spec.title,
-            "elapsed_s": elapsed,
-            "profile": col.profiler.to_dict(),
-            "metrics": col.snapshot(),
-        }
-        try:
-            with open(json_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError as exc:
-            print(f"cannot write {json_path}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {json_path}")
-    return 0
-
-
-def cmd_sweep(exp_id: str, trials: int, workers: int, seed_base: int,
-              timeout: float | None, json_path: str | None,
-              metrics_path: str | None = None,
-              flight_recorder: int = 0,
-              wids_path: str | None = None) -> int:
-    """Run a registered experiment as a parallel multi-seed campaign."""
-    from repro.fleet import run_campaign
-
-    spec = get_experiment(exp_id)  # KeyError -> exit 2, handled by main()
-    if not spec_accepts_seed(spec):
-        print(f"note: {spec.exp_id}'s runner loops seeds internally; "
-              f"every sweep seed reproduces the same tables", file=sys.stderr)
-    result = run_campaign(trials, SeededExperiment(spec.exp_id),
-                          seed_base=seed_base, workers=workers,
-                          timeout=timeout,
-                          collect_metrics=(metrics_path is not None
-                                           or wids_path is not None),
-                          flight_recorder=flight_recorder)
-    rows = [[f.seed, "FAILED", f"{f.kind}: {f.message}"] for f in result.failures]
-    rows += [[seed, "ok", f"{len(value.get('rows', []))} rows"
-              if isinstance(value, dict) else repr(value)]
-             for seed, value in result.per_seed.items()]
-    rows.sort(key=lambda r: r[0])
-    print(format_table(
-        ["seed", "status", "result"], rows,
-        title=f"Sweep {spec.exp_id}: {trials} trials, {result.workers} "
-              f"worker(s), {result.elapsed_s:.1f}s "
-              f"({result.throughput:.1f} trials/s)"))
-    if flight_recorder:
-        merged = result.merged_lineages
-        hops = sum(len(ln.get("hops", [])) for ln in merged)
-        print(f"flight recorder: {len(merged)} lineage sample(s) "
-              f"({hops} hops) from {len(result.lineages)} seed(s), "
-              f"<= {flight_recorder} per seed, merged in seed order")
-    if json_path:
-        payload = {"experiment": spec.exp_id, "title": spec.title,
-                   **_jsonable(result.to_json_dict())}
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {json_path}")
-    if metrics_path:
-        merged = result.merged_metrics
-        payload = {
-            "experiment": spec.exp_id,
-            "trials": trials,
-            "seed_base": seed_base,
-            "metrics": merged.snapshot() if merged is not None else {},
-        }
-        try:
-            with open(metrics_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError as exc:
-            print(f"cannot write {metrics_path}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {metrics_path}")
-    if wids_path:
-        from repro.wids import Scorecard
-
-        merged = result.merged_metrics
-        card = Scorecard.from_registry(merged) if merged is not None \
-            else Scorecard([], {})
-        if card.rows():
+    trace = (args.trace or args.pcap_path or args.chrome_path
+             or args.follow is not None)
+    run_all = args.experiment.lower() == "all"
+    if run_all and (args.pcap_path or args.chrome_path
+                    or args.follow is not None):
+        print("--pcap, --chrome and --follow need one experiment, not 'all'",
+              file=sys.stderr)
+        return 2
+    specs = EXPERIMENTS if run_all else [get_experiment(args.experiment)]
+    status, runs = 0, []
+    markdown = ["# Reproduction report", "",
+                f"Generated by `python -m repro run {args.experiment} "
+                f"--markdown`.  One section per experiment of DESIGN.md §4;",
+                "compare against EXPERIMENTS.md.", ""]
+    for spec in specs:
+        print(f"\n=== {spec.exp_id}: {spec.title}  ({spec.paper_anchor}) ===")
+        with ExitStack() as stack:
+            col = rec = watch = None
+            if args.profile or args.wids:
+                from repro.obs import collecting
+                col = stack.enter_context(collecting(profile=args.profile))
+            if trace or args.wids:
+                # The recorder also gives frames the trace_ids each alert
+                # links to, so `--trace --follow` can chase any of them.
+                from repro.obs.lineage import recording
+                rec = stack.enter_context(recording(RECORDER_CAPACITY))
+            if args.wids:
+                from repro.wids import wids_watch
+                watch = stack.enter_context(wids_watch())
+            start = time.perf_counter()
+            result = spec.runner()
+            elapsed = time.perf_counter() - start
+        rendered = render_result(result)
+        print(rendered)
+        print(f"[{spec.exp_id} completed in {elapsed:.1f}s]")
+        record = {"experiment": spec.exp_id, "title": spec.title,
+                  "elapsed_s": elapsed}
+        if args.profile:
+            print(f"\nprofiling {spec.exp_id}: self time by category, "
+                  f"then the metrics registry")
+            print(col.profiler.report())
             print()
-            print(card.report(
-                title=f"Merged WIDS scorecard: {trials} trials, "
-                      f"seed-order merge (serial == parallel)"))
-        else:
-            print(f"note: {spec.exp_id} recorded no wids.eval.* metrics; "
-                  f"the scorecard is empty (use E-WIDS)", file=sys.stderr)
-        payload = {
-            "experiment": spec.exp_id,
-            "trials": trials,
-            "seed_base": seed_base,
-            "workers": result.workers,
-            "scorecard": card.to_json_dict(),
-        }
-        try:
-            with open(wids_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError as exc:
-            print(f"cannot write {wids_path}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {wids_path}")
-    if result.failures and not result.per_seed:
-        print("every trial failed", file=sys.stderr)
-        return 1
-    return 0
+            print(col.registry.report())
+            record["profile"] = col.profiler.to_dict()
+        if col is not None:
+            record["metrics"] = col.snapshot()
+        if trace:
+            status = max(status, _trace_section(spec, rec, args))
+        if watch is not None:
+            record.update(_wids_section(spec, watch, col))
+        runs.append(record)
+        markdown += [f"## {spec.exp_id} — {spec.title}", "",
+                     f"Paper anchor: {spec.paper_anchor}; bench: "
+                     f"`{spec.bench_target}`; runtime {elapsed:.1f}s.", "",
+                     "```", rendered, "```", ""]
+    if args.json_path:
+        payload = {"runs": runs} if run_all else runs[0]
+        status = max(status, _write_json(args.json_path, payload))
+    if args.markdown_path:
+        status = max(status, _write(args.markdown_path, "\n".join(markdown)))
+    return status
 
 
 def _hop_line(hop) -> str:
@@ -267,39 +203,31 @@ def _print_lineage(ln, *, verbose: bool = True) -> None:
             print(f"      + {hop.detail.get('after', '')}")
 
 
-def cmd_trace(exp_id: str, pcap_path: str | None = None,
-              chrome_path: str | None = None,
-              follow: int | None = None) -> int:
-    """Run one experiment under the flight recorder and reconstruct paths.
+def _trace_section(spec, rec, args: argparse.Namespace) -> int:
+    """Reconstruct frame paths from the flight recorder and export it.
 
-    Default mode finds the netsed rewrite (the Fig. 2 MITM moment) and
-    prints the causal chain: every ancestor frame back to the victim's
-    first transmission, the rewritten frame itself with a before/after
-    payload diff, and the descendant frame that delivered the tampered
-    bytes to the victim's NIC.  ``--follow`` pins a specific trace_id
-    instead; ``--pcap``/``--chrome`` export the whole ring buffer.
+    The default view finds the netsed rewrite (the Fig. 2 MITM moment)
+    and prints the causal chain: every ancestor frame back to the
+    victim's first transmission, the rewritten frame itself with a
+    before/after payload diff, and the descendant frame that delivered
+    the tampered bytes to the victim's NIC.  ``--follow`` pins a
+    specific trace_id instead; ``--pcap``/``--chrome`` export the whole
+    ring buffer.  Returns 1 when the followed id is not retained.
     """
     from repro.obs.export import write_chrome_trace, write_pcap
-    from repro.obs.lineage import recording
 
-    spec = get_experiment(exp_id)  # KeyError -> exit 2, handled by main()
-    print(f"tracing {spec.exp_id}: {spec.title}  ({spec.paper_anchor})")
-    start = time.perf_counter()
-    with recording(capacity=8192) as rec:
-        spec.runner()
-    elapsed = time.perf_counter() - start
+    status = 0
     s = rec.summary()
     kinds = ", ".join(f"{v} {k}" for k, v in sorted(s["by_kind"].items()))
-    print(f"[{spec.exp_id} completed in {elapsed:.1f}s]  flight recorder: "
-          f"{s['lineages']} lineages ({kinds}), {s['hops']} hops, "
-          f"{s['evicted']} evicted")
-
-    if follow is not None:
-        if rec.get(follow) is None:
-            print(f"trace_id {follow} not in the ring buffer "
-                  f"(retained: 1..{s['lineages']}; older ids may have been "
-                  f"evicted)", file=sys.stderr)
-            return 1
+    print(f"\ntracing {spec.exp_id}: flight recorder: {s['lineages']} "
+          f"lineages ({kinds}), {s['hops']} hops, {s['evicted']} evicted")
+    follow = args.follow
+    if follow is not None and rec.get(follow) is None:
+        print(f"trace_id {follow} not in the ring buffer "
+              f"(retained: 1..{s['lineages']}; older ids may have been "
+              f"evicted)", file=sys.stderr)
+        status = 1
+    elif follow is not None:
         chain = rec.ancestors(follow)
         print(f"\nancestors (root -> #{follow}):")
         for ln in chain[:-1]:
@@ -311,91 +239,74 @@ def cmd_trace(exp_id: str, pcap_path: str | None = None,
             print(f"\ndescendants ({len(kids)}):")
             for ln in kids:
                 _print_lineage(ln, verbose=False)
-    else:
-        rewrites = list(rec.find_hops("netsed", "rewrite"))
-        if rewrites:
-            ln, hop = rewrites[0]
-            chain = rec.ancestors(ln.trace_id)
-            print(f"\n=== MITM path: {len(chain)}-frame causal chain to the "
-                  f"netsed rewrite (Fig. 2) ===")
-            print("upstream (root -> rewrite):")
-            for anc in chain[:-1]:
-                _print_lineage(anc, verbose=False)
-            print("\nthe rewritten flow:")
-            _print_lineage(ln, verbose=True)
-            victims = [d for d in rec.descendants(ln.trace_id)
-                       if any(h.layer == "nic" and h.action == "deliver"
-                              for h in d.hops)]
-            if victims:
-                print("\ndelivery of the tampered payload:")
-                for d in victims:
-                    _print_lineage(d, verbose=True)
-            # Corroborate against the simulator's own event trace using
-            # the Trace.between/matching query helpers.
-            for trace in rec.sim_traces:
-                events = list(trace.matching("netsed."))
-                if not events:
-                    continue
-                window = list(trace.between(hop.t - 0.5, hop.t + 0.5,
+    elif rewrites := list(rec.find_hops("netsed", "rewrite")):
+        ln, hop = rewrites[0]
+        chain = rec.ancestors(ln.trace_id)
+        print(f"\n=== MITM path: {len(chain)}-frame causal chain to the "
+              f"netsed rewrite (Fig. 2) ===")
+        print("upstream (root -> rewrite):")
+        for anc in chain[:-1]:
+            _print_lineage(anc, verbose=False)
+        print("\nthe rewritten flow:")
+        _print_lineage(ln, verbose=True)
+        victims = [d for d in rec.descendants(ln.trace_id)
+                   if any(h.layer == "nic" and h.action == "deliver"
+                          for h in d.hops)]
+        if victims:
+            print("\ndelivery of the tampered payload:")
+            for d in victims:
+                _print_lineage(d, verbose=True)
+        # Corroborate against the simulator's own event trace using the
+        # Trace.between/matching query helpers.
+        for sim_trace in rec.sim_traces:
+            events = list(sim_trace.matching("netsed."))
+            if not events:
+                continue
+            window = list(sim_trace.between(hop.t - 0.5, hop.t + 0.5,
                                             category="netsed."))
-                print(f"\nsim-trace corroboration: {len(events)} netsed.* "
-                      f"event(s), {len(window)} within +/-0.5s of the "
-                      f"rewrite:")
-                for ev in window:
-                    detail = " ".join(f"{k}={v}" for k, v in ev.detail.items())
-                    print(f"    t={ev.time:10.6f}  {ev.category}  "
-                          f"{ev.source}  {detail}")
-        else:
-            # No rewrite in this experiment: show the longest causal chain.
-            best = max(rec.lineages(), default=None,
-                       key=lambda l: len(rec.ancestors(l.trace_id)))
-            if best is not None:
-                chain = rec.ancestors(best.trace_id)
-                print(f"\nno netsed rewrite recorded; longest causal chain "
-                      f"({len(chain)} frames):")
-                for anc in chain[:-1]:
-                    _print_lineage(anc, verbose=False)
-                _print_lineage(chain[-1], verbose=True)
-            else:
-                print("\nno frames recorded (this experiment transmits "
-                      "nothing through the radio/wire layers)")
-
-    if pcap_path:
-        n = write_pcap(pcap_path, rec)
-        print(f"\nwrote {pcap_path}: {n} IEEE 802.11 frames "
+            print(f"\nsim-trace corroboration: {len(events)} netsed.* "
+                  f"event(s), {len(window)} within +/-0.5s of the rewrite:")
+            for ev in window:
+                detail = " ".join(f"{k}={v}" for k, v in ev.detail.items())
+                print(f"    t={ev.time:10.6f}  {ev.category}  "
+                      f"{ev.source}  {detail}")
+    elif (best := max(rec.lineages(), default=None,
+                      key=lambda l: len(rec.ancestors(l.trace_id)))) \
+            is not None:
+        # No rewrite in this experiment: show the longest causal chain.
+        chain = rec.ancestors(best.trace_id)
+        print(f"\nno netsed rewrite recorded; longest causal chain "
+              f"({len(chain)} frames):")
+        for anc in chain[:-1]:
+            _print_lineage(anc, verbose=False)
+        _print_lineage(chain[-1], verbose=True)
+    else:
+        print("\nno frames recorded (this experiment transmits nothing "
+              "through the radio/wire layers)")
+    if args.pcap_path:
+        n = write_pcap(args.pcap_path, rec)
+        print(f"\nwrote {args.pcap_path}: {n} IEEE 802.11 frames "
               f"(linktype {105})")
-    if chrome_path:
-        n = write_chrome_trace(chrome_path, rec)
-        print(f"wrote {chrome_path}: {n} trace events "
+    if args.chrome_path:
+        n = write_chrome_trace(args.chrome_path, rec)
+        print(f"wrote {args.chrome_path}: {n} trace events "
               f"(load in Perfetto / chrome://tracing)")
-    return 0
+    return status
 
 
-def cmd_wids(exp_id: str, json_path: str | None = None) -> int:
-    """Run one experiment under the ambient WIDS watch and report.
+def _wids_section(spec, watch, col) -> dict:
+    """Print the ambient watch's alert timeline and detector scorecard.
 
     The radio layer offers every completed transmission to the watch
     (before any receiver work — observation cannot perturb the world),
     so this works for *any* registered experiment, not just E-WIDS.
-    Prints the live alert timeline; when the run recorded
-    ``wids.eval.*`` metrics (E-WIDS does), also prints the detector
-    scorecard.  ``--json`` writes the scorecard + alerts for machine
-    consumption (the CI artifact).
+    The scorecard is printed when the run recorded ``wids.eval.*``
+    metrics (E-WIDS does).  Returns the section's JSON fields.
     """
-    from repro.obs import collecting
-    from repro.obs.lineage import recording
-    from repro.wids import Scorecard, wids_watch
+    from repro.wids import Scorecard
 
-    spec = get_experiment(exp_id)  # KeyError -> exit 2, handled by main()
-    print(f"wids-watching {spec.exp_id}: {spec.title}  ({spec.paper_anchor})")
-    start = time.perf_counter()
-    # recording() gives frames trace_ids, so each alert below links to
-    # the flight-recorder lineage `trace --follow` can reconstruct.
-    with recording(capacity=4096), collecting() as col, wids_watch() as watch:
-        spec.runner()
-    elapsed = time.perf_counter() - start
     alerts = watch.alerts()
-    print(f"[{spec.exp_id} completed in {elapsed:.1f}s]  ambient watch: "
+    print(f"\nwids-watching {spec.exp_id}: ambient watch: "
           f"{watch.frames_seen()} frames over {len(watch.feeds())} "
           f"medium(s), {len(alerts)} alert(s)")
     if alerts:
@@ -413,26 +324,82 @@ def cmd_wids(exp_id: str, json_path: str | None = None) -> int:
     if card.rows():
         print()
         print(card.report())
-    if json_path:
-        payload = {
-            "experiment": spec.exp_id,
-            "title": spec.title,
-            "elapsed_s": elapsed,
-            "frames_seen": watch.frames_seen(),
+    return {"frames_seen": watch.frames_seen(),
             "alerts": [a.to_dict() for a in alerts],
+            "scorecard": card.to_json_dict()}
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Run a registered experiment as a parallel multi-seed campaign."""
+    from repro.fleet import run_campaign
+
+    spec = get_experiment(args.experiment)
+    if not spec_accepts_seed(spec):
+        print(f"note: {spec.exp_id}'s runner loops seeds internally; "
+              f"every sweep seed reproduces the same tables", file=sys.stderr)
+    trials, seed_base = args.trials, args.seed_base
+    result = run_campaign(trials, SeededExperiment(spec.exp_id),
+                          seed_base=seed_base, workers=args.workers,
+                          timeout=args.timeout,
+                          collect_metrics=(args.metrics_path is not None
+                                           or args.wids_path is not None),
+                          flight_recorder=args.flight_recorder)
+    rows = [[f.seed, "FAILED", f"{f.kind}: {f.message}"] for f in result.failures]
+    rows += [[seed, "ok", f"{len(value.get('rows', []))} rows"
+              if isinstance(value, dict) else repr(value)]
+             for seed, value in result.per_seed.items()]
+    rows.sort(key=lambda r: r[0])
+    print(format_table(
+        ["seed", "status", "result"], rows,
+        title=f"Sweep {spec.exp_id}: {trials} trials, {result.workers} "
+              f"worker(s), {result.elapsed_s:.1f}s "
+              f"({result.throughput:.1f} trials/s)"))
+    if args.flight_recorder:
+        merged = result.merged_lineages
+        hops = sum(len(ln.get("hops", [])) for ln in merged)
+        print(f"flight recorder: {len(merged)} lineage sample(s) "
+              f"({hops} hops) from {len(result.lineages)} seed(s), "
+              f"<= {args.flight_recorder} per seed, merged in seed order")
+    status = 0
+    if args.json_path:
+        status = max(status, _write_json(args.json_path, {
+            "experiment": spec.exp_id, "title": spec.title,
+            **_jsonable(result.to_json_dict())}))
+    merged = result.merged_metrics
+    if args.metrics_path:
+        status = max(status, _write_json(args.metrics_path, {
+            "experiment": spec.exp_id,
+            "trials": trials,
+            "seed_base": seed_base,
+            "metrics": merged.snapshot() if merged is not None else {},
+        }))
+    if args.wids_path:
+        from repro.wids import Scorecard
+
+        card = Scorecard.from_registry(merged) if merged is not None \
+            else Scorecard([], {})
+        if card.rows():
+            print()
+            print(card.report(
+                title=f"Merged WIDS scorecard: {trials} trials, "
+                      f"seed-order merge (serial == parallel)"))
+        else:
+            print(f"note: {spec.exp_id} recorded no wids.eval.* metrics; "
+                  f"the scorecard is empty (use E-WIDS)", file=sys.stderr)
+        status = max(status, _write_json(args.wids_path, {
+            "experiment": spec.exp_id,
+            "trials": trials,
+            "seed_base": seed_base,
+            "workers": result.workers,
             "scorecard": card.to_json_dict(),
-        }
-        try:
-            with open(json_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError as exc:
-            print(f"cannot write {json_path}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {json_path}")
-    return 0
+        }))
+    if result.failures and not result.per_seed:
+        print("every trial failed", file=sys.stderr)
+        return 1
+    return status
 
 
-def cmd_serve(args: "argparse.Namespace") -> int:
+def cmd_serve(args: argparse.Namespace) -> int:
     """Run the live open-loop campaign daemon (``repro.telemetry``).
 
     Drives Poisson-arrival client sessions through the Fig. 1 world for
@@ -473,8 +440,9 @@ def cmd_serve(args: "argparse.Namespace") -> int:
         for failure in result.failures:
             print(f"  seed {failure.seed}: {failure.kind}: "
                   f"{failure.message}", file=sys.stderr)
+    status = 0
     if args.json_path:
-        payload = {
+        status = _write_json(args.json_path, {
             "shards": shards,
             "seed_base": args.seed_base,
             "workers": result.workers,
@@ -483,106 +451,14 @@ def cmd_serve(args: "argparse.Namespace") -> int:
             "snapshots": daemon.snapshots_seen,
             "scorecard": scorecard.to_json_dict(),
             "summaries": _jsonable(result.per_seed),
-        }
-        try:
-            with open(args.json_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError as exc:
-            print(f"cannot write {args.json_path}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.json_path}")
+        })
     if result.failures and not result.per_seed:
         print("every shard failed", file=sys.stderr)
         return 1
-    return 0
+    return status
 
 
-def cmd_arms_race(args: "argparse.Namespace") -> int:
-    """Run the generation-based evasion-vs-detection campaign.
-
-    Attacker genomes (evasion knob combinations + RSN downgrade
-    postures) race the detector bank over ``--generations`` fleet
-    campaigns while a sliding-window ROC retunes the operating
-    thresholds between generations; prints the per-generation detection
-    summary, the threshold trajectory, and both Pareto frontiers.
-    """
-    import time as _time
-
-    from repro.telemetry import JsonlWriter, LiveStore, MetricsExporter
-    from repro.wids.armsrace import DEFAULT_POPULATION, ArmsRaceCampaign
-
-    population = DEFAULT_POPULATION
-    if args.population:
-        by_name = {g.name: g for g in DEFAULT_POPULATION}
-        wanted = [n.strip() for n in args.population.split(",") if n.strip()]
-        unknown = [n for n in wanted if n not in by_name]
-        if unknown:
-            print(f"unknown genome(s): {', '.join(unknown)} "
-                  f"(known: {', '.join(by_name)})", file=sys.stderr)
-            return 2
-        population = tuple(by_name[n] for n in wanted)
-
-    writer = JsonlWriter(args.jsonl_path) if args.jsonl_path else None
-    store = exporter = None
-    if args.port is not None:
-        store = LiveStore()
-        exporter = MetricsExporter(host=args.host, port=args.port,
-                                   store=store).start()
-        print(f"serving arms-race telemetry on "
-              f"http://{args.host}:{exporter.port}/metrics", flush=True)
-        if args.port_file:
-            with open(args.port_file, "w") as fh:
-                fh.write(f"{exporter.port}\n")
-
-    def on_generation(record: dict) -> None:
-        summary = ", ".join(
-            f"{name}={stats['detection_rate']:.2f}"
-            for name, stats in record["per_genome"].items())
-        print(f"generation {record['generation'] + 1}/{args.generations}: "
-              f"detection {summary}", flush=True)
-
-    try:
-        campaign = ArmsRaceCampaign(
-            population=population, generations=args.generations,
-            trials_per_gen=args.trials, seed_base=args.seed_base,
-            workers=args.workers, window=args.window,
-            writer=writer, store=store, on_generation=on_generation)
-        result = campaign.run()
-        print()
-        print(result.pareto.report())
-        print()
-        rows = [[i] + [f"{thr[name]:g}" for name in thr]
-                for i, thr in enumerate(result.thresholds_trajectory)]
-        header = ["gen"] + list(result.thresholds_trajectory[0])
-        print(format_table(header, rows,
-                           title="adaptive threshold trajectory "
-                                 "(row 0 = registry defaults)"))
-        if args.json_path:
-            payload = result.to_json_dict()
-            try:
-                with open(args.json_path, "w") as fh:
-                    json.dump(payload, fh, indent=1)
-            except OSError as exc:
-                print(f"cannot write {args.json_path}: {exc}",
-                      file=sys.stderr)
-                return 1
-            print(f"wrote {args.json_path}")
-        if exporter is not None and args.linger > 0:
-            print(f"lingering {args.linger:g}s for scrapes "
-                  f"(ctrl-C to stop)", flush=True)
-            try:
-                _time.sleep(args.linger)
-            except KeyboardInterrupt:
-                pass
-        return 0
-    finally:
-        if writer is not None:
-            writer.close()
-        if exporter is not None:
-            exporter.stop()
-
-
-def cmd_threats() -> int:
+def cmd_threats(args: argparse.Namespace) -> int:
     rows = [[t.name, t.wired.value, t.wireless.value, t.paper_anchor,
              t.demonstrated_by]
             for t in threat_taxonomy()]
@@ -592,20 +468,56 @@ def cmd_threats() -> int:
     return 0
 
 
+def cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench.cli import cmd_bench as run_bench
+
+    return run_bench(args.area, args.repeat, args.smoke, args.json_path,
+                     args.check, args.update)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduction of 'Countering Rogues in Wireless Networks' "
                     "(ICPP 2003)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="index the experiments")
-    run = sub.add_parser("run", help="run one experiment (or 'all')")
+    sub.add_parser("list", help="index the experiments").set_defaults(
+        func=cmd_list)
+    run = sub.add_parser(
+        "run", help="run one experiment (or 'all'), optionally under the "
+                    "profiler, the flight recorder and the WIDS watch")
+    run.set_defaults(func=cmd_run)
     run.add_argument("experiment", help="experiment id, e.g. FIG2, E-NETSED, all")
-    sub.add_parser("threats", help="print the threat taxonomy")
-    report = sub.add_parser("report", help="run all experiments, write markdown")
-    report.add_argument("path", nargs="?", default="report.md")
+    run.add_argument("--profile", action="store_true",
+                     help="print the per-category self-time breakdown and "
+                          "the metrics registry")
+    run.add_argument("--trace", action="store_true",
+                     help="run under the flight recorder and reconstruct "
+                          "the frame-lineage path")
+    run.add_argument("--pcap", dest="pcap_path", default=None,
+                     help="export captured 802.11 frames as a pcap file "
+                          "(implies --trace)")
+    run.add_argument("--chrome", dest="chrome_path", default=None,
+                     help="export the lineage timeline as Chrome "
+                          "trace-event JSON for Perfetto (implies --trace)")
+    run.add_argument("--follow", type=int, default=None, metavar="ID",
+                     help="print ancestors/descendants of one trace_id "
+                          "instead of the default MITM-path view "
+                          "(implies --trace)")
+    run.add_argument("--wids", action="store_true",
+                     help="run under the ambient WIDS watch, print the "
+                          "alert timeline + detector scorecard")
+    run.add_argument("--json", dest="json_path", default=None,
+                     help="write the elapsed time and every requested "
+                          "section as JSON")
+    run.add_argument("--markdown", dest="markdown_path", default=None,
+                     metavar="PATH",
+                     help="write the result tables as a markdown report")
+    sub.add_parser("threats", help="print the threat taxonomy").set_defaults(
+        func=cmd_threats)
     sweep = sub.add_parser(
         "sweep", help="run one experiment as a parallel multi-seed campaign")
+    sweep.set_defaults(func=cmd_sweep)
     sweep.add_argument("experiment", help="experiment id, e.g. FIG2")
     sweep.add_argument("--trials", type=int, default=8,
                        help="number of seeds to sweep (default 8)")
@@ -631,32 +543,10 @@ def main(argv: list[str] | None = None) -> int:
                        help="collect per-trial wids.eval.* metrics, print "
                             "the seed-order merged detector scorecard and "
                             "write it as JSON to PATH")
-    profile = sub.add_parser(
-        "profile", help="run one experiment with profiling + metrics on")
-    profile.add_argument("experiment", help="experiment id, e.g. FIG2")
-    profile.add_argument("--json", dest="json_path", default=None,
-                         help="also write the raw profile/metrics snapshot")
-    trace = sub.add_parser(
-        "trace", help="run one experiment under the flight recorder and "
-                      "reconstruct the frame-lineage path")
-    trace.add_argument("experiment", help="experiment id, e.g. FIG2")
-    trace.add_argument("--pcap", dest="pcap_path", default=None,
-                       help="export captured 802.11 frames as a pcap file")
-    trace.add_argument("--chrome", dest="chrome_path", default=None,
-                       help="export the lineage timeline as Chrome "
-                            "trace-event JSON (Perfetto)")
-    trace.add_argument("--follow", type=int, default=None,
-                       help="print ancestors/descendants of one trace_id "
-                            "instead of the default MITM-path view")
-    wids = sub.add_parser(
-        "wids", help="run one experiment under the ambient WIDS watch, "
-                     "print the alert timeline + detector scorecard")
-    wids.add_argument("experiment", help="experiment id, e.g. E-WIDS, FIG2")
-    wids.add_argument("--json", dest="json_path", default=None,
-                      help="also write the alerts + scorecard as JSON")
     serve = sub.add_parser(
         "serve", help="run the live open-loop campaign daemon with a "
                       "Prometheus /metrics endpoint")
+    serve.set_defaults(func=cmd_serve)
     serve.add_argument("--rate", type=float, default=50.0,
                        help="total session arrival rate across all shards, "
                             "sessions per simulated second (default 50)")
@@ -699,96 +589,15 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--json", dest="json_path", default=None,
                        help="write the final scorecard + shard summaries "
                             "as JSON to this path")
-    arms = sub.add_parser(
-        "arms-race", help="run the generation-based evasion-vs-detection "
-                          "campaign with adaptive thresholds")
-    arms.add_argument("--generations", type=int, default=3,
-                      help="number of generations (default 3)")
-    arms.add_argument("--trials", type=int, default=4,
-                      help="worlds per genome per generation (default 4)")
-    arms.add_argument("--workers", type=int, default=1,
-                      help="fleet worker processes (default 1 = serial; "
-                           "results are bit-identical either way)")
-    arms.add_argument("--seed-base", type=int, default=1000,
-                      help="first seed; generation g trial i uses "
-                           "seed-base + g*trials + i")
-    arms.add_argument("--window", type=int, default=4,
-                      help="adaptive-threshold sliding window in "
-                           "generations (default 4)")
-    arms.add_argument("--population", default=None,
-                      help="comma-separated genome names (default: the "
-                           "full population incl. the benign FP control)")
-    arms.add_argument("--json", dest="json_path", default=None,
-                      help="write generations + Pareto scorecard as JSON")
-    arms.add_argument("--jsonl", dest="jsonl_path", default=None,
-                      help="append meta/generation/snapshot/final records "
-                           "to this JSON-lines telemetry stream")
-    arms.add_argument("--host", default="127.0.0.1",
-                      help="exporter bind address (default 127.0.0.1)")
-    arms.add_argument("--port", type=int, default=None,
-                      help="serve the campaign registry live on /metrics; "
-                           "0 picks an ephemeral port")
-    arms.add_argument("--port-file", dest="port_file", default=None,
-                      help="write the bound exporter port to this file")
-    arms.add_argument("--linger", type=float, default=0.0,
-                      help="keep serving /metrics this many seconds after "
-                           "the campaign ends (default 0)")
     from repro.bench.cli import add_bench_parser
     add_bench_parser(sub)
+    sub.choices["bench"].set_defaults(func=cmd_bench)
     args = parser.parse_args(argv)
-    if args.command == "list":
-        return cmd_list()
-    if args.command == "run":
-        try:
-            return cmd_run(args.experiment)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    if args.command == "threats":
-        return cmd_threats()
-    if args.command == "report":
-        return cmd_report(args.path)
-    if args.command == "sweep":
-        try:
-            return cmd_sweep(args.experiment, args.trials, args.workers,
-                             args.seed_base, args.timeout, args.json_path,
-                             args.metrics_path, args.flight_recorder,
-                             args.wids_path)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    if args.command == "profile":
-        try:
-            return cmd_profile(args.experiment, args.json_path)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    if args.command == "trace":
-        try:
-            return cmd_trace(args.experiment, args.pcap_path,
-                             args.chrome_path, args.follow)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    if args.command == "wids":
-        try:
-            return cmd_wids(args.experiment, args.json_path)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "arms-race":
-        return cmd_arms_race(args)
-    if args.command == "bench":
-        from repro.bench.cli import cmd_bench
-        try:
-            return cmd_bench(args.area, args.repeat, args.smoke,
-                             args.json_path, args.check, args.update)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    return 2  # pragma: no cover
+    try:
+        return args.func(args)
+    except KeyError as exc:  # an unknown experiment id or bench area
+        print(exc.args[0], file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

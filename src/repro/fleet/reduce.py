@@ -35,8 +35,8 @@ def merge_snapshots(
     The metrics counterpart of :func:`campaign_stats`: whatever order the
     snapshots were *produced* in, the fold walks seeds ascending, so the
     merged registry is bit-identical to a serial accumulation — the fleet
-    merge law.  Shared by :attr:`CampaignResult.merged_metrics` and the
-    arms-race campaign's per-generation reduction.  ``None`` when empty.
+    merge law.  Backs :attr:`CampaignResult.merged_metrics`.  ``None``
+    when empty.
     """
     if not snapshots:
         return None

@@ -21,12 +21,13 @@ Four pieces (see DESIGN.md §8–§9):
   frame-lineage :class:`FlightRecorder` (per-frame ``trace_id``, hop
   records, parent/child span links, last-N ring buffer) installed with
   :func:`recording`, exportable as pcap (``LINKTYPE_IEEE802_11``) or
-  Chrome trace-event JSON (``python -m repro trace EXP``).
+  Chrome trace-event JSON (``python -m repro run EXP --trace``).
 
 The registry obeys the ``merge()`` law of :mod:`repro.obs.metrics`, so
 :mod:`repro.fleet` ships one snapshot per trial and reduces them in
 seed order (``python -m repro sweep --metrics out.json``); a one-shot
-profile of any registered experiment is ``python -m repro profile EXP``.
+profile of any registered experiment is
+``python -m repro run EXP --profile``.
 """
 
 from repro.obs.export import (LINKTYPE_IEEE802_11, chrome_trace_dict,

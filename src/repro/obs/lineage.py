@@ -173,7 +173,7 @@ class FlightRecorder:
         """Register a simulator's event :class:`~repro.sim.trace.Trace`.
 
         Write-only from the simulation's point of view: the kernel calls
-        this at construction so offline consumers (the ``trace`` CLI) can
+        this at construction so offline consumers (``run --trace``) can
         corroborate lineage hops against the trace stream with
         ``Trace.between`` / ``Trace.matching``.
         """

@@ -124,7 +124,7 @@ class Profiler:
     # reporting
     # ------------------------------------------------------------------
     def breakdown(self) -> list[dict]:
-        """Rows for the ``repro profile`` table, largest self time first."""
+        """Rows for the ``run --profile`` table, largest self time first."""
         grand = self.grand_total_s()
         rows = []
         for category in sorted(self.categories(),

@@ -204,9 +204,8 @@ def run_downgrade_world(seed: int, *, mode: Optional[str]):
     ``mode``: None = benign, "wpa2" or "open" = rogue posture.  Returns
     ``(world, summary)`` — the finished :class:`RsnWorld` (its sniffer
     capture ready for any evaluation pass) and the world summary dict
-    with the coercion outcome fields.  :func:`exp_downgrade` and the
-    arms-race RSN-downgrade genome share this runner; only the scoring
-    differs (fixed registry vs. adaptive-threshold crossings).
+    with the coercion outcome fields.  :func:`exp_downgrade` scores it;
+    any other evaluation pass can reuse the finished world.
     """
     strict = mode != "open"
     world = _build_world(

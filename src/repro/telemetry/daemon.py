@@ -109,12 +109,11 @@ class _ExportHandler(BaseHTTPRequestHandler):
 class MetricsExporter:
     """A :class:`LiveStore` served live on ``/metrics`` + ``/healthz``.
 
-    The HTTP half of the daemon, extracted so any campaign — the
-    open-loop daemon, the WIDS arms race — can expose its merged
-    registry to a Prometheus scraper: create (optionally around an
-    existing store), :meth:`start`, feed ``store.update(...)``,
-    :meth:`stop`.  Port ``0`` binds an ephemeral port, read back from
-    :attr:`port` after :meth:`start`.
+    The HTTP half of the daemon, which exposes its merged registry to a
+    Prometheus scraper: create (optionally around an existing store),
+    :meth:`start`, feed ``store.update(...)``, :meth:`stop`.  Port ``0``
+    binds an ephemeral port, read back from :attr:`port` after
+    :meth:`start`.
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,

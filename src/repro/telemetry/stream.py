@@ -62,19 +62,6 @@ class JsonlWriter:
                   "seq": self._seq, "metrics": metrics}
         self._write(record)
 
-    def write_record(self, kind: str, **fields: object) -> None:
-        """Append an arbitrary self-describing record.
-
-        For stream extensions beyond the core meta/snapshot/final
-        grammar — e.g. the arms-race campaign's per-``generation``
-        records.  Unknown kinds are ignored by :func:`replay` (which
-        folds snapshots only), so extensions never break the
-        replay == merged-registry law.
-        """
-        if kind in ("meta", "snapshot", "final"):
-            raise ValueError(f"use the dedicated writer for {kind!r}")
-        self._write({"kind": kind, **fields})
-
     def write_final(self, metrics: dict, scorecard: Optional[dict] = None,
                     summary: Optional[dict] = None) -> None:
         record: dict = {"kind": "final", "metrics": metrics}

@@ -15,18 +15,14 @@ the ambient :func:`wids_watch` context observes every medium without
 placing a radio in the world at all (zero-perturbation).
 
 One :class:`~repro.wids.correlate.AlertCorrelator` per engine turns
-evidence into alerts; evaluation scans each capture once and records
-every threshold's first crossing on the way, a sliding-window ROC
-retunes thresholds online (:mod:`~repro.wids.adaptive`), and the
-generation-based evasion-vs-detection campaign
-(:mod:`~repro.wids.armsrace`) scores both sides on Pareto frontiers.
+evidence into alerts, and evaluation scans each capture once and
+records every threshold's first crossing on the way.
 
 This package deliberately does **not** import
-:mod:`repro.wids.experiment` or :mod:`repro.wids.armsrace` here, so
-importing ``repro.wids`` never drags in scenarios.
+:mod:`repro.wids.experiment` here, so importing ``repro.wids`` never
+drags in scenarios.
 """
 
-from repro.wids.adaptive import AdaptiveThreshold
 from repro.wids.alerts import Alert
 from repro.wids.correlate import AlertCorrelator
 from repro.wids.detectors import (
@@ -49,7 +45,6 @@ from repro.wids.evaluation import (
 from repro.wids.runtime import WidsWatch, wids_watch
 
 __all__ = [
-    "AdaptiveThreshold",
     "Alert",
     "AlertCorrelator",
     "DETECTORS",

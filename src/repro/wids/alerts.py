@@ -5,8 +5,8 @@ An :class:`Alert` is the unit the correlation engine emits — one per
 crosses the detector's threshold and updated (never duplicated) as
 further evidence for the same pair arrives.  Alerts carry the lineage
 ``trace_id`` of every contributing frame (bounded), so
-``python -m repro trace --follow`` can reconstruct the causal chain
-behind any alert when the flight recorder was active.
+``python -m repro run EXP --trace --follow ID`` can reconstruct the
+causal chain behind any alert when the flight recorder was active.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 __all__ = ["Alert", "MAX_TRACE_IDS"]
 
 # Alerts keep at most this many contributing frame lineage ids — enough
-# to seed `trace --follow` without growing without bound under floods.
+# to seed `run --trace --follow` without growing without bound under floods.
 MAX_TRACE_IDS = 16
 
 

@@ -151,22 +151,21 @@ class SeqCtlAnomalyDetector(Detector):
                  gap_threshold: int = 64) -> None:
         super().__init__(threshold)
         self.gap_threshold = gap_threshold
-        self._last_seq: Dict[str, int] = {}
+        self._last_seq: Dict[MacAddress, int] = {}
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
         frame = cap.frame
         # Control frames (ACK) carry no sequence number; skip them.
         if frame.subtype is FrameSubtype.ACK:
             return
-        subject = str(frame.addr2)
-        prev = self._last_seq.get(subject)
-        self._last_seq[subject] = frame.seq
+        prev = self._last_seq.get(frame.addr2)
+        self._last_seq[frame.addr2] = frame.seq
         if prev is None:
             return
         gap = SequenceCounter.gap(prev, frame.seq)
         if gap > self.gap_threshold:
             yield Detection(
-                subject=subject,
+                subject=str(frame.addr2),
                 reason=(f"sequence jump {prev}->{frame.seq} "
                         f"(gap {gap} > {self.gap_threshold}) — "
                         f"interleaved counters"),
@@ -190,7 +189,8 @@ class BeaconFingerprintDetector(Detector):
 
     def __init__(self, threshold: Optional[float] = None) -> None:
         super().__init__(threshold)
-        self._fingerprints: Dict[Tuple[str, str], Tuple[int, int, int]] = {}
+        self._fingerprints: Dict[Tuple[str, MacAddress],
+                                 Tuple[int, int, int]] = {}
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
         if cap.frame.subtype not in (FrameSubtype.BEACON,
@@ -199,7 +199,7 @@ class BeaconFingerprintDetector(Detector):
         info = _parse_beacon(cap)
         if info is None:
             return
-        key = (info.ssid, str(info.bssid))
+        key = (info.ssid, info.bssid)
         fp = (info.capability, info.channel, info.interval_tu)
         seen = self._fingerprints.get(key)
         if seen is None:
@@ -229,19 +229,19 @@ class MultiChannelSsidDetector(Detector):
 
     def __init__(self, threshold: Optional[float] = None) -> None:
         super().__init__(threshold)
-        self._home_channel: Dict[str, int] = {}
+        self._home_channel: Dict[MacAddress, int] = {}
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
         if cap.frame.subtype not in (FrameSubtype.BEACON,
                                      FrameSubtype.PROBE_RESP):
             return
-        subject = str(cap.frame.addr2)
-        home = self._home_channel.get(subject)
+        addr = cap.frame.addr2
+        home = self._home_channel.get(addr)
         if home is None:
-            self._home_channel[subject] = cap.channel
+            self._home_channel[addr] = cap.channel
         elif cap.channel != home:
             yield Detection(
-                subject=subject,
+                subject=str(addr),
                 reason=(f"AP-role frames on channel {cap.channel} and "
                         f"{home} — one address, two radios"),
             )
@@ -269,7 +269,7 @@ class BeaconJitterDetector(Detector):
 
     def __init__(self, threshold: Optional[float] = None) -> None:
         super().__init__(threshold)
-        self._last_beacon: Dict[Tuple[str, int], float] = {}
+        self._last_beacon: Dict[Tuple[MacAddress, int], float] = {}
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
         if cap.frame.subtype is not FrameSubtype.BEACON:
@@ -277,7 +277,7 @@ class BeaconJitterDetector(Detector):
         info = _parse_beacon(cap)
         if info is None or info.interval_tu <= 0:
             return
-        key = (str(info.bssid), cap.channel)
+        key = (info.bssid, cap.channel)
         prev = self._last_beacon.get(key)
         self._last_beacon[key] = cap.time
         if prev is None:
@@ -316,19 +316,19 @@ class DeauthFloodDetector(Detector):
         super().__init__(threshold)
         self.window_s = window_s
         self.flood_count = flood_count
-        self._times: Dict[str, deque] = {}
+        self._times: Dict[MacAddress, deque] = {}
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
         if cap.frame.subtype not in (FrameSubtype.DEAUTH,
                                      FrameSubtype.DISASSOC):
             return
-        subject = str(cap.frame.addr2)
-        times = self._times.setdefault(subject, deque())
+        times = self._times.setdefault(cap.frame.addr2, deque())
         cutoff = cap.time - self.window_s
         while times and times[0] < cutoff:
             times.popleft()
         times.append(cap.time)
         if len(times) > self.flood_count:
+            subject = str(cap.frame.addr2)
             yield Detection(
                 subject=subject,
                 reason=(f"{len(times)} deauth/disassoc in "

@@ -91,9 +91,8 @@ def evaluate_with_crossings(
     The second return value maps ``detector -> {threshold: t}`` with the
     sim time a correlator at that threshold would open its first alert
     (``None`` = never) — every ``SWEEP`` point of every detector, from
-    the same one scan that produced the cells.  The arms-race campaign
-    scores *tuned* operating points offline from this map without
-    re-running any world.
+    the same one scan that produced the cells, so any operating point
+    can be scored offline from this map without re-running the world.
     """
     local = registry if registry is not None else MetricsRegistry()
     ambient = instruments().metrics

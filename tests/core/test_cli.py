@@ -109,7 +109,7 @@ def test_spec_accepts_seed_distinguishes_runner_shapes():
 
 
 def test_cli_profile_prints_breakdown_and_metrics(capsys):
-    assert main(["profile", "FIG1"]) == 0
+    assert main(["run", "FIG1", "--profile"]) == 0
     out = capsys.readouterr().out
     assert "profiling FIG1" in out
     # the per-category wall-clock breakdown table
@@ -121,13 +121,13 @@ def test_cli_profile_prints_breakdown_and_metrics(capsys):
 
 
 def test_cli_profile_unknown_experiment(capsys):
-    assert main(["profile", "E-NOPE"]) == 2
+    assert main(["run", "E-NOPE", "--profile"]) == 2
     assert "E-NOPE" in capsys.readouterr().err
 
 
 def test_cli_profile_json_snapshot(tmp_path, capsys):
     out_file = tmp_path / "profile.json"
-    assert main(["profile", "FIG1", "--json", str(out_file)]) == 0
+    assert main(["run", "FIG1", "--profile", "--json", str(out_file)]) == 0
     payload = json.loads(out_file.read_text())
     assert payload["experiment"] == "FIG1"
     assert payload["elapsed_s"] > 0
@@ -141,7 +141,7 @@ def test_cli_profile_json_snapshot(tmp_path, capsys):
 
 def test_cli_profile_malformed_json_path(tmp_path, capsys):
     bad = tmp_path / "not-a-dir" / "profile.json"
-    assert main(["profile", "E-8021X", "--json", str(bad)]) == 1
+    assert main(["run", "E-8021X", "--profile", "--json", str(bad)]) == 1
     assert "cannot write" in capsys.readouterr().err
 
 
@@ -180,7 +180,7 @@ def test_cli_sweep_without_metrics_flag_ships_none(tmp_path, capsys):
 def test_cli_trace_fig2_reconstructs_the_mitm_path(tmp_path, capsys):
     pcap = tmp_path / "frames.pcap"
     chrome = tmp_path / "trace.json"
-    assert main(["trace", "FIG2", "--pcap", str(pcap),
+    assert main(["run", "FIG2", "--trace", "--pcap", str(pcap),
                  "--chrome", str(chrome)]) == 0
     out = capsys.readouterr().out
     # the hop-by-hop Fig-2 path: victim, rogue bridge, rewrite, upstream
@@ -200,30 +200,31 @@ def test_cli_trace_fig2_reconstructs_the_mitm_path(tmp_path, capsys):
 
 
 def test_cli_trace_follow_prints_one_lineage(capsys):
-    assert main(["trace", "FIG2", "--follow", "2"]) == 0
+    assert main(["run", "FIG2", "--trace", "--follow", "2"]) == 0
     out = capsys.readouterr().out
     assert "#2 in full" in out
 
 
 def test_cli_trace_follow_unknown_id(capsys):
-    assert main(["trace", "E-8021X", "--follow", "999999"]) == 1
+    assert main(["run", "E-8021X", "--trace", "--follow",
+                 "999999"]) == 1
     assert "not in the ring buffer" in capsys.readouterr().err
 
 
 def test_cli_trace_unknown_experiment(capsys):
-    assert main(["trace", "E-NOPE"]) == 2
+    assert main(["run", "E-NOPE", "--trace"]) == 2
     assert "E-NOPE" in capsys.readouterr().err
 
 
 def test_cli_trace_without_rewrite_falls_back_to_longest_chain(capsys):
-    assert main(["trace", "E-DETECT"]) == 0
+    assert main(["run", "E-DETECT", "--trace"]) == 0
     out = capsys.readouterr().out
     assert "no netsed rewrite recorded" in out
     assert "longest causal chain" in out
 
 
 def test_cli_trace_frameless_experiment(capsys):
-    assert main(["trace", "E-8021X"]) == 0
+    assert main(["run", "E-8021X", "--trace"]) == 0
     assert "no frames recorded" in capsys.readouterr().out
 
 
@@ -246,7 +247,7 @@ def test_cli_sweep_flight_recorder_ships_lineage_samples(tmp_path, capsys):
 
 def test_cli_wids_e_wids_timeline_and_scorecard(tmp_path, capsys):
     out_file = tmp_path / "scorecard.json"
-    assert main(["wids", "E-WIDS", "--json", str(out_file)]) == 0
+    assert main(["run", "E-WIDS", "--wids", "--json", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "wids-watching E-WIDS" in out
     assert "alert timeline" in out
@@ -262,24 +263,24 @@ def test_cli_wids_e_wids_timeline_and_scorecard(tmp_path, capsys):
         assert {"detector", "subject", "t", "score", "severity"} <= set(alert)
     assert payload["scorecard"]["rows"]
     # alerts carry flight-recorder lineage ids (the watch ran under
-    # recording()), so `trace --follow` can chase any of them
+    # recording()), so `run --trace --follow` can chase any of them
     assert any(alert["trace_ids"] for alert in payload["alerts"])
 
 
 def test_cli_wids_frameless_experiment(capsys):
-    assert main(["wids", "E-8021X"]) == 0
+    assert main(["run", "E-8021X", "--wids"]) == 0
     out = capsys.readouterr().out
     assert "no alerts" in out
 
 
 def test_cli_wids_unknown_experiment(capsys):
-    assert main(["wids", "E-NOPE"]) == 2
+    assert main(["run", "E-NOPE", "--wids"]) == 2
     assert "E-NOPE" in capsys.readouterr().err
 
 
 def test_cli_wids_malformed_json_path(tmp_path, capsys):
     bad = tmp_path / "not-a-dir" / "scorecard.json"
-    assert main(["wids", "E-8021X", "--json", str(bad)]) == 1
+    assert main(["run", "E-8021X", "--wids", "--json", str(bad)]) == 1
     assert "cannot write" in capsys.readouterr().err
 
 
@@ -311,7 +312,7 @@ def test_cli_sweep_wids_on_experiment_without_eval(tmp_path, capsys):
 
 
 def test_cli_report_writes_markdown(tmp_path, monkeypatch, capsys):
-    """The report command runs the registry and writes a markdown file
+    """`run all --markdown` runs the registry and writes a markdown file
     (patched down to one fast experiment to keep the test quick)."""
     import repro.__main__ as cli
     from repro.core.registry import ExperimentSpec
@@ -321,8 +322,57 @@ def test_cli_report_writes_markdown(tmp_path, monkeypatch, capsys):
                            "benchmarks/test_dot1x_wpa_gap.py")]
     monkeypatch.setattr(cli, "EXPERIMENTS", fast)
     out_file = tmp_path / "report.md"
-    assert cli.main(["report", str(out_file)]) == 0
+    assert cli.main(["run", "all", "--markdown", str(out_file)]) == 0
     text = out_file.read_text()
     assert "# Reproduction report" in text
     assert "## E-8021X" in text
     assert "ROGUE" in text
+
+
+def test_cli_run_profile_trace_wids_in_one_pass(tmp_path, monkeypatch, capsys):
+    """Every observer rides one call of the runner and prints its section."""
+    import dataclasses
+
+    import repro.__main__ as cli
+
+    fig2 = get_experiment("FIG2")
+    calls = []
+
+    def counting_runner():
+        calls.append(1)
+        return fig2.runner()
+
+    spec = dataclasses.replace(fig2, runner=counting_runner)
+    monkeypatch.setattr(cli, "get_experiment", lambda exp_id: spec)
+    out_file = tmp_path / "fig2.json"
+    assert cli.main(["run", "FIG2", "--profile", "--trace", "--wids",
+                     "--json", str(out_file)]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "profiling FIG2" in out and "total_ms" in out
+    assert "tracing FIG2" in out and "netsed.rewrite@rogue-gw" in out
+    assert "wids-watching FIG2" in out and "alert timeline" in out
+    payload = json.loads(out_file.read_text())
+    assert {"profile", "metrics", "alerts", "scorecard"} <= set(payload)
+    assert any(alert["trace_ids"] for alert in payload["alerts"])
+
+
+@pytest.mark.parametrize("flag", [["--pcap", "f.pcap"],
+                                  ["--chrome", "f.json"],
+                                  ["--follow", "1"]])
+def test_cli_run_all_rejects_single_run_exports(flag, capsys):
+    assert main(["run", "all", *flag]) == 2
+    assert "one experiment" in capsys.readouterr().err
+
+
+def test_cli_run_unknown_experiment_with_every_flag(capsys):
+    assert main(["run", "E-NOPE", "--profile", "--trace", "--wids"]) == 2
+    assert "E-NOPE" in capsys.readouterr().err
+
+
+def test_cli_help_lists_one_run_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    commands = out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert commands == ["list", "run", "threats", "sweep", "serve", "bench"]

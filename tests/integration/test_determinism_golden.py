@@ -128,6 +128,23 @@ def test_experiment_payload_identical_with_obs_on_off_absent(
     assert result_digest(metrics_off) == sha256
 
 
+def golden_trial(index):
+    """Fleet trial: campaign seed ``index`` runs the index-th pinned run."""
+    exp_id, kwargs, _ = GOLDEN_RUNS[index]
+    return get_experiment(exp_id).runner(**kwargs)
+
+
+def test_every_golden_identical_serial_vs_parallel():
+    """All pinned experiments, run by two fleet workers, match the
+    committed digests of their serial runs."""
+    result = run_campaign(len(GOLDEN_RUNS), golden_trial, seed_base=0,
+                          workers=2)
+    assert result.workers == 2 and result.failures == []
+    digests = [result_digest(result.per_seed[i])
+               for i in range(len(GOLDEN_RUNS))]
+    assert digests == [sha256 for _, _, sha256 in GOLDEN_RUNS]
+
+
 def test_fig2_trace_contents_identical_with_obs_enabled():
     categories_off, counters_off = _run_fig2_world(seed=11)
     with collecting(metrics=True, profile=True) as col:
