@@ -21,13 +21,12 @@ Usage::
                                          # multi-seed parallel campaign
     python -m repro sweep E-WIDS --trials 8 --wids scorecard.json
                                          # merged fleet-wide scorecard
-    python -m repro serve --rate 50 --duration 30 --jsonl tele.jsonl
-                                         # live open-loop campaign daemon:
-                                         # Poisson client sessions against
-                                         # the corp WLAN + rogue, merged
-                                         # fleet metrics on GET /metrics
-                                         # (Prometheus text format) and an
-                                         # append-only JSON-lines stream
+    python -m repro sweep FIG2 --trials 32 --port 9100 --jsonl s.jsonl
+                                         # the merged registry of the
+                                         # trials finished so far on
+                                         # GET /metrics (Prometheus text),
+                                         # one JSON line per trial; keeps
+                                         # serving until SIGINT/SIGTERM
     python -m repro bench --check        # run the perf suite, diff
                                          # against the committed
                                          # BENCH_<area>.json baselines
@@ -38,9 +37,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+import threading
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
+from typing import Iterator
 
 from repro.core.registry import (EXPERIMENTS, SeededExperiment,
                                  get_experiment, render_result,
@@ -330,20 +332,98 @@ def _wids_section(spec, watch, col) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a registered experiment as a parallel multi-seed campaign."""
-    from repro.fleet import run_campaign
+    """Run a registered experiment as a parallel multi-seed campaign.
 
+    ``--port`` serves the seed-order merged registry of the trials
+    finished so far on ``GET /metrics`` (``/healthz`` beside it) and,
+    once the sweep ends, keeps serving the final view until SIGINT or
+    SIGTERM.  A signal during the sweep lets it finish and skips that
+    wait; a second one acts as it would without ``--port``.  ``--jsonl``
+    appends a ``meta`` record, one ``snapshot`` per finished trial and a
+    ``final`` record with the merged registry.
+    """
+    from repro.fleet import run_campaign
+    from repro.telemetry import JsonlWriter, LiveStore, serving
+
+    if args.port is None and (args.host is not None
+                              or args.port_file is not None):
+        print("--host and --port-file need --port", file=sys.stderr)
+        return 2
     spec = get_experiment(args.experiment)
     if not spec_accepts_seed(spec):
         print(f"note: {spec.exp_id}'s runner loops seeds internally; "
               f"every sweep seed reproduces the same tables", file=sys.stderr)
     trials, seed_base = args.trials, args.seed_base
-    result = run_campaign(trials, SeededExperiment(spec.exp_id),
-                          seed_base=seed_base, workers=args.workers,
-                          timeout=args.timeout,
-                          collect_metrics=(args.metrics_path is not None
-                                           or args.wids_path is not None),
-                          flight_recorder=args.flight_recorder)
+    status = 0
+    store, writer, stop = LiveStore(), None, threading.Event()
+
+    def deliver(index: int, snapshot: dict) -> None:
+        store.update(index, seed_base + index, snapshot)
+        if writer is not None:
+            writer.write_snapshot(index, seed_base + index, snapshot)
+
+    with ExitStack() as stack:
+        if args.port is not None:
+            stack.enter_context(_stop_on_signal(stop))
+            server = stack.enter_context(
+                serving(store, args.host or "127.0.0.1", args.port))
+            host, port = server.server_address[:2]
+            print(f"serving the merged registry on "
+                  f"http://{host}:{port}/metrics", flush=True)
+            if args.port_file:
+                status = _write(args.port_file, f"{port}\n")
+        if args.jsonl_path:
+            writer = stack.enter_context(JsonlWriter(args.jsonl_path))
+            writer.write_meta(experiment=spec.exp_id, trials=trials,
+                              seed_base=seed_base, workers=args.workers)
+        live = args.port is not None or writer is not None
+        result = run_campaign(trials, SeededExperiment(spec.exp_id),
+                              seed_base=seed_base, workers=args.workers,
+                              timeout=args.timeout,
+                              collect_metrics=(live
+                                               or args.metrics_path is not None
+                                               or args.wids_path is not None),
+                              flight_recorder=args.flight_recorder,
+                              on_snapshot=deliver if live else None)
+        if writer is not None:
+            merged = result.merged_metrics
+            writer.write_final(merged.snapshot() if merged is not None else {})
+        status = max(status, _report_sweep(spec, args, result))
+        if args.port is not None and not stop.is_set():
+            print("sweep done; serving the final view until SIGINT or "
+                  "SIGTERM", flush=True)
+            while not stop.wait(0.1):
+                pass
+    return status
+
+
+@contextmanager
+def _stop_on_signal(stop: threading.Event) -> Iterator[None]:
+    """Set ``stop`` on the first SIGINT/SIGTERM, which also puts the
+    previous handlers back, so a second signal acts as usual."""
+    previous = {signum: signal.getsignal(signum)
+                for signum in (signal.SIGINT, signal.SIGTERM)}
+
+    def restore() -> None:
+        for signum, handler in previous.items():
+            signal.signal(signum,
+                          signal.SIG_DFL if handler is None else handler)
+
+    def on_signal(signum: int, frame: object) -> None:
+        stop.set()
+        restore()
+
+    for signum in previous:
+        signal.signal(signum, on_signal)
+    try:
+        yield
+    finally:
+        restore()
+
+
+def _report_sweep(spec, args: argparse.Namespace, result) -> int:
+    """Print the per-seed table and write the requested output files."""
+    trials, seed_base = args.trials, args.seed_base
     rows = [[f.seed, "FAILED", f"{f.kind}: {f.message}"] for f in result.failures]
     rows += [[seed, "ok", f"{len(value.get('rows', []))} rows"
               if isinstance(value, dict) else repr(value)]
@@ -395,65 +475,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         }))
     if result.failures and not result.per_seed:
         print("every trial failed", file=sys.stderr)
-        return 1
-    return status
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the live open-loop campaign daemon (``repro.telemetry``).
-
-    Drives Poisson-arrival client sessions through the Fig. 1 world for
-    ``--duration`` *simulated* seconds (so a fixed seed gives a fixed
-    campaign, however slow the host), while serving the merged live
-    registry as Prometheus text on ``/metrics`` and optionally
-    appending JSON-lines snapshots.  SIGINT/SIGTERM drain gracefully.
-    """
-    from repro.telemetry import CampaignDaemon, OpenLoopShard
-
-    shards = max(1, args.shards)
-    shard = OpenLoopShard(
-        duration_s=args.duration,
-        rate_per_s=args.rate / shards,  # --rate is the campaign total
-        max_sessions=args.max_sessions,
-        download_fraction=args.download_fraction,
-        snapshot_every_s=args.snapshot_every,
-        with_rogue=not args.no_rogue)
-    daemon = CampaignDaemon(
-        shards=shards, shard=shard, seed_base=args.seed_base,
-        workers=args.workers, timeout=args.timeout,
-        host=args.host, port=args.port,
-        jsonl_path=args.jsonl_path, linger_s=args.linger)
-
-    def on_ready(d: CampaignDaemon) -> None:
-        print(f"serving telemetry on http://{d.host}:{d.port}/metrics "
-              f"({shards} shard(s) x {shard.rate_per_s:g}/s for "
-              f"{shard.duration_s:g} sim-s; ctrl-C drains)", flush=True)
-        if args.port_file:
-            with open(args.port_file, "w") as fh:
-                fh.write(f"{d.port}\n")
-
-    result, scorecard = daemon.run(on_ready=on_ready)
-    print()
-    print(scorecard.report())
-    if result.failures:
-        print(f"\n{len(result.failures)} shard(s) failed:", file=sys.stderr)
-        for failure in result.failures:
-            print(f"  seed {failure.seed}: {failure.kind}: "
-                  f"{failure.message}", file=sys.stderr)
-    status = 0
-    if args.json_path:
-        status = _write_json(args.json_path, {
-            "shards": shards,
-            "seed_base": args.seed_base,
-            "workers": result.workers,
-            "rate_per_s": args.rate,
-            "duration_s": args.duration,
-            "snapshots": daemon.snapshots_seen,
-            "scorecard": scorecard.to_json_dict(),
-            "summaries": _jsonable(result.per_seed),
-        })
-    if result.failures and not result.per_seed:
-        print("every shard failed", file=sys.stderr)
         return 1
     return status
 
@@ -543,52 +564,20 @@ def main(argv: list[str] | None = None) -> int:
                        help="collect per-trial wids.eval.* metrics, print "
                             "the seed-order merged detector scorecard and "
                             "write it as JSON to PATH")
-    serve = sub.add_parser(
-        "serve", help="run the live open-loop campaign daemon with a "
-                      "Prometheus /metrics endpoint")
-    serve.set_defaults(func=cmd_serve)
-    serve.add_argument("--rate", type=float, default=50.0,
-                       help="total session arrival rate across all shards, "
-                            "sessions per simulated second (default 50)")
-    serve.add_argument("--duration", type=float, default=30.0,
-                       help="simulated seconds of offered load per shard "
-                            "(default 30); in-flight sessions then drain")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="number of independent worlds/seeds (default 1)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the shards (default 1)")
-    serve.add_argument("--seed-base", type=int, default=1000,
-                       help="first seed; shard i uses seed-base + i")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="exporter bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=0,
-                       help="exporter port; 0 picks an ephemeral port "
-                            "(printed, and written via --port-file)")
-    serve.add_argument("--port-file", dest="port_file", default=None,
-                       help="write the bound exporter port to this file")
-    serve.add_argument("--jsonl", dest="jsonl_path", default=None,
-                       help="append meta/snapshot/final records to this "
-                            "JSON-lines file")
-    serve.add_argument("--snapshot-every", type=float, default=1.0,
-                       help="snapshot cadence in simulated seconds "
-                            "(default 1.0)")
-    serve.add_argument("--max-sessions", type=int, default=None,
-                       help="per-shard cap on offered sessions "
-                            "(default: unbounded, duration decides)")
-    serve.add_argument("--download-fraction", type=float, default=0.2,
-                       help="fraction of sessions running the full §4.1 "
-                            "download flow (default 0.2)")
-    serve.add_argument("--linger", type=float, default=0.0,
-                       help="keep serving /metrics this many wall seconds "
-                            "after the campaign ends (default 0)")
-    serve.add_argument("--timeout", type=float, default=None,
-                       help="per-shard wall-clock timeout in seconds")
-    serve.add_argument("--no-rogue", action="store_true",
-                       help="build the world without the rogue AP "
-                            "(baseline load run)")
-    serve.add_argument("--json", dest="json_path", default=None,
-                       help="write the final scorecard + shard summaries "
-                            "as JSON to this path")
+    sweep.add_argument("--port", type=int, default=None,
+                       help="serve the merged registry of the finished "
+                            "trials on GET /metrics (0 picks a free port); "
+                            "after the sweep, serve the final view until "
+                            "SIGINT or SIGTERM")
+    sweep.add_argument("--host", default=None,
+                       help="bind address for --port (default 127.0.0.1)")
+    sweep.add_argument("--port-file", dest="port_file", default=None,
+                       help="write the bound --port to this file")
+    sweep.add_argument("--jsonl", dest="jsonl_path", default=None,
+                       metavar="PATH",
+                       help="append a meta record, one snapshot per "
+                            "finished trial and the final merged registry "
+                            "to this JSON-lines file")
     from repro.bench.cli import add_bench_parser
     add_bench_parser(sub)
     sub.choices["bench"].set_defaults(func=cmd_bench)

@@ -23,10 +23,9 @@ One registration per claim the repo has shipped:
   through ``AlertCorrelator.ingest``;
 * ``trace/overhead_ratio`` — PR 3's flight recorder must stay a small
   multiple of an unrecorded run (lower is better);
-* ``fleet/open_loop_sessions_per_s``, ``telemetry/snapshot_export_per_s``
-  — PR 8's open-loop campaign daemon: how fast one shard pushes
-  Poisson sessions through the corp world, and how fast the exporter
-  renders + encodes a merged registry (Prometheus text + JSON-lines).
+* ``telemetry/snapshot_export_per_s`` — how fast ``sweep --port`` /
+  ``--jsonl`` render and encode a merged registry (Prometheus text +
+  JSON-lines).
 
 Every function takes ``scale`` (the runner passes 0.25 for
 ``--smoke``) and floors its workload so rates stay meaningful.
@@ -478,44 +477,15 @@ def trace_overhead(scale: float = 1.0) -> BenchSample:
 
 
 # --------------------------------------------------------------------------
-# telemetry — the open-loop campaign daemon (PR 8)
+# telemetry — the served sweep's scrape path
 # --------------------------------------------------------------------------
-
-@register("fleet", "open_loop_sessions_per_s", unit="sessions/s",
-          higher_is_better=True)
-def fleet_open_loop_sessions(scale: float = 1.0) -> BenchSample:
-    """Completed Poisson sessions/second through one open-loop shard.
-
-    One seed of the ``python -m repro serve`` workload: the full corp
-    world with the rogue armed, WIDS watching, clients arriving at a
-    fixed simulated rate, metrics collected — the wall-clock cost of a
-    shard slice-stepping its world end to end (including drain).
-    """
-    from repro.obs import collecting
-    from repro.telemetry.shard import OpenLoopShard
-
-    duration = max(1.0, 3.0 * scale)
-    shard = OpenLoopShard(duration_s=duration, rate_per_s=12.0,
-                          snapshot_every_s=1.0)
-    t0 = time.perf_counter()
-    with collecting():
-        summary = shard(seed=1)
-    elapsed = time.perf_counter() - t0
-    return BenchSample(
-        value=summary["completed"] / elapsed if elapsed > 0 else 0.0,
-        payload={"arrived": summary["arrived"],
-                 "completed": summary["completed"],
-                 "failed": summary["failed"],
-                 "compromised": summary["compromised"],
-                 "alerts": summary["alerts"]})
-
 
 @register("telemetry", "snapshot_export_per_s", unit="exports/s",
           higher_is_better=True)
 def telemetry_snapshot_export(scale: float = 1.0) -> BenchSample:
     """Merged-registry exports/second (Prometheus text + JSON-lines).
 
-    The daemon's scrape-path hot loop: snapshot a realistic registry,
+    The served sweep's scrape-path hot loop: snapshot a registry,
     render the text exposition, and JSON-encode the snapshot record.
     The payload pins the rendered bytes (crc32) so a formatting change
     cannot masquerade as a perf change.

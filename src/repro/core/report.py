@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-__all__ = ["format_table", "format_kv"]
+__all__ = ["format_table"]
 
 
 def _cell(value: Any) -> str:
@@ -38,11 +38,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def format_kv(title: str, pairs: Sequence[tuple[str, Any]]) -> str:
-    """Render a key/value block (single-scenario results)."""
-    width = max((len(k) for k, _ in pairs), default=1)
-    lines = [title]
-    for key, value in pairs:
-        lines.append(f"  {key.ljust(width)} : {_cell(value)}")
-    return "\n".join(lines)

@@ -13,14 +13,16 @@ determinism contract intact:
   :mod:`repro.obs.metrics`), so parallel aggregates are bit-for-bit
   identical to serial ones;
 * per-trial faults (exceptions, timeouts, dead workers) are retried and
-  then *recorded*, never allowed to abort the sweep.
+  then *recorded*, never allowed to abort the sweep;
+* a parent-side ``on_snapshot(index, snapshot)`` listener sees each
+  successful trial's metrics snapshot as it lands, which is what
+  ``sweep --port``/``--jsonl`` serve and stream.
 
 Entry points: :func:`run_campaign` here, ``run_trials(..., workers=N)``
 in :mod:`repro.core.campaign`, and ``python -m repro sweep`` on the
 command line.  See DESIGN.md §7 for the architecture sketch.
 """
 
-from repro.fleet.channel import fleet_publish, publishing
 from repro.fleet.errors import (CampaignError, FleetError, TrialFailure,
                                 FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT)
 from repro.fleet.reduce import campaign_stats, merge_all
@@ -37,8 +39,6 @@ __all__ = [
     "FAIL_ERROR",
     "FAIL_TIMEOUT",
     "campaign_stats",
-    "fleet_publish",
     "merge_all",
-    "publishing",
     "run_campaign",
 ]

@@ -30,12 +30,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.campaign import TrialStats
-from repro.fleet.channel import publishing
 from repro.fleet.errors import (FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT,
                                 FleetError, TrialFailure)
 from repro.fleet.reduce import campaign_stats
-from repro.fleet.worker import (ObservedTrial, TrialOutcome, _TrialTimeout,
-                                outcome_extra, run_one, worker_main)
+from repro.fleet.worker import (ObservedTrial, _TrialTimeout, run_one,
+                                shipped, worker_main)
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["CampaignResult", "run_campaign"]
@@ -183,69 +182,79 @@ def run_campaign(n: int, trial: Callable[[int], Any], *,
         :attr:`CampaignResult.lineages` / ``merged_lineages``).  Like
         metrics, recording never perturbs trial values.
     on_snapshot:
-        Parent-side callback ``(index, payload)`` invoked for every
-        interim snapshot a running trial ships via
-        :func:`repro.fleet.channel.fleet_publish` — the live-telemetry
-        channel ``repro.telemetry``'s campaign daemon exports from.
-        Snapshots arrive in per-trial publish order; across trials the
-        interleaving follows completion timing, so listeners should
-        treat payloads as *latest cumulative state per index* (exactly
-        what the merge law needs).  The callback runs on the scheduling
-        thread; exceptions it raises are contained and disable further
-        delivery rather than aborting the sweep.
+        Parent-side callback ``(index, snapshot)``, called once for every
+        trial that succeeds, as its result is recorded, with the
+        trial's metrics snapshot (the same dict that lands in
+        :attr:`CampaignResult.metrics`).  Setting it turns on
+        ``collect_metrics``.  Calls follow completion order (index order
+        when serial); a failed attempt calls nothing, and a retried
+        trial calls once.  A callback that raises is switched off for
+        the rest of the sweep instead of aborting it.
     """
     if n < 0:
         raise FleetError(f"trial count must be >= 0, got {n}")
     if retries < 0:
         raise FleetError(f"retries must be >= 0, got {retries}")
+    collect_metrics = collect_metrics or on_snapshot is not None
     if collect_metrics or flight_recorder > 0:
         trial = ObservedTrial(trial, metrics=collect_metrics,
                               lineage_sample=flight_recorder)
     trace_indices = frozenset(range(min(max(sample_traces, 0), n)))
-    listener = _SnapshotListener(on_snapshot)
+    results = _Results(on_snapshot)
     started = time.perf_counter()
     if workers <= 1 or n <= 1:
-        per_index, failures, traces, metrics, lineages = _run_serial(
-            n, trial, seed_base, timeout, retries, trace_indices, listener)
+        failures = _run_serial(n, trial, seed_base, timeout, retries,
+                               trace_indices, results)
         workers = 1
     else:
-        per_index, failures, traces, metrics, lineages = _run_parallel(
-            n, trial, seed_base, min(workers, n), timeout, retries,
-            trace_indices, listener)
+        failures = _Fleet(_fleet_context(), n, trial, seed_base,
+                          min(workers, n), timeout, retries, trace_indices,
+                          results).run()
+
+    def by_seed(per_index: Dict[int, Any]) -> Dict[int, Any]:
+        return {seed_base + i: v for i, v in sorted(per_index.items())}
+
     return CampaignResult(
         n=n, seed_base=seed_base, workers=workers,
         elapsed_s=time.perf_counter() - started,
-        per_index=per_index,
+        per_index=results.per_index,
         failures=sorted(failures, key=lambda f: f.index),
-        traces={seed_base + i: recs for i, recs in sorted(traces.items())},
-        metrics={seed_base + i: snap for i, snap in sorted(metrics.items())},
-        lineages={seed_base + i: lns for i, lns in sorted(lineages.items())})
+        traces=by_seed(results.traces),
+        metrics=by_seed(results.metrics),
+        lineages=by_seed(results.lineages))
 
 
-class _SnapshotListener:
-    """Contained delivery of interim snapshots to ``on_snapshot``.
+class _Results:
+    """Every successful trial's value and shipped extras, by index.
 
-    A listener that raises is switched off (with a one-line warning via
-    the failure kept on the instance) instead of killing the sweep —
-    telemetry export must never be able to abort a campaign.
+    The serial loop and the parallel fleet both record each trial here
+    exactly once, which is where ``on_snapshot`` fires.  A listener that
+    raises is switched off instead of killing the sweep: a live view
+    must never be able to abort a campaign.
     """
 
     def __init__(self, on_snapshot: Optional[Callable[[int, dict], None]]) -> None:
         self.on_snapshot = on_snapshot
-        self.error: Optional[BaseException] = None
+        self.per_index: Dict[int, Any] = {}
+        self.traces: Dict[int, List[dict]] = {}
+        self.metrics: Dict[int, dict] = {}
+        self.lineages: Dict[int, List[dict]] = {}
 
-    @property
-    def active(self) -> bool:
-        return self.on_snapshot is not None and self.error is None
-
-    def deliver(self, index: int, payload: dict) -> None:
-        if not self.active:
-            return
-        try:
-            self.on_snapshot(index, payload)  # type: ignore[misc]
-        except Exception as exc:
-            # Broad on purpose: contains any crash in a user's listener.
-            self.error = exc
+    def add(self, index: int, value: Any, extra: Optional[dict]) -> None:
+        self.per_index[index] = value
+        extra = extra or {}
+        if "trace" in extra:
+            self.traces[index] = extra["trace"]
+        if "lineage" in extra:
+            self.lineages[index] = extra["lineage"]
+        if "metrics" in extra:
+            self.metrics[index] = extra["metrics"]
+            if self.on_snapshot is not None:
+                try:
+                    self.on_snapshot(index, extra["metrics"])
+                except Exception:
+                    # Broad on purpose: contains any crash in a user's listener.
+                    self.on_snapshot = None
 
 
 # ----------------------------------------------------------------------
@@ -253,42 +262,25 @@ class _SnapshotListener:
 # ----------------------------------------------------------------------
 
 def _run_serial(n, trial, seed_base, timeout, retries, trace_indices,
-                listener):
-    per_index: Dict[int, Any] = {}
+                results: _Results) -> List[TrialFailure]:
     failures: List[TrialFailure] = []
-    traces: Dict[int, List[dict]] = {}
-    metrics: Dict[int, dict] = {}
-    lineages: Dict[int, List[dict]] = {}
     for index in range(n):
         for attempt in range(1, retries + 2):
             try:
-                with publishing(lambda payload, _i=index:
-                                listener.deliver(_i, payload)):
-                    outcome = run_one(trial, seed_base + index, timeout)
+                outcome = run_one(trial, seed_base + index, timeout)
             except _TrialTimeout:
                 kind, message = FAIL_TIMEOUT, f"trial exceeded its {timeout}s timeout"
             except Exception as exc:
                 # Broad on purpose: contains any crash in a user's trial.
                 kind, message = FAIL_ERROR, f"{type(exc).__name__}: {exc}"
             else:
-                value = outcome
-                if isinstance(outcome, TrialOutcome):
-                    value = outcome.value
-                    extra = outcome_extra(outcome, index in trace_indices)
-                    if extra is not None:
-                        if "trace" in extra:
-                            traces[index] = extra["trace"]
-                        if "metrics" in extra:
-                            metrics[index] = extra["metrics"]
-                        if "lineage" in extra:
-                            lineages[index] = extra["lineage"]
-                per_index[index] = value
+                results.add(index, *shipped(outcome, index in trace_indices))
                 break
             if attempt == retries + 1:
                 failures.append(TrialFailure(
                     seed=seed_base + index, index=index, kind=kind,
                     message=message, attempts=attempt))
-    return per_index, failures, traces, metrics, lineages
+    return failures
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +298,7 @@ class _Fleet:
     """Book-keeping for one parallel sweep."""
 
     def __init__(self, ctx, n, trial, seed_base, workers, timeout,
-                 retries, trace_indices, listener):
+                 retries, trace_indices, results):
         self.ctx = ctx
         self.n = n
         self.trial = trial
@@ -314,7 +306,7 @@ class _Fleet:
         self.timeout = timeout
         self.retries = retries
         self.trace_indices = trace_indices
-        self.listener = listener
+        self.results = results
         # Tasks ride an mp.Queue (buffered: the parent can enqueue the whole
         # sweep up-front without blocking).  Results ride a SimpleQueue:
         # its put() writes to the pipe synchronously in the worker, so a
@@ -325,11 +317,7 @@ class _Fleet:
         self.procs: Dict[int, Any] = {}          # live worker id -> Process
         self.in_flight: Dict[int, tuple] = {}    # worker id -> (index, deadline)
         self.failed_attempts: Dict[int, int] = {}
-        self.per_index: Dict[int, Any] = {}
         self.failures: List[TrialFailure] = []
-        self.traces: Dict[int, List[dict]] = {}
-        self.metrics: Dict[int, dict] = {}
-        self.lineages: Dict[int, List[dict]] = {}
         self.resolved: set[int] = set()
         self._next_worker_id = 0
         self._last_progress = time.monotonic()
@@ -365,14 +353,7 @@ class _Fleet:
         if index in self.resolved:
             return  # stale duplicate (e.g. retry raced a watchdog kill)
         self.resolved.add(index)
-        self.per_index[index] = value
-        if extra is not None:
-            if "trace" in extra:
-                self.traces[index] = extra["trace"]
-            if "metrics" in extra:
-                self.metrics[index] = extra["metrics"]
-            if "lineage" in extra:
-                self.lineages[index] = extra["lineage"]
+        self.results.add(index, value, extra)
 
     def _record_failed_attempt(self, index, kind, message) -> None:
         if index in self.resolved:
@@ -450,9 +431,6 @@ class _Fleet:
         if kind == "start":
             if worker_id in self.procs:
                 self.in_flight[worker_id] = (index, self._deadline())
-        elif kind == "snap":
-            if index not in self.resolved:  # drop stale retry-race snapshots
-                self.listener.deliver(index, a)
         elif kind == "ok":
             self.in_flight.pop(worker_id, None)
             self._record_success(index, a, b)
@@ -493,8 +471,7 @@ class _Fleet:
                     self._police_workers()
                     continue
                 self._handle(message)
-            return (self.per_index, self.failures, self.traces, self.metrics,
-                    self.lineages)
+            return self.failures
         finally:
             self._shutdown()
 
@@ -513,10 +490,3 @@ class _Fleet:
         self.task_queue.cancel_join_thread()
         self.task_queue.close()
         self.result_queue.close()
-
-
-def _run_parallel(n, trial, seed_base, workers, timeout, retries,
-                  trace_indices, listener):
-    fleet = _Fleet(_fleet_context(), n, trial, seed_base, workers, timeout,
-                   retries, trace_indices, listener)
-    return fleet.run()

@@ -10,23 +10,17 @@ respawned at any moment without losing campaign state.
 Wire protocol (all messages are 5-tuples on the result queue)::
 
     ("start", worker_id, index, None, None)        # about to run index
-    ("snap",  worker_id, index, payload, None)     # interim fleet_publish
     ("ok",    worker_id, index, value, extra)      # extra: dict | None
     ("fail",  worker_id, index, kind, message)     # kind: "error" | "timeout"
     ("bye",   worker_id, None,  None, None)        # clean shutdown
 
-``"snap"`` messages are emitted whenever the running trial calls
-:func:`repro.fleet.channel.fleet_publish`; the parent forwards each to
-the campaign's ``on_snapshot`` callback.  They may appear any number of
-times (including zero) between a ``"start"`` and its matching
-``"ok"``/``"fail"``.
-
 ``extra`` on an ``"ok"`` message is ``None`` or a dict with optional
 keys ``"trace"`` (serialized trace records for sampled seeds),
 ``"metrics"`` (the trial's :class:`MetricsRegistry` snapshot when the
-campaign collects metrics) and ``"lineage"`` (a truncated serialized
-flight-recorder sample when the campaign runs with
-``flight_recorder=N``).
+campaign collects metrics; the parent hands it to ``on_snapshot``) and
+``"lineage"`` (a truncated serialized flight-recorder sample when the
+campaign runs with ``flight_recorder=N``).  Nothing else crosses the
+queue while a trial runs.
 
 ``"start"`` always precedes the matching ``"ok"``/``"fail"`` and the
 queue preserves per-worker ordering, so the parent always knows which
@@ -37,9 +31,8 @@ from __future__ import annotations
 
 import signal
 from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet, Optional
+from typing import Any, Callable, FrozenSet, Optional, Tuple
 
-from repro.fleet.channel import publishing
 from repro.fleet.errors import FAIL_ERROR, FAIL_TIMEOUT
 from repro.obs.lineage import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -148,13 +141,8 @@ def worker_main(worker_id: int, trial: Callable[[int], Any], seed_base: int,
             result_queue.put(("bye", worker_id, None, None, None))
             return
         result_queue.put(("start", worker_id, index, None, None))
-
-        def ship_snapshot(payload: dict, _index: int = index) -> None:
-            result_queue.put(("snap", worker_id, _index, payload, None))
-
         try:
-            with publishing(ship_snapshot):
-                outcome = run_one(trial, seed_base + index, timeout)
+            outcome = run_one(trial, seed_base + index, timeout)
         except _TrialTimeout:
             result_queue.put(("fail", worker_id, index, FAIL_TIMEOUT,
                               f"trial exceeded its {timeout}s timeout"))
@@ -164,15 +152,14 @@ def worker_main(worker_id: int, trial: Callable[[int], Any], seed_base: int,
             result_queue.put(("fail", worker_id, index, FAIL_ERROR,
                               f"{type(exc).__name__}: {exc}"))
             continue
-        value, extra = outcome, None
-        if isinstance(outcome, TrialOutcome):
-            value = outcome.value
-            extra = outcome_extra(outcome, index in trace_indices)
+        value, extra = shipped(outcome, index in trace_indices)
         result_queue.put(("ok", worker_id, index, value, extra))
 
 
-def outcome_extra(outcome: TrialOutcome, ship_trace: bool) -> Optional[dict]:
-    """Build the ``extra`` slot of an ``"ok"`` message (None when empty)."""
+def shipped(outcome: Any, ship_trace: bool) -> Tuple[Any, Optional[dict]]:
+    """The ``(value, extra)`` slots of a trial's ``"ok"`` message."""
+    if not isinstance(outcome, TrialOutcome):
+        return outcome, None
     extra: dict = {}
     if ship_trace and outcome.trace is not None:
         extra["trace"] = outcome.trace.to_dicts()
@@ -180,4 +167,4 @@ def outcome_extra(outcome: TrialOutcome, ship_trace: bool) -> Optional[dict]:
         extra["metrics"] = outcome.metrics
     if outcome.lineage is not None:
         extra["lineage"] = outcome.lineage
-    return extra or None
+    return outcome.value, extra or None

@@ -47,9 +47,6 @@ class Station(Host):
     def position(self) -> Position:
         return self.wlan.port.position
 
-    def move_to(self, position: Position) -> None:
-        self.wlan.port.position = position
-
     def connect(
         self,
         ssid: str,

@@ -10,7 +10,7 @@ Four pieces (see DESIGN.md §8–§9):
   kernel event dispatch and the known hot paths (radio fan-out,
   RC4/FMS, the frame codec);
 * :mod:`repro.obs.runtime` — the one ambient :class:`Instrumentation`
-  record (metrics, profiler, recorder, WIDS watch, fleet publisher),
+  record (metrics, profiler, recorder, WIDS watch),
   read with :func:`instruments` and replaced field by field with
   :func:`installed`; :func:`collecting` installs a registry and
   optionally a profiler.  A field left ``None`` is an observer that is

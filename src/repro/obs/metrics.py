@@ -215,35 +215,6 @@ class HistogramMetric:
     def total(self) -> int:
         return sum(self.counts) + self.underflow + self.overflow
 
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile of the in-range observations.
-
-        Linear interpolation inside the bucket holding the ``q``-th
-        in-range sample (the classic grouped-data estimator, same rule
-        Prometheus applies to ``_bucket`` series): monotone in ``q``,
-        always inside the occupied bucket's edges, and — because it is
-        computed purely from bin counts — invariant under the merge law
-        (folding shards and then asking for a quantile equals asking the
-        single-pass histogram).  Underflow/overflow samples are
-        excluded; ``nan`` when no in-range sample was observed.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile fraction must be in [0, 1], got {q}")
-        inrange = sum(self.counts)
-        if inrange == 0:
-            return math.nan
-        target = q * inrange
-        acc = 0
-        for i, c in enumerate(self.counts):
-            if not c:
-                continue
-            if acc + c >= target:
-                left, right = self._edges[i], self._edges[i + 1]
-                frac = (target - acc) / c if c else 0.0
-                return left + (right - left) * frac
-            acc += c
-        return self._edges[-1]  # pragma: no cover - float-sum slack guard
-
     def merge(self, other: "HistogramMetric") -> "HistogramMetric":
         """Add another histogram's counts bin-for-bin (returns self)."""
         if (self.lo, self.hi, self.bins) != (other.lo, other.hi, other.bins):

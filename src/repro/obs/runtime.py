@@ -2,9 +2,8 @@
 
 Every observer the simulation reports into is a field of one
 :class:`Instrumentation` record — the metrics registry, the profiler,
-the frame-lineage recorder (:func:`repro.obs.lineage.recording`), the
-WIDS watch (:func:`repro.wids.runtime.wids_watch`) and the fleet's
-snapshot publisher (:func:`repro.fleet.channel.publishing`) — and this
+the frame-lineage recorder (:func:`repro.obs.lineage.recording`) and
+the WIDS watch (:func:`repro.wids.runtime.wids_watch`) — and this
 module holds the repo's only ambient hook: the installed record.
 ``None`` means that observer is off.  Hot-path code looks the record up
 once with :func:`instruments` and guards each field::
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profiler
@@ -54,7 +53,6 @@ class Instrumentation:
     profiler: Optional[Profiler] = None
     recorder: Optional["FlightRecorder"] = None
     wids: Optional["WidsWatch"] = None
-    publish: Optional[Callable[[dict], None]] = None
 
 
 _current = Instrumentation()

@@ -74,10 +74,6 @@ class SimRandom:
     def shuffle(self, seq: list) -> None:
         self._random.shuffle(seq)
 
-    def expovariate(self, rate: float) -> float:
-        """Exponential inter-arrival time with the given rate (1/mean)."""
-        return self._random.expovariate(rate)
-
     def gauss(self, mu: float, sigma: float) -> float:
         return self._random.gauss(mu, sigma)
 

@@ -1,50 +1,31 @@
-"""Live campaign telemetry: open-loop load, streaming export, scorecards.
+"""Live and streamed views of a sweep's merged metrics registry.
 
 The paper reports end-of-run numbers; an operator defending a real WLAN
-watches *live* ones.  This package turns the repository's batch
-campaign engine (:mod:`repro.fleet`) into a long-running service:
+watches *live* ones.  ``python -m repro sweep EXP --port P --jsonl S``
+exposes a campaign's seed-order merged registry while it runs — the
+experiment's own metrics and WIDS counters — through:
 
-* :mod:`~repro.telemetry.sessions` — Poisson-arrival, open-loop client
-  sessions (join → browse/download) offered to the Fig. 1 world at a
-  configured rate instead of a fixed trial count;
-* :mod:`~repro.telemetry.shard` — the per-seed campaign trial that
-  drives the simulator in snapshot-cadence slices and publishes
-  cumulative :class:`~repro.obs.metrics.MetricsRegistry` snapshots
-  through the fleet's worker→parent channel, without perturbing the
-  simulation (exporter on/off is bit-identical);
+* :mod:`~repro.telemetry.daemon` — a :class:`LiveStore` of finished
+  trials' snapshots and :func:`serving`, a stdlib HTTP server for
+  ``GET /metrics`` and ``GET /healthz``;
 * :mod:`~repro.telemetry.prometheus` — stdlib text-exposition
   rendering (and a strict parser used by tests/CI);
-* :mod:`~repro.telemetry.stream` — append-only JSON-lines sink whose
-  replay reproduces the in-process merged registry exactly;
-* :mod:`~repro.telemetry.scorecard` — p50/p95/p99 session latency,
-  alerts/s and time-to-detect, derived from mergeable state only;
-* :mod:`~repro.telemetry.daemon` — the ``python -m repro serve``
-  runtime tying it all together behind ``GET /metrics``.
+* :mod:`~repro.telemetry.stream` — an append-only JSON-lines sink whose
+  replay reproduces the in-process merged registry exactly.
 
-DESIGN.md §14 describes the architecture and its invariants.
+DESIGN.md §14 describes the served sweep.
 """
 
-from repro.telemetry.daemon import CampaignDaemon, LiveStore, MetricsExporter
+from repro.telemetry.daemon import LiveStore, serving
 from repro.telemetry.prometheus import parse_exposition, render_exposition
-from repro.telemetry.scorecard import LatencyScorecard
-from repro.telemetry.sessions import OpenLoopSessions
-from repro.telemetry.shard import (OpenLoopShard, clear_stop, request_stop,
-                                   stop_requested)
 from repro.telemetry.stream import JsonlWriter, read_records, replay
 
 __all__ = [
-    "CampaignDaemon",
     "JsonlWriter",
-    "LatencyScorecard",
     "LiveStore",
-    "MetricsExporter",
-    "OpenLoopSessions",
-    "OpenLoopShard",
-    "clear_stop",
     "parse_exposition",
     "read_records",
     "render_exposition",
     "replay",
-    "request_stop",
-    "stop_requested",
+    "serving",
 ]

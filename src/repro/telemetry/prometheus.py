@@ -6,8 +6,8 @@ format, version 0.0.4 — the format every Prometheus server scrapes and
 ``promtool`` checks.  Naming rules, applied deterministically:
 
 * every family is prefixed ``repro_`` and dotted metric names are
-  flattened with ``_`` (``telemetry.sessions.completed`` →
-  ``repro_telemetry_sessions_completed``); any character outside
+  flattened with ``_`` (``attack.netsed.rewrites`` →
+  ``repro_attack_netsed_rewrites``); any character outside
   ``[a-zA-Z0-9_]`` sanitizes to ``_``;
 * counters gain the conventional ``_total`` suffix;
 * timers render as summaries in seconds: ``<name>_seconds_sum`` /

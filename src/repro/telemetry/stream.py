@@ -1,27 +1,24 @@
 """Append-only JSON-lines telemetry stream, and its replay inverse.
 
-The daemon's second sink (next to the Prometheus endpoint) is a plain
-JSON-lines file: one self-describing JSON object per line, appended as
-snapshots arrive, so any log shipper — or ``tail -f`` — can follow a
-campaign live with zero dependencies.
+``python -m repro sweep EXP --jsonl S`` writes a plain JSON-lines file:
+one self-describing JSON object per line, appended as trials finish, so
+any log shipper — or ``tail -f`` — can follow a campaign live with zero
+dependencies.
 
-Record kinds::
+Record kinds, per campaign::
 
-    {"kind": "meta", "version": 1, ...}                  # once, first line
+    {"kind": "meta", "version": 1, ...}                  # once, first
     {"kind": "snapshot", "index": i, "seed": s, "seq": n,
-     "metrics": {<MetricsRegistry.snapshot()>}}          # many, cumulative
-    {"kind": "final", "metrics": {...}, "scorecard": {...},
-     "summary": {...}}                                   # once, last line
+     "metrics": {<MetricsRegistry.snapshot()>}}          # one per trial
+    {"kind": "final", "metrics": {...}}                  # once, last
 
-Snapshots are **cumulative**, not deltas: each carries the shard's whole
-registry at publish time.  That makes the stream self-healing (drop any
-prefix of a shard's snapshots and nothing is lost but staleness) and
-makes :func:`replay` trivial and exact — keep the *last* snapshot per
-trial index and fold them in seed order through the registry merge law.
-Because every shard's final publish equals its end-of-run registry
-(see :mod:`repro.telemetry.shard`), a replayed stream reproduces the
-in-process :meth:`CampaignResult.merged_metrics` view bit for bit; the
-tests pin that equivalence.
+Each snapshot is a finished trial's whole registry, and ``seq`` counts
+the records of one writer from 0.  The file is opened for append, so it
+may hold several campaigns, each starting at its ``meta`` record.
+:func:`replay` folds the last campaign's snapshots in seed order through
+the registry merge law, which reproduces the in-process
+:meth:`CampaignResult.merged_metrics` view bit for bit; the tests pin
+that equivalence.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import io
 import json
 import threading
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Union
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -62,14 +59,8 @@ class JsonlWriter:
                   "seq": self._seq, "metrics": metrics}
         self._write(record)
 
-    def write_final(self, metrics: dict, scorecard: Optional[dict] = None,
-                    summary: Optional[dict] = None) -> None:
-        record: dict = {"kind": "final", "metrics": metrics}
-        if scorecard is not None:
-            record["scorecard"] = scorecard
-        if summary is not None:
-            record["summary"] = summary
-        self._write(record)
+    def write_final(self, metrics: dict) -> None:
+        self._write({"kind": "final", "metrics": metrics})
 
     def _write(self, record: dict) -> None:
         line = json.dumps(record, sort_keys=True,
@@ -108,16 +99,20 @@ def read_records(path: str) -> Iterator[dict]:
 
 
 def replay(path: str) -> MetricsRegistry:
-    """Rebuild the merged campaign registry from a stream file.
+    """Rebuild the last campaign's merged registry from a stream file.
 
-    Keeps the last (highest-``seq``) snapshot per trial index, then
-    folds them in seed order — the same law
-    :meth:`CampaignResult.merged_metrics` applies to in-process
+    Only the records after the last ``meta`` record count: an earlier
+    campaign appended to the same file is ignored.  Keeps the last
+    snapshot per trial index, then folds them in seed order — the same
+    law :meth:`CampaignResult.merged_metrics` applies to in-process
     snapshots, so for a complete stream the result is identical.
     """
     latest: Dict[int, dict] = {}
     seeds: Dict[int, int] = {}
     for record in read_records(path):
+        if record["kind"] == "meta":
+            latest.clear()
+            seeds.clear()
         if record["kind"] != "snapshot":
             continue
         index = int(record["index"])

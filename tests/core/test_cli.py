@@ -86,6 +86,13 @@ def test_cli_sweep_unknown_experiment(capsys):
     assert main(["sweep", "E-NOPE"]) == 2
 
 
+@pytest.mark.parametrize("flag", [["--port-file", "port"],
+                                  ["--host", "0.0.0.0"]])
+def test_cli_sweep_serving_options_need_port(flag, capsys):
+    assert main(["sweep", "E-8021X", "--trials", "1", *flag]) == 2
+    assert "need --port" in capsys.readouterr().err
+
+
 def test_cli_sweep_custom_seed_base(tmp_path, capsys):
     out_file = tmp_path / "sweep.json"
     assert main(["sweep", "E-8021X", "--trials", "2", "--seed-base", "7",
@@ -375,4 +382,4 @@ def test_cli_help_lists_one_run_command(capsys):
         main(["--help"])
     out = capsys.readouterr().out
     commands = out.split("{", 1)[1].split("}", 1)[0].split(",")
-    assert commands == ["list", "run", "threats", "sweep", "serve", "bench"]
+    assert commands == ["list", "run", "threats", "sweep", "bench"]

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.campaign import TrialStats, run_trials
-from repro.core.report import format_kv, format_table
+from repro.core.report import format_table
 from repro.core.threatmodel import Threat, ThreatApplicability, threat_taxonomy
 
 
@@ -70,8 +70,3 @@ def test_format_table_alignment():
     assert "yes" in out and "no" in out
     # Columns align: every row same length.
     assert len(set(len(l) for l in lines[2:])) <= 2
-
-
-def test_format_kv():
-    out = format_kv("Result", [("key", 1.23456), ("flag", True)])
-    assert "Result" in out and "1.235" in out and "yes" in out

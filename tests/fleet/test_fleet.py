@@ -318,87 +318,72 @@ def test_empty_campaign():
 
 
 # ----------------------------------------------------------------------
-# interim snapshot channel (fleet_publish -> on_snapshot)
+# on_snapshot: each successful trial's metrics snapshot, in the parent
 # ----------------------------------------------------------------------
 
-def publishing_trial(seed):
-    """Publishes three cumulative snapshots through the ambient channel."""
-    from repro.fleet import fleet_publish
-    from repro.obs.runtime import instruments
-
-    m = instruments().metrics
-    for step in range(3):
-        if m is not None:
-            m.incr("fleet.test.progress")
-        fleet_publish({"seed": seed, "step": step,
-                       "metrics": m.snapshot() if m is not None else {}})
-    return float(seed)
-
-
-def test_fleet_publish_is_noop_without_publisher():
-    # Direct call, no campaign: publishing must be invisible.
-    assert publishing_trial(7) == 7.0
-
-
-def test_publishing_context_nests_and_restores():
-    from repro.fleet import fleet_publish, publishing
-
-    outer, inner = [], []
-    with publishing(outer.append):
-        fleet_publish({"at": "outer"})
-        with publishing(inner.append):
-            fleet_publish({"at": "inner"})
-        fleet_publish({"at": "outer-again"})
-    fleet_publish({"at": "nowhere"})
-    assert [p["at"] for p in outer] == ["outer", "outer-again"]
-    assert [p["at"] for p in inner] == ["inner"]
+def flaky_metric_trial(seed, marker_dir=None):
+    """Records metrics, then fails the first attempt for each seed."""
+    metric_trial(seed)
+    return flaky_trial(seed, marker_dir)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_on_snapshot_delivers_per_trial_publish_order(workers):
+def test_on_snapshot_fires_once_per_successful_trial(workers):
     seen = []
-    result = run_campaign(3, publishing_trial, workers=workers,
-                          on_snapshot=lambda i, p: seen.append((i, p)))
-    assert result.stats.values == [1000.0, 1001.0, 1002.0]
-    by_index = {}
-    for index, payload in seen:
-        by_index.setdefault(index, []).append(payload)
-    assert sorted(by_index) == [0, 1, 2]
-    for index, payloads in by_index.items():
-        assert [p["step"] for p in payloads] == [0, 1, 2]  # per-trial order
-        assert all(p["seed"] == 1000 + index for p in payloads)
+    result = run_campaign(
+        6, failing_trial, workers=workers,
+        on_snapshot=lambda index, snap: seen.append((index, os.getpid())))
+    assert [f.seed for f in result.failures] == [1005]
+    # once per trial that succeeded, never for the failed one
+    assert sorted(index for index, _ in seen) == [0, 1, 2, 3, 4]
+    assert {pid for _, pid in seen} == {os.getpid()}  # in the parent
 
 
 def test_on_snapshot_composes_with_collect_metrics():
-    last = {}
-    result = run_campaign(
-        2, publishing_trial, workers=1, collect_metrics=True,
-        on_snapshot=lambda i, p: last.__setitem__(i, p))
-    for index in (0, 1):
-        # the trial's published registry view is live and cumulative
-        assert last[index]["metrics"]["fleet.test.progress"]["value"] == 3
-        assert result.metrics[1000 + index]["fleet.test.progress"]["value"] == 3
-    # shipping snapshots never changes results
-    assert result.stats.values == [1000.0, 1001.0]
+    delivered = {}
+    result = run_campaign(3, metric_trial, workers=2, collect_metrics=True,
+                          on_snapshot=delivered.__setitem__)
+    # the payload is the snapshot the result keeps for that seed
+    assert {1000 + i: snap for i, snap in delivered.items()} == result.metrics
+    assert delivered[1]["fleet.test.seed_sum"]["value"] == 1001
+    assert result.stats.values == [1000.0, 1001.0, 1002.0]
+
+
+def test_on_snapshot_turns_on_metrics_collection():
+    seen = []
+    result = run_campaign(2, metric_trial,
+                          on_snapshot=lambda index, snap: seen.append(snap))
+    assert sorted(result.metrics) == [1000, 1001]
+    assert seen == [result.metrics[1000], result.metrics[1001]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_on_snapshot_fires_once_for_a_retried_trial(tmp_path, workers):
+    seen = []
+    trial = partial(flaky_metric_trial, marker_dir=str(tmp_path))
+    result = run_campaign(3, trial, workers=workers, retries=1,
+                          on_snapshot=lambda index, snap: seen.append(index))
+    assert result.failures == [] and result.ok == 3
+    assert len(list(tmp_path.glob("*.attempted"))) == 3  # each failed once
+    assert sorted(seen) == [0, 1, 2]
+    # the failed attempt's registry was never shipped
+    assert all(snap["fleet.test.calls"]["value"] == 1
+               for snap in result.metrics.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_raising_listener_contained_not_fatal(workers):
     calls = []
 
-    def bad_listener(index, payload):
+    def bad_listener(index, snapshot):
         calls.append(index)
         raise RuntimeError("listener broke")
 
-    result = run_campaign(3, publishing_trial, workers=workers,
+    result = run_campaign(3, metric_trial, workers=workers,
                           on_snapshot=bad_listener)
     assert result.stats.values == [1000.0, 1001.0, 1002.0]  # sweep survived
+    assert sorted(result.metrics) == [1000, 1001, 1002]
     assert len(calls) == 1  # switched off after the first failure
-
-
-def test_snapshots_without_listener_are_discarded():
-    result = run_campaign(2, publishing_trial, workers=2)
-    assert result.stats.values == [1000.0, 1001.0]
 
 
 # ----------------------------------------------------------------------

@@ -276,69 +276,3 @@ def test_registry_report_lists_every_metric():
         assert name in out
     assert "counter" in out and "gauge" in out
     assert "timer" in out and "histogram" in out
-
-
-# ----------------------------------------------------------------------
-# HistogramMetric.quantile — grouped-data estimation (PR 8)
-# ----------------------------------------------------------------------
-
-def test_quantile_empty_histogram_is_nan():
-    h = HistogramMetric(lo=0.0, hi=10.0, bins=5)
-    assert math.isnan(h.quantile(0.5))
-    h.observe(-1.0)  # out-of-range only: still no in-range mass
-    h.observe(99.0)
-    assert math.isnan(h.quantile(0.5))
-
-
-def test_quantile_rejects_out_of_range_fraction():
-    h = HistogramMetric(lo=0.0, hi=10.0, bins=5)
-    h.observe(5.0)
-    for bad in (-0.1, 1.1, 2.0):
-        with pytest.raises(ValueError):
-            h.quantile(bad)
-
-
-def test_quantile_exact_on_single_bucket_data():
-    # All mass in one bucket: every quantile lands inside that bucket's
-    # edges, and the interpolation sweeps it monotonically.
-    h = HistogramMetric(lo=0.0, hi=10.0, bins=5)
-    for _ in range(100):
-        h.observe(4.5)   # bucket [4, 6)
-    assert 4.0 <= h.quantile(0.0) <= h.quantile(1.0) <= 6.0
-    assert h.quantile(1.0) == 6.0
-    assert abs(h.quantile(0.5) - 5.0) < 1e-9
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=9.999), min_size=1,
-                max_size=60),
-       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
-                max_size=8))
-def test_quantile_monotone_in_q(xs, qs):
-    h = HistogramMetric(lo=0.0, hi=10.0, bins=8)
-    for x in xs:
-        h.observe(x)
-    values = [h.quantile(q) for q in sorted(qs)]
-    assert all(a <= b for a, b in zip(values, values[1:]))
-    assert all(h.lo <= v <= h.hi for v in values)
-
-
-@given(st.lists(st.floats(min_value=-5.0, max_value=15.0), min_size=1,
-                max_size=60),
-       st.lists(st.integers(min_value=0, max_value=60), max_size=3),
-       st.floats(min_value=0.0, max_value=1.0))
-def test_quantile_stable_under_merge(xs, cuts, q):
-    # Folding per-shard partials (the fleet reduction) must yield the
-    # same quantiles as one histogram that saw every observation.
-    single = HistogramMetric(lo=0.0, hi=10.0, bins=8)
-    for x in xs:
-        single.observe(x)
-    merged = HistogramMetric(lo=0.0, hi=10.0, bins=8)
-    for part in _split(xs, cuts):
-        shard = HistogramMetric(lo=0.0, hi=10.0, bins=8)
-        for x in part:
-            shard.observe(x)
-        merged.merge(shard)
-    if sum(single.counts) == 0:  # no in-range mass (only under/overflow)
-        assert math.isnan(merged.quantile(q))
-    else:
-        assert merged.quantile(q) == single.quantile(q)  # bit-identical

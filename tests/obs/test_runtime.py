@@ -1,11 +1,10 @@
 """The one ambient instrumentation context: nesting, restoration, gating."""
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from itertools import product
 
 import pytest
 
-from repro.fleet.channel import publishing
 from repro.obs.lineage import recording
 from repro.obs.runtime import (Collection, Instrumentation, collecting,
                                installed, instruments)
@@ -84,19 +83,12 @@ def test_installed_rejects_unknown_fields():
 # every observer shares the one record
 # ----------------------------------------------------------------------
 
-@contextmanager
-def _publish_to_list():
-    with publishing([].append):
-        yield instruments().publish
-
-
 #: context -> (field it installs, how to read the installed object back)
 _OBSERVERS = {
     "collecting": (lambda: collecting(profile=True), "metrics",
                    lambda col: col.registry),
     "recording": (recording, "recorder", lambda rec: rec),
     "wids_watch": (wids_watch, "wids", lambda watch: watch),
-    "publishing": (_publish_to_list, "publish", lambda fn: fn),
 }
 _PAIRS = [(a, b) for a, b in product(_OBSERVERS, repeat=2) if a != b]
 

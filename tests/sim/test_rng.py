@@ -66,10 +66,3 @@ def test_pick_weighted_respects_weights():
 def test_pick_weighted_rejects_nonpositive_total():
     with pytest.raises(ValueError):
         SimRandom(0).pick_weighted([("a", 0.0)])
-
-
-def test_expovariate_positive():
-    rng = SimRandom(6)
-    draws = [rng.expovariate(2.0) for _ in range(100)]
-    assert all(d >= 0 for d in draws)
-    assert 0.2 < sum(draws) / len(draws) < 1.0  # mean ~0.5

@@ -1,8 +1,10 @@
-"""Daemon end-to-end: live scrape, stream replay, determinism goldens."""
+"""The served sweep: LiveStore, the HTTP endpoints, and `sweep --port`."""
 
 from __future__ import annotations
 
 import json
+import os
+import signal
 import threading
 import time
 import urllib.error
@@ -10,142 +12,15 @@ import urllib.request
 
 import pytest
 
-from repro.fleet import run_campaign
-from repro.obs import collecting
+from repro.__main__ import main
 from repro.obs.metrics import MetricsRegistry
-from repro.telemetry import (CampaignDaemon, LiveStore, OpenLoopShard,
-                             clear_stop, parse_exposition, replay,
-                             request_stop)
-from repro.telemetry.scorecard import LatencyScorecard
-from repro.telemetry.stream import read_records
-
-SHARD = dict(duration_s=2.0, rate_per_s=8.0, snapshot_every_s=0.5)
-
-
-@pytest.fixture(autouse=True)
-def _clean_stop_flag():
-    clear_stop()
-    yield
-    clear_stop()
+from repro.telemetry import (LiveStore, parse_exposition, read_records,
+                             render_exposition, replay, serving)
 
 
 def _get(url: str) -> str:
     with urllib.request.urlopen(url, timeout=10) as response:
         return response.read().decode("utf-8")
-
-
-# ----------------------------------------------------------------------
-# determinism goldens: the exporter must not touch the simulation
-# ----------------------------------------------------------------------
-
-def test_golden_exporter_on_off_bit_identical():
-    shard = OpenLoopShard(**SHARD)
-    with collecting() as col:
-        bare_summary = shard(seed=1000)
-    bare_metrics = col.snapshot()
-    seen = []
-    result = run_campaign(1, shard, seed_base=1000, collect_metrics=True,
-                          on_snapshot=lambda i, snap: seen.append(snap))
-    assert result.per_index[0] == bare_summary
-    assert result.metrics[1000] == bare_metrics
-    assert len(seen) > 1
-    # cumulative snapshots: the last published == the trial's own final
-    assert seen[-1] == bare_metrics
-
-
-def test_golden_scorecard_deterministic_for_fixed_seed():
-    def once():
-        daemon = CampaignDaemon(shards=2, shard=OpenLoopShard(**SHARD))
-        result, card = daemon.run(install_signal_handlers=False)
-        return result, card
-    r1, c1 = once()
-    r2, c2 = once()
-    assert c1.to_json_dict() == c2.to_json_dict()
-    assert r1.merged_metrics.snapshot() == r2.merged_metrics.snapshot()
-    assert [r1.per_index[i] for i in sorted(r1.per_index)] \
-        == [r2.per_index[i] for i in sorted(r2.per_index)]
-
-
-def test_golden_serial_equals_parallel():
-    shard = OpenLoopShard(**SHARD)
-    serial = CampaignDaemon(shards=2, shard=shard, workers=1)
-    parallel = CampaignDaemon(shards=2, shard=shard, workers=2)
-    rs, cs = serial.run(install_signal_handlers=False)
-    rp, cp = parallel.run(install_signal_handlers=False)
-    assert cs.to_json_dict() == cp.to_json_dict()
-    assert rs.merged_metrics.snapshot() == rp.merged_metrics.snapshot()
-    assert parallel.snapshots_seen > 0  # the queue channel carried snaps
-
-
-# ----------------------------------------------------------------------
-# live export
-# ----------------------------------------------------------------------
-
-def test_daemon_serves_metrics_and_jsonl(tmp_path):
-    jsonl = str(tmp_path / "tele.jsonl")
-    daemon = CampaignDaemon(shards=2, shard=OpenLoopShard(**SHARD),
-                            jsonl_path=jsonl, linger_s=120.0)
-    scraped: dict = {}
-
-    def scrape_then_stop(url: str) -> None:
-        # Poll /metrics until the campaign has completed sessions (the
-        # linger window keeps the exporter up), then release the daemon.
-        try:
-            scraped["health"] = _get(url + "/healthz")
-            deadline = time.monotonic() + 110
-            while time.monotonic() < deadline:
-                text = _get(url + "/metrics")
-                families = parse_exposition(text)  # every scrape is valid
-                done = families.get(
-                    "repro_telemetry_sessions_completed_total")
-                if done and done["samples"][0][2] > 0:
-                    scraped["metrics"] = text
-                    break
-                time.sleep(0.1)
-            try:
-                _get(url + "/nope")
-            except urllib.error.HTTPError as exc:
-                scraped["not_found"] = exc.code
-        finally:
-            request_stop()
-
-    threads = []
-
-    def ready(d: CampaignDaemon) -> None:
-        thread = threading.Thread(
-            target=scrape_then_stop, args=(f"http://127.0.0.1:{d.port}",),
-            daemon=True)
-        thread.start()
-        threads.append(thread)
-
-    result, card = daemon.run(install_signal_handlers=False, on_ready=ready)
-    threads[0].join(timeout=30)
-
-    assert scraped["health"] == "ok\n"
-    assert scraped["not_found"] == 404
-    families = parse_exposition(scraped["metrics"])
-    totals = families["repro_telemetry_sessions_completed_total"]["samples"]
-    assert totals[0][2] > 0
-    # derived scorecard gauges are live on the endpoint
-    assert "repro_telemetry_scorecard_p50_latency_s" in families
-
-    # the JSON-lines stream replays to the in-process merged registry
-    records = list(read_records(jsonl))
-    assert records[0]["kind"] == "meta"
-    assert records[-1]["kind"] == "final"
-    assert replay(jsonl).snapshot() == result.merged_metrics.snapshot()
-    assert records[-1]["metrics"] == result.merged_metrics.snapshot()
-    assert records[-1]["scorecard"] == card.to_json_dict()
-    json.dumps(records[-1])  # JSON-clean end to end
-
-
-def test_ephemeral_port_allocation():
-    daemon = CampaignDaemon(
-        shards=1, shard=OpenLoopShard(duration_s=1.0, rate_per_s=4.0))
-    ports = {}
-    daemon.run(install_signal_handlers=False,
-               on_ready=lambda d: ports.setdefault("port", d.port))
-    assert ports["port"] > 0
 
 
 def test_live_store_merges_in_seed_order():
@@ -162,24 +37,89 @@ def test_live_store_merges_in_seed_order():
     assert len(store) == 2
 
 
-# ----------------------------------------------------------------------
-# graceful stop
-# ----------------------------------------------------------------------
+def test_ephemeral_port_allocation():
+    with serving(LiveStore(), port=0) as server:
+        assert server.server_address[1] > 0
 
-def test_stop_flag_drains_in_process_campaign():
-    shard = OpenLoopShard(duration_s=3600.0, rate_per_s=8.0,
-                          snapshot_every_s=0.5)
-    calls = []
 
-    def deliver(index, snapshot):
-        calls.append(index)
-        if len(calls) == 3:
-            request_stop()
+def test_serving_renders_the_store_live():
+    store = LiveStore()
+    registry = MetricsRegistry()
+    registry.incr("attack.netsed.rewrites", 2)
+    with serving(store) as server:
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        assert _get(url + "/healthz") == "ok\n"
+        assert _get(url + "/metrics") == ""  # no trial finished yet
+        store.update(0, 1000, registry.snapshot())
+        assert _get(url + "/metrics") == render_exposition(registry)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(url + "/nope")
+        assert excinfo.value.code == 404
 
-    result = run_campaign(1, shard, seed_base=1000, collect_metrics=True,
-                          on_snapshot=deliver)
-    summary = result.per_index[0]
-    assert summary["stopped_early"] is True
-    assert summary["active"] == 0  # drained, not truncated
-    card = LatencyScorecard.from_registry(result.merged_metrics)
-    assert card.sessions_completed == summary["completed"]
+
+def _scrape_until_done(port_file, metrics_file, seen: dict) -> None:
+    """Scrape the served sweep until it has written its metrics file,
+    take one last scrape of the final view, then send SIGINT."""
+    deadline = time.monotonic() + 120
+    while not port_file.exists() or not port_file.read_text().strip():
+        if time.monotonic() > deadline:
+            return  # never served: main() has returned on its own
+        time.sleep(0.05)
+    try:
+        url = f"http://127.0.0.1:{int(port_file.read_text())}"
+        seen["health"] = _get(url + "/healthz")
+        try:
+            _get(url + "/nope")
+        except urllib.error.HTTPError as exc:
+            seen["not_found"] = exc.code
+        while time.monotonic() < deadline:
+            try:
+                json.loads(metrics_file.read_text())
+                done = True
+            except (OSError, ValueError):
+                done = False  # not written yet, or half written
+            seen.setdefault("scrapes", []).append(_get(url + "/metrics"))
+            if done:
+                break
+            time.sleep(0.05)
+    finally:
+        os.kill(os.getpid(), signal.SIGINT)
+
+
+def test_sweep_serves_and_streams_the_merged_registry(tmp_path, capsys):
+    stream, metrics = tmp_path / "s.jsonl", tmp_path / "m.json"
+    served_json, plain_json = tmp_path / "j.json", tmp_path / "plain.json"
+    port_file = tmp_path / "port"
+    seen: dict = {}
+    scraper = threading.Thread(
+        target=_scrape_until_done, args=(port_file, metrics, seen),
+        daemon=True)
+    scraper.start()
+    assert main(["sweep", "FIG2", "--trials", "3", "--workers", "2",
+                 "--port", "0", "--port-file", str(port_file),
+                 "--jsonl", str(stream), "--metrics", str(metrics),
+                 "--json", str(served_json)]) == 0
+    scraper.join(timeout=30)
+    assert "serving the merged registry on http://" in capsys.readouterr().out
+
+    assert seen["health"] == "ok\n"
+    assert seen["not_found"] == 404
+    for text in seen["scrapes"]:
+        parse_exposition(text)  # every scrape is valid exposition text
+    merged = json.loads(metrics.read_text())["metrics"]
+    assert seen["scrapes"][-1] == render_exposition(merged)
+    families = parse_exposition(seen["scrapes"][-1])
+    rewrites = families["repro_attack_netsed_rewrites_total"]["samples"]
+    assert rewrites[0][2] > 0
+
+    records = list(read_records(str(stream)))
+    assert [r["kind"] for r in records] \
+        == ["meta", "snapshot", "snapshot", "snapshot", "final"]
+    assert sorted(r["seed"] for r in records[1:-1]) == [1000, 1001, 1002]
+    assert replay(str(stream)).snapshot() == merged == records[-1]["metrics"]
+
+    # serving and streaming leave the experiment's results alone
+    assert main(["sweep", "FIG2", "--trials", "3",
+                 "--json", str(plain_json)]) == 0
+    assert json.loads(served_json.read_text())["results"] \
+        == json.loads(plain_json.read_text())["results"]

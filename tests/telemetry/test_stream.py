@@ -24,7 +24,7 @@ def test_writer_emits_one_json_object_per_line(tmp_path):
     with JsonlWriter(path) as writer:
         writer.write_meta(shards=2)
         writer.write_snapshot(0, 1000, _reg(1).snapshot())
-        writer.write_final(_reg(1).snapshot(), scorecard={"p50_latency_s": 1})
+        writer.write_final(_reg(1).snapshot())
     lines = open(path).read().splitlines()
     assert len(lines) == 3
     kinds = [json.loads(line)["kind"] for line in lines]
@@ -77,6 +77,28 @@ def test_replay_of_partial_stream_is_consistent_not_torn(tmp_path):
     with JsonlWriter(path) as writer:
         writer.write_snapshot(0, 1000, _reg(9).snapshot())
     assert replay(path).snapshot() == _reg(9).snapshot()
+
+
+def _write_campaign(path: str, sizes) -> MetricsRegistry:
+    """Append one campaign (one trial per size) and return its merge."""
+    merged = MetricsRegistry()
+    with JsonlWriter(path) as writer:
+        writer.write_meta(trials=len(sizes))
+        for index, n in enumerate(sizes):
+            writer.write_snapshot(index, 1000 + index, _reg(n).snapshot())
+            merged.merge(_reg(n))
+        writer.write_final(merged.snapshot())
+    return merged
+
+
+def test_replay_of_appended_stream_folds_only_the_last_campaign(tmp_path):
+    # The writer appends, so a second, smaller campaign written to the
+    # same path must not pick up the first campaign's trials 2-3.
+    path = str(tmp_path / "t.jsonl")
+    _write_campaign(path, [1, 2, 3, 4])
+    second = _write_campaign(path, [5, 6])
+    assert replay(path).snapshot() == second.snapshot()
+    assert list(read_records(path))[-1]["metrics"] == second.snapshot()
 
 
 def test_writer_accepts_file_object():
