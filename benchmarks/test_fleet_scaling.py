@@ -54,7 +54,6 @@ def stadium_smoke_trial(seed: int) -> dict:
     from repro.dot11.frames import make_beacon
     from repro.dot11.mac import MacAddress
     from repro.radio.medium import Medium, RadioPort
-    from repro.radio.mobility import LinearMobility
     from repro.radio.propagation import Position
     from repro.sim.kernel import Simulator
 
@@ -75,10 +74,19 @@ def stadium_smoke_trial(seed: int) -> dict:
         port.on_receive = sink
         medium.attach(port)
         ports.append(port)
-    # Walkers crossing the field keep geometry churn in the picture.
-    for port in ports[:20]:
-        LinearMobility(sim, port, [Position(0.0, 0.0)],
-                       speed_mps=30.0, tick_s=0.05)
+    # Walkers crossing the field toward the AP keep geometry churn in
+    # the picture: 1.5 m every 50 ms (30 m/s), stopping at the AP.
+    walkers = ports[:20]
+
+    def walk() -> None:
+        for port in walkers:
+            pos = port.position
+            remaining = math.hypot(pos.x, pos.y)
+            if remaining > 0.0:
+                keep = max(0.0, 1.0 - 1.5 / remaining)
+                port.position = Position(pos.x * keep, pos.y * keep)
+
+    sim.every(0.05, walk)
     beacon = make_beacon(MacAddress("aa:bb:cc:dd:00:06"), "STADIUM", 6)
     for k in range(beacons):
         sim.schedule_at(k * 0.1, ap.transmit, beacon)

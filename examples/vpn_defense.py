@@ -3,14 +3,15 @@
 
 Same rogue, same netsed rules as examples/rogue_ap_mitm.py — but the
 victim tunnels everything through PPP-over-SSH to a pre-arranged
-endpoint.  The attack sees only ciphertext on port 22, and the §5.2
-requirements checklist is evaluated against the configuration.
+endpoint.  The attack sees only ciphertext on port 22.  The run ends
+with the registered FIG3 experiment: the bare and the VPN'd client
+side by side behind the same rogue.
 
 Run:  python examples/vpn_defense.py
 """
 
+from repro.core.registry import get_experiment, render_result
 from repro.core.scenario import build_corp_scenario
-from repro.defense.policy import check_vpn_requirements
 
 
 def main() -> None:
@@ -30,10 +31,6 @@ def main() -> None:
     for line in str(victim.routing).splitlines():
         print(f"    {line}")
 
-    print("\n== §5.2 requirements checklist ==")
-    report = check_vpn_requirements(vpn, endpoint_kind="corporate-wired")
-    print(report)
-
     print("\n== the same download, through the same rogue ==")
     outcome = scenario.run_download_experiment(victim, settle_s=90.0)
     print(f"  link followed    : {outcome.link}")
@@ -43,6 +40,9 @@ def main() -> None:
     print(f"  netsed saw       : {scenario.rogue.netsed.connections_proxied} "
           f"port-80 flows (everything rode port 22, encrypted)")
     print(f"  packets tunnelled: {vpn.packets_tunnelled}")
+
+    print("\n== FIG3: the bare and the VPN'd client behind the same rogue ==")
+    print(render_result(get_experiment("FIG3").runner(seed=2)))
 
 
 if __name__ == "__main__":

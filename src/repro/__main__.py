@@ -481,7 +481,7 @@ def _report_sweep(spec, args: argparse.Namespace, result) -> int:
 
 def cmd_threats(args: argparse.Namespace) -> int:
     rows = [[t.name, t.wired.value, t.wireless.value, t.paper_anchor,
-             t.demonstrated_by]
+             t.demonstrated_by or "not simulated"]
             for t in threat_taxonomy()]
     print(format_table(
         ["threat", "wired", "wireless", "paper", "demonstrated by"], rows,

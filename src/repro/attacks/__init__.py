@@ -4,17 +4,14 @@ Everything the paper performs or references: the rogue access point
 with its parprouted bridge and netsed rewriter (§4), deauthentication
 forcing (§4), passive sniffing and Airsnort/FMS WEP key recovery
 (§2.1, §4), MAC spoofing against address filters (§2.1), the wired
-MITM baselines — ARP and DNS spoofing (§1.2) — and the hostile
-hotspot (§1.3.2).
+DNS-spoofing MITM baseline (§1.2) and the hostile hotspot (§1.3.2).
 
 These exist to be measured.  They run only against the simulated
 substrate in this repository.
 """
 
 from repro.attacks.airsnort import AirsnortAttack
-from repro.attacks.arp_spoof import ArpSpoofer
 from repro.attacks.deauth import DeauthAttacker
-from repro.attacks.dns_mitm import DnsAnswerRewriter
 from repro.attacks.dns_spoof import DnsSpoofer
 from repro.attacks.hotspot import HostileHotspot
 from repro.attacks.mac_spoof import observe_client_macs, spoof_mac
@@ -28,9 +25,7 @@ from repro.attacks.wired_mitm import MitmPath, wired_vs_wireless_paths
 
 __all__ = [
     "AirsnortAttack",
-    "ArpSpoofer",
     "DeauthAttacker",
-    "DnsAnswerRewriter",
     "DnsSpoofer",
     "HostileHotspot",
     "InPathTamperer",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.attacks.dns_mitm import DnsAnswerRewriter
 from repro.attacks.netsed import NetsedProxy, NetsedRule
 from repro.attacks.parprouted import Parprouted
 from repro.crypto.wep import WepKey
@@ -102,7 +101,6 @@ class RogueAccessPoint:
         self.box = LinuxBox(self.host)
         self.parprouted = Parprouted(self.host, "wlan0", "eth1")
         self.netsed: Optional[NetsedProxy] = None
-        self.dns_mitm: Optional[DnsAnswerRewriter] = None
         self._wep = wep_key
         self._wpa_psk = wpa_psk
         self._legit_channel = legit_channel
@@ -179,11 +177,3 @@ class RogueAccessPoint:
         self.sim.trace.emit("rogue.mitm_armed", self.host.name,
                             target=str(target_ip), port=listen_port)
         return self.netsed
-
-    def install_dns_mitm(self, lies: dict) -> DnsAnswerRewriter:
-        """The §4.2 variation: lie in forwarded DNS answers instead of
-        rewriting HTTP.  ``lies`` maps hostnames to attacker IPs."""
-        self.dns_mitm = DnsAnswerRewriter(self.host, lies).install()
-        self.sim.trace.emit("rogue.dns_mitm_armed", self.host.name,
-                            names=sorted(lies))
-        return self.dns_mitm

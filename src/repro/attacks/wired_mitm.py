@@ -5,8 +5,8 @@ wired networks too, but the *prerequisites* differ radically.  This
 module encodes each man-in-the-middle path as a structured
 :class:`MitmPath` — what access the attacker needs, how many active
 steps, what defenses see it — so E-WIRED can print the comparison
-table alongside the executable demonstrations (ARP spoofing on a
-switch, DNS racing on a hub, rogue AP on the air).
+table alongside the executable demonstrations (DNS racing on a hub,
+rogue AP on the air); the ARP-spoofing row is a prerequisite only.
 """
 
 from __future__ import annotations

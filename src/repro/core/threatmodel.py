@@ -3,8 +3,9 @@
 "wireless networks are prone to jamming, spoofing, rogue access
 points, and possible Man-in-the-middle attacks" (§1) — and the paper's
 thesis is that the *same* threats exist on wires with very different
-prerequisites.  Each entry records both sides and points to the module
-that implements/demonstrates it.
+prerequisites.  Each entry records both sides and points to the modules
+that demonstrate it; jamming names none, because no experiment
+simulates it (its row rests on the §1 rationale alone).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class Threat:
     wired: ThreatApplicability
     wireless: ThreatApplicability
     rationale: str
-    demonstrated_by: str  # module implementing the demonstration
+    demonstrated_by: str  # comma-separated modules; "" = not simulated
 
     @property
     def wireless_amplified(self) -> bool:
@@ -57,7 +58,7 @@ def threat_taxonomy() -> list[Threat]:
             wired=ThreatApplicability.IMPRACTICAL,
             wireless=ThreatApplicability.PRACTICAL,
             rationale="a wire must be cut; the ISM band only needs noise",
-            demonstrated_by="repro.radio.interference",
+            demonstrated_by="",
         ),
         Threat(
             name="spoofing",
@@ -85,8 +86,7 @@ def threat_taxonomy() -> list[Threat]:
             rationale="wired MITM needs ARP/DNS spoofing from inside or a "
                       "gateway compromise; wireless MITM is an AP and a "
                       "bridge in a parking lot",
-            demonstrated_by="repro.attacks.rogue_ap, repro.attacks.arp_spoof, "
-                            "repro.attacks.dns_spoof",
+            demonstrated_by="repro.attacks.rogue_ap, repro.attacks.dns_spoof",
         ),
         Threat(
             name="hostile-hotspot",

@@ -12,7 +12,6 @@
   monitoring practices (sequence-control analysis, now the first
   detector of the WIDS registry; multi-channel and beacon-fingerprint
   detectors in place of a radio site survey).
-* :mod:`repro.defense.policy` — the §5.2 VPN-requirements checklist.
 """
 
 from repro.defense.containment import ContainmentAction, ContainmentSensor
@@ -20,7 +19,6 @@ from repro.wids.detectors import SeqCtlMonitor, SpoofVerdict
 from repro.defense.dot1x import Dot1xAuthenticator, Dot1xSupplicant, EapAuthServer
 from repro.defense.ipsec import EspTunnelClient, EspTunnelServer
 from repro.defense.pathcheck import PathCheckResult, check_first_hop
-from repro.defense.policy import VpnRequirementReport, check_vpn_requirements
 from repro.defense.vpn import VpnClient, VpnServer
 from repro.defense.wpa import WpaPskAuthenticator, WpaPskSupplicant, derive_ptk
 
@@ -36,11 +34,9 @@ __all__ = [
     "SeqCtlMonitor",
     "SpoofVerdict",
     "VpnClient",
-    "VpnRequirementReport",
     "VpnServer",
     "WpaPskAuthenticator",
     "WpaPskSupplicant",
     "check_first_hop",
-    "check_vpn_requirements",
     "derive_ptk",
 ]

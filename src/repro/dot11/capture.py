@@ -112,17 +112,3 @@ class FrameCapture:
     def transmitters(self) -> set[MacAddress]:
         """Distinct transmitter addresses seen (site-survey primitive)."""
         return {cap.frame.addr2 for cap in self.frames}
-
-    def ssids_advertised(self) -> dict[str, set[MacAddress]]:
-        """Map SSID -> BSSIDs beaconing it.
-
-        Two different *radios* beaconing one SSID is the first hint of
-        a rogue; note the catch that a rogue cloning the BSSID too (as
-        in Fig. 1) is invisible to this view — only sequence-number
-        analysis (:mod:`repro.wids.detectors`) separates those.
-        """
-        out: dict[str, set[MacAddress]] = {}
-        for cap in self.select(subtype=FrameSubtype.BEACON):
-            info = cap.frame.parse_beacon()
-            out.setdefault(info.ssid, set()).add(info.bssid)
-        return out

@@ -57,7 +57,6 @@ __all__ = [
     "make_disassoc",
     "make_probe_request",
     "make_probe_response",
-    "reason_name",
 ]
 
 HEADER_LEN = 24
@@ -135,19 +134,6 @@ class ReasonCode(enum.IntEnum):
     INVALID_RSN_CAPABILITIES = 22
     IEEE_8021X_AUTH_FAILED = 23
     CIPHER_REJECTED_PER_POLICY = 24
-
-
-def reason_name(code: int) -> str:
-    """Human-readable label for a reason code; unknown codes stay numeric.
-
-    Validation helper for traces and WIDS alert payloads: known codes
-    render as their standard mnemonic, anything else (attacker-chosen
-    garbage included) as ``reason-<n>`` so it is still greppable.
-    """
-    try:
-        return ReasonCode(code).name
-    except ValueError:
-        return f"reason-{int(code)}"
 
 
 class StatusCode(enum.IntEnum):

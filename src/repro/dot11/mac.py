@@ -10,16 +10,16 @@ exactly as nothing in 802.11 does.
 
 from __future__ import annotations
 
-from functools import total_ordering
-
 __all__ = ["MacAddress", "BROADCAST"]
 
 
-@total_ordering
-class MacAddress:
-    """An immutable 48-bit MAC address.
+class MacAddress(bytes):
+    """An immutable 48-bit MAC address: exactly 6 bytes.
 
-    Accepts 6 raw bytes or the usual colon-separated hex string.
+    Accepts 6 raw bytes or the usual colon- or dash-separated hex
+    string.  Equality, ordering and hashing are those of the 6 bytes
+    (so an address equals its raw ``bytes``), all done by ``bytes``
+    itself in C.
 
     Examples
     --------
@@ -29,27 +29,19 @@ class MacAddress:
     True
     """
 
-    __slots__ = ("_bytes",)
+    __slots__ = ()
 
-    def __init__(self, value: "bytes | str | MacAddress") -> None:
-        if isinstance(value, MacAddress):
-            raw = value._bytes
-        elif isinstance(value, bytes):
-            raw = value
-        elif isinstance(value, str):
+    def __new__(cls, value: "bytes | str") -> "MacAddress":
+        if isinstance(value, str):
             parts = value.replace("-", ":").split(":")
             if len(parts) != 6:
                 raise ValueError(f"malformed MAC address: {value!r}")
-            raw = bytes(int(p, 16) for p in parts)
-        else:
+            value = bytes(int(p, 16) for p in parts)
+        elif not isinstance(value, bytes):
             raise TypeError(f"cannot build MacAddress from {type(value).__name__}")
-        if len(raw) != 6:
+        if len(value) != 6:
             raise ValueError("MAC address must be 6 bytes")
-        object.__setattr__(self, "_bytes", raw)
-
-    # Frozen-ness: no __setattr__ via __slots__ + object.__setattr__ in init.
-    def __setattr__(self, name: str, value) -> None:  # pragma: no cover
-        raise AttributeError("MacAddress is immutable")
+        return super().__new__(cls, value)
 
     @classmethod
     def random(cls, rng, oui: bytes = b"\x00\x02\x2d") -> "MacAddress":
@@ -60,44 +52,32 @@ class MacAddress:
 
     @property
     def bytes(self) -> bytes:
-        return self._bytes
+        """The address as plain ``bytes``."""
+        return bytes(self)
 
     @property
     def oui(self) -> bytes:
         """Vendor prefix (first 3 bytes)."""
-        return self._bytes[:3]
+        return self[:3]
 
     @property
     def is_broadcast(self) -> bool:
-        return self._bytes == b"\xff" * 6
+        return self == b"\xff" * 6
 
     @property
     def is_multicast(self) -> bool:
-        return bool(self._bytes[0] & 0x01)
+        return bool(self[0] & 0x01)
 
     @property
     def is_locally_administered(self) -> bool:
         """The U/L bit — often set by drivers when an address was overridden."""
-        return bool(self._bytes[0] & 0x02)
+        return bool(self[0] & 0x02)
 
     def __str__(self) -> str:
-        return self._bytes.hex(":")
+        return self.hex(":")
 
     def __repr__(self) -> str:
         return f"MacAddress('{self}')"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MacAddress):
-            return self._bytes == other._bytes
-        if isinstance(other, bytes):
-            return self._bytes == other
-        return NotImplemented
-
-    def __lt__(self, other: "MacAddress") -> bool:
-        return self._bytes < other._bytes
-
-    def __hash__(self) -> int:
-        return hash(self._bytes)
 
 
 BROADCAST = MacAddress(b"\xff" * 6)

@@ -5,22 +5,18 @@ broadcast nature of the wireless physical layer, which doesn't benefit
 from the restricted physical access of traditional wired networks"
 (§3).  This package models exactly that difference: every transmission
 is delivered to every radio in range on an overlapping channel, with
-RSSI from a log-distance path-loss model, optional frame loss,
-collisions, and jamming.  One propagation kernel,
+RSSI from a log-distance path-loss model, optional frame loss and
+collisions.  One propagation kernel,
 :class:`VectorKernel`, resolves every transmission from cached pair
 geometry.
 """
 
-from repro.radio.interference import Jammer
 from repro.radio.kernel import VectorKernel
 from repro.radio.medium import Medium, RadioPort
-from repro.radio.mobility import LinearMobility
 from repro.radio.propagation import FrameLossModel, LogDistancePathLoss, Position
 
 __all__ = [
     "FrameLossModel",
-    "Jammer",
-    "LinearMobility",
     "LogDistancePathLoss",
     "Medium",
     "Position",

@@ -6,9 +6,9 @@
 transmission makes dense worlds intractable, so :class:`VectorKernel`
 never recomputes geometry that has not changed:
 
-* **Pair path-loss rows** — for each transmitter, the base (shadowing-
-  free) path loss to every attached port, computed once with the exact
-  scalar ``math`` calls and then reused.  Rows are maintained
+* **Pair path-loss rows** — for each transmitter, the path loss to
+  every attached port, computed once with the exact scalar ``math``
+  calls and then reused.  Rows are maintained
   incrementally: ``attach`` appends one pair per cached row, ``detach``
   deletes one column, and a station *move* updates only that station's
   column in every cached row (and drops the mover's own row).  NumPy
@@ -29,14 +29,11 @@ The per-pair loops live on as a test oracle
 ``tests/radio/test_kernel_equivalence.py`` proves this kernel
 bit-identical to them under these RNG-order rules:
 
-1. With shadowing disabled (the default), per-pair RSSI draws no RNG,
-   so serving RSSI from cache consumes zero draws — identical stream.
-2. With shadowing enabled, every RSSI draws one ``gauss`` in receiver
-   order; the kernel falls back to a cached-geometry *per-pair-order*
-   loop that makes exactly those draws (plans are bypassed entirely).
-3. Delivery bernoullis replicate :meth:`SimRandom.bernoulli` exactly,
+1. Path loss is deterministic, so no RNG draw depends on geometry and
+   serving RSSI from cache consumes zero draws — identical stream.
+2. Delivery bernoullis replicate :meth:`SimRandom.bernoulli` exactly,
    including its no-draw shortcuts at ``p <= 0`` and ``p >= 1``.
-4. Receivers are always visited in port order, so interleaved draws
+3. Receivers are always visited in port order, so interleaved draws
    and delivery callbacks occur in the reference sequence.
 
 Invalidation contract: any write to ``port.position`` (routed through
@@ -223,14 +220,14 @@ class VectorKernel:
     # cached geometry
     # ------------------------------------------------------------------
     def _pair_base_loss(self, tx, rx) -> float:
-        """Base (shadowing-free) path loss, exact scalar computation.
+        """Pair path loss, exact scalar computation.
 
-        Delegates to :meth:`LogDistancePathLoss.path_loss_db` with
-        ``rng=None`` so the cached value is bit-identical to the base
-        term of the reference — including the 0.1 m distance clamp.
+        Delegates to :meth:`LogDistancePathLoss.path_loss_db` so the
+        cached value is bit-identical to the reference — including the
+        0.1 m distance clamp.
         """
         distance = tx.position.distance_to(rx.position)
-        return self.medium.path_loss.path_loss_db(distance, None)
+        return self.medium.path_loss.path_loss_db(distance)
 
     def _row(self, tx):
         row = self._pl_rows.get(id(tx))
@@ -268,7 +265,6 @@ class VectorKernel:
     # propagation
     # ------------------------------------------------------------------
     def rssi(self, tx: "RadioPort", rx: "RadioPort") -> float:
-        medium = self.medium
         self._check_params()
         tx_id, rx_id = id(tx), id(rx)
         if tx_id in self._idx and rx_id in self._idx:
@@ -276,10 +272,6 @@ class VectorKernel:
         else:
             # Either side is not attached here: pure geometry, uncached.
             base = self._pair_base_loss(tx, rx)
-        sigma = medium.path_loss.shadowing_sigma_db
-        if sigma > 0.0:
-            # Same op order as the reference: loss = base, loss += gauss.
-            base = base + medium._rng.gauss(0.0, sigma)
         return tx.tx_power_dbm - base
 
     def _plan(self, tx: "RadioPort") -> _TxPlan:
@@ -333,16 +325,10 @@ class VectorKernel:
     def fan_out(self, entry: "_InFlight", m, rec, tid) -> None:
         medium = self.medium
         self._check_params()
-        tx_port = entry.port
-        sigma = medium.path_loss.shadowing_sigma_db
-        if sigma > 0.0:
-            self._fan_out_shadowed(entry, m, rec, tid, sigma)
-            return
-        plan = self._plan(tx_port)
-        if (m is None and tid is None and entry.collided_at is None
-                and not medium._jammers):
-            # The hot path: nothing to observe, nothing collided, no
-            # jamming — delivery is bernoulli + callback per target.
+        plan = self._plan(entry.port)
+        if m is None and tid is None and entry.collided_at is None:
+            # The hot path: nothing to observe, nothing collided —
+            # delivery is bernoulli + callback per target.
             # ``rand() >= p`` consumes exactly the draw bernoulli(p)
             # would (and p<=0 / p>=1 skip the draw, like bernoulli).
             frame, channel = entry.frame, entry.channel
@@ -367,41 +353,13 @@ class VectorKernel:
         for rx, _on_receive, rssi, p in plan.targets:
             deliver(entry, rx, rssi, m, rec, tid, p_base=p)
 
-    def _fan_out_shadowed(self, entry, m, rec, tid, sigma) -> None:
-        # Shadowing draws one gauss per (tx, rx) in receiver order; the
-        # plan cache cannot apply, but the geometry cache still does.
-        medium = self.medium
-        tx_port = entry.port
-        row = self._row(tx_port)
-        rej = self._rej_row(entry.channel)
-        power = tx_port.tx_power_dbm
-        gauss = medium._rng.gauss
-        hearable = medium.loss_model.hearable
-        for k, rx in enumerate(medium.ports):
-            if rx is tx_port or not rx.enabled or rx.on_receive is None:
-                continue
-            rejection = rej[k]
-            if rejection == _DEAF:
-                continue            # the reference skips before drawing
-            loss = row[k] + gauss(0.0, sigma)
-            rssi = float((power - loss) - rejection)
-            if not hearable(rssi):
-                continue
-            medium._deliver(entry, rx, rssi, m, rec, tid)
-
     # ------------------------------------------------------------------
     # collisions
     # ------------------------------------------------------------------
     def mark_collisions(self, new: "_InFlight", inflight) -> None:
-        medium = self.medium
         self._check_params()
-        sigma = medium.path_loss.shadowing_sigma_db
         for other in inflight:
-            if not channels_overlap(new.channel, other.channel):
-                continue
-            if sigma > 0.0:
-                self._collide_pair_shadowed(new, other, sigma)
-            else:
+            if channels_overlap(new.channel, other.channel):
                 self._collide_pair(new, other)
 
     def _collide_pair(self, new, other) -> None:
@@ -425,31 +383,6 @@ class VectorKernel:
             if rn - ro >= margin:
                 other.collide_at(rx)
             elif ro - rn >= margin:
-                new.collide_at(rx)
-            else:
-                new.collide_at(rx)
-                other.collide_at(rx)
-
-    def _collide_pair_shadowed(self, new, other, sigma) -> None:
-        # Reference draw order: per receiver, gauss for the new frame
-        # then gauss for the one already in flight.
-        medium = self.medium
-        margin = medium.capture_margin_db
-        hearable = medium.loss_model.hearable
-        gauss = medium._rng.gauss
-        row_new = self._row(new.port)
-        row_other = self._row(other.port)
-        p_new, p_other = new.port.tx_power_dbm, other.port.tx_power_dbm
-        for k, rx in enumerate(medium.ports):
-            if rx is new.port or rx is other.port:
-                continue
-            rssi_new = p_new - (row_new[k] + gauss(0.0, sigma))
-            rssi_other = p_other - (row_other[k] + gauss(0.0, sigma))
-            if not (hearable(rssi_new) and hearable(rssi_other)):
-                continue
-            if rssi_new - rssi_other >= margin:
-                other.collide_at(rx)
-            elif rssi_other - rssi_new >= margin:
                 new.collide_at(rx)
             else:
                 new.collide_at(rx)

@@ -204,7 +204,6 @@ class Medium:
         self.ports: list[RadioPort] = []
         self._inflight: list[_InFlight] = []
         self._rng = sim.rng.substream("radio.medium")
-        self._jammers: list = []  # populated by interference.Jammer
         # Per-channel medium reservation (CSMA-style deferral).
         self._busy_until: dict[int, float] = {}
         self._kernel = VectorKernel(self)
@@ -358,10 +357,6 @@ class Medium:
             return
         p_ok = self.loss_model.success_probability(rssi) if p_base is None \
             else p_base
-        if self._jammers:
-            # p *= 1.0 is a float no-op, so gating on "any jammers" is
-            # bit-identical to the unconditional multiply.
-            p_ok *= 1.0 - self._jamming_loss(entry.channel, rx)
         if not self._rng.bernoulli(p_ok):
             rx.rx_dropped_loss += 1
             if m is not None:
@@ -386,12 +381,3 @@ class Medium:
             # in response — is causally downstream of it.
             with rec.frame_context(tid):
                 rx.on_receive(entry.frame, rssi, entry.channel)
-
-    def _jamming_loss(self, channel: int, rx: RadioPort) -> float:
-        loss = 0.0
-        for jammer in self._jammers:
-            loss = max(loss, jammer.loss_at(channel, rx, self.sim.now))
-        return min(loss, 1.0)
-
-    def register_jammer(self, jammer) -> None:
-        self._jammers.append(jammer)

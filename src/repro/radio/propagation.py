@@ -1,8 +1,8 @@
 """Path loss and frame-error models.
 
-A log-distance path-loss model with optional log-normal shadowing —
-the standard indoor WLAN abstraction — plus a logistic RSSI→frame-
-success curve standing in for the modulation/coding chain.  Nothing in
+A deterministic log-distance path-loss model — the standard indoor
+WLAN abstraction — plus a logistic RSSI→frame-success curve standing
+in for the modulation/coding chain.  Nothing in
 the paper depends on PHY details finer than "closer rogue, stronger
 signal, client prefers it", so the models stay deliberately simple and
 fully documented.
@@ -31,7 +31,7 @@ class Position:
 
 
 class LogDistancePathLoss:
-    """PL(d) = PL(d0) + 10·n·log10(d/d0) [+ shadowing].
+    """PL(d) = PL(d0) + 10·n·log10(d/d0).
 
     Parameters
     ----------
@@ -41,41 +41,29 @@ class LogDistancePathLoss:
     pl_d0_db:
         Loss at the reference distance d0 = 1 m.  40 dB is the 2.4 GHz
         free-space value.
-    shadowing_sigma_db:
-        Std-dev of log-normal shadowing; 0 disables it (deterministic
-        experiments keep it 0 and inject loss explicitly instead).
+
+    The model draws no randomness: experiments inject loss explicitly
+    through :class:`FrameLossModel` instead.
     """
 
     def __init__(
         self,
         exponent: float = 3.0,
         pl_d0_db: float = 40.0,
-        shadowing_sigma_db: float = 0.0,
     ) -> None:
         if exponent <= 0:
             raise ValueError("path-loss exponent must be positive")
         self.exponent = exponent
         self.pl_d0_db = pl_d0_db
-        self.shadowing_sigma_db = shadowing_sigma_db
 
-    def path_loss_db(self, distance_m: float, rng=None) -> float:
-        """Total loss in dB at ``distance_m`` (≥ 0.1 m clamp).
-
-        With ``rng=None`` the result is the deterministic base loss —
-        no shadowing draw even when ``shadowing_sigma_db > 0``.  The
-        vectorized radio kernel (:mod:`repro.radio.kernel`) relies on
-        this to cache the base term bit-identically and add the
-        per-call shadowing draw separately, preserving RNG order.
-        """
+    def path_loss_db(self, distance_m: float) -> float:
+        """Total loss in dB at ``distance_m`` (≥ 0.1 m clamp)."""
         d = max(distance_m, 0.1)
-        loss = self.pl_d0_db + 10.0 * self.exponent * math.log10(d)
-        if self.shadowing_sigma_db > 0.0 and rng is not None:
-            loss += rng.gauss(0.0, self.shadowing_sigma_db)
-        return loss
+        return self.pl_d0_db + 10.0 * self.exponent * math.log10(d)
 
-    def rssi_dbm(self, tx_power_dbm: float, distance_m: float, rng=None) -> float:
+    def rssi_dbm(self, tx_power_dbm: float, distance_m: float) -> float:
         """Received signal strength for a transmit power and distance."""
-        return tx_power_dbm - self.path_loss_db(distance_m, rng)
+        return tx_power_dbm - self.path_loss_db(distance_m)
 
 
 class FrameLossModel:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 __all__ = ["SimRandom"]
 
@@ -74,9 +74,6 @@ class SimRandom:
     def shuffle(self, seq: list) -> None:
         self._random.shuffle(seq)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._random.gauss(mu, sigma)
-
     # ------------------------------------------------------------------
     # protocol helpers
     # ------------------------------------------------------------------
@@ -95,17 +92,3 @@ class SimRandom:
     def mac_suffix(self) -> bytes:
         """Three random bytes for the NIC-specific half of a MAC address."""
         return self.bytes(3)
-
-    def pick_weighted(self, items: Iterable[tuple[T, float]]) -> T:
-        """Pick one item with probability proportional to its weight."""
-        pairs = list(items)
-        total = sum(w for _, w in pairs)
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        x = self._random.random() * total
-        acc = 0.0
-        for item, w in pairs:
-            acc += w
-            if x < acc:
-                return item
-        return pairs[-1][0]

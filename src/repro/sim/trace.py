@@ -65,12 +65,8 @@ class Trace:
     def __init__(self, capacity: Optional[int] = None) -> None:
         self.records: list[TraceRecord] = []
         self.capacity = capacity
-        self._listeners: list[tuple[str, Callable[[TraceRecord], None]]] = []
         self._clock: Callable[[], float] = lambda: 0.0
         self.enabled = True
-        #: (category, listener, exception) triples for callbacks that
-        #: raised during :meth:`emit`; contained, never re-raised.
-        self.listener_errors: list[tuple[str, Callable[[TraceRecord], None], Exception]] = []
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the time source (normally ``lambda: sim.now``)."""
@@ -80,7 +76,7 @@ class Trace:
     # emission
     # ------------------------------------------------------------------
     def emit(self, category: str, source: str, **detail: Any) -> Optional[TraceRecord]:
-        """Record an event and notify any matching listeners."""
+        """Record an event."""
         if not self.enabled:
             return None
         rec = TraceRecord(time=self._clock(), category=category, source=source, detail=detail)
@@ -88,29 +84,7 @@ class Trace:
         if self.capacity is not None and len(self.records) > self.capacity:
             # Drop the oldest half in one slice rather than one-at-a-time.
             del self.records[: self.capacity // 2]
-        # Iterate a snapshot: a callback that (un)subscribes mid-emit must
-        # not shift later listeners out from under the loop, and whatever
-        # it changes only applies from the next emit on.
-        for prefix, cb in tuple(self._listeners):
-            if category.startswith(prefix):
-                try:
-                    cb(rec)
-                except Exception as exc:
-                    # Contain: one broken listener must not break the
-                    # emitter or starve the remaining listeners.
-                    self.listener_errors.append((category, cb, exc))
         return rec
-
-    def subscribe(self, prefix: str, callback: Callable[[TraceRecord], None]) -> Callable[[], None]:
-        """Call ``callback`` for every future record whose category starts with ``prefix``."""
-        entry = (prefix, callback)
-        self._listeners.append(entry)
-
-        def unsubscribe() -> None:
-            if entry in self._listeners:
-                self._listeners.remove(entry)
-
-        return unsubscribe
 
     # ------------------------------------------------------------------
     # queries
@@ -174,7 +148,7 @@ class Trace:
 
     @classmethod
     def from_dicts(cls, dicts: list[dict[str, Any]]) -> "Trace":
-        """Rebuild a (listener-less) trace from :meth:`to_dicts` output."""
+        """Rebuild a trace from :meth:`to_dicts` output."""
         trace = cls()
         trace.records = [TraceRecord.from_dict(d) for d in dicts]
         return trace

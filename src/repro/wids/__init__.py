@@ -32,7 +32,6 @@ from repro.wids.detectors import (
     SeqCtlMonitor,
     SpoofVerdict,
     default_detectors,
-    get_detector_class,
     register,
 )
 from repro.wids.engine import WidsEngine
@@ -59,7 +58,6 @@ __all__ = [
     "default_detectors",
     "evaluate",
     "evaluate_with_crossings",
-    "get_detector_class",
     "register",
     "wids_watch",
 ]

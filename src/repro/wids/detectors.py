@@ -51,7 +51,6 @@ __all__ = [
     "SpoofVerdict",
     "UnexpectedCsaDetector",
     "default_detectors",
-    "get_detector_class",
     "register",
 ]
 
@@ -102,15 +101,6 @@ def register(cls: Type[Detector]) -> Type[Detector]:
         raise ValueError(f"detector name {cls.name!r} already registered")
     DETECTORS[cls.name] = cls
     return cls
-
-
-def get_detector_class(name: str) -> Type[Detector]:
-    try:
-        return DETECTORS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown detector {name!r}; known: {', '.join(sorted(DETECTORS))}"
-        ) from None
 
 
 def default_detectors(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.sim.rng import SimRandom
 
-__all__ = ["RoamingOutcome", "simulate_roaming_client", "measure_hotspot_compromise_rate"]
+__all__ = ["RoamingOutcome", "simulate_roaming_client"]
 
 
 @dataclass
@@ -69,35 +69,3 @@ def simulate_roaming_client(
         compromised=compromised_at is not None,
         compromised_at_visit=compromised_at,
     )
-
-
-def measure_hotspot_compromise_rate(seeds: list[int], *, with_vpn: bool = False,
-                                    settle_s: float = 40.0) -> float:
-    """Stage 1: full-fidelity per-visit compromise probability.
-
-    Builds a hostile hotspot, walks a victim in, browses the §5.1
-    trusted news site, and reports the fraction of seeds where the
-    injected exploit executed.  ``with_vpn=True`` models the always-on
-    VPN client whose hotspot traffic is opaque to the tamperer —
-    measured, not asserted, by the FIG3/E-CNN experiments; here the
-    VPN arm reuses that measured mechanism via the tunnelled path.
-    """
-    from repro.core.scenario import build_hotspot_scenario
-
-    compromised = 0
-    for seed in seeds:
-        scenario = build_hotspot_scenario(seed=seed, hostile=True)
-        station, browser = scenario.hotspot_visitor = scenario.add_visitor(
-            name=f"roamer-{seed}")
-        if with_vpn:
-            # An always-on VPN client refuses to browse outside the
-            # tunnel; with no reachable trusted endpoint arranged for
-            # this hotspot's test world, the honest behaviours are
-            # "tunnel works" (traffic opaque) or "fail closed".  Either
-            # way the tamperer never sees rewritable plaintext.
-            continue
-        browser.visit("http://news.example.com/index.html")
-        scenario.sim.run_for(settle_s)
-        if browser.compromised:
-            compromised += 1
-    return compromised / len(seeds) if seeds else 0.0

@@ -3,8 +3,6 @@
 * :class:`CbrUdpStream` — constant-bit-rate UDP with per-packet
   latency bookkeeping: the probe traffic for the VPN-overhead sweep
   (§5.3's "any UDP traffic is subject to unnecessary retransmission").
-* :class:`BulkTcpTransfer` — a timed bulk byte push for goodput
-  measurements.
 * :class:`WepTrafficPump` — background WEP data frames from a station,
   to feed Airsnort's weak-IV collection at a controlled rate.
 """
@@ -18,7 +16,7 @@ from repro.hosts.host import Host
 from repro.netstack.addressing import IPv4Address
 from repro.sim.errors import SocketError
 
-__all__ = ["BulkTcpTransfer", "CbrUdpStream", "WepTrafficPump"]
+__all__ = ["CbrUdpStream", "WepTrafficPump"]
 
 
 class CbrUdpStream:
@@ -88,55 +86,6 @@ class CbrUdpStream:
             return float("nan")
         ordered = sorted(self.latencies_s)
         return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
-class BulkTcpTransfer:
-    """Push N bytes over TCP and report goodput."""
-
-    def __init__(self, sender: Host, receiver: Host,
-                 dst_ip: "IPv4Address | str", *, port: int = 9100,
-                 total_bytes: int = 200_000) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.dst_ip = IPv4Address(dst_ip)
-        self.port = port
-        self.total_bytes = total_bytes
-        self.received_bytes = 0
-        self.start_time: Optional[float] = None
-        self.end_time: Optional[float] = None
-        self.conn = None
-        receiver.tcp_listen(port, self._on_connection)
-
-    def _on_connection(self, conn) -> None:
-        def on_data(data: bytes) -> None:
-            self.received_bytes += len(data)
-            if self.received_bytes >= self.total_bytes and self.end_time is None:
-                self.end_time = self.receiver.sim.now
-
-        conn.on_data = on_data
-
-    def start(self) -> None:
-        sim = self.sender.sim
-        self.start_time = sim.now
-        self.conn = self.sender.tcp_connect(self.dst_ip, self.port)
-        blob = bytes(self.total_bytes)
-
-        def push() -> None:
-            self.conn.send(blob)
-            self.conn.close()
-
-        self.conn.on_established = push
-
-    @property
-    def complete(self) -> bool:
-        return self.end_time is not None
-
-    @property
-    def goodput_bps(self) -> float:
-        if self.start_time is None or self.end_time is None:
-            return 0.0
-        elapsed = self.end_time - self.start_time
-        return self.received_bytes * 8.0 / elapsed if elapsed > 0 else 0.0
 
 
 class WepTrafficPump:

@@ -4,10 +4,12 @@ import pytest
 
 from repro.core.scenario import (
     EVIL_IP,
+    TARGET_HOSTNAME,
     TARGET_IP,
     VICTIM_IP,
     build_corp_scenario,
 )
+from repro.netstack.addressing import IPv4Address
 from repro.radio.propagation import Position
 
 
@@ -113,3 +115,17 @@ def test_rogue_stop_tears_down():
     scenario.sim.run_for(10.0)
     # Victim falls back to the legitimate AP after beacon loss.
     assert victim.associated_channel == 1
+
+
+def test_honest_resolution_through_rogue():
+    """The rogue forwards DNS answers honestly: its MITM is the
+    netsed rewrite, not the resolver."""
+    scenario = build_corp_scenario(seed=321)
+    victim = scenario.add_victim()
+    scenario.sim.run_for(5.0)
+    assert victim.associated_channel == 6  # on the rogue
+    resolver = scenario.resolver_for(victim)
+    answers = []
+    resolver.resolve(TARGET_HOSTNAME, answers.append)
+    scenario.sim.run_for(5.0)
+    assert answers == [IPv4Address(TARGET_IP)]

@@ -1,62 +1,12 @@
-"""Wired MITM baselines: ARP poisoning, DNS spoofing, and the taxonomy."""
+"""Wired MITM baselines: DNS spoofing and the taxonomy."""
 
 import pytest
 
-from repro.attacks.arp_spoof import ArpSpoofer
 from repro.attacks.dns_spoof import DnsSpoofer
 from repro.attacks.wired_mitm import wired_vs_wireless_paths
 from repro.core.scenario import TARGET_IP, build_wired_office
 from repro.hosts.services import DnsResolver
 from repro.netstack.addressing import IPv4Address
-
-
-def test_arp_spoof_intercepts_victim_traffic_on_switch():
-    """ARP poisoning works even on a switch — but required a port on
-    the victim's LAN (the §1.2 prerequisite)."""
-    office = build_wired_office(seed=51, fabric="switch")
-    sim = office.sim
-    victim, attacker = office.victim, office.attacker
-    gateway_mac = office.wan.router.interfaces["lan0"].mac
-    # Prime the victim's ARP cache with the honest mapping first.
-    victim.ping(str(office.gateway_ip))
-    sim.run_for(1.0)
-
-    spoofer = ArpSpoofer(
-        attacker, "eth0",
-        victim_ip="10.0.0.23", victim_mac=victim.interfaces["eth0"].mac,
-        gateway_ip=str(office.gateway_ip), gateway_mac=gateway_mac)
-    spoofer.start()
-    sim.run_for(2.0)
-
-    cap = attacker.enable_capture()
-    rtts = []
-    victim.ping(TARGET_IP, on_reply=rtts.append)
-    sim.run_for(3.0)
-    spoofer.stop()
-    assert len(rtts) == 1  # relay keeps the victim online (stealth)
-    # And the attacker forwarded (hence saw) the victim's traffic.
-    assert attacker.packets_forwarded >= 2
-    assert cap.count(src=IPv4Address("10.0.0.23"), dst=IPv4Address(TARGET_IP)) >= 1
-
-
-def test_arp_spoof_poisons_cache():
-    office = build_wired_office(seed=52, fabric="switch")
-    sim = office.sim
-    victim, attacker = office.victim, office.attacker
-    victim.ping(str(office.gateway_ip))
-    sim.run_for(1.0)
-    honest = victim.arp_tables["eth0"].lookup(office.gateway_ip, sim.now)
-    spoofer = ArpSpoofer(
-        attacker, "eth0",
-        victim_ip="10.0.0.23", victim_mac=victim.interfaces["eth0"].mac,
-        gateway_ip=str(office.gateway_ip),
-        gateway_mac=office.wan.router.interfaces["lan0"].mac)
-    spoofer.start()
-    sim.run_for(2.0)
-    spoofer.stop()
-    poisoned = victim.arp_tables["eth0"].lookup(office.gateway_ip, sim.now)
-    assert honest != poisoned
-    assert poisoned == attacker.interfaces["eth0"].mac
 
 
 def test_dns_spoof_succeeds_on_hub():

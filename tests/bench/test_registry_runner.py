@@ -200,3 +200,22 @@ def test_committed_baselines_cover_the_issue_areas():
     for area, doc in docs.items():
         for metric in doc["metrics"]:
             assert (area, metric) in registered, (area, metric)
+
+
+def test_radio_smoke_world_has_the_baseline_receivers():
+    """``--smoke`` scales only the transmissions of the radio fan-out.
+
+    Frames/s depends on how many receivers each transmission reaches, so
+    a smoke world with fewer receivers than the committed full-mode
+    baseline reads slower on an unchanged kernel and fails the gate.
+    """
+    import os
+
+    from repro.bench.runner import SMOKE_SCALE
+    from repro.bench.suite import radio_fanout
+
+    root = os.path.join(os.path.dirname(__file__), "..", "..")
+    full = load_baselines(root, ["radio"])["radio"]["metrics"]
+    smoke = radio_fanout(SMOKE_SCALE).payload
+    assert smoke["receivers"] == full["fanout_frames_per_s"]["payload"]["receivers"]
+    assert smoke["transmissions"] < full["fanout_frames_per_s"]["payload"]["transmissions"]

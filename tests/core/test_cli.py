@@ -49,6 +49,7 @@ def test_cli_threats(capsys):
     assert main(["threats"]) == 0
     out = capsys.readouterr().out
     assert "rogue-access-point" in out
+    assert "not simulated" in out
 
 
 def test_cli_run_fast_experiment(capsys):

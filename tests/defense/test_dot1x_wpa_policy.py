@@ -1,8 +1,7 @@
-"""802.1X / WPA-PSK gaps (§2.2) and the §5.2 VPN policy checker."""
+"""802.1X / WPA-PSK gaps (§2.2)."""
 
 import pytest
 
-from repro.core.scenario import VPN_IP, build_corp_scenario
 from repro.crypto.tkip import TkipError
 from repro.defense.dot1x import (
     Dot1xAuthenticator,
@@ -10,7 +9,6 @@ from repro.defense.dot1x import (
     EapAuthServer,
     chap_md5_response,
 )
-from repro.defense.policy import check_vpn_requirements
 from repro.defense.wpa import (
     WpaPskAuthenticator,
     WpaPskSupplicant,
@@ -165,42 +163,3 @@ def test_wpa_tkip_blocks_bitflip():
 # ----------------------------------------------------------------------
 # §5.2 policy
 # ----------------------------------------------------------------------
-
-def test_policy_satisfied_for_paper_setup():
-    scenario = build_corp_scenario(seed=101)
-    victim = scenario.add_victim()
-    scenario.sim.run_for(5.0)
-    vpn = scenario.connect_vpn(victim)
-    scenario.sim.run_for(5.0)
-    report = check_vpn_requirements(vpn, endpoint_kind="corporate-wired")
-    assert report.satisfied
-    assert "SATISFIED" in str(report)
-
-
-def test_policy_fails_without_all_traffic():
-    scenario = build_corp_scenario(seed=102)
-    victim = scenario.add_victim()
-    scenario.sim.run_for(5.0)
-    vpn = scenario.connect_vpn(victim)
-    scenario.sim.run_for(5.0)
-    # Sabotage requirement 4: restore a direct default route (split tunnel).
-    from repro.netstack.addressing import IPv4Address, Network
-    victim.routing.remove(Network("0.0.0.0", 0))
-    victim.routing.add_default(IPv4Address("10.0.0.1"), "wlan0")
-    report = check_vpn_requirements(vpn, endpoint_kind="corporate-wired")
-    assert not report.satisfied
-    assert not report.handles_all_traffic
-
-
-def test_policy_fails_for_hotspot_endpoint():
-    """§5.2.1: the hotspot provider cannot be the VPN endpoint."""
-    scenario = build_corp_scenario(seed=103)
-    victim = scenario.add_victim()
-    scenario.sim.run_for(5.0)
-    vpn = scenario.connect_vpn(victim)
-    scenario.sim.run_for(5.0)
-    report = check_vpn_requirements(vpn, endpoint_kind="hotspot-provided",
-                                    provider_known_reputation=False)
-    assert not report.satisfied
-    assert not report.endpoint_on_secure_wired_network
-    assert not report.trustworthy_provider

@@ -101,22 +101,6 @@ def test_capture_transmitters():
     assert cap.transmitters() == {AP1, STA}
 
 
-def test_ssids_advertised_detects_two_bssids_one_ssid():
-    cap = FrameCapture()
-    cap.add(_cap(make_beacon(AP1, "CORP", 1)))
-    cap.add(_cap(make_beacon(AP2, "CORP", 6)))
-    advertised = cap.ssids_advertised()
-    assert advertised["CORP"] == {AP1, AP2}
-
-
-def test_ssids_advertised_blind_to_cloned_bssid():
-    """Fig. 1's rogue clones the BSSID: SSID-level survey sees ONE AP."""
-    cap = FrameCapture()
-    cap.add(_cap(make_beacon(AP1, "CORP", 1), ch=1))
-    cap.add(_cap(make_beacon(AP1, "CORP", 6), ch=6))  # the rogue
-    assert cap.ssids_advertised()["CORP"] == {AP1}
-
-
 def test_capture_tap():
     cap = FrameCapture()
     seen = []

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.scenario import build_corp_scenario
 from repro.hosts.station import Station
-from repro.radio.interference import Jammer
 from repro.radio.propagation import Position
 
 
@@ -32,30 +31,6 @@ def test_ten_stations_share_the_bss():
     assert len(cross) == 1
 
 
-def test_jamming_assisted_capture():
-    """Variant: jam the legitimate AP's channel; the starved victim
-    rescans and lands on the rogue's clean channel — capture without a
-    single forged deauth frame."""
-    scenario = build_corp_scenario(seed=502, rogue_position=Position(30.0, 0.0))
-    victim = scenario.add_victim(position=Position(6.0, 0.0))
-    scenario.sim.run_for(5.0)
-    assert victim.associated_channel == 1  # happily on the legit AP
-
-    jammer = Jammer(scenario.medium, Position(3.0, 0.0), channel=1,
-                    effectiveness=1.0, range_m=60.0)
-    captured = False
-    for _ in range(60):
-        scenario.sim.run_for(1.0)
-        if victim.associated_channel == 6:
-            captured = True
-            break
-    jammer.stop()
-    assert captured
-    assert victim.wlan.mac in scenario.rogue.captured_clients()
-    # No deauth was ever transmitted (distinguishes this variant).
-    assert victim.wlan.deauths_received == 0
-
-
 def test_deterministic_full_attack_replay():
     """The complete §4 world replays bit-identically from its seed."""
 
@@ -71,11 +46,3 @@ def test_deterministic_full_attack_replay():
                 len(scenario.sim.trace.records))
 
     assert run() == run()
-
-
-def test_roaming_hotspot_rate_helper():
-    from repro.workloads.roaming import measure_hotspot_compromise_rate
-    rate = measure_hotspot_compromise_rate([11], settle_s=40.0)
-    assert rate == 1.0
-    rate_vpn = measure_hotspot_compromise_rate([11], with_vpn=True)
-    assert rate_vpn == 0.0

@@ -56,8 +56,7 @@ class ScalarKernel:
     def rssi(self, tx, rx) -> float:
         medium = self.medium
         distance = tx.position.distance_to(rx.position)
-        return medium.path_loss.rssi_dbm(tx.tx_power_dbm, distance,
-                                         medium._rng)
+        return medium.path_loss.rssi_dbm(tx.tx_power_dbm, distance)
 
     def mark_collisions(self, new, inflight) -> None:
         medium = self.medium

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.dot11.frames import make_beacon
 from repro.dot11.mac import MacAddress
 from repro.radio.medium import Medium, RadioPort
-from repro.radio.propagation import LogDistancePathLoss, Position
+from repro.radio.propagation import Position
 from repro.sim.kernel import Simulator
 from tests.radio.scalar_oracle import ScalarKernel
 
@@ -39,7 +39,7 @@ _op = st.fixed_dictionaries({
 def _fresh_rssi(medium: Medium, tx: RadioPort, rx: RadioPort) -> float:
     """The uncached reference: recompute path loss from scratch."""
     distance = tx.position.distance_to(rx.position)
-    return tx.tx_power_dbm - medium.path_loss.path_loss_db(distance, None)
+    return tx.tx_power_dbm - medium.path_loss.path_loss_db(distance)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None,
@@ -108,7 +108,7 @@ def test_sub_decimetre_distances_clamp_to_point_one_metre():
     near = RadioPort("c", Position(0.05, 0.0), 1)
     for p in (a, coincident, near):
         medium.attach(p)
-    clamped = a.tx_power_dbm - medium.path_loss.path_loss_db(0.1, None)
+    clamped = a.tx_power_dbm - medium.path_loss.path_loss_db(0.1)
     assert medium.rssi_between(a, coincident) == clamped
     assert medium.rssi_between(a, near) == clamped
 
@@ -165,8 +165,8 @@ def test_direct_position_write_is_visible_on_next_transmission():
     sim.run()
 
     assert len(got.rssi) == 2
-    expected_near = tx.tx_power_dbm - medium.path_loss.path_loss_db(10.0, None)
-    expected_far = tx.tx_power_dbm - medium.path_loss.path_loss_db(30.0, None)
+    expected_near = tx.tx_power_dbm - medium.path_loss.path_loss_db(10.0)
+    expected_far = tx.tx_power_dbm - medium.path_loss.path_loss_db(30.0)
     assert got.rssi[0] == expected_near
     assert got.rssi[1] == expected_far
     assert got.rssi[1] < got.rssi[0]
@@ -188,8 +188,8 @@ def test_receiver_move_invalidates_delivery_plans_too():
     rx.position = Position(25.0, 0.0)
     tx.transmit(beacon)
     sim.run()
-    assert got.rssi[0] == tx.tx_power_dbm - medium.path_loss.path_loss_db(5.0, None)
-    assert got.rssi[1] == tx.tx_power_dbm - medium.path_loss.path_loss_db(25.0, None)
+    assert got.rssi[0] == tx.tx_power_dbm - medium.path_loss.path_loss_db(5.0)
+    assert got.rssi[1] == tx.tx_power_dbm - medium.path_loss.path_loss_db(25.0)
 
 
 def test_detach_mid_flight_leaves_no_stale_row():
@@ -199,7 +199,7 @@ def test_detach_mid_flight_leaves_no_stale_row():
     by a detached port and on_move/on_attach refresh columns on the
     premise that every cached transmitter is attached."""
     sim = Simulator(seed=7)
-    medium = Medium(sim, path_loss=LogDistancePathLoss(shadowing_sigma_db=0.0))
+    medium = Medium(sim)
     tx = RadioPort("tx", Position(0.0, 0.0), 1, tx_power_dbm=5.0)
     rx = RadioPort("rx", Position(0.0, 0.0), 1, tx_power_dbm=5.0)
     heard = _Recorder(rx)

@@ -2,8 +2,9 @@
 the per-pair scalar oracle.
 
 Every hypothesis-generated world — random positions, channels, tx
-powers, shadowing on/off, collisions from carrier-sense-off injectors,
-mobility mid-run, attach/detach mid-run — is executed twice with the
+powers, frame loss, collisions from carrier-sense-off injectors, moves
+mid-run (through ``move_to`` and plain ``port.position =``), attach/
+detach and retuning mid-run — is executed twice with the
 same seed, once with the medium's kernel swapped for
 :class:`~tests.radio.scalar_oracle.ScalarKernel` and once under the
 kernel ``Medium`` builds.  The runs must agree on:
@@ -30,7 +31,7 @@ from repro.dot11.frames import make_beacon
 from repro.dot11.mac import MacAddress
 from repro.obs.runtime import collecting
 from repro.radio.medium import Medium, RadioPort
-from repro.radio.propagation import FrameLossModel, LogDistancePathLoss, Position
+from repro.radio.propagation import FrameLossModel, Position
 from repro.sim.kernel import Simulator
 from tests.radio.scalar_oracle import ScalarKernel
 
@@ -70,7 +71,6 @@ _action = st.fixed_dictionaries({
 
 _world = st.fixed_dictionaries({
     "seed": st.integers(min_value=0, max_value=2**32 - 1),
-    "sigma": st.sampled_from([0.0, 0.0, 0.0, 3.0, 6.0]),
     "extra_loss": st.sampled_from([0.0, 0.0, 0.2]),
     "ports": st.lists(_port_spec, min_size=2, max_size=6),
     "actions": st.lists(_action, min_size=1, max_size=14),
@@ -84,10 +84,7 @@ def _run_world(kernel: str, spec: dict) -> dict:
     with collecting() as col:
         sim = Simulator(seed=spec["seed"])
         medium = Medium(
-            sim,
-            LogDistancePathLoss(shadowing_sigma_db=spec["sigma"]),
-            FrameLossModel(extra_loss=spec["extra_loss"]),
-        )
+            sim, loss_model=FrameLossModel(extra_loss=spec["extra_loss"]))
         if kernel == "scalar":
             medium._kernel = ScalarKernel(medium)
         log: list = []

@@ -1,12 +1,10 @@
-"""The broadcast medium: delivery, channels, sniffing, collisions, jamming."""
+"""The broadcast medium: delivery, channels, sniffing, collisions."""
 
 import pytest
 
 from repro.dot11.frames import make_beacon
 from repro.dot11.mac import MacAddress
-from repro.radio.interference import Jammer
 from repro.radio.medium import Medium, RadioPort
-from repro.radio.mobility import LinearMobility
 from repro.radio.propagation import FrameLossModel, Position
 from repro.sim.errors import ConfigurationError
 from repro.sim.kernel import Simulator
@@ -165,68 +163,3 @@ def test_disabled_port_neither_sends_nor_receives():
     tx.transmit(make_beacon(AP, "NET", 1))
     sim.run()
     assert got == []
-
-
-def test_jammer_destroys_cochannel_frames():
-    sim = Simulator(seed=1)
-    medium = Medium(sim)
-    tx = _port(medium, "tx", 0.0)
-    rx = _port(medium, "rx", 5.0)
-    got = _rx_recorder(rx)
-    Jammer(medium, Position(5.0, 0.0), channel=1, effectiveness=1.0)
-    for _ in range(20):
-        tx.transmit(make_beacon(AP, "NET", 1))
-    sim.run()
-    assert got == []
-
-
-def test_jammer_duty_cycle_partial():
-    sim = Simulator(seed=2)
-    medium = Medium(sim)
-    tx = _port(medium, "tx", 0.0)
-    rx = _port(medium, "rx", 5.0)
-    got = _rx_recorder(rx)
-    Jammer(medium, Position(5.0, 0.0), channel=1, duty_cycle=0.5,
-           period_s=1.0, effectiveness=1.0)
-    stop = sim.every(0.1, lambda: tx.transmit(make_beacon(AP, "NET", 1)))
-    sim.run(until=10.0)
-    stop()
-    # Roughly half the frames land in the jammer's off-phase.
-    assert 20 < len(got) < 80
-
-
-def test_jammer_other_channel_harmless():
-    sim = Simulator(seed=1)
-    medium = Medium(sim)
-    tx = _port(medium, "tx", 0.0, channel=11)
-    rx = _port(medium, "rx", 5.0, channel=11)
-    got = _rx_recorder(rx)
-    Jammer(medium, Position(5.0, 0.0), channel=1, effectiveness=1.0)
-    tx.transmit(make_beacon(AP, "NET", 11))
-    sim.run()
-    assert len(got) == 1
-
-
-def test_mobility_moves_port_to_waypoints():
-    sim = Simulator(seed=1)
-    medium = Medium(sim)
-    port = _port(medium, "walker", 0.0)
-    arrived = []
-    mob = LinearMobility(sim, port, [Position(10.0, 0.0)], speed_mps=2.0,
-                         on_arrival=lambda: arrived.append(sim.now))
-    sim.run(until=10.0)
-    assert mob.arrived
-    assert port.position == Position(10.0, 0.0)
-    assert arrived and 4.5 <= arrived[0] <= 6.0  # 10m at 2 m/s
-
-
-def test_mobility_stop():
-    sim = Simulator(seed=1)
-    medium = Medium(sim)
-    port = _port(medium, "walker", 0.0)
-    mob = LinearMobility(sim, port, [Position(100.0, 0.0)], speed_mps=1.0)
-    sim.run(until=5.0)
-    mob.stop()
-    x_at_stop = port.position.x
-    sim.run(until=50.0)
-    assert port.position.x == x_at_stop

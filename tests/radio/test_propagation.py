@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.radio.propagation import FrameLossModel, LogDistancePathLoss, Position
-from repro.sim.rng import SimRandom
 
 
 def test_position_distance():
@@ -33,15 +32,6 @@ def test_rssi_from_tx_power():
 def test_distance_clamp():
     model = LogDistancePathLoss()
     assert model.path_loss_db(0.0) == model.path_loss_db(0.1)
-
-
-def test_shadowing_deterministic_with_rng():
-    model = LogDistancePathLoss(shadowing_sigma_db=4.0)
-    a = model.path_loss_db(20.0, SimRandom(5))
-    b = model.path_loss_db(20.0, SimRandom(5))
-    assert a == b
-    c = model.path_loss_db(20.0, SimRandom(6))
-    assert a != c
 
 
 def test_invalid_exponent():

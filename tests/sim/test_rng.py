@@ -1,7 +1,5 @@
 """SimRandom: determinism, substream independence, helper behaviour."""
 
-import pytest
-
 from repro.sim.rng import SimRandom
 
 
@@ -53,16 +51,3 @@ def test_bernoulli_rate_roughly_matches_p():
 def test_bytes_length_and_determinism():
     assert len(SimRandom(1).bytes(17)) == 17
     assert SimRandom(1).bytes(8) == SimRandom(1).bytes(8)
-
-
-def test_pick_weighted_respects_weights():
-    rng = SimRandom(4)
-    counts = {"a": 0, "b": 0}
-    for _ in range(5000):
-        counts[rng.pick_weighted([("a", 3.0), ("b", 1.0)])] += 1
-    assert counts["a"] > counts["b"] * 2
-
-
-def test_pick_weighted_rejects_nonpositive_total():
-    with pytest.raises(ValueError):
-        SimRandom(0).pick_weighted([("a", 0.0)])

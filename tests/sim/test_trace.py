@@ -1,4 +1,4 @@
-"""Trace: emission, filtering, listeners, capacity."""
+"""Trace: emission, filtering, capacity."""
 
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace, TraceRecord
@@ -43,18 +43,6 @@ def test_select_since():
     assert sim.trace.count("a", since=2.0) == 1
 
 
-def test_subscribe_and_unsubscribe():
-    t = Trace()
-    seen = []
-    unsub = t.subscribe("dot11", seen.append)
-    t.emit("dot11.assoc", "a")
-    t.emit("vpn.up", "b")
-    assert len(seen) == 1
-    unsub()
-    t.emit("dot11.assoc", "a")
-    assert len(seen) == 1
-
-
 def test_capacity_drops_oldest():
     t = Trace(capacity=10)
     for i in range(25):
@@ -79,33 +67,11 @@ def test_capacity_trims_oldest_half_exactly_once_past_limit():
     assert [r.detail["i"] for r in t.records] == [10, 11, 12, 13, 14, 15]
 
 
-def test_listeners_fire_even_for_records_later_trimmed():
-    t = Trace(capacity=10)
-    seen = []
-    t.subscribe("c", lambda rec: seen.append(rec.detail["i"]))
-    for i in range(25):
-        t.emit("c", "s", i=i)
-    assert seen == list(range(25))  # every emission, including trimmed ones
-    assert len(t.records) < 25
-
-
 def test_disabled_trace_is_silent():
     t = Trace()
     t.enabled = False
     assert t.emit("c", "s") is None
     assert t.count() == 0
-
-
-def test_disabled_trace_does_not_notify_listeners():
-    t = Trace()
-    seen = []
-    t.subscribe("", seen.append)
-    t.enabled = False
-    t.emit("c", "s")
-    assert seen == []
-    t.enabled = True
-    t.emit("c", "s")
-    assert len(seen) == 1
 
 
 def test_record_detail_is_defensively_copied_on_construction():
@@ -209,68 +175,3 @@ def test_dump_is_readable():
     out = t.dump()
     assert "cat.sub" in out and "host" in out and "k='v'" in out
 
-
-# ----------------------------------------------------------------------
-# listener containment: one broken/mutating listener must not break
-# emission, starve other listeners, or lose the record
-# ----------------------------------------------------------------------
-
-def test_raising_listener_is_contained_and_recorded():
-    t = Trace()
-    boom = RuntimeError("listener bug")
-
-    def bad(rec):
-        raise boom
-
-    t.subscribe("c", bad)
-    rec = t.emit("c.x", "s", k=1)  # must not raise
-    assert rec is not None
-    assert t.count("c.x") == 1  # the record itself survived
-    assert t.listener_errors == [("c.x", bad, boom)]
-
-
-def test_raising_listener_does_not_starve_later_listeners():
-    t = Trace()
-    seen = []
-
-    def bad(rec):
-        raise ValueError("first listener broken")
-
-    t.subscribe("c", bad)
-    t.subscribe("c", lambda rec: seen.append(rec.detail["i"]))
-    t.emit("c.x", "s", i=1)
-    t.emit("c.x", "s", i=2)
-    assert seen == [1, 2]
-    assert len(t.listener_errors) == 2
-
-
-def test_listener_unsubscribing_mid_emit_does_not_skip_others():
-    t = Trace()
-    seen = []
-    unsubs = []
-
-    def self_removing(rec):
-        unsubs[0]()  # mutates _listeners during the notify loop
-
-    unsubs.append(t.subscribe("c", self_removing))
-    t.subscribe("c", lambda rec: seen.append(rec.detail["i"]))
-    t.emit("c.x", "s", i=1)
-    assert seen == [1]  # the second listener still fired this emit
-    t.emit("c.x", "s", i=2)
-    assert seen == [1, 2]
-    assert t.listener_errors == []
-
-
-def test_listener_subscribing_mid_emit_applies_from_next_emit():
-    t = Trace()
-    late = []
-
-    def adder(rec):
-        if not late:
-            t.subscribe("c", lambda r: late.append(r.detail["i"]))
-
-    t.subscribe("c", adder)
-    t.emit("c.x", "s", i=1)
-    assert late == []  # not notified for the emit that added it
-    t.emit("c.x", "s", i=2)
-    assert late == [2]

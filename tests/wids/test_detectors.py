@@ -13,8 +13,7 @@ from repro.wids.detectors import (DETECTORS, BeaconFingerprintDetector,
                                   BeaconJitterDetector, DeauthFloodDetector,
                                   Detector, MultiChannelSsidDetector,
                                   SeqCtlAnomalyDetector, SeqCtlMonitor,
-                                  default_detectors, get_detector_class,
-                                  register)
+                                  default_detectors, register)
 
 AP = MacAddress("aa:bb:cc:dd:00:01")
 STA = MacAddress("00:02:2d:00:00:07")
@@ -55,12 +54,6 @@ def test_register_rejects_duplicates_and_anonymous():
     with pytest.raises(ValueError):
         register(Clash)
     assert DETECTORS["seqctl"] is SeqCtlAnomalyDetector  # untouched
-
-
-def test_get_detector_class():
-    assert get_detector_class("fingerprint") is BeaconFingerprintDetector
-    with pytest.raises(KeyError):
-        get_detector_class("nope")
 
 
 def test_default_detectors_respects_threshold_overrides():

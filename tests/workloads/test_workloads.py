@@ -5,7 +5,7 @@ import pytest
 from repro.core.scenario import build_corp_scenario
 from repro.sim.rng import SimRandom
 from repro.workloads.roaming import RoamingOutcome, simulate_roaming_client
-from repro.workloads.traffic import BulkTcpTransfer, CbrUdpStream
+from repro.workloads.traffic import CbrUdpStream
 
 
 @pytest.fixture(scope="module")
@@ -27,18 +27,6 @@ def test_cbr_udp_stream_delivery(traffic_world):
     assert stream.delivery_ratio > 0.95
     assert stream.duplicates == 0
     assert 0 < stream.latency_quantile(0.5) < 0.1
-
-
-def test_bulk_tcp_goodput(traffic_world):
-    scenario, victim = traffic_world
-    xfer = BulkTcpTransfer(victim, scenario.target_server, "198.51.100.80",
-                           port=9102, total_bytes=100_000)
-    xfer.start()
-    scenario.sim.run_for(60.0)
-    assert xfer.complete
-    assert xfer.received_bytes >= 100_000
-    # 802.11b payload rates top out well under 11 Mb/s.
-    assert 100_000 < xfer.goodput_bps < 11_000_000
 
 
 # ----------------------------------------------------------------------
