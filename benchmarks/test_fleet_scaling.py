@@ -92,7 +92,7 @@ def stadium_smoke_trial(seed: int) -> dict:
         sim.schedule_at(k * 0.1, ap.transmit, beacon)
     sim.run_for(beacons * 0.1)
     hearable_radius = 10.0 ** (
-        (ap.tx_power_dbm - (medium.loss_model.threshold_dbm - 10.0)
+        (ap.tx_power_dbm - medium.loss_model.hearing_floor_dbm
          - medium.path_loss.pl_d0_db) / (10.0 * medium.path_loss.exponent))
     in_range = sum(
         1 for p in ports

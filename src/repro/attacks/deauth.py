@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.dot11.frames import FrameSubtype, ReasonCode, make_deauth
+from repro.dot11.frames import ReasonCode, make_deauth
 from repro.dot11.mac import BROADCAST, MacAddress
-from repro.dot11.seqctl import MirroredSequenceCounter, SequenceCounter
+from repro.dot11.seqctl import SequenceCounter
 from repro.obs.runtime import instruments
 from repro.radio.medium import Medium, RadioPort
 from repro.radio.propagation import Position
@@ -36,13 +36,6 @@ class DeauthAttacker:
         deauths (the ablation comparison in E-DEAUTH).
     rate_hz:
         Injection rate; the experiment's swept parameter.
-    mirror_seqctl:
-        WIDS evasion: listen to the spoofed AP and stamp injected
-        deauths as successors of its overheard sequence numbers
-        instead of from an arbitrary counter, defeating large-gap
-        analysis.  Turning this on makes the injector's radio a
-        *receiver*, which (unlike pure observation) legitimately
-        changes the simulated world.
     reason:
         The 802.11 reason code stamped into every forged frame.
         Real tools let the operator pick one (aireplay-ng's ``-a``
@@ -62,7 +55,6 @@ class DeauthAttacker:
         target: Optional[MacAddress] = None,
         rate_hz: float = 10.0,
         name: str = "deauth-attacker",
-        mirror_seqctl: bool = False,
         reason: int = ReasonCode.PREV_AUTH_EXPIRED,
     ) -> None:
         self.sim = sim
@@ -74,23 +66,14 @@ class DeauthAttacker:
             raise ValueError(f"802.11 reason code out of range: {reason}")
         self.reason = reason
         self.port = RadioPort(name=name, position=position, channel=channel,
-                              tx_power_dbm=18.0, promiscuous=mirror_seqctl)
+                              tx_power_dbm=18.0)
         medium.attach(self.port)
-        if mirror_seqctl:
-            # Evasion mode: shadow the AP's real counter.
-            self.seqctl = MirroredSequenceCounter()
-            self.port.on_receive = self._overhear
-        else:
-            # The injector spoofs the AP's sequence space poorly — real
-            # injectors pick arbitrary numbers, which is exactly what the
-            # §2.3 sequence-control monitor detects.
-            self.seqctl = SequenceCounter(sim.rng.substream(f"seq.{name}").randrange(0, 4096))
+        # The injector spoofs the AP's sequence space poorly — real
+        # injectors pick arbitrary numbers, which is exactly what the
+        # §2.3 sequence-control monitor detects.
+        self.seqctl = SequenceCounter(sim.rng.substream(f"seq.{name}").randrange(0, 4096))
         self.frames_injected = 0
         self._stop = None
-
-    def _overhear(self, frame, _rssi: float, _channel: int) -> None:
-        if frame.addr2 == self.ap_bssid and frame.subtype is not FrameSubtype.ACK:
-            self.seqctl.observe(frame.seq)
 
     def start(self) -> None:
         if self._stop is not None:

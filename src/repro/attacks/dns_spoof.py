@@ -9,8 +9,6 @@ difference E-WIRED measures.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.dot11.mac import MacAddress
 from repro.hosts.host import Host
 from repro.netstack.addressing import IPv4Address

@@ -25,8 +25,6 @@ from repro.netstack.addressing import IPv4Address, Network
 from repro.netstack.dhcp import LeasePool
 from repro.netstack.dns import DnsZone
 from repro.netstack.ethernet import LanSegment
-from repro.netstack.ipv4 import PROTO_TCP, IPv4Packet
-from repro.netstack.tcp import TcpSegment
 from repro.radio.medium import Medium
 from repro.radio.propagation import Position
 from repro.sim.kernel import Simulator

@@ -21,7 +21,6 @@ withholds a pattern-length tail between chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from repro.hosts.host import Host
 from repro.netstack.addressing import IPv4Address
@@ -137,10 +136,8 @@ class NetsedProxy:
     target_ip / target_port:
         The real upstream destination.
     rules:
-        ``s/old/new`` strings or :class:`NetsedRule` objects.
-    streaming:
-        False (default) = faithful per-segment netsed; True = the
-        boundary-safe improved rewriter (ablation knob).
+        ``s/old/new`` strings or :class:`NetsedRule` objects, applied
+        to each segment separately as real netsed does (§4.2).
     """
 
     def __init__(
@@ -151,7 +148,6 @@ class NetsedProxy:
         target_port: int,
         rules: "list[NetsedRule | str]",
         *,
-        streaming: bool = False,
         rewrite_upstream: bool = False,
     ) -> None:
         self.host = host
@@ -159,15 +155,10 @@ class NetsedProxy:
         self.target_ip = IPv4Address(target_ip)
         self.target_port = target_port
         self.rules = [parse_rule(r) if isinstance(r, str) else r for r in rules]
-        self.streaming = streaming
         self.rewrite_upstream = rewrite_upstream
         self.listener = host.tcp_listen(listen_port, self._on_client)
         self.connections_proxied = 0
         self.total_replacements = 0
-
-    def _make_rewriter(self):
-        return (StreamingRewriter(self.rules) if self.streaming
-                else _PerSegmentRewriter(self.rules))
 
     def close(self) -> None:
         self.listener.close()
@@ -187,8 +178,8 @@ class NetsedProxy:
                     t=self.host.sim.now, client=str(client.remote_ip),
                     upstream=f"{self.target_ip}:{self.target_port}")
         upstream = self.host.tcp_connect(self.target_ip, self.target_port)
-        down_rw = self._make_rewriter()          # server -> client direction
-        up_rw = self._make_rewriter() if self.rewrite_upstream else None
+        down_rw = _PerSegmentRewriter(self.rules)     # server -> client direction
+        up_rw = _PerSegmentRewriter(self.rules) if self.rewrite_upstream else None
         pending_up: list[bytes] = []
         state = {"up_established": False, "closing": False}
 
@@ -231,9 +222,6 @@ class NetsedProxy:
             if state["closing"]:
                 return
             state["closing"] = True
-            tail = down_rw.flush()
-            if tail:
-                client.send(tail)
             self.total_replacements += down_rw.replacements
             if up_rw is not None:
                 self.total_replacements += up_rw.replacements
@@ -248,15 +236,8 @@ class NetsedProxy:
                                          client=str(client.remote_ip))
             client.close()
 
-        def finish_up() -> None:
-            if up_rw is not None:
-                tail = up_rw.process(b"") + up_rw.flush()
-                if tail and state["up_established"]:
-                    upstream.send(tail)
-            upstream.close()
-
         client.on_data = pump_upstream
-        client.on_close = finish_up
+        client.on_close = upstream.close
         client.on_reset = lambda: upstream.abort()
         upstream.on_established = on_up_established
         upstream.on_data = on_up_data

@@ -13,7 +13,6 @@ routes, mirroring Appendix A.
 from __future__ import annotations
 
 from repro.hosts.host import Host
-from repro.netstack.addressing import IPv4Address
 from repro.obs.runtime import instruments
 from repro.sim.errors import ConfigurationError
 
@@ -74,11 +73,3 @@ class Parprouted:
                     iface=iface.name)
         self.host.sim.trace.emit("parprouted.learn", self.host.name,
                                  station=str(sender), iface=iface.name)
-
-    def add_station_route(self, ip: "IPv4Address | str", iface: str) -> None:
-        """Pin a station's /32 route (``route add -host IP dev IFACE``).
-
-        The real daemon learns these dynamically from ARP traffic; the
-        paper's Appendix A sets them statically, which we mirror.
-        """
-        self.host.routing.add_host(IPv4Address(ip), iface)

@@ -70,7 +70,7 @@ class RogueAccessPoint:
         self.eth1 = WirelessInterface("eth1", client_mac, medium, position,
                                       tx_power_dbm=tx_power_dbm)
         self.host.add_interface(self.eth1)
-        # --- WIDS-evasion knobs (the rogue/detector arms race) --------
+        # --- WIDS-evasion knobs ---------------------------------------
         # match_beacon_cadence: discipline the soft-AP's TBTT to the
         # crystal-exact 100 TU the legitimate AP keeps, defeating
         # beacon-jitter analysis; beacon_jitter_s models the sloppy
@@ -158,7 +158,6 @@ class RogueAccessPoint:
         *,
         rules: "list[NetsedRule | str]",
         listen_port: int = 10101,
-        streaming: bool = False,
     ) -> NetsedProxy:
         """Install the DNAT rule and start netsed — §4.1's two commands.
 
@@ -173,7 +172,7 @@ class RogueAccessPoint:
             f"--dport 80 -j DNAT --to {self._wlan0_ip}:{listen_port}"
         )
         self.netsed = NetsedProxy(self.host, listen_port, target_ip, 80,
-                                  rules, streaming=streaming)
+                                  rules)
         self.sim.trace.emit("rogue.mitm_armed", self.host.name,
                             target=str(target_ip), port=listen_port)
         return self.netsed

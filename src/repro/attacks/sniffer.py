@@ -2,7 +2,7 @@
 
 §1.1: "Wireless networks allow clients to sniff other people's
 packets."  The sniffer is a radio in monitor mode: it records every
-frame in range, on every channel if asked.  Given the WEP key (valid
+frame in range, on every channel.  Given the WEP key (valid
 client, or recovered by Airsnort) it decrypts data frames and
 reassembles IP and TCP payloads — everything the victim sends.
 
@@ -41,11 +41,10 @@ class MonitorSniffer:
         *,
         name: str = "sniffer",
         channel: int = 1,
-        all_channels: bool = True,
     ) -> None:
         self.sim = sim
         self.port = RadioPort(name=name, position=position, channel=channel,
-                              promiscuous=True, any_channel=all_channels)
+                              promiscuous=True, any_channel=True)
         self.port.on_receive = self._on_frame
         medium.attach(self.port)
         self.capture = FrameCapture()
@@ -121,7 +120,3 @@ class MonitorSniffer:
             if segment.dst_port == dst_port and segment.payload:
                 chunks.setdefault(segment.seq, segment.payload)
         return b"".join(chunks[k] for k in sorted(chunks))
-
-    def observed_stations(self) -> set[MacAddress]:
-        """Every transmitter overheard — the MAC harvest that defeats filters."""
-        return self.capture.transmitters()

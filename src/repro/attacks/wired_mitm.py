@@ -11,7 +11,7 @@ rogue AP on the air); the ARP-spoofing row is a prerequisite only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["MitmPath", "wired_vs_wireless_paths"]
 

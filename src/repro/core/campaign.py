@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TypeVar
+from typing import Callable
 
 __all__ = ["TrialStats", "run_trials"]
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -67,8 +65,7 @@ class TrialStats:
 
 
 def run_trials(n: int, trial: Callable[[int], float],
-               *, seed_base: int = 1000, workers: int = 1,
-               timeout: Optional[float] = None) -> TrialStats:
+               *, seed_base: int = 1000, workers: int = 1) -> TrialStats:
     """Run ``trial(seed)`` for ``n`` distinct seeds and aggregate.
 
     Each trial builds its own simulator from its seed, so trials are
@@ -84,15 +81,14 @@ def run_trials(n: int, trial: Callable[[int], float],
     :func:`repro.fleet.run_campaign` directly when partial results plus
     recorded failures are wanted instead.
     """
-    if workers <= 1 and timeout is None:
+    if workers <= 1:
         stats = TrialStats()
         for i in range(n):
             stats.add(trial(seed_base + i))
         return stats
     from repro.fleet import CampaignError, run_campaign
 
-    result = run_campaign(n, trial, seed_base=seed_base, workers=workers,
-                          timeout=timeout)
+    result = run_campaign(n, trial, seed_base=seed_base, workers=workers)
     if result.failures:
         raise CampaignError(result.failures)
     stats = result.stats

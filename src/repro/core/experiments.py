@@ -10,8 +10,6 @@ The experiment ids (FIG1..E-8021X) are indexed in DESIGN.md §4.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.attacks.deauth import DeauthAttacker
 from repro.attacks.mac_spoof import observe_client_macs, spoof_mac
 from repro.attacks.netsed import NetsedRule, StreamingRewriter, _PerSegmentRewriter
@@ -366,7 +364,6 @@ def exp_wired_vs_wireless(seed: int = 1) -> dict:
     from repro.attacks.wired_mitm import wired_vs_wireless_paths
     from repro.hosts.services import DnsResolver
     from repro.netstack.addressing import IPv4Address
-    from repro.netstack.ipv4 import PROTO_UDP
 
     sniff_rows = []
     # Wired: victim sends 50 datagrams to the gateway-side server; how

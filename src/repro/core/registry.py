@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core import experiments as E
 from repro.core.report import format_table

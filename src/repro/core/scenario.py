@@ -19,7 +19,6 @@ from repro.crypto.wep import WepKey
 from repro.defense.vpn import VpnClient, VpnServer
 from repro.dot11.mac import MacAddress
 from repro.hosts.access_point import AccessPoint
-from repro.hosts.ap_core import MacFilter
 from repro.hosts.gateway import Wan, build_wan
 from repro.hosts.host import Host
 from repro.hosts.nic import WiredInterface
@@ -75,11 +74,11 @@ class CorpScenario:
     trojan: bytes
     real_md5: str
     fake_md5: str
+    vpn_host: Host
+    vpn_server: VpnServer
+    dns_host: Host
+    zone: DnsZone
     rogue: Optional[RogueAccessPoint] = None
-    vpn_host: Optional[Host] = None
-    vpn_server: Optional[VpnServer] = None
-    dns_host: Optional[Host] = None
-    zone: Optional[DnsZone] = None
     victims: list[Station] = field(default_factory=list)
 
     def resolver_for(self, station: Station) -> DnsResolver:
@@ -91,26 +90,24 @@ class CorpScenario:
     # ------------------------------------------------------------------
     def add_victim(self, *, position: Position = Position(40.0, 0.0),
                    ip: str = VICTIM_IP, name: str = "victim",
-                   policy=None, wep_key="default") -> Station:
+                   policy=None) -> Station:
         """A client configured per §4.1 (SSID CORP, WEP key entered)."""
         station = Station(self.sim, name, self.medium, position)
-        key = self.wep if wep_key == "default" else wep_key
-        station.connect("CORP", wep_key=key, ip=ip, gateway=GATEWAY_IP,
+        station.connect("CORP", wep_key=self.wep, ip=ip, gateway=GATEWAY_IP,
                         policy=policy)
         self.victims.append(station)
         return station
 
-    def arm_download_mitm(self, *, streaming: bool = False) -> None:
+    def arm_download_mitm(self) -> None:
         """Install the §4.1 netsed rules on the rogue."""
         assert self.rogue is not None, "scenario was built without a rogue"
         self.rogue.install_download_mitm(TARGET_IP, rules=[
             f"s/href=file.tgz/href=http:%2f%2f{EVIL_IP}%2ffile.tgz/",
             f"s/{self.real_md5}/{self.fake_md5}/",
-        ], streaming=streaming)
+        ])
 
     def connect_vpn(self, station: Station) -> VpnClient:
         """Give a victim the paper's §5 protection."""
-        assert self.vpn_server is not None, "scenario was built without a VPN endpoint"
         keystore = KeyStore()
         keystore.enroll(VPN_SERVER_NAME, VPN_SHARED_SECRET)
         client = VpnClient(station, keystore, VPN_SERVER_NAME, VPN_IP)
@@ -130,27 +127,20 @@ def build_corp_scenario(
     seed: int = 0,
     *,
     wep: bool = True,
-    wep_bits: int = 40,
-    mac_filter_macs: Optional[list[MacAddress]] = None,
     with_rogue: bool = True,
-    rogue_channel: int = 6,
     rogue_position: Position = Position(38.0, 0.0),
     rogue_wep: str = "same",     # "same" | "none" | "cracked-later"
     rogue_mirror_seqctl: bool = False,
     rogue_beacon_jitter_s: float = 0.0,
     rogue_match_beacon_cadence: bool = False,
-    with_vpn_endpoint: bool = True,
-    settle_s: float = 4.0,
 ) -> CorpScenario:
     """Assemble Fig. 1 (plus WAN servers for Fig. 2 and Fig. 3)."""
     sim = Simulator(seed=seed)
     medium = Medium(sim)
     lan = Switch(sim, "corp-lan")
-    wep_key = WepKey.from_passphrase("SECRET", bits=wep_bits) if wep else None
-    mac_filter = MacFilter(mac_filter_macs) if mac_filter_macs is not None else None
+    wep_key = WepKey.from_passphrase("SECRET", bits=40) if wep else None
     ap = AccessPoint(sim, medium, "corp-ap", bssid=LEGIT_BSSID, ssid="CORP",
-                     channel=1, position=Position(0.0, 0.0), wep_key=wep_key,
-                     mac_filter=mac_filter)
+                     channel=1, position=Position(0.0, 0.0), wep_key=wep_key)
     ap.attach_uplink(lan)
     wan = build_wan(sim, lan, lan_gateway_ip=GATEWAY_IP)
 
@@ -169,34 +159,32 @@ def build_corp_scenario(
     zone = DnsZone({TARGET_HOSTNAME: TARGET_IP})
     DnsServerService(dns_host, zone)
 
+    vpn_host = wan.add_server(sim, "vpn-endpoint", VPN_IP)
+    server_ks = KeyStore()
+    server_ks.enroll("victim", VPN_SHARED_SECRET)
+    vpn_server = VpnServer(vpn_host, server_ks, nat_ip=VPN_IP)
+
     scenario = CorpScenario(
         sim=sim, medium=medium, lan=lan, wan=wan, ap=ap, wep=wep_key,
         target_server=target, evil_server=evil, target_site=site,
         evil_site=evil_site,
         binary=binary, trojan=trojan, real_md5=real_md5, fake_md5=fake_md5,
-        dns_host=dns_host, zone=zone,
+        vpn_host=vpn_host, vpn_server=vpn_server, dns_host=dns_host, zone=zone,
     )
-
-    if with_vpn_endpoint:
-        vpn_host = wan.add_server(sim, "vpn-endpoint", VPN_IP)
-        server_ks = KeyStore()
-        server_ks.enroll("victim", VPN_SHARED_SECRET)
-        scenario.vpn_host = vpn_host
-        scenario.vpn_server = VpnServer(vpn_host, server_ks, nat_ip=VPN_IP)
 
     if with_rogue:
         rogue_key = wep_key if rogue_wep == "same" else None
         scenario.rogue = RogueAccessPoint(
             sim, medium, rogue_position,
             clone_bssid=LEGIT_BSSID, legit_channel=1,
-            rogue_channel=rogue_channel, wep_key=rogue_key,
+            rogue_channel=6, wep_key=rogue_key,
             mirror_seqctl=rogue_mirror_seqctl,
             beacon_jitter_s=rogue_beacon_jitter_s,
             match_beacon_cadence=rogue_match_beacon_cadence,
         )
         scenario.rogue.start()
 
-    sim.run_for(settle_s)
+    sim.run_for(4.0)
     return scenario
 
 
@@ -235,11 +223,10 @@ class HotspotScenario:
         return station, browser
 
 
-def build_hotspot_scenario(seed: int = 0, *, hostile: bool = True,
-                           settle_s: float = 2.0) -> HotspotScenario:
+def build_hotspot_scenario(seed: int = 0, *,
+                           hostile: bool = True) -> HotspotScenario:
     """A hotspot (honest or hostile) in front of a trusted news site."""
     from repro.attacks.hotspot import HostileHotspot
-    from repro.httpsim.browser import EXPLOIT_MARKER
 
     sim = Simulator(seed=seed)
     medium = Medium(sim)
@@ -275,7 +262,7 @@ def build_hotspot_scenario(seed: int = 0, *, hostile: bool = True,
         upstream_ip="203.0.113.7", upstream_gateway="203.0.113.1",
         zone=zone, tamper_rules=tamper,
     )
-    sim.run_for(settle_s)
+    sim.run_for(2.0)
     return HotspotScenario(sim=sim, medium=medium, hotspot=hotspot,
                            news_server=news, news_site=news_site, zone=zone)
 
@@ -301,8 +288,8 @@ class WiredOfficeScenario:
         return self.wan.lan_gateway_ip
 
 
-def build_wired_office(seed: int = 0, *, fabric: str = "switch",
-                       settle_s: float = 1.0) -> WiredOfficeScenario:
+def build_wired_office(seed: int = 0, *,
+                       fabric: str = "switch") -> WiredOfficeScenario:
     """§1.1's wired comparison topology.
 
     ``fabric`` is "switch" (the corporate norm the paper credits with
@@ -335,7 +322,7 @@ def build_wired_office(seed: int = 0, *, fabric: str = "switch",
     make_download_page(site, binary=binary)
     HttpServer(target, site, 80)
 
-    sim.run_for(settle_s)
+    sim.run_for(1.0)
     return WiredOfficeScenario(sim=sim, segment=segment, wan=wan,
                                victim=victim, attacker=attacker,
                                dns_server=dns_server, zone=zone)

@@ -21,7 +21,7 @@ certificate authority several hundred dollars").
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.errors import ConfigurationError

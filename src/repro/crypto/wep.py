@@ -144,7 +144,7 @@ def wep_iv_of(body: bytes) -> bytes:
     return body[:IV_LEN]
 
 
-def wep_first_keystream_byte(body: bytes, known_first_plaintext: int = 0xAA) -> int:
+def wep_first_keystream_byte(body: bytes) -> int:
     """Recover keystream byte 0 from a ciphertext, given known plaintext.
 
     802.2 LLC/SNAP encapsulation makes the first payload byte of
@@ -153,4 +153,4 @@ def wep_first_keystream_byte(body: bytes, known_first_plaintext: int = 0xAA) -> 
     """
     if len(body) < HEADER_LEN + 1:
         raise WepError("WEP body too short for keystream recovery")
-    return body[HEADER_LEN] ^ known_first_plaintext
+    return body[HEADER_LEN] ^ 0xAA

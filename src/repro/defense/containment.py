@@ -22,11 +22,10 @@ Honest limitations, preserved faithfully:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.attacks.sniffer import MonitorSniffer
-from repro.wids.detectors import SeqCtlMonitor, SpoofVerdict
+from repro.wids.detectors import SeqCtlMonitor
 from repro.dot11.frames import BROADCAST, ReasonCode, make_deauth
 from repro.dot11.mac import MacAddress
 from repro.dot11.seqctl import SequenceCounter
@@ -56,11 +55,11 @@ class ContainmentSensor:
         (bssid, channel) pairs of the legitimate infrastructure.  A
         detected BSS on any *other* (bssid, channel) advertising an
         authorized BSSID — the Fig. 1 clone — is contained.
-    check_interval_s:
-        Detection sweep period.
     containment_rate_hz:
         Broadcast-deauth injection rate against a contained BSS.
     """
+
+    CHECK_INTERVAL_S = 5.0  # detection sweep period
 
     def __init__(
         self,
@@ -69,19 +68,15 @@ class ContainmentSensor:
         position: Position,
         *,
         authorized: list[tuple[MacAddress, int]],
-        check_interval_s: float = 5.0,
         containment_rate_hz: float = 5.0,
-        gap_threshold: int = 64,
         name: str = "wids-sensor",
     ) -> None:
         self.sim = sim
         self.authorized = set(authorized)
-        self.check_interval_s = check_interval_s
         self.containment_rate_hz = containment_rate_hz
         self.sniffer = MonitorSniffer(sim, medium, position,
                                       name=f"{name}.monitor")
-        self.monitor = SeqCtlMonitor(self.sniffer.capture,
-                                     gap_threshold=gap_threshold)
+        self.monitor = SeqCtlMonitor(self.sniffer.capture)
         # A separate injection radio (sensors have one of each).
         self.injector = RadioPort(name=f"{name}.injector", position=position,
                                   channel=1, tx_power_dbm=18.0)
@@ -97,7 +92,7 @@ class ContainmentSensor:
     # ------------------------------------------------------------------
     def start(self) -> None:
         if self._stop_detect is None:
-            self._stop_detect = self.sim.every(self.check_interval_s, self._sweep)
+            self._stop_detect = self.sim.every(self.CHECK_INTERVAL_S, self._sweep)
 
     def stop(self) -> None:
         if self._stop_detect is not None:
@@ -116,7 +111,7 @@ class ContainmentSensor:
     # ------------------------------------------------------------------
     def _sweep(self) -> None:
         from repro.dot11.frames import FrameSubtype
-        # Enumerate BSSes on the air: (bssid, channel) seen beaconing.
+        # Enumerate BSSes on the air: (bssid, channel) pairs heard sending beacons.
         seen: set[tuple[MacAddress, int]] = set()
         for cap in self.sniffer.capture.select(subtype=FrameSubtype.BEACON):
             seen.add((cap.frame.addr3, cap.channel))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 
 __all__ = ["EapAuthServer", "Dot1xAuthenticator", "Dot1xSupplicant", "EapCode"]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hmac
 import struct
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.crypto.rc4 import RC4
 from repro.hosts.host import Host, UdpSocket
@@ -89,7 +89,7 @@ class EspTunnelClient:
 
     def __init__(self, host: Host, server_ip: "IPv4Address | str", psk: bytes,
                  *, inner_ip: "IPv4Address | str", server_inner_ip: "IPv4Address | str",
-                 port: int = ESP_PORT, take_default: bool = True) -> None:
+                 port: int = ESP_PORT) -> None:
         self.host = host
         self.server_ip = IPv4Address(server_ip)
         self.port = port
@@ -111,11 +111,10 @@ class EspTunnelClient:
         if default is None:
             raise ConfigurationError("no route to ESP server")
         host.routing.add_host(self.server_ip, default.interface, default.gateway)
-        if take_default:
-            for route in list(host.routing.routes()):
-                if route.network.prefix_len == 0:
-                    host.routing.remove(route.network)
-            host.routing.add(Route(network=Network("0.0.0.0", 0), interface="esp0"))
+        for route in list(host.routing.routes()):
+            if route.network.prefix_len == 0:
+                host.routing.remove(route.network)
+        host.routing.add(Route(network=Network("0.0.0.0", 0), interface="esp0"))
 
     def _encapsulate(self, packet: IPv4Packet) -> None:
         self._seq += 1

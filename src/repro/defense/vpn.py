@@ -31,7 +31,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.crypto.dh import DH_GROUP_1536, DhGroup, DiffieHellman, derive_key
+from repro.crypto.dh import DH_GROUP_1536, DiffieHellman, derive_key
 from repro.crypto.keystore import KeyStore
 from repro.crypto.rc4 import RC4
 from repro.hosts.host import Host
@@ -170,8 +170,6 @@ class VpnClient:
         server_ip: "IPv4Address | str",
         *,
         server_port: int = VPN_PORT,
-        group: DhGroup = DH_GROUP_1536,
-        mtu: int = 1400,
         auto_reconnect: bool = False,
     ) -> None:
         self.host = host
@@ -179,8 +177,7 @@ class VpnClient:
         self.server_name = server_name
         self.server_ip = IPv4Address(server_ip)
         self.server_port = server_port
-        self.group = group
-        self.tun = TunInterface("ppp0", mtu=mtu)
+        self.tun = TunInterface("ppp0")
         host.add_interface(self.tun)
         self.tun.on_transmit = self._tun_transmit
         self._conn: Optional[TcpConnection] = None
@@ -217,7 +214,7 @@ class VpnClient:
             self._conn = None
         cred = self.keystore.require(self.server_name, trusted_only=True)
         self._psk = cred.secret
-        self._dh = DiffieHellman(self.group, self.host.sim.rng.substream(
+        self._dh = DiffieHellman(DH_GROUP_1536, self.host.sim.rng.substream(
             f"vpn.client.{self.host.name}"))
         # Pin the server route via the current default before we steal it.
         default = self.host.routing.lookup(self.server_ip)
@@ -233,7 +230,7 @@ class VpnClient:
     def _send_hello(self) -> None:
         assert self._dh is not None
         name_raw = self.host.name.encode("utf-8")
-        pub = self._dh.public.to_bytes((self.group.p.bit_length() + 7) // 8, "big")
+        pub = self._dh.public.to_bytes((DH_GROUP_1536.p.bit_length() + 7) // 8, "big")
         payload = struct.pack(">H", len(name_raw)) + name_raw + pub
         self._transcript = payload
         self._conn.send(_frame(_MSG_CLIENT_HELLO, payload))
@@ -257,7 +254,7 @@ class VpnClient:
 
     def _on_server_hello(self, payload: bytes) -> None:
         assert self._dh is not None and self._psk is not None
-        pub_len = (self.group.p.bit_length() + 7) // 8
+        pub_len = (DH_GROUP_1536.p.bit_length() + 7) // 8
         if len(payload) < pub_len + MAC_LEN:
             self._fail()
             return
@@ -420,11 +417,9 @@ class VpnServer:
         port: int = VPN_PORT,
         inner_network: Network = Network("10.8.0.0/24"),
         nat_ip: Optional["IPv4Address | str"] = None,
-        group: DhGroup = DH_GROUP_1536,
     ) -> None:
         self.host = host
         self.keystore = keystore
-        self.group = group
         self.inner_network = inner_network
         self._inner_iter = inner_network.hosts()
         self.server_inner_ip = next(self._inner_iter)
@@ -443,7 +438,7 @@ class VpnServer:
     def _on_connection(self, conn: TcpConnection) -> None:
         session = _Session(
             name="?", conn=conn, records=None, frames=_FrameBuffer(),
-            dh=DiffieHellman(self.group, self.host.sim.rng.substream(
+            dh=DiffieHellman(DH_GROUP_1536, self.host.sim.rng.substream(
                 f"vpn.server.{self.host.name}.{len(self.sessions)}")),
             psk=None, transcript=b"", tun=None, inner_ip=None,
         )
@@ -472,7 +467,7 @@ class VpnServer:
             return
         (name_len,) = struct.unpack(">H", payload[:2])
         name = payload[2:2 + name_len].decode("utf-8", "replace")
-        pub_len = (self.group.p.bit_length() + 7) // 8
+        pub_len = (DH_GROUP_1536.p.bit_length() + 7) // 8
         pub_raw = payload[2 + name_len:2 + name_len + pub_len]
         if len(pub_raw) != pub_len:
             session.conn.abort()

@@ -20,7 +20,6 @@ from the PSK and both nonces, MIC-protected; data protection via
 from __future__ import annotations
 
 import hmac
-import struct
 from dataclasses import dataclass
 from typing import Optional
 

@@ -263,12 +263,6 @@ class Dot11Frame:
         """Original source (addr3 when from-DS, else addr2)."""
         return self.addr3 if self.from_ds and not self.to_ds else self.addr2
 
-    def is_management(self) -> bool:
-        return self.frame_type is FrameType.MANAGEMENT
-
-    def is_data(self) -> bool:
-        return self.subtype is FrameSubtype.DATA
-
     def with_body(self, body: bytes, protected: Optional[bool] = None) -> "Dot11Frame":
         """Copy with a replaced body (used by WEP encap/decap)."""
         return replace(
@@ -576,7 +570,6 @@ def make_auth(
     txn: int = 1,
     status: int = StatusCode.SUCCESS,
     challenge: Optional[bytes] = None,
-    protected: bool = False,
     seq: int = 0,
     extra_ies: Optional[list[InformationElement]] = None,
 ) -> Dot11Frame:
@@ -600,7 +593,6 @@ def make_auth(
         addr2=src,
         addr3=bssid,
         body=body,
-        protected=protected,
         seq=seq,
     )
 
@@ -687,17 +679,13 @@ def make_disassoc(
     *,
     reason: int = ReasonCode.INACTIVITY,
     seq: int = 0,
-    extra_ies: Optional[list[InformationElement]] = None,
 ) -> Dot11Frame:
-    body = struct.pack("<H", int(reason))
-    if extra_ies:
-        body += pack_ies(extra_ies)
     return Dot11Frame(
         subtype=FrameSubtype.DISASSOC,
         addr1=dest,
         addr2=src,
         addr3=bssid,
-        body=body,
+        body=struct.pack("<H", int(reason)),
         seq=seq,
     )
 

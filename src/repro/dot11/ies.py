@@ -89,9 +89,10 @@ def ds_param_ie(channel: int) -> InformationElement:
     return InformationElement(IeId.DS_PARAMETER, bytes([channel]))
 
 
-def rates_ie(rates_mbps: tuple[float, ...] = (1.0, 2.0, 5.5, 11.0)) -> InformationElement:
-    """Supported rates in the 500 kb/s encoding (basic-rate bit set)."""
-    encoded = bytes((int(r * 2) | 0x80) & 0xFF for r in rates_mbps)
+def rates_ie() -> InformationElement:
+    """802.11b's supported rates (1, 2, 5.5, 11 Mb/s) in the 500 kb/s
+    encoding (basic-rate bit set)."""
+    encoded = bytes((int(r * 2) | 0x80) & 0xFF for r in (1.0, 2.0, 5.5, 11.0))
     return InformationElement(IeId.SUPPORTED_RATES, encoded)
 
 

@@ -59,7 +59,7 @@ class SequenceCounter:
 class MirroredSequenceCounter:
     """Seqctl-mirroring evasion: shadow the victim transmitter's counter.
 
-    The arms-race response to sequence-control monitoring (the stealth
+    A rogue's answer to sequence-control monitoring (the stealth
     techniques surveyed in the rogue-AP evasion literature): instead of
     stamping frames from an independent counter — whose interleaving
     with the cloned transmitter's stream produces the large gaps the
@@ -74,8 +74,8 @@ class MirroredSequenceCounter:
     so it can be injected anywhere a real counter is used.
     """
 
-    def __init__(self, start: int = 0) -> None:
-        self._last_overheard = start % SEQ_MODULO
+    def __init__(self) -> None:
+        self._last_overheard = 0
 
     def observe(self, seq: int) -> None:
         """Record a sequence number overheard from the mirrored victim."""

@@ -27,14 +27,12 @@ from repro.fleet.errors import (CampaignError, FleetError, TrialFailure,
                                 FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT)
 from repro.fleet.reduce import campaign_stats, merge_all
 from repro.fleet.scheduler import CampaignResult, run_campaign
-from repro.fleet.worker import TrialOutcome
 
 __all__ = [
     "CampaignError",
     "CampaignResult",
     "FleetError",
     "TrialFailure",
-    "TrialOutcome",
     "FAIL_CRASH",
     "FAIL_ERROR",
     "FAIL_TIMEOUT",

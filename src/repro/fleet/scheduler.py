@@ -34,7 +34,7 @@ from repro.fleet.errors import (FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT,
                                 FleetError, TrialFailure)
 from repro.fleet.reduce import campaign_stats
 from repro.fleet.worker import (ObservedTrial, _TrialTimeout, run_one,
-                                shipped, worker_main)
+                                worker_main)
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["CampaignResult", "run_campaign"]
@@ -53,7 +53,6 @@ class CampaignResult:
 
     ``per_index`` maps trial index → value for every trial that
     succeeded; ``failures`` lists every trial that failed all attempts;
-    ``traces`` maps seed → serialized trace records for sampled seeds;
     ``metrics`` maps seed → per-trial metrics snapshot when the campaign
     ran with ``collect_metrics=True``; ``lineages`` maps seed → that
     trial's truncated flight-recorder sample when the campaign ran with
@@ -66,7 +65,6 @@ class CampaignResult:
     elapsed_s: float
     per_index: Dict[int, Any] = field(default_factory=dict)
     failures: List[TrialFailure] = field(default_factory=list)
-    traces: Dict[int, List[dict]] = field(default_factory=dict)
     metrics: Dict[int, dict] = field(default_factory=dict)
     lineages: Dict[int, List[dict]] = field(default_factory=dict)
 
@@ -133,7 +131,6 @@ class CampaignResult:
             "results": [{"seed": seed, "value": value}
                         for seed, value in self.per_seed.items()],
             "failures": [f.to_dict() for f in self.failures],
-            "traces": {str(seed): recs for seed, recs in sorted(self.traces.items())},
             "metrics": merged.snapshot() if merged is not None else None,
             "lineages": self.merged_lineages or None,
         }
@@ -142,7 +139,6 @@ class CampaignResult:
 def run_campaign(n: int, trial: Callable[[int], Any], *,
                  seed_base: int = 1000, workers: int = 1,
                  timeout: Optional[float] = None, retries: int = 1,
-                 sample_traces: int = 0,
                  collect_metrics: bool = False,
                  flight_recorder: int = 0,
                  on_snapshot: Optional[Callable[[int, dict], None]] = None,
@@ -153,9 +149,8 @@ def run_campaign(n: int, trial: Callable[[int], Any], *,
     ----------
     trial:
         Callable of one seed.  May return a number (aggregated into
-        :attr:`CampaignResult.stats`), any picklable payload (kept as raw
-        per-seed results), or a :class:`TrialOutcome` to also ship a
-        sampled trace back to the parent.  Under the ``fork`` start
+        :attr:`CampaignResult.stats`) or any picklable payload (kept as
+        raw per-seed results).  Under the ``fork`` start
         method (Linux) closures work; under ``spawn`` the callable must
         be picklable (module-level function or callable instance).
     workers:
@@ -167,9 +162,6 @@ def run_campaign(n: int, trial: Callable[[int], Any], *,
     retries:
         Extra attempts granted to a failed trial before it is recorded
         as a :class:`TrialFailure`.
-    sample_traces:
-        Ship serialized traces for the first ``k`` seeds (only for
-        trials returning :class:`TrialOutcome` with a trace attached).
     collect_metrics:
         Run every trial inside a fresh observability context and ship
         each trial's :class:`MetricsRegistry` snapshot to the parent
@@ -195,21 +187,18 @@ def run_campaign(n: int, trial: Callable[[int], Any], *,
         raise FleetError(f"trial count must be >= 0, got {n}")
     if retries < 0:
         raise FleetError(f"retries must be >= 0, got {retries}")
-    collect_metrics = collect_metrics or on_snapshot is not None
-    if collect_metrics or flight_recorder > 0:
-        trial = ObservedTrial(trial, metrics=collect_metrics,
-                              lineage_sample=flight_recorder)
-    trace_indices = frozenset(range(min(max(sample_traces, 0), n)))
+    observed = ObservedTrial(
+        trial, metrics=collect_metrics or on_snapshot is not None,
+        lineage_sample=flight_recorder)
     results = _Results(on_snapshot)
     started = time.perf_counter()
     if workers <= 1 or n <= 1:
-        failures = _run_serial(n, trial, seed_base, timeout, retries,
-                               trace_indices, results)
+        failures = _run_serial(n, observed, seed_base, timeout, retries,
+                               results)
         workers = 1
     else:
-        failures = _Fleet(_fleet_context(), n, trial, seed_base,
-                          min(workers, n), timeout, retries, trace_indices,
-                          results).run()
+        failures = _Fleet(_fleet_context(), n, observed, seed_base,
+                          min(workers, n), timeout, retries, results).run()
 
     def by_seed(per_index: Dict[int, Any]) -> Dict[int, Any]:
         return {seed_base + i: v for i, v in sorted(per_index.items())}
@@ -219,7 +208,6 @@ def run_campaign(n: int, trial: Callable[[int], Any], *,
         elapsed_s=time.perf_counter() - started,
         per_index=results.per_index,
         failures=sorted(failures, key=lambda f: f.index),
-        traces=by_seed(results.traces),
         metrics=by_seed(results.metrics),
         lineages=by_seed(results.lineages))
 
@@ -236,15 +224,12 @@ class _Results:
     def __init__(self, on_snapshot: Optional[Callable[[int, dict], None]]) -> None:
         self.on_snapshot = on_snapshot
         self.per_index: Dict[int, Any] = {}
-        self.traces: Dict[int, List[dict]] = {}
         self.metrics: Dict[int, dict] = {}
         self.lineages: Dict[int, List[dict]] = {}
 
     def add(self, index: int, value: Any, extra: Optional[dict]) -> None:
         self.per_index[index] = value
         extra = extra or {}
-        if "trace" in extra:
-            self.traces[index] = extra["trace"]
         if "lineage" in extra:
             self.lineages[index] = extra["lineage"]
         if "metrics" in extra:
@@ -261,20 +246,20 @@ class _Results:
 # serial fast path (workers=1): same semantics, no multiprocessing
 # ----------------------------------------------------------------------
 
-def _run_serial(n, trial, seed_base, timeout, retries, trace_indices,
+def _run_serial(n, trial, seed_base, timeout, retries,
                 results: _Results) -> List[TrialFailure]:
     failures: List[TrialFailure] = []
     for index in range(n):
         for attempt in range(1, retries + 2):
             try:
-                outcome = run_one(trial, seed_base + index, timeout)
+                value, extra = run_one(trial, seed_base + index, timeout)
             except _TrialTimeout:
                 kind, message = FAIL_TIMEOUT, f"trial exceeded its {timeout}s timeout"
             except Exception as exc:
                 # Broad on purpose: contains any crash in a user's trial.
                 kind, message = FAIL_ERROR, f"{type(exc).__name__}: {exc}"
             else:
-                results.add(index, *shipped(outcome, index in trace_indices))
+                results.add(index, value, extra)
                 break
             if attempt == retries + 1:
                 failures.append(TrialFailure(
@@ -298,14 +283,13 @@ class _Fleet:
     """Book-keeping for one parallel sweep."""
 
     def __init__(self, ctx, n, trial, seed_base, workers, timeout,
-                 retries, trace_indices, results):
+                 retries, results):
         self.ctx = ctx
         self.n = n
         self.trial = trial
         self.seed_base = seed_base
         self.timeout = timeout
         self.retries = retries
-        self.trace_indices = trace_indices
         self.results = results
         # Tasks ride an mp.Queue (buffered: the parent can enqueue the whole
         # sweep up-front without blocking).  Results ride a SimpleQueue:
@@ -334,7 +318,7 @@ class _Fleet:
         proc = self.ctx.Process(
             target=worker_main,
             args=(worker_id, self.trial, self.seed_base, self.timeout,
-                  self.trace_indices, self.task_queue, self.result_queue),
+                  self.task_queue, self.result_queue),
             daemon=True)
         proc.start()
         self.procs[worker_id] = proc

@@ -14,13 +14,14 @@ Wire protocol (all messages are 5-tuples on the result queue)::
     ("fail",  worker_id, index, kind, message)     # kind: "error" | "timeout"
     ("bye",   worker_id, None,  None, None)        # clean shutdown
 
-``extra`` on an ``"ok"`` message is ``None`` or a dict with optional
-keys ``"trace"`` (serialized trace records for sampled seeds),
-``"metrics"`` (the trial's :class:`MetricsRegistry` snapshot when the
-campaign collects metrics; the parent hands it to ``on_snapshot``) and
-``"lineage"`` (a truncated serialized flight-recorder sample when the
-campaign runs with ``flight_recorder=N``).  Nothing else crosses the
-queue while a trial runs.
+The trial a worker runs is always an :class:`ObservedTrial`, which
+returns the ``(value, extra)`` pair an ``"ok"`` message carries.
+``extra`` is ``None`` or a dict with optional keys ``"metrics"`` (the
+trial's :class:`MetricsRegistry` snapshot when the campaign collects
+metrics; the parent hands it to ``on_snapshot``) and ``"lineage"`` (a
+truncated serialized flight-recorder sample when the campaign runs
+with ``flight_recorder=N``).  Nothing else crosses the queue while a
+trial runs.
 
 ``"start"`` always precedes the matching ``"ok"``/``"fail"`` and the
 queue preserves per-worker ordering, so the parent always knows which
@@ -30,45 +31,24 @@ index a dead or hung worker was holding.
 from __future__ import annotations
 
 import signal
-from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.fleet.errors import FAIL_ERROR, FAIL_TIMEOUT
 from repro.obs.lineage import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import installed
-from repro.sim.trace import Trace
 
-__all__ = ["ObservedTrial", "TrialOutcome", "run_one", "worker_main"]
-
-
-@dataclass
-class TrialOutcome:
-    """Optional rich return type for trial callables.
-
-    A trial may return a bare value (float for campaigns, any picklable
-    payload for sweeps) or a ``TrialOutcome`` carrying the value plus the
-    world's :class:`~repro.sim.trace.Trace`.  For seeds the campaign was
-    asked to sample (``sample_traces=k``), the worker serializes the
-    trace with :meth:`TraceRecord.to_dict` and ships it to the parent.
-
-    ``metrics`` carries the trial's observability snapshot
-    (:meth:`MetricsRegistry.snapshot`); it is normally attached by
-    :class:`ObservedTrial` rather than by the trial itself.
-    """
-
-    value: Any
-    trace: Optional[Trace] = None
-    metrics: Optional[dict] = None
-    lineage: Optional[list] = None
+__all__ = ["ObservedTrial", "run_one", "worker_main"]
 
 
 class ObservedTrial:
     """Picklable wrapper that runs a trial under the campaign's observers.
 
-    ``metrics=True`` installs a fresh per-trial
-    :class:`~repro.obs.metrics.MetricsRegistry`, whose snapshot ships
-    to the parent on the trial's ``TrialOutcome`` (parent-side
+    Calling it returns ``(value, extra)``: the trial's own return value
+    and the observers' payload for the parent (``None`` when the
+    campaign observes nothing).  ``metrics=True`` installs a fresh
+    per-trial :class:`~repro.obs.metrics.MetricsRegistry`, whose
+    snapshot ships to the parent as ``extra["metrics"]`` (parent-side
     seed-order merge == one serial registry).  ``lineage_sample=N > 0``
     installs a :class:`~repro.obs.lineage.FlightRecorder` whose ring
     buffer keeps only the newest ``N`` lineages, so worker memory and
@@ -79,27 +59,26 @@ class ObservedTrial:
     or without the wrapper.
     """
 
-    def __init__(self, trial: Callable[[int], Any], *, metrics: bool = False,
-                 lineage_sample: int = 0) -> None:
+    def __init__(self, trial: Callable[[int], Any], *, metrics: bool,
+                 lineage_sample: int) -> None:
         self.trial = trial
         self.metrics = metrics
         self.lineage_sample = lineage_sample
 
-    def __call__(self, seed: int) -> "TrialOutcome":
+    def __call__(self, seed: int) -> Tuple[Any, Optional[dict]]:
         fields: dict = {}
         if self.metrics:
             fields["metrics"] = MetricsRegistry()
         if self.lineage_sample > 0:
             fields["recorder"] = FlightRecorder(self.lineage_sample)
         with installed(**fields):
-            result = self.trial(seed)
-        if not isinstance(result, TrialOutcome):
-            result = TrialOutcome(value=result)
+            value = self.trial(seed)
+        extra: dict = {}
         if "metrics" in fields:
-            result.metrics = fields["metrics"].snapshot()
+            extra["metrics"] = fields["metrics"].snapshot()
         if "recorder" in fields:
-            result.lineage = fields["recorder"].to_dicts()
-        return result
+            extra["lineage"] = fields["recorder"].to_dicts()
+        return value, extra or None
 
 
 class _TrialTimeout(Exception):
@@ -131,9 +110,9 @@ def run_one(trial: Callable[[int], Any], seed: int,
         signal.signal(signal.SIGALRM, previous)
 
 
-def worker_main(worker_id: int, trial: Callable[[int], Any], seed_base: int,
-                timeout: Optional[float], trace_indices: FrozenSet[int],
-                task_queue: Any, result_queue: Any) -> None:
+def worker_main(worker_id: int, trial: ObservedTrial, seed_base: int,
+                timeout: Optional[float], task_queue: Any,
+                result_queue: Any) -> None:
     """Process entry point: drain the task queue until a ``None`` sentinel."""
     while True:
         index = task_queue.get()
@@ -142,7 +121,7 @@ def worker_main(worker_id: int, trial: Callable[[int], Any], seed_base: int,
             return
         result_queue.put(("start", worker_id, index, None, None))
         try:
-            outcome = run_one(trial, seed_base + index, timeout)
+            value, extra = run_one(trial, seed_base + index, timeout)
         except _TrialTimeout:
             result_queue.put(("fail", worker_id, index, FAIL_TIMEOUT,
                               f"trial exceeded its {timeout}s timeout"))
@@ -152,19 +131,4 @@ def worker_main(worker_id: int, trial: Callable[[int], Any], seed_base: int,
             result_queue.put(("fail", worker_id, index, FAIL_ERROR,
                               f"{type(exc).__name__}: {exc}"))
             continue
-        value, extra = shipped(outcome, index in trace_indices)
         result_queue.put(("ok", worker_id, index, value, extra))
-
-
-def shipped(outcome: Any, ship_trace: bool) -> Tuple[Any, Optional[dict]]:
-    """The ``(value, extra)`` slots of a trial's ``"ok"`` message."""
-    if not isinstance(outcome, TrialOutcome):
-        return outcome, None
-    extra: dict = {}
-    if ship_trace and outcome.trace is not None:
-        extra["trace"] = outcome.trace.to_dicts()
-    if outcome.metrics is not None:
-        extra["metrics"] = outcome.metrics
-    if outcome.lineage is not None:
-        extra["lineage"] = outcome.lineage
-    return outcome.value, extra or None

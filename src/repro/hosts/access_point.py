@@ -45,7 +45,6 @@ class AccessPoint:
         tx_power_dbm: float = 18.0,
         rsn=None,
         sae_password: Optional[str] = None,
-        sae_group=None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -54,7 +53,7 @@ class AccessPoint:
             bssid=bssid, ssid=ssid, channel=channel, position=position,
             wep_key=wep_key, wpa_psk=wpa_psk, auth_algorithm=auth_algorithm,
             mac_filter=mac_filter, tx_power_dbm=tx_power_dbm,
-            rsn=rsn, sae_password=sae_password, sae_group=sae_group,
+            rsn=rsn, sae_password=sae_password,
         )
         self.core.on_client_frame = self._wireless_to_wired
         # Promiscuous so we see wired frames destined for our stations.

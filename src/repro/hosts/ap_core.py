@@ -1,6 +1,6 @@
 """Access-point machinery shared by infrastructure APs and soft-APs.
 
-:class:`ApCore` implements the AP side of 802.11b: beaconing, probe
+:class:`ApCore` implements the AP side of 802.11b: beacons, probe
 responses, open-system and shared-key authentication, association,
 WEP enforcement, and MAC filtering.  Crucially it implements them
 *symmetrically for anyone who instantiates it* — the legitimate CORP
@@ -17,7 +17,7 @@ interface on the attacker's gateway machine.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.crypto.wep import IvGenerator, WepError, WepKey, wep_decrypt, wep_encrypt
@@ -34,7 +34,7 @@ from repro.dot11.frames import (
     make_deauth,
     make_probe_response,
 )
-from repro.dot11.mac import BROADCAST, MacAddress
+from repro.dot11.mac import MacAddress
 from repro.dot11.seqctl import SequenceCounter
 from repro.crypto.tkip import TkipError
 from repro.hosts.nic import Interface
@@ -110,7 +110,7 @@ class ClientState:
 
 
 class ApCore:
-    """One BSS: radio, beaconing, client table, crypto policy."""
+    """One BSS: radio, beacons, client table, crypto policy."""
 
     BEACON_INTERVAL_S = 0.1  # 100 TU, the universal default
 
@@ -129,12 +129,10 @@ class ApCore:
         auth_algorithm: int = AuthAlgorithm.OPEN_SYSTEM,
         mac_filter: Optional[MacFilter] = None,
         tx_power_dbm: float = 18.0,
-        beaconing: bool = True,
         seqctl=None,
         beacon_jitter_s: float = 0.0,
         rsn: Optional[RsnIe] = None,
         sae_password: Optional[str] = None,
-        sae_group=None,
     ) -> None:
         if wep_key is not None and wpa_psk is not None:
             from repro.sim.errors import ConfigurationError
@@ -156,10 +154,6 @@ class ApCore:
         self.wpa_psk = wpa_psk
         self.rsn = rsn
         self.sae_password = sae_password
-        if sae_group is None:
-            from repro.crypto.dh import DH_GROUP_1536
-            sae_group = DH_GROUP_1536
-        self.sae_group = sae_group
         # Advertised in every beacon/probe response; packed once.
         self._rsn_ies = (rsn.to_ie(),) if rsn is not None else None
         # SAE RNG substream is created lazily on the first commit, so
@@ -192,21 +186,20 @@ class ApCore:
         #: Owner hook: called with (src_mac, dst_mac, ethertype, payload)
         #: for upstream-bound traffic from associated clients.
         self.on_client_frame: Optional[Callable[[MacAddress, MacAddress, int, bytes], None]] = None
-        self._stop_beaconing = None
+        self._stop_beacons = None
         self._beacon_timer = None
         self.beacon_jitter_s = beacon_jitter_s
-        if beaconing:
-            if beacon_jitter_s > 0.0:
-                # A software-timed AP (hostap on a laptop): each TBTT
-                # slips by OS-scheduling jitter.  Own substream, so the
-                # jitter-free path stays byte-identical to before.
-                self._jitter_rng = sim.rng.substream(f"beaconjitter.{name}")
-                self._beacon_timer = sim.schedule(
-                    self.BEACON_INTERVAL_S
-                    + self._jitter_rng.uniform(0.0, beacon_jitter_s),
-                    self._jittered_beacon)
-            else:
-                self._stop_beaconing = sim.every(self.BEACON_INTERVAL_S, self._beacon)
+        if beacon_jitter_s > 0.0:
+            # A software-timed AP (hostap on a laptop): each TBTT
+            # slips by OS-scheduling jitter.  Own substream, so the
+            # jitter-free path stays byte-identical to before.
+            self._jitter_rng = sim.rng.substream(f"beaconjitter.{name}")
+            self._beacon_timer = sim.schedule(
+                self.BEACON_INTERVAL_S
+                + self._jitter_rng.uniform(0.0, beacon_jitter_s),
+                self._jittered_beacon)
+        else:
+            self._stop_beacons = sim.every(self.BEACON_INTERVAL_S, self._beacon)
         # counters
         self.associations_granted = 0
         self.data_relayed = 0
@@ -298,7 +291,7 @@ class ApCore:
         state = self.clients.get(mac)
         return bool(state and state.wpa and state.wpa.established)
 
-    def deauth_client(self, mac: MacAddress, reason: int = ReasonCode.UNSPECIFIED) -> None:
+    def deauth_client(self, mac: MacAddress) -> None:
         """Administratively kick a client.
 
         For a PMF association the deauth carries a valid MME, so the
@@ -306,7 +299,8 @@ class ApCore:
         """
         state = self.clients.pop(mac, None)
         frame = make_deauth(self.bssid, mac, self.bssid,
-                            reason=reason, seq=self.seqctl.next())
+                            reason=ReasonCode.UNSPECIFIED,
+                            seq=self.seqctl.next())
         if (state is not None and state.pmf and state.wpa is not None
                 and state.wpa.established):
             igtk = derive_igtk(state.wpa.keys.kck)
@@ -322,8 +316,8 @@ class ApCore:
                 if st.phase is ClientPhase.ASSOCIATED]
 
     def shutdown(self) -> None:
-        if self._stop_beaconing is not None:
-            self._stop_beaconing()
+        if self._stop_beacons is not None:
+            self._stop_beacons()
         if self._beacon_timer is not None:
             self._beacon_timer.cancel()
             self._beacon_timer = None
@@ -455,7 +449,7 @@ class ApCore:
             if self._sae_rng is None:
                 self._sae_rng = self.sim.rng.substream(f"sae.{self.name}")
             party = SaeParty(self.sae_password, self.bssid, sta,
-                             self._sae_rng, group=self.sae_group)
+                             self._sae_rng)
             try:
                 party.process_commit(payload)
             except SaeError:
@@ -670,21 +664,16 @@ class SoftApInterface(Interface):
         channel: int,
         wep_key: Optional[WepKey] = None,
         wpa_psk: Optional[bytes] = None,
-        mac_filter: Optional[MacFilter] = None,
         tx_power_dbm: float = 18.0,
         seqctl=None,
         beacon_jitter_s: float = 0.0,
-        rsn: Optional[RsnIe] = None,
-        sae_password: Optional[str] = None,
-        sae_group=None,
     ) -> None:
         super().__init__(name, bssid)
         self._pending_core_args = dict(
             medium=medium, position=position, bssid=bssid, ssid=ssid,
             channel=channel, wep_key=wep_key, wpa_psk=wpa_psk,
-            mac_filter=mac_filter, tx_power_dbm=tx_power_dbm,
+            tx_power_dbm=tx_power_dbm,
             seqctl=seqctl, beacon_jitter_s=beacon_jitter_s,
-            rsn=rsn, sae_password=sae_password, sae_group=sae_group,
         )
         self.core: Optional[ApCore] = None
 
@@ -695,11 +684,8 @@ class SoftApInterface(Interface):
             host.sim, args["medium"], self.name,
             bssid=args["bssid"], ssid=args["ssid"], channel=args["channel"],
             position=args["position"], wep_key=args["wep_key"],
-            wpa_psk=args["wpa_psk"], mac_filter=args["mac_filter"],
-            tx_power_dbm=args["tx_power_dbm"],
+            wpa_psk=args["wpa_psk"], tx_power_dbm=args["tx_power_dbm"],
             seqctl=args["seqctl"], beacon_jitter_s=args["beacon_jitter_s"],
-            rsn=args["rsn"], sae_password=args["sae_password"],
-            sae_group=args["sae_group"],
         )
         self.core.on_client_frame = self._from_client
 

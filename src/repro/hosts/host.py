@@ -14,14 +14,14 @@ from typing import Callable, Optional
 
 from repro.dot11.mac import BROADCAST, MacAddress
 from repro.hosts.nic import Interface, TunInterface
-from repro.netstack.addressing import IPv4Address, Network
+from repro.netstack.addressing import IPv4Address
 from repro.netstack.arp import ArpOp, ArpPacket, ArpTable, record_arp_hop
 from repro.netstack.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4
 from repro.netstack.icmp import IcmpMessage, IcmpType
 from repro.netstack.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, IPv4Packet
 from repro.netstack.netfilter import Chain, Netfilter, Verdict
 from repro.netstack.pcap import CapturedPacket, PacketCapture
-from repro.netstack.routing import Route, RoutingTable
+from repro.netstack.routing import RoutingTable
 from repro.netstack.tcp import (
     FLAG_ACK,
     FLAG_RST,
@@ -516,26 +516,23 @@ class Host:
         self._tcp_listeners[port] = listener
         return listener
 
-    def tcp_connect(self, dst_ip: "IPv4Address | str", dst_port: int,
-                    *, src_port: Optional[int] = None,
-                    mss: Optional[int] = None) -> TcpConnection:
+    def tcp_connect(self, dst_ip: "IPv4Address | str",
+                    dst_port: int) -> TcpConnection:
         dst_ip = IPv4Address(dst_ip)
         src_ip = self.source_ip_for(dst_ip)
-        if src_port is None:
-            src_port = self.ephemeral_port()
-        conn = self._make_connection(src_ip, src_port, dst_ip, dst_port, mss=mss)
+        conn = self._make_connection(src_ip, self.ephemeral_port(), dst_ip, dst_port)
         conn.connect()
         return conn
 
     def _make_connection(self, local_ip: IPv4Address, local_port: int,
                          remote_ip: IPv4Address, remote_port: int,
-                         mss: Optional[int] = None) -> TcpConnection:
+                         mss: int = 1460) -> TcpConnection:
         def send_segment(segment: TcpSegment) -> None:
             self.send_ip(IPv4Packet(src=local_ip, dst=remote_ip, proto=PROTO_TCP,
                                     payload=segment.to_bytes(local_ip, remote_ip)))
 
         conn = TcpConnection(self.sim, local_ip, local_port, remote_ip, remote_port,
-                             send_segment, mss=mss if mss is not None else 1460)
+                             send_segment, mss=mss)
         self._tcp_conns[conn.four_tuple] = conn
         return conn
 

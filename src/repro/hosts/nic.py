@@ -27,7 +27,7 @@ from repro.dot11.frames import (
     make_data,
     make_probe_request,
 )
-from repro.dot11.mac import BROADCAST, MacAddress
+from repro.dot11.mac import MacAddress
 from repro.dot11.seqctl import SequenceCounter
 from repro.crypto.tkip import TkipError
 from repro.crypto.wep import WepKey, IvGenerator, wep_decrypt, wep_encrypt, WepError
@@ -135,9 +135,10 @@ class TunInterface(Interface):
 
     needs_arp = False
 
-    def __init__(self, name: str, mtu: int = 1400) -> None:
+    def __init__(self, name: str) -> None:
         # A TUN device has no real MAC; use a locally-administered dummy.
-        super().__init__(name, MacAddress(b"\x02\x00\x00\x00\x00\x01"), mtu)
+        # MTU 1400 leaves room for the tunnel's outer headers.
+        super().__init__(name, MacAddress(b"\x02\x00\x00\x00\x00\x01"), 1400)
         self.on_transmit: Optional[Callable[[IPv4Packet], None]] = None
         self.peer_ip: Optional[IPv4Address] = None
         self.tx_packets = 0
@@ -260,7 +261,6 @@ class WirelessInterface(Interface):
         self.rsn: Optional[RsnIe] = None
         self.rsn_strict = True
         self.sae_password: Optional[str] = None
-        self.sae_group = None
         self._selected_rsn: Optional[RsnSelection] = None
         self._sae: Optional[SaeParty] = None
         self._sae_attempts = 0
@@ -314,7 +314,6 @@ class WirelessInterface(Interface):
         policy: Optional[Callable] = None,
         rsn: Optional[RsnIe] = None,
         sae_password: Optional[str] = None,
-        sae_group=None,
         rsn_strict: bool = True,
     ) -> None:
         """Configure the target network and start scanning for it.
@@ -337,10 +336,6 @@ class WirelessInterface(Interface):
         self.rsn = rsn
         self.rsn_strict = rsn_strict
         self.sae_password = sae_password
-        if sae_group is None:
-            from repro.crypto.dh import DH_GROUP_1536
-            sae_group = DH_GROUP_1536
-        self.sae_group = sae_group
         self.target_ssid = ssid
         self.wep = wep_key
         self.wpa_psk = wpa_psk
@@ -458,8 +453,7 @@ class WirelessInterface(Interface):
                 self._sae = SaeParty(
                     self.sae_password, self.mac, self.bssid,
                     self.sim.rng.substream(
-                        f"sae.{self.name}.{self._sae_attempts}"),
-                    group=self.sae_group)
+                        f"sae.{self.name}.{self._sae_attempts}"))
             frame = make_auth(
                 self.mac, self.bssid, self.bssid,
                 algorithm=AuthAlgorithm.SAE, txn=1,

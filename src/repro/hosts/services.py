@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.dot11.mac import MacAddress
-from repro.hosts.host import Host, UdpSocket
-from repro.netstack.addressing import IPv4Address, Network
+from repro.hosts.host import Host
+from repro.netstack.addressing import IPv4Address
 from repro.netstack.dhcp import (
     DHCP_CLIENT_PORT,
     DHCP_SERVER_PORT,

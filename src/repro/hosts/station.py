@@ -61,7 +61,6 @@ class Station(Host):
         channels: Optional[tuple[int, ...]] = None,
         rsn=None,
         sae_password: Optional[str] = None,
-        sae_group=None,
         rsn_strict: bool = True,
     ) -> None:
         """Join a network and statically configure IP (the §4.1 victim setup)."""
@@ -73,7 +72,7 @@ class Station(Host):
                        auth_algorithm=auth_algorithm,
                        policy=policy, channels=channels,
                        rsn=rsn, sae_password=sae_password,
-                       sae_group=sae_group, rsn_strict=rsn_strict)
+                       rsn_strict=rsn_strict)
 
     @property
     def associated_bssid(self) -> Optional[MacAddress]:

@@ -25,14 +25,12 @@ valid client's rogue succeeds, over the real radio path.
 from __future__ import annotations
 
 import hmac
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.crypto.tkip import TkipSession
 from repro.crypto.wpa_kdf import derive_ptk
 from repro.dot11.mac import MacAddress
-from repro.sim.errors import ProtocolError
 
 __all__ = ["ETHERTYPE_EAPOL", "ApWpaSession", "StaWpaSession", "WpaKeys"]
 

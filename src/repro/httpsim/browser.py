@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.hosts.host import Host
 from repro.httpsim.client import HttpClient, parse_url
@@ -82,13 +82,11 @@ class Browser:
     # ------------------------------------------------------------------
     # the §4.1 flow: download page → binary → md5sum → run
     # ------------------------------------------------------------------
-    def download_and_run(self, page_url: str,
-                         on_done: Optional[Callable[[DownloadOutcome], None]] = None) -> DownloadOutcome:
+    def download_and_run(self, page_url: str) -> DownloadOutcome:
         """Fetch a download page, follow its link, verify MD5, run the file.
 
         Returns the (initially empty) :class:`DownloadOutcome`, which
-        fills in as the simulated fetches complete; ``on_done`` fires
-        when the sequence ends (success or failure).
+        fills in as the simulated fetches complete.
         """
         outcome = DownloadOutcome(page_url=page_url)
         self.downloads.append(outcome)
@@ -98,8 +96,6 @@ class Browser:
                 self.compromised = True
                 self.host.sim.trace.emit("browser.compromised", self.host.name,
                                          via="trojan-download", url=page_url)
-            if on_done is not None:
-                on_done(outcome)
 
         def on_page(response: Optional[HttpResponse]) -> None:
             if response is None or response.status != 200:
@@ -141,8 +137,7 @@ class Browser:
     # ------------------------------------------------------------------
     # the §5.1 flow: browse a trusted site, execute its script
     # ------------------------------------------------------------------
-    def visit(self, url: str,
-              on_done: Optional[Callable[[PageVisit], None]] = None) -> PageVisit:
+    def visit(self, url: str) -> PageVisit:
         """View a page and run its inline script, as browsers do."""
         visit = PageVisit(url=url)
         self.visits.append(visit)
@@ -158,8 +153,6 @@ class Browser:
                         self.compromised = True
                         self.host.sim.trace.emit("browser.compromised", self.host.name,
                                                  via="script-exploit", url=url)
-            if on_done is not None:
-                on_done(visit)
 
         self.client.get(url, on_page)
         return visit

@@ -59,12 +59,11 @@ class HttpClient:
         self.errors = 0
 
     def get(self, url: str,
-            on_response: Callable[[Optional[HttpResponse]], None],
-            headers: Optional[dict[str, str]] = None) -> None:
+            on_response: Callable[[Optional[HttpResponse]], None]) -> None:
         """Fetch a URL; ``on_response`` receives the response or None."""
         parsed = parse_url(url)
         if parsed.is_ip:
-            self._fetch(IPv4Address(parsed.host), parsed, on_response, headers)
+            self._fetch(IPv4Address(parsed.host), parsed, on_response)
             return
         if self.resolver is None:
             self.host.sim.call_soon(on_response, None)
@@ -75,13 +74,12 @@ class HttpClient:
                 self.errors += 1
                 on_response(None)
             else:
-                self._fetch(ip, parsed, on_response, headers)
+                self._fetch(ip, parsed, on_response)
 
         self.resolver.resolve(parsed.host, resolved)
 
     def _fetch(self, ip: IPv4Address, parsed: ParsedUrl,
-               on_response: Callable[[Optional[HttpResponse]], None],
-               headers: Optional[dict[str, str]]) -> None:
+               on_response: Callable[[Optional[HttpResponse]], None]) -> None:
         self.fetches += 1
         try:
             conn = self.host.tcp_connect(ip, parsed.port)
@@ -103,7 +101,7 @@ class HttpClient:
         def on_established() -> None:
             request = HttpRequest(
                 method="GET", path=parsed.path,
-                headers={"Host": parsed.host, **(headers or {})},
+                headers={"Host": parsed.host},
             )
             conn.send(request.to_bytes())
 

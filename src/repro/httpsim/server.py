@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.hosts.host import Host
 from repro.httpsim.content import Website
-from repro.httpsim.messages import HttpRequest, HttpResponse, HttpStreamParser
+from repro.httpsim.messages import HttpRequest, HttpStreamParser
 from repro.netstack.tcp import TcpConnection
 from repro.sim.errors import ProtocolError
 

@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from repro.dot11.mac import BROADCAST, MacAddress
+from repro.dot11.mac import MacAddress
 from repro.obs.runtime import instruments
 from repro.sim.errors import ConfigurationError, ProtocolError
 from repro.sim.kernel import Simulator

@@ -18,7 +18,7 @@ the gateway, not the target web server).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.netstack.addressing import IPv4Address, Network

@@ -13,7 +13,7 @@ lives in :mod:`repro.hosts.linuxconf`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.netstack.addressing import IPv4Address, Network

@@ -199,7 +199,6 @@ class TcpConnection:
         send_segment: Callable[[TcpSegment], None],
         *,
         mss: int = 1460,
-        isn: Optional[int] = None,
     ) -> None:
         self.sim = sim
         self.local_ip = local_ip
@@ -211,7 +210,7 @@ class TcpConnection:
         self.state = TcpState.CLOSED
 
         # --- send side ---
-        iss = isn if isn is not None else sim.rng.substream(
+        iss = sim.rng.substream(
             f"tcp.isn.{local_ip}:{local_port}->{remote_ip}:{remote_port}"
         ).randrange(0, _MOD)
         self.iss = iss
@@ -347,11 +346,6 @@ class TcpConnection:
     @property
     def flight_size(self) -> int:
         return (self.snd_nxt - self.snd_una) % _MOD
-
-    @property
-    def queued_bytes(self) -> int:
-        """Unsent application bytes (tunnel-latency diagnostics)."""
-        return len(self._pending)
 
     # ------------------------------------------------------------------
     # segment transmission

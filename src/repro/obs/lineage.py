@@ -149,18 +149,15 @@ class FlightRecorder:
 
     ``capacity`` bounds the number of lineages retained (last-N frames;
     the oldest is evicted first and hops addressed to an evicted id are
-    dropped silently).  ``max_hops`` bounds each lineage's hop list;
-    ``capture_bytes`` controls whether the as-transmitted frame bytes
-    are kept for pcap export.
+    dropped silently).  ``max_hops`` bounds each lineage's hop list.
+    The as-transmitted bytes of every frame are kept for pcap export.
     """
 
-    def __init__(self, capacity: int = 4096, *, max_hops: int = 96,
-                 capture_bytes: bool = True) -> None:
+    def __init__(self, capacity: int = 4096, *, max_hops: int = 96) -> None:
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity
         self.max_hops = max_hops
-        self.capture_bytes = capture_bytes
         self.evicted = 0
         self._lineages: "OrderedDict[int, Lineage]" = OrderedDict()
         self._next_id = 1
@@ -335,10 +332,9 @@ class FlightRecorder:
         return [ln.to_dict(raw_limit=raw_limit) for ln in lineages]
 
     @classmethod
-    def from_dicts(cls, dicts: list[dict[str, Any]],
-                   capacity: Optional[int] = None) -> "FlightRecorder":
+    def from_dicts(cls, dicts: list[dict[str, Any]]) -> "FlightRecorder":
         """Rebuild a (query-only) recorder from :meth:`to_dicts` output."""
-        recorder = cls(capacity=max(capacity or len(dicts), 1))
+        recorder = cls(capacity=max(len(dicts), 1))
         for data in dicts:
             lineage = Lineage.from_dict(data)
             recorder._lineages[lineage.trace_id] = lineage
@@ -357,15 +353,14 @@ class FlightRecorder:
 
 
 @contextmanager
-def recording(capacity: int = 4096, *, max_hops: int = 96,
-              capture_bytes: bool = True) -> Iterator[FlightRecorder]:
+def recording(capacity: int = 4096, *,
+              max_hops: int = 96) -> Iterator[FlightRecorder]:
     """Install a fresh :class:`FlightRecorder` for the duration of the block.
 
     It becomes the ``recorder`` field of :func:`repro.obs.runtime.installed`,
     so it nests like every other observer (innermost wins) and the
     previous recorder is restored even when the body raises.
     """
-    recorder = FlightRecorder(capacity, max_hops=max_hops,
-                              capture_bytes=capture_bytes)
+    recorder = FlightRecorder(capacity, max_hops=max_hops)
     with installed(recorder=recorder):
         yield recorder

@@ -44,8 +44,8 @@ class CounterMetric:
     kind = "counter"
     __slots__ = ("value",)
 
-    def __init__(self, value: int = 0) -> None:
-        self.value = value
+    def __init__(self) -> None:
+        self.value = 0
 
     def incr(self, by: int = 1) -> None:
         self.value += by
@@ -60,7 +60,9 @@ class CounterMetric:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CounterMetric":
-        return cls(value=int(data["value"]))
+        c = cls()
+        c.value = int(data["value"])
+        return c
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Counter {self.value}>"
@@ -318,10 +320,10 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
 
-    def value(self, name: str, default: int = 0) -> int:
+    def value(self, name: str) -> int:
         """Counter value by name (0 for absent counters)."""
         metric = self._metrics.get(name)
-        return metric.value if isinstance(metric, CounterMetric) else default
+        return metric.value if isinstance(metric, CounterMetric) else 0
 
     def names(self) -> list[str]:
         return sorted(self._metrics)

@@ -289,7 +289,7 @@ class VectorKernel:
         #   rssi = (power - base_loss) - rejection
         # numpy add/sub/compare are IEEE-exact, so the batched floats
         # are bit-identical to computing each pair on its own.
-        audible = medium.loss_model.threshold_dbm - 10.0
+        audible = medium.loss_model.hearing_floor_dbm
         success = medium.loss_model.success_probability
         targets = []
         rssi_row = (power - row) - rej
@@ -366,7 +366,7 @@ class VectorKernel:
         medium = self.medium
         ports = medium.ports
         margin = medium.capture_margin_db
-        audible = medium.loss_model.threshold_dbm - 10.0
+        audible = medium.loss_model.hearing_floor_dbm
         row_new = self._row(new.port)
         row_other = self._row(other.port)
         p_new, p_other = new.port.tx_power_dbm, other.port.tx_power_dbm

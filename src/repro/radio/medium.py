@@ -190,16 +190,13 @@ class Medium:
     def __init__(
         self,
         sim: Simulator,
-        path_loss: Optional[LogDistancePathLoss] = None,
         loss_model: Optional[FrameLossModel] = None,
         *,
-        collisions: bool = True,
         capture_margin_db: float = 10.0,
     ) -> None:
         self.sim = sim
-        self.path_loss = path_loss or LogDistancePathLoss()
+        self.path_loss = LogDistancePathLoss()
         self.loss_model = loss_model or FrameLossModel()
-        self.collisions = collisions
         self.capture_margin_db = capture_margin_db
         self.ports: list[RadioPort] = []
         self._inflight: list[_InFlight] = []
@@ -280,10 +277,9 @@ class Medium:
                 # frame whose delivery caused this one, if any) and keep
                 # the as-transmitted bytes for pcap export.
                 frame.trace_id = rec.begin("dot11", tx_port.name, now)
-                if rec.capture_bytes:
-                    with rec.suspended():
-                        raw = frame.to_bytes()
-                    rec.attach_raw(frame.trace_id, raw)
+                with rec.suspended():
+                    raw = frame.to_bytes()
+                rec.attach_raw(frame.trace_id, raw)
             rec.hop("radio", "tx", trace_id=frame.trace_id,
                     host=tx_port.name, t=now, channel=tx_port.channel,
                     subtype=frame.subtype.name, src=str(frame.addr2),
@@ -302,8 +298,7 @@ class Medium:
         entry = _InFlight(tx_port, tx_port.channel, now, now + duration, frame)
         tx_port.tx_frames += 1
         tx_port.tx_bytes += frame.air_bytes()
-        if self.collisions:
-            self._mark_collisions(entry)
+        self._mark_collisions(entry)
         self._inflight.append(entry)
         self.sim.schedule(duration, self._complete, entry)
 

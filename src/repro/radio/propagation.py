@@ -38,23 +38,19 @@ class LogDistancePathLoss:
     exponent:
         Path-loss exponent ``n``; ~2 free space, 3–4 indoors through
         walls.  Default 3.0 (office).
-    pl_d0_db:
-        Loss at the reference distance d0 = 1 m.  40 dB is the 2.4 GHz
-        free-space value.
+
+    ``pl_d0_db`` is the loss at the reference distance d0 = 1 m: 40 dB,
+    the 2.4 GHz free-space value.
 
     The model draws no randomness: experiments inject loss explicitly
     through :class:`FrameLossModel` instead.
     """
 
-    def __init__(
-        self,
-        exponent: float = 3.0,
-        pl_d0_db: float = 40.0,
-    ) -> None:
+    def __init__(self, exponent: float = 3.0) -> None:
         if exponent <= 0:
             raise ValueError("path-loss exponent must be positive")
         self.exponent = exponent
-        self.pl_d0_db = pl_d0_db
+        self.pl_d0_db = 40.0
 
     def path_loss_db(self, distance_m: float) -> float:
         """Total loss in dB at ``distance_m`` (≥ 0.1 m clamp)."""
@@ -99,6 +95,11 @@ class FrameLossModel:
             base = 1.0 / (1.0 + math.exp(-margin))
         return base * (1.0 - self.extra_loss)
 
-    def hearable(self, rssi_dbm: float) -> bool:
-        """Whether the signal is even detectable (10 dB below threshold)."""
-        return rssi_dbm >= self.threshold_dbm - 10.0
+    @property
+    def hearing_floor_dbm(self) -> float:
+        """Weakest detectable signal: 10 dB below the threshold.
+
+        A receiver hears a frame (and a collision can corrupt it) only
+        at ``rssi >= hearing_floor_dbm``.
+        """
+        return self.threshold_dbm - 10.0

@@ -107,9 +107,7 @@ class CsaLureAttack:
         ssid: str,
         legit_channel: int,
         lure_channel: int,
-        privacy: bool = True,
         rsn: Optional[RsnIe] = None,
-        csa_count: int = 1,
         rate_hz: float = 10.0,
         name: str = "csa-lure",
         tx_power_dbm: float = 18.0,
@@ -118,7 +116,6 @@ class CsaLureAttack:
         self.clone_bssid = clone_bssid
         self.ssid = ssid
         self.lure_channel = lure_channel
-        self.privacy = privacy
         self.rate_hz = rate_hz
         self.port = RadioPort(name=name, position=position,
                               channel=legit_channel,
@@ -130,7 +127,8 @@ class CsaLureAttack:
         ies = []
         if rsn is not None:
             ies.append(rsn.to_ie())
-        ies.append(CsaIe(new_channel=lure_channel, count=csa_count).to_ie())
+        # Count 1: clients retune one beacon interval after hearing it.
+        ies.append(CsaIe(new_channel=lure_channel, count=1).to_ie())
         self._extra_ies = tuple(ies)
         self._legit_channel = legit_channel
         self.frames_injected = 0
@@ -151,7 +149,7 @@ class CsaLureAttack:
 
     def _inject(self) -> None:
         frame = make_beacon(self.clone_bssid, self.ssid, self._legit_channel,
-                            privacy=self.privacy, seq=self.seqctl.next(),
+                            privacy=True, seq=self.seqctl.next(),
                             extra_ies=self._extra_ies)
         self.port.transmit(frame)
         self.frames_injected += 1

@@ -89,8 +89,7 @@ def mme_for_frame(frame: Dot11Frame, igtk: bytes, ipn: int) -> Mme:
 
 
 def verify_mgmt_mic(frame: Dot11Frame, igtk: bytes,
-                    last_ipn: int, *, body_prefix_len: int = 2
-                    ) -> Optional[int]:
+                    last_ipn: int) -> Optional[int]:
     """Check a received deauth/disassoc's MME.
 
     Returns the frame's IPN when the MIC verifies and the IPN advances
@@ -98,7 +97,7 @@ def verify_mgmt_mic(frame: Dot11Frame, igtk: bytes,
     for forgeries: MME missing, malformed, replayed, or MIC mismatch.
     """
     try:
-        ies = frame.parse_trailing_ies(body_prefix_len)
+        ies = frame.parse_trailing_ies(2)  # after the 2-byte reason code
     except ProtocolError:
         return None
     mme_el = find_ie(ies, IeId.MME)

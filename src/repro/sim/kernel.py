@@ -182,13 +182,10 @@ class Simulator:
         interval: float,
         fn: Callable[..., Any],
         *args: Any,
-        jitter: float = 0.0,
         until: Optional[float] = None,
     ) -> Callable[[], None]:
         """Run ``fn`` every ``interval`` seconds, starting one interval from now.
 
-        ``jitter`` adds a uniform random offset in ``[0, jitter)`` to each
-        firing (drawn from the simulator RNG, hence deterministic).
         ``until`` is an inclusive bound: a firing lands at ``until`` if the
         cadence hits it exactly, and no event is ever armed past it (so a
         bounded recurrence never drags the clock beyond its bound).
@@ -213,11 +210,10 @@ class Simulator:
                 return
             if until is not None and self._now >= until:
                 return
-            delay = interval + (self.rng.uniform(0.0, jitter) if jitter else 0.0)
-            if until is not None and self._now + delay > until:
+            if until is not None and self._now + interval > until:
                 return  # next firing would land past the bound: don't arm it
             pending.clear()
-            pending.append(self.schedule(delay, fire))
+            pending.append(self.schedule(interval, fire))
 
         def stop() -> None:
             nonlocal stopped
@@ -278,6 +274,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
+    def run_for(self, duration: float) -> None:
         """Run for ``duration`` simulated seconds from the current time."""
-        self.run(until=self._now + duration, max_events=max_events)
+        self.run(until=self._now + duration)

@@ -65,14 +65,8 @@ class SimRandom:
     def randrange(self, start: int, stop: int | None = None) -> int:
         return self._random.randrange(start, stop)
 
-    def choice(self, seq: Sequence[T]) -> T:
-        return self._random.choice(seq)
-
     def sample(self, population: Sequence[T], k: int) -> list[T]:
         return self._random.sample(population, k)
-
-    def shuffle(self, seq: list) -> None:
-        self._random.shuffle(seq)
 
     # ------------------------------------------------------------------
     # protocol helpers
@@ -88,7 +82,3 @@ class SimRandom:
     def bytes(self, n: int) -> bytes:
         """``n`` uniformly random bytes."""
         return self._random.randbytes(n)
-
-    def mac_suffix(self) -> bytes:
-        """Three random bytes for the NIC-specific half of a MAC address."""
-        return self.bytes(3)

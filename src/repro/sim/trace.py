@@ -38,25 +38,13 @@ class TraceRecord:
 
     def __post_init__(self) -> None:
         # Defensive copy: the record is frozen but a dict is not, and a
-        # caller mutating the dict it passed in (or the one returned by
-        # to_dict) must not rewrite recorded history.
+        # caller mutating the dict it passed in must not rewrite
+        # recorded history.
         object.__setattr__(self, "detail", dict(self.detail))
 
     def __str__(self) -> str:
         kv = " ".join(f"{k}={v!r}" for k, v in self.detail.items())
         return f"[{self.time:10.6f}] {self.category:<24} {self.source:<16} {kv}"
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form, suitable for pickling / JSON / cross-process IPC."""
-        return {"time": self.time, "category": self.category,
-                "source": self.source, "detail": dict(self.detail)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TraceRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(time=float(data["time"]), category=str(data["category"]),
-                   source=str(data["source"]),
-                   detail=dict(data.get("detail") or {}))
 
 
 class Trace:
@@ -138,20 +126,6 @@ class Trace:
 
     def clear(self) -> None:
         self.records.clear()
-
-    # ------------------------------------------------------------------
-    # serialization (fleet workers ship sampled traces to the parent)
-    # ------------------------------------------------------------------
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """All retained records as plain dicts (see :meth:`TraceRecord.to_dict`)."""
-        return [rec.to_dict() for rec in self.records]
-
-    @classmethod
-    def from_dicts(cls, dicts: list[dict[str, Any]]) -> "Trace":
-        """Rebuild a trace from :meth:`to_dicts` output."""
-        trace = cls()
-        trace.records = [TraceRecord.from_dict(d) for d in dicts]
-        return trace
 
     def summary(self) -> dict[str, Any]:
         """Compact, serializable digest: record count, per-category counts, span."""

@@ -19,9 +19,9 @@ The streaming seqctl detector deliberately counts only *large* forward
 gaps (two radios with independent counters), not duplicate sequence
 numbers: a live monitor cannot tell a duplicate from its own missed
 retry flag, whereas the offline monitor sees the whole stream and keeps
-the stricter gap==0 rule.  That asymmetry is exactly the surface the
-``mirror_seqctl`` evasion knob on the rogue exploits — the arms race
-the evaluation harness measures.
+the stricter gap==0 rule.  The rogue's ``mirror_seqctl`` evasion knob
+targets that asymmetry, and the evaluation harness measures how well
+it works.
 """
 
 from __future__ import annotations
@@ -73,16 +73,13 @@ class Detector:
 
     ``threshold`` is the accumulated-evidence score at which the
     correlation engine opens an alert for a subject; ``SWEEP`` is the
-    threshold ladder the ROC evaluation walks.
+    threshold ladder the ROC evaluation walks (it includes
+    ``threshold``).
     """
 
     name: ClassVar[str] = ""
-    default_threshold: ClassVar[float] = 1.0
+    threshold: ClassVar[float] = 1.0
     SWEEP: ClassVar[Tuple[float, ...]] = (1.0,)
-
-    def __init__(self, threshold: Optional[float] = None) -> None:
-        self.threshold = (self.default_threshold
-                          if threshold is None else threshold)
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
         raise NotImplementedError
@@ -103,13 +100,9 @@ def register(cls: Type[Detector]) -> Type[Detector]:
     return cls
 
 
-def default_detectors(
-    thresholds: Optional[Dict[str, float]] = None,
-) -> list[Detector]:
+def default_detectors() -> list[Detector]:
     """Fresh instances of every registered detector, registry order."""
-    thresholds = thresholds or {}
-    return [cls(threshold=thresholds.get(name))
-            for name, cls in DETECTORS.items()]
+    return [cls() for cls in DETECTORS.values()]
 
 
 def _parse_beacon(cap: CapturedFrame) -> Optional[BeaconInfo]:
@@ -134,13 +127,11 @@ class SeqCtlAnomalyDetector(Detector):
     """
 
     name = "seqctl"
-    default_threshold = 3.0
+    threshold = 3.0
     SWEEP = (1.0, 2.0, 3.0, 5.0, 8.0, 13.0)
+    gap_threshold = 64
 
-    def __init__(self, threshold: Optional[float] = None, *,
-                 gap_threshold: int = 64) -> None:
-        super().__init__(threshold)
-        self.gap_threshold = gap_threshold
+    def __init__(self) -> None:
         self._last_seq: Dict[MacAddress, int] = {}
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
@@ -174,11 +165,10 @@ class BeaconFingerprintDetector(Detector):
     """
 
     name = "fingerprint"
-    default_threshold = 1.0
+    threshold = 1.0
     SWEEP = (1.0, 2.0, 4.0, 8.0)
 
-    def __init__(self, threshold: Optional[float] = None) -> None:
-        super().__init__(threshold)
+    def __init__(self) -> None:
         self._fingerprints: Dict[Tuple[str, MacAddress],
                                  Tuple[int, int, int]] = {}
 
@@ -204,7 +194,7 @@ class BeaconFingerprintDetector(Detector):
 
 @register
 class MultiChannelSsidDetector(Detector):
-    """One BSS beaconing on two radio channels — two physical radios.
+    """One BSS sending beacons on two radio channels — two physical radios.
 
     Keys on the *air* channel the beacon was heard on, not the channel
     IE it claims: an evil twin can forge every byte of its beacon, but
@@ -214,11 +204,10 @@ class MultiChannelSsidDetector(Detector):
     """
 
     name = "multichannel"
-    default_threshold = 2.0
+    threshold = 2.0
     SWEEP = (1.0, 2.0, 4.0, 8.0)
 
-    def __init__(self, threshold: Optional[float] = None) -> None:
-        super().__init__(threshold)
+    def __init__(self) -> None:
         self._home_channel: Dict[MacAddress, int] = {}
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
@@ -250,15 +239,14 @@ class BeaconJitterDetector(Detector):
     """
 
     name = "beacon-jitter"
-    default_threshold = 5.0
+    threshold = 5.0
     SWEEP = (2.0, 5.0, 10.0, 20.0)
 
     #: Fractional deviation from the nearest interval multiple that a
     #: crystal-timed AP never shows (CSMA deferral is ~0.4% of 100 TU).
     rel_tolerance = 0.15
 
-    def __init__(self, threshold: Optional[float] = None) -> None:
-        super().__init__(threshold)
+    def __init__(self) -> None:
         self._last_beacon: Dict[Tuple[MacAddress, int], float] = {}
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
@@ -298,14 +286,12 @@ class DeauthFloodDetector(Detector):
     """
 
     name = "deauth-flood"
-    default_threshold = 4.0
+    threshold = 4.0
     SWEEP = (1.0, 2.0, 4.0, 8.0, 16.0)
+    window_s = 5.0
+    flood_count = 8
 
-    def __init__(self, threshold: Optional[float] = None, *,
-                 window_s: float = 5.0, flood_count: int = 8) -> None:
-        super().__init__(threshold)
-        self.window_s = window_s
-        self.flood_count = flood_count
+    def __init__(self) -> None:
         self._times: Dict[MacAddress, deque] = {}
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
@@ -341,11 +327,10 @@ class RsnMismatchDetector(Detector):
     """
 
     name = "rsn-mismatch"
-    default_threshold = 1.0
+    threshold = 1.0
     SWEEP = (1.0, 2.0, 4.0, 8.0)
 
-    def __init__(self, threshold: Optional[float] = None) -> None:
-        super().__init__(threshold)
+    def __init__(self) -> None:
         self._postures: Dict[str, Optional[bytes]] = {}
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
@@ -375,12 +360,12 @@ class UnexpectedCsaDetector(Detector):
     A genuine channel switch is a rare, short burst of CSA-bearing
     beacons (the countdown); a lure repeats them indefinitely to drag
     every client onto the attacker's channel.  Each CSA-bearing
-    beacon/probe-response is one unit of evidence, and the default
+    beacon/probe-response is one unit of evidence, and the
     threshold sits above a genuine countdown's worth.
     """
 
     name = "unexpected-CSA"
-    default_threshold = 5.0
+    threshold = 5.0
     SWEEP = (1.0, 2.0, 5.0, 10.0, 20.0)
 
     def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
@@ -413,10 +398,6 @@ class SpoofVerdict:
     spoofed: bool
     reason: str = ""
 
-    @property
-    def anomaly_rate(self) -> float:
-        return self.anomalies / self.frames if self.frames else 0.0
-
 
 class SeqCtlMonitor:
     """Offline/online analyser over a monitor-mode capture.
@@ -434,16 +415,14 @@ class SeqCtlMonitor:
         transmitters produce gaps of 1 (occasionally a handful under
         loss — the monitor misses frames too, so the threshold trades
         false positives against sensitivity: the E-DETECT ablation).
-    anomaly_rate_threshold:
-        Fraction of anomalous gaps above which the verdict is
-        "spoofed".
     """
 
-    def __init__(self, capture: FrameCapture, *, gap_threshold: int = 64,
-                 anomaly_rate_threshold: float = 0.05) -> None:
+    #: Fraction of anomalous gaps above which the verdict is "spoofed".
+    ANOMALY_RATE_THRESHOLD = 0.05
+
+    def __init__(self, capture: FrameCapture, *, gap_threshold: int = 64) -> None:
         self.capture = capture
         self.gap_threshold = gap_threshold
-        self.anomaly_rate_threshold = anomaly_rate_threshold
 
     def analyze_transmitter(self, mac: MacAddress) -> SpoofVerdict:
         """Sequence-gap analysis for all frames claiming transmitter ``mac``."""
@@ -473,9 +452,9 @@ class SeqCtlMonitor:
         reason = ""
         if multichannel:
             spoofed = True
-            reason = (f"one transmitter address beaconing on channels "
+            reason = (f"one transmitter address sending beacons on channels "
                       f"{sorted(channels)} — two radios")
-        elif len(seqs) > 8 and rate >= self.anomaly_rate_threshold:
+        elif len(seqs) > 8 and rate >= self.ANOMALY_RATE_THRESHOLD:
             spoofed = True
             reason = (f"interleaved sequence streams: {anomalies} anomalous "
                       f"gaps in {len(seqs)} frames")

@@ -132,7 +132,7 @@ def evaluate_with_crossings(
                 cell = "fp" if alerted else "tn"
             incr(f"wids.eval.{name}.{_thr_token(threshold)}.{cell}")
             if (alerted and truth.rogue_present
-                    and threshold == cls.default_threshold):
+                    and threshold == cls.threshold):
                 add_time(f"wids.eval.{name}.ttd_s",
                          max(0.0, first_t - truth.attack_start_s))
     return local, crossings

@@ -22,7 +22,7 @@ a :class:`~repro.wids.engine.WidsEngine` attached via the capture's
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.dot11.capture import CapturedFrame, FrameCapture
 from repro.dot11.frames import Dot11Frame
@@ -36,10 +36,8 @@ __all__ = ["WidsWatch", "wids_watch"]
 class WidsWatch:
     """One watch session: a capture + engine per observed medium."""
 
-    def __init__(self, *, capacity: int = 4096,
-                 thresholds: Optional[Dict[str, float]] = None) -> None:
+    def __init__(self, *, capacity: int = 4096) -> None:
         self.capacity = capacity
-        self.thresholds = dict(thresholds) if thresholds else None
         # Keyed by medium identity; insertion order = first-heard order.
         self._feeds: Dict[int, Tuple[str, FrameCapture, WidsEngine]] = {}
 
@@ -49,7 +47,7 @@ class WidsWatch:
             from repro.wids.detectors import default_detectors
             label = f"medium-{len(self._feeds)}"
             capture = FrameCapture(capacity=self.capacity)
-            engine = WidsEngine(default_detectors(self.thresholds))
+            engine = WidsEngine(default_detectors())
             engine.attach(capture)
             feed = (label, capture, engine)
             self._feeds[id(medium)] = feed
@@ -88,10 +86,8 @@ class WidsWatch:
 
 
 @contextmanager
-def wids_watch(*, capacity: int = 4096,
-               thresholds: Optional[Dict[str, float]] = None
-               ) -> Iterator[WidsWatch]:
+def wids_watch(*, capacity: int = 4096) -> Iterator[WidsWatch]:
     """Install a fresh :class:`WidsWatch` for the duration of the block."""
-    watch = WidsWatch(capacity=capacity, thresholds=thresholds)
+    watch = WidsWatch(capacity=capacity)
     with installed(wids=watch):
         yield watch

@@ -27,15 +27,16 @@ class CbrUdpStream:
     delivery-ratio and latency series.
     """
 
+    PAYLOAD_SIZE = 160  # bytes per datagram, a voice-codec-sized packet
+
     def __init__(self, sender: Host, receiver: Host,
                  dst_ip: "IPv4Address | str", *, port: int = 9000,
-                 rate_pps: float = 50.0, payload_size: int = 160) -> None:
+                 rate_pps: float = 50.0) -> None:
         self.sender = sender
         self.receiver = receiver
         self.dst_ip = IPv4Address(dst_ip)
         self.port = port
         self.rate_pps = rate_pps
-        self.payload_size = max(12, payload_size)
         self.tx_sock = sender.udp_socket()
         self.rx_sock = receiver.udp_socket(port)
         self.rx_sock.on_datagram = self._on_datagram
@@ -59,7 +60,7 @@ class CbrUdpStream:
     def _send_one(self) -> None:
         sim = self.sender.sim
         header = struct.pack(">Id", self.sent, sim.now)
-        payload = header + b"\x00" * (self.payload_size - len(header))
+        payload = header + b"\x00" * (self.PAYLOAD_SIZE - len(header))
         try:
             self.tx_sock.sendto(payload, self.dst_ip, self.port)
         except SocketError:

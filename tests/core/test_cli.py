@@ -83,6 +83,16 @@ def test_cli_sweep_json_parallel(tmp_path, capsys):
         assert entry["value"]["rows"]  # each per-seed result carries its tables
 
 
+def test_cli_sweep_json_top_level_keys(tmp_path, capsys):
+    out_file = tmp_path / "sweep.json"
+    assert main(["sweep", "FIG1", "--trials", "2",
+                 "--json", str(out_file)]) == 0
+    payload = json.loads(out_file.read_text())
+    assert set(payload) == {"experiment", "title", "trials", "seed_base",
+                            "workers", "elapsed_s", "ok", "results",
+                            "failures", "metrics", "lineages"}
+
+
 def test_cli_sweep_unknown_experiment(capsys):
     assert main(["sweep", "E-NOPE"]) == 2
 

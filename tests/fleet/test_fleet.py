@@ -13,11 +13,9 @@ from functools import partial
 import pytest
 
 from repro.core.campaign import TrialStats, run_trials
-from repro.fleet import (CampaignError, TrialOutcome, campaign_stats,
-                         merge_all, run_campaign,
-                         FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT)
+from repro.fleet import (CampaignError, campaign_stats, merge_all,
+                         run_campaign, FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT)
 from repro.sim.rng import SimRandom
-from repro.sim.trace import Trace, TraceRecord
 
 
 def rng_trial(seed):
@@ -60,12 +58,6 @@ def flaky_trial(seed, marker_dir=None):
             pass
         raise RuntimeError("first attempt fails")
     return 3.0
-
-
-def traced_trial(seed):
-    trace = Trace()
-    trace.emit("fleet.test", "trial", seed=seed)
-    return TrialOutcome(value=float(seed), trace=trace)
 
 
 def metric_trial(seed):
@@ -169,22 +161,6 @@ def test_run_trials_raises_campaign_error_on_persistent_failure():
 
 
 # ----------------------------------------------------------------------
-# trace shipping
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sampled_traces_ship_to_parent(workers):
-    result = run_campaign(4, traced_trial, workers=workers, sample_traces=2)
-    assert sorted(result.traces) == [1000, 1001]
-    for seed, dicts in result.traces.items():
-        records = [TraceRecord.from_dict(d) for d in dicts]
-        assert [r.category for r in records] == ["fleet.test"]
-        assert records[0].detail == {"seed": seed}
-    # unsampled seeds still contribute values
-    assert result.stats.values == [1000.0, 1001.0, 1002.0, 1003.0]
-
-
-# ----------------------------------------------------------------------
 # metrics shipping
 # ----------------------------------------------------------------------
 
@@ -219,16 +195,6 @@ def test_collect_metrics_off_by_default():
     assert result.metrics == {}
     assert result.merged_metrics is None
     assert result.to_json_dict()["metrics"] is None
-
-
-def test_collect_metrics_wraps_trial_outcome_trials():
-    # A trial already returning TrialOutcome keeps its trace shipping
-    # and gains a metrics snapshot on the same outcome.
-    result = run_campaign(2, traced_trial, workers=1, sample_traces=1,
-                          collect_metrics=True)
-    assert sorted(result.traces) == [1000]
-    assert sorted(result.metrics) == [1000, 1001]
-    assert result.stats.values == [1000.0, 1001.0]
 
 
 def lineage_trial(seed):
@@ -269,10 +235,9 @@ def test_flight_recorder_off_by_default():
 
 
 def test_flight_recorder_composes_with_metrics_and_traces():
-    result = run_campaign(2, traced_trial, workers=1, sample_traces=1,
+    result = run_campaign(2, metric_trial, workers=1,
                           collect_metrics=True, flight_recorder=4)
-    # all three extras ride the same TrialOutcome
-    assert sorted(result.traces) == [1000]
+    # both extras ride the same "ok" message
     assert sorted(result.metrics) == [1000, 1001]
     assert sorted(result.lineages) == [1000, 1001]  # empty samples still ship
     assert result.stats.values == [1000.0, 1001.0]
@@ -391,22 +356,20 @@ def test_raising_listener_contained_not_fatal(workers):
 # ----------------------------------------------------------------------
 
 def rich_trial(seed):
-    """Metrics + trace in one trial, for payload round-trips."""
+    """A counter and a histogram in one trial, for payload round-trips."""
     from repro.obs.runtime import instruments
 
     m = instruments().metrics
     if m is not None:
         m.incr("fleet.test.calls")
         m.observe("fleet.test.hist", float(seed % 7), lo=0.0, hi=8.0, bins=4)
-    trace = Trace()
-    trace.emit("fleet.test", "trial", seed=seed)
-    return TrialOutcome(value=float(seed), trace=trace)
+    return float(seed)
 
 
 def test_to_json_dict_round_trips_through_json():
     import json as _json
 
-    result = run_campaign(3, rich_trial, workers=2, sample_traces=2,
+    result = run_campaign(3, rich_trial, workers=2,
                           collect_metrics=True, flight_recorder=4)
     doc = result.to_json_dict()
     # the document survives an encode/decode cycle unchanged
@@ -414,7 +377,6 @@ def test_to_json_dict_round_trips_through_json():
     assert rehydrated == _json.loads(_json.dumps(doc))
     assert doc["trials"] == 3 and doc["ok"] == 3
     assert [r["seed"] for r in doc["results"]] == [1000, 1001, 1002]
-    assert sorted(doc["traces"]) == ["1000", "1001"]
     # merged metrics payload: counters add across the three seeds
     assert doc["metrics"]["fleet.test.calls"]["value"] == 3
     from repro.obs.metrics import MetricsRegistry
@@ -428,7 +390,7 @@ def test_to_json_dict_is_seed_order_stable_across_worker_counts():
     docs = []
     for workers in (1, 2, 3):
         result = run_campaign(4, rich_trial, workers=workers,
-                              sample_traces=1, collect_metrics=True)
+                              collect_metrics=True)
         doc = result.to_json_dict()
         doc.pop("elapsed_s")          # wall clock varies
         doc.pop("workers")            # the knob under test

@@ -70,8 +70,8 @@ class ScalarKernel:
                     continue
                 rssi_new = self.rssi(new.port, rx)
                 rssi_other = self.rssi(other.port, rx)
-                if not (medium.loss_model.hearable(rssi_new)
-                        and medium.loss_model.hearable(rssi_other)):
+                floor = medium.loss_model.hearing_floor_dbm
+                if not (rssi_new >= floor and rssi_other >= floor):
                     continue
                 if rssi_new - rssi_other >= medium.capture_margin_db:
                     other.collide_at(rx)
@@ -91,6 +91,6 @@ class ScalarKernel:
             if rejection is None:
                 continue
             rssi = self.rssi(tx_port, rx) - rejection
-            if not medium.loss_model.hearable(rssi):
+            if not rssi >= medium.loss_model.hearing_floor_dbm:
                 continue
             medium._deliver(entry, rx, rssi, m, rec, tid)

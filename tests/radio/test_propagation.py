@@ -59,10 +59,8 @@ def test_loss_model_extra_loss_scales():
 
 
 def test_hearable_margin():
-    model = FrameLossModel(threshold_dbm=-88.0)
-    assert model.hearable(-90.0)
-    assert model.hearable(-98.0)
-    assert not model.hearable(-98.1)
+    assert FrameLossModel(threshold_dbm=-88.0).hearing_floor_dbm == -98.0
+    assert FrameLossModel(threshold_dbm=-80.5).hearing_floor_dbm == -90.5
 
 
 def test_no_overflow_at_extremes():

@@ -163,22 +163,6 @@ def test_every_stop_from_inside_callback():
     assert hits == [1.0, 2.0]
 
 
-def test_every_jitter_deterministic_for_fixed_seed():
-    def firing_times(seed):
-        sim = Simulator(seed=seed)
-        hits = []
-        sim.every(1.0, lambda: hits.append(sim.now), jitter=0.5, until=20.0)
-        sim.run()
-        return hits
-
-    first, second = firing_times(42), firing_times(42)
-    assert first == second  # bit-for-bit repeatable
-    assert firing_times(43) != first
-    gaps = [b - a for a, b in zip([0.0] + first, first)]
-    assert all(1.0 <= g < 1.5 for g in gaps)  # every gap is interval + [0, jitter)
-    assert all(t <= 20.0 for t in first)
-
-
 def test_max_events_bounds_run():
     sim = Simulator(seed=0)
     hits = []

@@ -132,29 +132,6 @@ def test_matching_is_a_category_prefix_view():
     assert list(t.matching("nosuch.")) == []
 
 
-def test_record_to_dict_from_dict_roundtrip():
-    rec = TraceRecord(time=1.25, category="dot11.assoc", source="victim",
-                      detail={"bssid": "aa:bb", "ok": True})
-    data = rec.to_dict()
-    assert data == {"time": 1.25, "category": "dot11.assoc",
-                    "source": "victim", "detail": {"bssid": "aa:bb", "ok": True}}
-    clone = TraceRecord.from_dict(data)
-    assert clone == rec
-    # the dict is a copy: mutating it can't reach back into the record
-    data["detail"]["ok"] = False
-    assert rec.detail["ok"] is True
-
-
-def test_trace_to_dicts_from_dicts_roundtrip():
-    sim = Simulator(seed=0)
-    sim.schedule(1.0, sim.trace.emit, "a.x", "s1", k=1)
-    sim.schedule(2.0, sim.trace.emit, "b.y", "s2")
-    sim.run()
-    clone = Trace.from_dicts(sim.trace.to_dicts())
-    assert clone.records == sim.trace.records
-    assert clone.count("a") == 1
-
-
 def test_trace_summary():
     sim = Simulator(seed=0)
     sim.schedule(1.0, sim.trace.emit, "a.x", "s")

@@ -13,7 +13,7 @@ from repro.wids.detectors import (DETECTORS, BeaconFingerprintDetector,
                                   BeaconJitterDetector, DeauthFloodDetector,
                                   Detector, MultiChannelSsidDetector,
                                   SeqCtlAnomalyDetector, SeqCtlMonitor,
-                                  default_detectors, register)
+                                  register)
 
 AP = MacAddress("aa:bb:cc:dd:00:01")
 STA = MacAddress("00:02:2d:00:00:07")
@@ -56,17 +56,9 @@ def test_register_rejects_duplicates_and_anonymous():
     assert DETECTORS["seqctl"] is SeqCtlAnomalyDetector  # untouched
 
 
-def test_default_detectors_respects_threshold_overrides():
-    bank = default_detectors({"seqctl": 99.0})
-    by_name = {d.name: d for d in bank}
-    assert by_name["seqctl"].threshold == 99.0
-    assert by_name["fingerprint"].threshold == \
-        BeaconFingerprintDetector.default_threshold
-
-
 def test_every_detector_sweeps_its_default_threshold():
     for name, cls in DETECTORS.items():
-        assert cls.default_threshold in cls.SWEEP, name
+        assert cls.threshold in cls.SWEEP, name
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +310,7 @@ def test_deauth_flood_detected_past_count():
 
 
 def test_deauth_window_prunes_old_frames():
-    det = DeauthFloodDetector(window_s=5.0, flood_count=8)
+    det = DeauthFloodDetector()  # flood_count=8 in window_s=5.0
     # 8 deauths, then a long quiet gap, then 8 more: never >8 in-window.
     caps = [_cap(make_deauth(AP, STA, AP), t=i * 0.1) for i in range(8)]
     caps += [_cap(make_deauth(AP, STA, AP), t=100.0 + i * 0.1)

@@ -60,7 +60,9 @@ def evaluate_rescan(
 
     for name, cls in DETECTORS.items():
         for threshold in cls.SWEEP:
-            engine = WidsEngine([cls(threshold=threshold)])
+            detector = cls()
+            detector.threshold = threshold  # this cell's rung of the ladder
+            engine = WidsEngine([detector])
             with installed(metrics=None):
                 engine.scan(capture)
             alerted = bool(engine.alerts)
@@ -70,7 +72,7 @@ def evaluate_rescan(
                 cell = "fp" if alerted else "tn"
             incr(f"wids.eval.{name}.{_thr_token(threshold)}.{cell}")
             if (alerted and truth.rogue_present
-                    and threshold == cls.default_threshold):
+                    and threshold == cls.threshold):
                 first = engine.alerts[0]
                 add_time(f"wids.eval.{name}.ttd_s",
                          max(0.0, first.t - truth.attack_start_s))
@@ -146,7 +148,7 @@ def test_evaluate_rogue_world_scores_tp():
         for thr in DETECTORS[det].SWEEP:
             assert reg.value(f"wids.eval.{det}.{_thr_token(thr)}.tp") == 1
     # deauth-flood has nothing to find in a beacon-only world
-    thr = _thr_token(DETECTORS["deauth-flood"].default_threshold)
+    thr = _thr_token(DETECTORS["deauth-flood"].threshold)
     assert reg.value(f"wids.eval.deauth-flood.{thr}.fn") == 1
     # ttd recorded at the default threshold only, >= 0
     card = Scorecard.from_registry(reg)
@@ -259,7 +261,7 @@ def test_crossings_match_engine_first_alert():
         engine = WidsEngine([cls()])
         engine.scan(capture)
         expected = engine.alerts[0].t if engine.alerts else None
-        assert crossings[det][cls.default_threshold] == expected
+        assert crossings[det][cls.threshold] == expected
 
 
 def _one_point_card(tp, fp, fn, tn):

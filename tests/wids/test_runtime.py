@@ -63,17 +63,6 @@ def test_watch_capacity_bounds_each_feed():
     assert engine.frames_seen > 16
 
 
-def test_watch_threshold_overrides_flow_to_engines():
-    watch = WidsWatch(thresholds={"multichannel": 1000.0})
-
-    class FakeMedium:
-        pass
-
-    _label, _capture, engine = watch._feed_for(FakeMedium())
-    by_name = {d.name: d.threshold for d in engine.detectors}
-    assert by_name["multichannel"] == 1000.0
-
-
 def test_watch_separates_media():
     watch = WidsWatch()
 
