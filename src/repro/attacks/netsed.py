@@ -36,16 +36,21 @@ def _printable(data: bytes) -> str:
     return data.decode("latin-1").encode("unicode_escape").decode("ascii")
 
 
-def _diff_excerpt(before: bytes, after: bytes, *, context: int = 24,
-                  width: int = 72) -> tuple[str, str]:
+#: Bytes shown before the first difference, and the excerpt width.
+_EXCERPT_CONTEXT = 24
+_EXCERPT_WIDTH = 72
+
+
+def _diff_excerpt(before: bytes, after: bytes) -> tuple[str, str]:
     """Aligned excerpts of ``before``/``after`` around their first difference."""
     i = min(len(before), len(after))
     for k, (a, b) in enumerate(zip(before, after)):
         if a != b:
             i = k
             break
-    lo = max(0, i - context)
-    return _printable(before[lo:lo + width]), _printable(after[lo:lo + width])
+    lo = max(0, i - _EXCERPT_CONTEXT)
+    hi = lo + _EXCERPT_WIDTH
+    return _printable(before[lo:hi]), _printable(after[lo:hi])
 
 
 @dataclass(frozen=True)

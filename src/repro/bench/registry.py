@@ -27,6 +27,7 @@ Registration is declarative::
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
@@ -104,7 +105,7 @@ def register(area: str, metric: str, *, unit: str, higher_is_better: bool,
 def _ensure_suite_loaded() -> None:
     # The built-in suite registers itself on import; anything else
     # (tests registering synthetic specs) just adds to the same table.
-    import repro.bench.suite  # noqa: F401
+    importlib.import_module("repro.bench.suite")
 
 
 def all_specs(area_filter: "list[str] | None" = None) -> List[BenchSpec]:

@@ -14,6 +14,10 @@ One registration per claim the repo has shipped:
 * ``netstack/tcpip_roundtrip_per_s`` — zero-copy decode + in-place
   checksum patching;
 * ``crypto/rc4_mb_per_s`` — the WEP/FMS inner loop;
+* ``crypto/wep_frames_per_s`` — WEP frames through the per-packet
+  keystream cache, one encryption and two decryptions each;
+* ``crypto/sae_handshakes_per_s`` — SAE over the 1536-bit group, whose
+  public values come from the fixed-base comb;
 * ``fleet/serial_trials_per_s``, ``fleet/parallel_speedup`` — PR 1's
   campaign engine (speedup is recorded against the usable-core count
   in the environment capture; a 1-core box legitimately reports <1);
@@ -309,6 +313,31 @@ def crypto_rc4(scale: float = 1.0) -> BenchSample:
     return BenchSample(value=n / elapsed / 1e6,
                        payload={"bytes": n,
                                 "stream_crc32": zlib.crc32(bytes(stream))})
+
+
+@register("crypto", "wep_frames_per_s", unit="frames/s",
+          higher_is_better=True)
+def crypto_wep_frames(scale: float = 1.0) -> BenchSample:
+    """WEP frames/second: per fresh IV, one 1500-byte frame encrypted
+    once and decrypted twice, the reuse of a download-mitm frame."""
+    from repro.crypto import wep
+
+    n = _scaled(400, scale, 100)
+    key = wep.WepKey.from_passphrase("SECRET", bits=104)
+    ivs = wep.IvGenerator()
+    payload = bytes(range(256)) * 5 + bytes(220)
+    wep._keystream.cache_clear()  # every repeat starts cold
+    crc = 0
+    t0 = time.perf_counter()
+    for _ in range(n):
+        body = wep.wep_encrypt(key, ivs.next_iv(), payload)
+        wep.wep_decrypt(key, body)
+        wep.wep_decrypt(key, body)
+        crc = zlib.crc32(body, crc)
+    elapsed = time.perf_counter() - t0
+    return BenchSample(value=n / elapsed,
+                       payload={"frames": n, "frame_bytes": len(payload),
+                                "body_crc32": crc})
 
 
 @register("crypto", "sae_handshakes_per_s", unit="handshakes/s",

@@ -19,10 +19,10 @@ from repro.crypto.wep import WepKey
 from repro.defense.vpn import VpnClient, VpnServer
 from repro.dot11.mac import MacAddress
 from repro.hosts.access_point import AccessPoint
-from repro.hosts.gateway import Wan, build_wan
+from repro.hosts.gateway import Router, Wan, build_wan
 from repro.hosts.host import Host
 from repro.hosts.nic import WiredInterface
-from repro.hosts.services import DnsServerService, DnsResolver
+from repro.hosts.services import DhcpClientService, DnsResolver, DnsServerService
 from repro.hosts.station import Station
 from repro.httpsim.browser import Browser, DownloadOutcome
 from repro.httpsim.content import Website, make_download_page, make_news_page
@@ -207,7 +207,6 @@ class HotspotScenario:
                     position: Position = Position(5.0, 0.0),
                     patched: bool = False) -> tuple[Station, Browser]:
         """A roaming client that joins the hotspot via DHCP."""
-        from repro.hosts.services import DhcpClientService
         station = Station(self.sim, name, self.medium, position)
         resolver_box: dict = {}
 
@@ -232,7 +231,6 @@ def build_hotspot_scenario(seed: int = 0, *,
     medium = Medium(sim)
     backbone = Switch(sim, "internet")
     # Upstream router for the hotspot's DSL line.
-    from repro.hosts.gateway import Router
     isp = Router(sim, "isp-router")
     isp.add_wired("up0", backbone, "203.0.113.1")
 

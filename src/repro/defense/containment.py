@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.attacks.sniffer import MonitorSniffer
 from repro.wids.detectors import SeqCtlMonitor
-from repro.dot11.frames import BROADCAST, ReasonCode, make_deauth
+from repro.dot11.frames import BROADCAST, FrameSubtype, ReasonCode, make_deauth
 from repro.dot11.mac import MacAddress
 from repro.dot11.seqctl import SequenceCounter
 from repro.radio.medium import Medium, RadioPort
@@ -110,7 +110,6 @@ class ContainmentSensor:
     # detect → contain
     # ------------------------------------------------------------------
     def _sweep(self) -> None:
-        from repro.dot11.frames import FrameSubtype
         # Enumerate BSSes on the air: (bssid, channel) pairs heard sending beacons.
         seen: set[tuple[MacAddress, int]] = set()
         for cap in self.sniffer.capture.select(subtype=FrameSubtype.BEACON):

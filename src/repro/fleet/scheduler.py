@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.campaign import TrialStats
 from repro.fleet.errors import (FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT,
                                 FleetError, TrialFailure)
-from repro.fleet.reduce import campaign_stats
+from repro.fleet.reduce import campaign_stats, merge_snapshots
 from repro.fleet.worker import (ObservedTrial, _TrialTimeout, run_one,
                                 worker_main)
 from repro.obs.metrics import MetricsRegistry
@@ -100,7 +100,6 @@ class CampaignResult:
         numeric results.  ``None`` when the campaign collected no
         metrics.
         """
-        from repro.fleet.reduce import merge_snapshots
         return merge_snapshots(self.metrics)
 
     @property

@@ -43,11 +43,11 @@ from repro.netstack.ethernet import llc_decap, llc_encap
 from repro.obs.runtime import instruments
 from repro.radio.medium import Medium, RadioPort
 from repro.radio.propagation import Position
-from repro.dot11.ies import IeId, find_ie
+from repro.dot11.ies import IeId, find_ie, parse_ies
 from repro.rsn.ie import AkmSuite, RsnIe, RsnSelection, negotiate
 from repro.rsn.pmf import derive_igtk, mme_for_frame, verify_mgmt_mic
 from repro.rsn.sae import SaeError, SaeParty, sae_container_ie, sae_payload
-from repro.sim.errors import ProtocolError
+from repro.sim.errors import ConfigurationError, ProtocolError
 from repro.sim.kernel import Simulator
 
 __all__ = ["ApCore", "ClientState", "MacFilter", "SoftApInterface"]
@@ -135,10 +135,8 @@ class ApCore:
         sae_password: Optional[str] = None,
     ) -> None:
         if wep_key is not None and wpa_psk is not None:
-            from repro.sim.errors import ConfigurationError
             raise ConfigurationError("a BSS runs WEP or WPA, not both")
         if rsn is not None:
-            from repro.sim.errors import ConfigurationError
             if wep_key is not None:
                 raise ConfigurationError("an RSN BSS cannot also run WEP")
             if rsn.supports(AkmSuite.SAE) and sae_password is None:
@@ -353,7 +351,6 @@ class ApCore:
 
     def _on_probe_req(self, frame: Dot11Frame) -> None:
         # Respond to directed probes for our SSID and to broadcast probes.
-        from repro.dot11.ies import IeId, find_ie, parse_ies
         try:
             ies = parse_ies(frame.body)
         except ProtocolError:

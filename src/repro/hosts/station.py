@@ -54,23 +54,22 @@ class Station(Host):
         wep_key: Optional[WepKey] = None,
         wpa_psk: Optional[bytes] = None,
         ip: Optional[str] = None,
-        netmask: str = "255.255.255.0",
         gateway: Optional[str] = None,
         auth_algorithm: int = 0,
         policy: Optional[Callable] = None,
-        channels: Optional[tuple[int, ...]] = None,
         rsn=None,
         sae_password: Optional[str] = None,
         rsn_strict: bool = True,
     ) -> None:
-        """Join a network and statically configure IP (the §4.1 victim setup)."""
+        """Join a network and statically configure IP on a /24 (the §4.1
+        victim setup)."""
         if ip is not None:
-            self.wlan.configure_ip(ip, netmask)
+            self.wlan.configure_ip(ip)
         if gateway is not None:
             self.routing.add_default(IPv4Address(gateway), "wlan0")
         self.wlan.join(ssid, wep_key=wep_key, wpa_psk=wpa_psk,
                        auth_algorithm=auth_algorithm,
-                       policy=policy, channels=channels,
+                       policy=policy,
                        rsn=rsn, sae_password=sae_password,
                        rsn_strict=rsn_strict)
 

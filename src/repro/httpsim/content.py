@@ -83,8 +83,8 @@ def make_download_page(
 
 
 def make_news_page(site: Website, *, headline: str = "All quiet today",
-                   path: str = "/index.html", script: str = "") -> None:
-    """A CNN-style trusted news page (§5.1's scenario).
+                   script: str = "") -> None:
+    """A CNN-style trusted news page at ``/index.html`` (§5.1's scenario).
 
     ``script`` is inline page script; the legitimate site publishes a
     benign one, and the hostile hotspot's rewriter swaps in an exploit.
@@ -96,4 +96,4 @@ def make_news_page(site: Website, *, headline: str = "All quiet today",
         "<p>Trusted journalism since 1980.</p>\n"
         "</body></html>\n"
     )
-    site.add_page(path, html)
+    site.add_page("/index.html", html)

@@ -1,10 +1,14 @@
-"""Reference implementations of MD5, SHA-1, HMAC and CRC-32.
+"""Reference implementations of MD5, SHA-1, HMAC, CRC-32 and WEP.
 
 The program hashes with ``hashlib``, ``hmac`` and ``zlib``. These
 pure-Python versions, written from RFC 1321, FIPS 180-1, RFC 2104 and
 the IEEE 802.3 polynomial, are the test oracles: the differential tests
 check the standard library against them, and both against the published
 known answers. They are written for clarity, not speed.
+
+``wep_encrypt``/``wep_decrypt`` are the uncached WEP path: a fresh
+``RC4(IV || root key)`` per frame, XORed byte by byte. The program takes
+the per-packet keystream from a cache and XORs it as one integer.
 """
 
 from __future__ import annotations
@@ -12,7 +16,11 @@ from __future__ import annotations
 import struct
 from typing import Callable
 
-__all__ = ["CRC32_TABLE", "MD5", "SHA1", "crc32", "hmac", "md5", "sha1"]
+from repro.crypto.rc4 import RC4
+from repro.crypto.wep import HEADER_LEN, ICV_LEN, IV_LEN, WepError, WepKey
+
+__all__ = ["CRC32_TABLE", "MD5", "SHA1", "crc32", "hmac", "md5", "sha1",
+           "wep_decrypt", "wep_encrypt"]
 
 _MASK = 0xFFFFFFFF
 
@@ -180,3 +188,21 @@ def crc32(data: bytes, crc: int = 0) -> int:
     for b in data:
         crc = CRC32_TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
     return crc ^ _MASK
+
+
+def wep_encrypt(key: WepKey, iv: bytes, plaintext: bytes, key_id: int = 0) -> bytes:
+    """``IV | KeyID | RC4(IV || key)(plaintext | ICV)``, keystream uncached."""
+    icv = crc32(plaintext).to_bytes(4, "little")
+    cipher = RC4(key.per_packet_key(iv))
+    return iv + bytes([key_id << 6]) + cipher.crypt(plaintext + icv)
+
+
+def wep_decrypt(key: WepKey, body: bytes) -> bytes:
+    """Inverse of :func:`wep_encrypt`; raises ``WepError`` on a bad ICV."""
+    if len(body) < HEADER_LEN + ICV_LEN:
+        raise WepError("WEP body too short")
+    decrypted = RC4(key.per_packet_key(body[:IV_LEN])).crypt(body[HEADER_LEN:])
+    plaintext, icv = decrypted[:-ICV_LEN], decrypted[-ICV_LEN:]
+    if crc32(plaintext).to_bytes(4, "little") != icv:
+        raise WepError("WEP ICV check failed")
+    return plaintext

@@ -5,6 +5,11 @@ used when the module references the name anywhere (code, annotations,
 string annotations such as ``"IPv4Address | str"``) or lists it in its
 ``__all__``.  Package ``__init__`` modules are exempt: importing to
 re-export is their job.
+
+A function-local import must be used inside its function, and must not
+import from a module that the file already imports from at module level:
+a deferred import is there to break an import cycle, and a module the
+file imports at load time cannot be in one.
 """
 
 from __future__ import annotations
@@ -81,6 +86,51 @@ def unused_imports(path: Path) -> list[str]:
             if name not in keep]
 
 
+def _sources(node: ast.AST) -> set[tuple[int, str]]:
+    """``(level, module)`` each import statement in ``node`` reads from."""
+    if isinstance(node, ast.Import):
+        return {(0, alias.name) for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return {(node.level, node.module or "")}
+    return set()
+
+
+def _local_imports(func: ast.AST):
+    """Import statements whose nearest enclosing function is ``func``,
+    in source order."""
+    found, stack = [], list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(found, key=lambda node: node.lineno)
+
+
+def local_import_problems(tree: ast.Module, where: str = "") -> list[str]:
+    """Function-local imports that are unused, or that repeat a source
+    the module already imports from at module level.  A name used only
+    by a nested function counts as used: the closure reads it."""
+    module_sources = set().union(*(_sources(n) for n in tree.body))
+    problems = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        used = _referenced_names(func)
+        for node in _local_imports(func):
+            prefix = f"{where}{node.lineno}: in {func.name}()"
+            for level, module in sorted(_sources(node) & module_sources):
+                problems.append(f"{prefix}: {'.' * level}{module} is "
+                                f"imported at module level")
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    problems.append(f"{prefix}: {name} unused")
+    return problems
+
+
 def test_no_module_in_src_imports_an_unused_name():
     modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
     assert modules, f"no modules found under {SRC}"
@@ -101,3 +151,32 @@ def test_the_check_sees_an_unused_import(tmp_path):
     tree = ast.parse(module.read_text(encoding="utf-8"))
     keep = _referenced_names(tree) | _exported_names(tree)
     assert set(_imported_names(tree)) - keep == {"path"}
+
+
+def test_no_function_in_src_has_a_needless_local_import():
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        problems += local_import_problems(tree, f"{path.relative_to(SRC)}:")
+    assert problems == [], "needless function-local imports:\n" + "\n".join(problems)
+
+
+def test_the_check_sees_a_needless_local_import():
+    tree = ast.parse(
+        "from os import sep\n"
+        "import json\n"
+        "def f():\n"
+        "    from os import path\n"
+        "    import json\n"
+        "    from typing import Optional, Any\n"
+        "    from collections import deque\n"
+        "    def g():\n"
+        "        from re import compile\n"
+        "        return deque\n"
+        "    return path, json, Optional, g, sep\n")
+    assert local_import_problems(tree) == [
+        "4: in f(): os is imported at module level",
+        "5: in f(): json is imported at module level",
+        "6: in f(): Any unused",
+        "9: in g(): compile unused",
+    ]
