@@ -18,21 +18,8 @@ Run:  python examples/wep_cracking.py
 from repro.attacks.airsnort import AirsnortAttack
 from repro.attacks.sniffer import MonitorSniffer
 from repro.core.scenario import build_corp_scenario
-from repro.crypto.fms import weak_iv_for
 from repro.radio.propagation import Position
-from repro.workloads.traffic import WepTrafficPump
-
-
-class WeakIvSweep:
-    """IV source cycling the FMS-weak classes (see module docstring)."""
-
-    def __init__(self) -> None:
-        self._n = 0
-
-    def next_iv(self) -> bytes:
-        a, x = self._n % 5, (self._n // 5) % 256
-        self._n += 1
-        return weak_iv_for(a, x)
+from repro.workloads.traffic import WeakIvSweep, WepTrafficPump
 
 
 def main() -> None:

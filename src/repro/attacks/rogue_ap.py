@@ -55,7 +55,6 @@ class RogueAccessPoint:
         wlan0_ip: str = "10.0.0.24",
         gateway_ip: str = "10.0.0.1",
         name: str = "rogue-gw",
-        tx_power_dbm: float = 18.0,
         mirror_seqctl: bool = False,
         beacon_jitter_s: float = 0.0,
         match_beacon_cadence: bool = False,
@@ -68,7 +67,7 @@ class RogueAccessPoint:
             client_mac = MacAddress.random(sim.rng.substream(f"mac.{name}"))
         # The managed card, associating to the real network as a valid client.
         self.eth1 = WirelessInterface("eth1", client_mac, medium, position,
-                                      tx_power_dbm=tx_power_dbm)
+                                      tx_power_dbm=18.0)
         self.host.add_interface(self.eth1)
         # --- WIDS-evasion knobs ---------------------------------------
         # match_beacon_cadence: discipline the soft-AP's TBTT to the
@@ -94,7 +93,7 @@ class RogueAccessPoint:
         self.wlan0 = SoftApInterface(
             "wlan0", medium, position,
             bssid=clone_bssid, ssid=ssid, channel=rogue_channel,
-            wep_key=wep_key, wpa_psk=wpa_psk, tx_power_dbm=tx_power_dbm,
+            wep_key=wep_key, wpa_psk=wpa_psk,
             seqctl=self._mirror, beacon_jitter_s=self.beacon_jitter_s,
         )
         self.host.add_interface(self.wlan0)

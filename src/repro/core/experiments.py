@@ -10,6 +10,9 @@ The experiment ids (FIG1..E-8021X) are indexed in DESIGN.md §4.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from repro.attacks.airsnort import AirsnortAttack
 from repro.attacks.deauth import DeauthAttacker
 from repro.attacks.mac_spoof import observe_client_macs, spoof_mac
 from repro.attacks.netsed import NetsedRule, StreamingRewriter, _PerSegmentRewriter
@@ -17,6 +20,8 @@ from repro.attacks.sniffer import MonitorSniffer
 from repro.core.campaign import TrialStats, run_trials
 from repro.core.scenario import (
     EVIL_IP,
+    GATEWAY_IP,
+    LEGIT_BSSID,
     TARGET_IP,
     VPN_IP,
     build_corp_scenario,
@@ -31,6 +36,7 @@ from repro.hosts.nic import first_heard_policy, strongest_rssi_policy
 from repro.hosts.station import Station
 from repro.radio.propagation import Position
 from repro.sim.rng import SimRandom
+from repro.workloads.traffic import CbrUdpStream, WeakIvSweep, WepTrafficPump
 
 __all__ = [
     "fig1_mitm_configuration",
@@ -152,29 +158,50 @@ def fig3_vpn_proxy(seed: int = 1) -> dict:
 # E-WEP — WEP provides no protection against the rogue
 # ----------------------------------------------------------------------
 
+#: Most 1 s rounds of a bystander's weak-IV traffic that E-WEP's
+#: outsider sniffs before giving up; one round (400 weak IVs) suffices.
+AIRSNORT_ROUNDS = 10
+
+
+def _airsnort_key(scenario) -> Optional[WepKey]:
+    """§4's outsider: sniff a bystander's WEP traffic and crack the key.
+
+    Airsnort checks each candidate against captured frames' ICVs; the
+    result is ``None`` if no candidate passes within the rounds.
+    """
+    sim = scenario.sim
+    sniffer = MonitorSniffer(sim, scenario.medium, Position(20.0, 5.0))
+    bystander = scenario.add_victim(position=Position(12.0, 0.0),
+                                    ip="10.0.0.40", name="bystander")
+    sim.run_for(5.0)
+    bystander.wlan.iv_gen = WeakIvSweep()
+    pump = WepTrafficPump(bystander, GATEWAY_IP, rate_pps=400.0)
+    pump.start()
+    attack = AirsnortAttack(sniffer)
+    key = None
+    for _ in range(AIRSNORT_ROUNDS):
+        sim.run_for(1.0)
+        key = attack.crack()
+        if key is not None:
+            break
+    pump.stop()
+    sniffer.stop()
+    return key
+
+
 def exp_wep_no_protection(seed: int = 1) -> dict:
     rows = []
-    for arm, wep, rogue_key_mode in (
-        ("open network", False, "same"),
-        ("WEP, rogue is valid client", True, "same"),
-        ("WEP, rogue cracked key (FMS)", True, "cracked"),
+    for arm, wep, cracked in (
+        ("open network", False, False),
+        ("WEP, rogue is valid client", True, False),
+        ("WEP, rogue cracked key (FMS)", True, True),
     ):
-        scenario = build_corp_scenario(seed=seed, wep=wep)
-        if rogue_key_mode == "cracked":
-            # The attacker recovers the root key passively before the
-            # attack (the E-FMS benchmark measures this step's cost);
-            # here we perform the recovery against real keystream and
-            # hand the result to the rogue.
-            truth = WepKey.from_passphrase("SECRET", bits=40)
-            attack = FmsAttack(key_length=5)
-            for a in range(5):
-                for x in range(160):
-                    iv = weak_iv_for(a, x)
-                    attack.add_sample(iv, rc4_keystream(truth.per_packet_key(iv), 1)[0])
-            recovered = attack.recover(verifier=lambda k: k == truth.key)
-            assert recovered == truth.key
-            # The rogue was built with the same key anyway ("same"); the
-            # point is the key was *obtainable* without membership.
+        scenario = build_corp_scenario(seed=seed, wep=wep,
+                                       with_rogue=not cracked)
+        if cracked:
+            # The outsider holds only the key Airsnort recovered.
+            scenario.add_rogue(_airsnort_key(scenario))
+            scenario.sim.run_for(4.0)
         victim = scenario.add_victim()
         scenario.sim.run_for(5.0)
         scenario.arm_download_mitm()
@@ -455,7 +482,6 @@ def exp_vpn_overhead(loss_rates=(0.0, 0.05, 0.10, 0.20),
     explode with loss (TCP-over-TCP meltdown); the UDP tunnel tracks
     native behaviour."""
     from repro.defense.ipsec import EspTunnelClient, EspTunnelServer
-    from repro.workloads.traffic import CbrUdpStream
 
     rows = []
     for loss in loss_rates:
@@ -605,11 +631,30 @@ def exp_trusted_website(seed: int = 1) -> dict:
 # E-8021X — 802.1X and WPA still admit the right rogue
 # ----------------------------------------------------------------------
 
+def _wpa_rogue_captures(seed: int, psk: bytes, rogue_psk: bytes) -> bool:
+    """A WPA-PSK BSS on channel 1 and an evil twin of it (cloned BSSID,
+    ``rogue_psk``) on channel 6, nearer the client: does the client
+    complete the 4-way handshake with the twin?"""
+    from repro.hosts.access_point import AccessPoint
+    from repro.radio.medium import Medium
+    from repro.sim.kernel import Simulator
+
+    sim = Simulator(seed=seed)
+    medium = Medium(sim)
+    AccessPoint(sim, medium, "corp-ap", bssid=LEGIT_BSSID, ssid="CORP",
+                channel=1, position=Position(0.0, 0.0), wpa_psk=psk)
+    rogue = AccessPoint(sim, medium, "rogue", bssid=LEGIT_BSSID, ssid="CORP",
+                        channel=6, position=Position(18.0, 0.0),
+                        wpa_psk=rogue_psk)
+    client = Station(sim, "client", medium, Position(16.0, 0.0))
+    client.connect("CORP", wpa_psk=psk)
+    sim.run_for(10.0)
+    return rogue.core.wpa_established(client.wlan.mac)
+
+
 def exp_dot1x_wpa_gap(seed: int = 1) -> dict:
+    from repro.crypto.wpa_kdf import psk_from_passphrase
     from repro.defense.dot1x import Dot1xAuthenticator, Dot1xSupplicant, EapAuthServer
-    from repro.defense.wpa import (WpaPskAuthenticator, WpaPskSupplicant,
-                                   psk_from_passphrase)
-    from repro.dot11.mac import MacAddress
 
     rng = SimRandom(seed)
     rows = []
@@ -627,21 +672,16 @@ def exp_dot1x_wpa_gap(seed: int = 1) -> dict:
                  "client_accepts_network": rogue.authenticate(rogue_supplicant),
                  "network_authenticated_to_client": False})
 
+    # §2.2's WPA rows, over the air: message 3 proves the network holds
+    # the PSK, so an outsider's guess fails it and a valid client's
+    # rogue passes.
     psk = psk_from_passphrase("office-psk", "CORP")
-    ap_mac = MacAddress("aa:bb:cc:dd:00:01")
-    sta_mac = MacAddress("00:02:2d:00:00:07")
-
-    outsider = WpaPskAuthenticator(psk_from_passphrase("guess", "CORP"),
-                                   ap_mac, rng.substream("w1"))
-    sta1 = WpaPskSupplicant(psk, sta_mac, rng.substream("w2"))
     rows.append({"network": "WPA-PSK ROGUE, outsider", "attacker_holds": "no PSK",
-                 "client_accepts_network": outsider.handshake(sta1) is not None,
+                 "client_accepts_network": _wpa_rogue_captures(
+                     seed, psk, psk_from_passphrase("guess", "CORP")),
                  "network_authenticated_to_client": True})
-
-    insider = WpaPskAuthenticator(psk, ap_mac, rng.substream("w3"))
-    sta2 = WpaPskSupplicant(psk, sta_mac, rng.substream("w4"))
     rows.append({"network": "WPA-PSK ROGUE, valid client", "attacker_holds": "the PSK",
-                 "client_accepts_network": insider.handshake(sta2) is not None,
+                 "client_accepts_network": _wpa_rogue_captures(seed, psk, psk),
                  "network_authenticated_to_client": True})
     return {"rows": rows}
 

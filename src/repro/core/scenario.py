@@ -54,6 +54,7 @@ VICTIM_IP = "10.0.0.23"
 GATEWAY_IP = "10.0.0.1"
 VPN_SHARED_SECRET = b"corp-vpn-out-of-band-secret"
 VPN_SERVER_NAME = "vpn.corp.example"
+ROGUE_POSITION = Position(38.0, 0.0)
 
 
 @dataclass
@@ -98,6 +99,22 @@ class CorpScenario:
         self.victims.append(station)
         return station
 
+    def add_rogue(self, wep_key: Optional[WepKey],
+                  position: Position = ROGUE_POSITION,
+                  **evasion) -> RogueAccessPoint:
+        """Start the §4.1 rogue: the AP's BSSID cloned on channel 6.
+
+        ``wep_key`` is what the attacker holds (a valid client's key, or
+        Airsnort's result; ``None`` is an open rogue).  ``evasion`` goes
+        to :class:`RogueAccessPoint`'s WIDS-evasion options unchanged.
+        """
+        self.rogue = RogueAccessPoint(
+            self.sim, self.medium, position,
+            clone_bssid=LEGIT_BSSID, legit_channel=1,
+            rogue_channel=6, wep_key=wep_key, **evasion)
+        self.rogue.start()
+        return self.rogue
+
     def arm_download_mitm(self) -> None:
         """Install the §4.1 netsed rules on the rogue."""
         assert self.rogue is not None, "scenario was built without a rogue"
@@ -128,8 +145,7 @@ def build_corp_scenario(
     *,
     wep: bool = True,
     with_rogue: bool = True,
-    rogue_position: Position = Position(38.0, 0.0),
-    rogue_wep: str = "same",     # "same" | "none" | "cracked-later"
+    rogue_position: Position = ROGUE_POSITION,
     rogue_mirror_seqctl: bool = False,
     rogue_beacon_jitter_s: float = 0.0,
     rogue_match_beacon_cadence: bool = False,
@@ -173,16 +189,12 @@ def build_corp_scenario(
     )
 
     if with_rogue:
-        rogue_key = wep_key if rogue_wep == "same" else None
-        scenario.rogue = RogueAccessPoint(
-            sim, medium, rogue_position,
-            clone_bssid=LEGIT_BSSID, legit_channel=1,
-            rogue_channel=6, wep_key=rogue_key,
-            mirror_seqctl=rogue_mirror_seqctl,
-            beacon_jitter_s=rogue_beacon_jitter_s,
-            match_beacon_cadence=rogue_match_beacon_cadence,
-        )
-        scenario.rogue.start()
+        # §4: the rogue "authenticate[s] to the existing network as a
+        # valid client", so it holds the network's key.
+        scenario.add_rogue(wep_key, rogue_position,
+                           mirror_seqctl=rogue_mirror_seqctl,
+                           beacon_jitter_s=rogue_beacon_jitter_s,
+                           match_beacon_cadence=rogue_match_beacon_cadence)
 
     sim.run_for(4.0)
     return scenario

@@ -98,7 +98,7 @@ class TkipSession:
     ----------
     temporal_key:
         16-byte temporal key (derived from the PSK in
-        :mod:`repro.defense.wpa`).
+        :mod:`repro.crypto.wpa_kdf`).
     mic_key:
         8-byte Michael key.
     transmitter:

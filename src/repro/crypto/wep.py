@@ -91,29 +91,20 @@ class WepKey:
 
 
 class IvGenerator:
-    """IV selection policy.
+    """A 24-bit IV counter, incremented per frame.
 
-    ``sequential`` increments a 24-bit counter — the behaviour of many
-    period NICs, which is what made weak-IV collection so effective;
-    ``random`` draws IVs uniformly.  Both eventually emit FMS-weak IVs;
-    sequential cards sweep straight through the weak classes.
+    The behaviour of many period NICs, and what made weak-IV collection
+    so effective: a sequential card sweeps straight through the
+    FMS-weak classes.
     """
 
-    def __init__(self, mode: str = "sequential", start: int = 0, rng=None) -> None:
-        if mode not in ("sequential", "random"):
-            raise ValueError("mode must be 'sequential' or 'random'")
-        if mode == "random" and rng is None:
-            raise ValueError("random IV mode requires an rng")
-        self.mode = mode
+    def __init__(self, start: int = 0) -> None:
         self._counter = start & 0xFFFFFF
-        self._rng = rng
 
     def next_iv(self) -> bytes:
-        if self.mode == "sequential":
-            iv = self._counter
-            self._counter = (self._counter + 1) & 0xFFFFFF
-            return bytes(((iv >> 16) & 0xFF, (iv >> 8) & 0xFF, iv & 0xFF))
-        return self._rng.bytes(IV_LEN)
+        iv = self._counter
+        self._counter = (self._counter + 1) & 0xFFFFFF
+        return bytes(((iv >> 16) & 0xFF, (iv >> 8) & 0xFF, iv & 0xFF))
 
 
 # WEP restarts RC4 for every frame, so a frame's keystream depends only

@@ -1,4 +1,4 @@
-"""WPA-PSK key derivation (shared by the link layer and defense model).
+"""WPA-PSK key derivation for the over-the-air 4-way handshake.
 
 Real WPA uses PBKDF2-SHA1 (4096 rounds) for the PSK and the 802.11i
 PRF for the PTK; these labelled-SHA1 constructions preserve the

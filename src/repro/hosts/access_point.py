@@ -42,7 +42,6 @@ class AccessPoint:
         wpa_psk: Optional[bytes] = None,
         auth_algorithm: int = 0,
         mac_filter: Optional[MacFilter] = None,
-        tx_power_dbm: float = 18.0,
         rsn=None,
         sae_password: Optional[str] = None,
     ) -> None:
@@ -52,7 +51,7 @@ class AccessPoint:
             sim, medium, name,
             bssid=bssid, ssid=ssid, channel=channel, position=position,
             wep_key=wep_key, wpa_psk=wpa_psk, auth_algorithm=auth_algorithm,
-            mac_filter=mac_filter, tx_power_dbm=tx_power_dbm,
+            mac_filter=mac_filter,
             rsn=rsn, sae_password=sae_password,
         )
         self.core.on_client_frame = self._wireless_to_wired

@@ -128,7 +128,6 @@ class ApCore:
         wpa_psk: Optional[bytes] = None,
         auth_algorithm: int = AuthAlgorithm.OPEN_SYSTEM,
         mac_filter: Optional[MacFilter] = None,
-        tx_power_dbm: float = 18.0,
         seqctl=None,
         beacon_jitter_s: float = 0.0,
         rsn: Optional[RsnIe] = None,
@@ -163,7 +162,7 @@ class ApCore:
         self.auth_algorithm = AuthAlgorithm(auth_algorithm)
         self.mac_filter = mac_filter or MacFilter()
         self.port = RadioPort(name=name, position=position, channel=channel,
-                              tx_power_dbm=tx_power_dbm)
+                              tx_power_dbm=18.0)
         self.port.on_receive = self._on_radio
         medium.attach(self.port)
         # ``seqctl`` injection point: an evading rogue substitutes a
@@ -173,8 +172,7 @@ class ApCore:
         self.seqctl = (seqctl if seqctl is not None else
                        SequenceCounter(sim.rng.substream(f"seq.{name}").randrange(0, 4096)))
         self.iv_gen = (
-            IvGenerator("sequential",
-                        start=sim.rng.substream(f"iv.{name}").randrange(0, 1 << 24))
+            IvGenerator(sim.rng.substream(f"iv.{name}").randrange(0, 1 << 24))
             if wep_key is not None else None
         )
         self._wpa_rng = sim.rng.substream(f"wpa.{name}")
@@ -661,7 +659,6 @@ class SoftApInterface(Interface):
         channel: int,
         wep_key: Optional[WepKey] = None,
         wpa_psk: Optional[bytes] = None,
-        tx_power_dbm: float = 18.0,
         seqctl=None,
         beacon_jitter_s: float = 0.0,
     ) -> None:
@@ -669,7 +666,6 @@ class SoftApInterface(Interface):
         self._pending_core_args = dict(
             medium=medium, position=position, bssid=bssid, ssid=ssid,
             channel=channel, wep_key=wep_key, wpa_psk=wpa_psk,
-            tx_power_dbm=tx_power_dbm,
             seqctl=seqctl, beacon_jitter_s=beacon_jitter_s,
         )
         self.core: Optional[ApCore] = None
@@ -681,7 +677,7 @@ class SoftApInterface(Interface):
             host.sim, args["medium"], self.name,
             bssid=args["bssid"], ssid=args["ssid"], channel=args["channel"],
             position=args["position"], wep_key=args["wep_key"],
-            wpa_psk=args["wpa_psk"], tx_power_dbm=args["tx_power_dbm"],
+            wpa_psk=args["wpa_psk"],
             seqctl=args["seqctl"], beacon_jitter_s=args["beacon_jitter_s"],
         )
         self.core.on_client_frame = self._from_client

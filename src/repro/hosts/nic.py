@@ -340,8 +340,8 @@ class WirelessInterface(Interface):
         self.wep = wep_key
         self.wpa_psk = wpa_psk
         if wep_key is not None:
-            self.iv_gen = IvGenerator("sequential",
-                                      start=self.sim.rng.substream(f"iv.{self.name}").randrange(0, 1 << 24))
+            self.iv_gen = IvGenerator(
+                self.sim.rng.substream(f"iv.{self.name}").randrange(0, 1 << 24))
         self.auth_algorithm = AuthAlgorithm(auth_algorithm)
         if channels is not None:
             self.scan_channels = tuple(channels)

@@ -34,13 +34,11 @@ class Station(Host):
         position: Position,
         *,
         mac: Optional[MacAddress] = None,
-        tx_power_dbm: float = 15.0,
     ) -> None:
         super().__init__(sim, name)
         if mac is None:
             mac = MacAddress.random(sim.rng.substream(f"mac.{name}"))
-        self.wlan = WirelessInterface("wlan0", mac, medium, position,
-                                      tx_power_dbm=tx_power_dbm)
+        self.wlan = WirelessInterface("wlan0", mac, medium, position)
         self.add_interface(self.wlan)
 
     @property

@@ -1,10 +1,10 @@
 """WPA-PSK over the air: EAPOL-framed 4-way handshake + TKIP data.
 
-§2.2's WPA, integrated into the radio path rather than modelled at
-message level: after open-system association, the AP initiates the
-4-way handshake in EAPOL frames (ethertype 0x888E) riding ordinary
-data frames; both sides derive the PTK from the PSK
-(:func:`repro.defense.wpa.derive_ptk`) and install
+§2.2's WPA on the radio path (E-8021X's WPA rows run here): after
+open-system association, the AP initiates the 4-way handshake in
+EAPOL frames (ethertype 0x888E) riding ordinary data frames; both
+sides derive the PTK from the PSK
+(:func:`repro.crypto.wpa_kdf.derive_ptk`) and install
 :class:`~repro.crypto.tkip.TkipSession` pairs; data frames are then
 TKIP-protected with per-packet keys, Michael MICs, and replay windows.
 

@@ -60,7 +60,6 @@ class DowngradeRogueAP:
         mode: str = "wpa2",
         psk: Optional[bytes] = None,
         name: str = "downgrade-rogue",
-        tx_power_dbm: float = 18.0,
     ) -> None:
         if mode not in ("wpa2", "open"):
             raise ConfigurationError(f"unknown downgrade mode {mode!r}")
@@ -72,7 +71,6 @@ class DowngradeRogueAP:
             sim, medium, name,
             bssid=bssid, ssid=ssid, channel=channel, position=position,
             wpa_psk=psk if mode == "wpa2" else None, rsn=rsn,
-            tx_power_dbm=tx_power_dbm,
         )
         sim.trace.emit("attack.downgrade_ap", name, ssid=ssid,
                        bssid=str(bssid), channel=channel, mode=mode)
@@ -110,7 +108,6 @@ class CsaLureAttack:
         rsn: Optional[RsnIe] = None,
         rate_hz: float = 10.0,
         name: str = "csa-lure",
-        tx_power_dbm: float = 18.0,
     ) -> None:
         self.sim = sim
         self.clone_bssid = clone_bssid
@@ -119,7 +116,7 @@ class CsaLureAttack:
         self.rate_hz = rate_hz
         self.port = RadioPort(name=name, position=position,
                               channel=legit_channel,
-                              tx_power_dbm=tx_power_dbm)
+                              tx_power_dbm=18.0)
         medium.attach(self.port)
         # An injector's counter, not the AP's — seqctl analysis applies.
         self.seqctl = SequenceCounter(

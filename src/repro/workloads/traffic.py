@@ -5,6 +5,8 @@
   (§5.3's "any UDP traffic is subject to unnecessary retransmission").
 * :class:`WepTrafficPump` — background WEP data frames from a station,
   to feed Airsnort's weak-IV collection at a controlled rate.
+* :class:`WeakIvSweep` — an IV source that emits only FMS-weak IVs,
+  the time compression that makes that collection take seconds.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import struct
 from typing import Callable, Optional
 
+from repro.crypto.fms import weak_iv_for
 from repro.hosts.host import Host
 from repro.netstack.addressing import IPv4Address
 from repro.sim.errors import SocketError
 
-__all__ = ["CbrUdpStream", "WepTrafficPump"]
+__all__ = ["CbrUdpStream", "WeakIvSweep", "WepTrafficPump"]
 
 
 class CbrUdpStream:
@@ -121,3 +124,28 @@ class WepTrafficPump:
             self.sent += 1
         except SocketError:
             pass
+
+
+class WeakIvSweep:
+    """An IV source cycling through the FMS-weak classes of a 40-bit key.
+
+    Time compression for over-the-air Airsnort: a sequential card sweeps
+    the whole 24-bit IV space and hits a weak IV every ~65k frames, so
+    the ~500k frames that supply enough of them take hours on the air
+    and minutes of simulation.  Airsnort discards the non-weak frames
+    anyway, so a station given this source (``wlan.iv_gen``) sends only
+    the frames the attack would have kept.  The sequential sweep itself
+    is :class:`repro.crypto.wep.IvGenerator`; the packets-needed
+    economics are E-FMS's, measured at the crypto layer.
+    """
+
+    KEY_LENGTH = 5
+
+    def __init__(self) -> None:
+        self._n = 0
+
+    def next_iv(self) -> bytes:
+        a = self._n % self.KEY_LENGTH
+        x = (self._n // self.KEY_LENGTH) % 256
+        self._n += 1
+        return weak_iv_for(a, x)

@@ -9,32 +9,7 @@ from repro.core.scenario import build_corp_scenario
 from repro.crypto.wep import WepKey
 from repro.netstack.ethernet import ETHERTYPE_IPV4
 from repro.radio.propagation import Position
-from repro.workloads.traffic import WepTrafficPump
-
-
-class _WeakIvSweep:
-    """An IV source cycling through the FMS-weak classes.
-
-    Time compression for the radio-level Airsnort test: a sequential
-    card sweeps the whole 24-bit IV space and hits a weak IV every
-    ~65k frames; capturing the ~500k frames that supplies takes hours
-    on the air and minutes of simulation.  Airsnort discards the
-    non-weak frames anyway, so the test generates only the frames the
-    attack would have kept.  (The IV *sweep behaviour* itself is unit-
-    tested in tests/crypto/test_wep.py; the packets-needed economics
-    are measured by the E-FMS benchmark at the crypto layer.)
-    """
-
-    def __init__(self, key_length: int = 5) -> None:
-        self.key_length = key_length
-        self._n = 0
-
-    def next_iv(self) -> bytes:
-        from repro.crypto.fms import weak_iv_for
-        a = self._n % self.key_length
-        x = (self._n // self.key_length) % 256
-        self._n += 1
-        return weak_iv_for(a, x)
+from repro.workloads.traffic import WeakIvSweep, WepTrafficPump
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +19,7 @@ def sniffed_world():
     sniffer = MonitorSniffer(scenario.sim, scenario.medium, Position(20.0, 5.0))
     victim = scenario.add_victim()
     scenario.sim.run_for(5.0)
-    victim.wlan.iv_gen = _WeakIvSweep()
+    victim.wlan.iv_gen = WeakIvSweep()
     pump = WepTrafficPump(victim, "10.0.0.1", rate_pps=400.0)
     pump.start()
     scenario.sim.run_for(20.0)

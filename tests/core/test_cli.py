@@ -241,8 +241,21 @@ def test_cli_trace_without_rewrite_falls_back_to_longest_chain(capsys):
     assert "longest causal chain" in out
 
 
-def test_cli_trace_frameless_experiment(capsys):
-    assert main(["run", "E-8021X", "--trace"]) == 0
+@pytest.fixture
+def frameless_experiment(monkeypatch):
+    """`run` resolves any id to a stub experiment that builds no medium
+    (E-FMS is the only registered one, and it takes seconds)."""
+    import repro.__main__ as cli
+    from repro.core.registry import ExperimentSpec
+
+    spec = ExperimentSpec("STUB", "frameless", "-",
+                          lambda: {"rows": [{"transmitted": False}]},
+                          "benchmarks/test_dot1x_wpa_gap.py")
+    monkeypatch.setattr(cli, "get_experiment", lambda exp_id: spec)
+
+
+def test_cli_trace_frameless_experiment(frameless_experiment, capsys):
+    assert main(["run", "STUB", "--trace"]) == 0
     assert "no frames recorded" in capsys.readouterr().out
 
 
@@ -285,8 +298,8 @@ def test_cli_wids_e_wids_timeline_and_scorecard(tmp_path, capsys):
     assert any(alert["trace_ids"] for alert in payload["alerts"])
 
 
-def test_cli_wids_frameless_experiment(capsys):
-    assert main(["run", "E-8021X", "--wids"]) == 0
+def test_cli_wids_frameless_experiment(frameless_experiment, capsys):
+    assert main(["run", "STUB", "--wids"]) == 0
     out = capsys.readouterr().out
     assert "no alerts" in out
 

@@ -16,7 +16,6 @@ from repro.crypto.wep import (
     wep_first_keystream_byte,
     wep_iv_of,
 )
-from repro.sim.rng import SimRandom
 
 
 KEY40 = WepKey.from_passphrase("SECRET", bits=40)
@@ -107,17 +106,10 @@ def test_first_keystream_byte_recovery():
 
 
 def test_iv_generator_sequential_wraps():
-    gen = IvGenerator("sequential", start=0xFFFFFE)
+    gen = IvGenerator(start=0xFFFFFE)
     assert gen.next_iv() == b"\xff\xff\xfe"
     assert gen.next_iv() == b"\xff\xff\xff"
     assert gen.next_iv() == b"\x00\x00\x00"
-
-
-def test_iv_generator_random_needs_rng():
-    with pytest.raises(ValueError):
-        IvGenerator("random")
-    gen = IvGenerator("random", rng=SimRandom(1))
-    assert len(gen.next_iv()) == 3
 
 
 def test_per_packet_key_is_iv_prefix():

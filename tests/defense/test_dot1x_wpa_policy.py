@@ -3,19 +3,16 @@
 import pytest
 
 from repro.crypto.tkip import TkipError
+from repro.crypto.wpa_kdf import derive_ptk, psk_from_passphrase
 from repro.defense.dot1x import (
     Dot1xAuthenticator,
     Dot1xSupplicant,
     EapAuthServer,
     chap_md5_response,
 )
-from repro.defense.wpa import (
-    WpaPskAuthenticator,
-    WpaPskSupplicant,
-    derive_ptk,
-    psk_from_passphrase,
-)
 from repro.dot11.mac import MacAddress
+from repro.hosts.wpa_link import ApWpaSession, StaWpaSession
+from repro.sim.kernel import Simulator
 from repro.sim.rng import SimRandom
 
 AP_MAC = MacAddress("aa:bb:cc:dd:00:01")
@@ -88,51 +85,38 @@ def test_derive_ptk_symmetry():
     assert derive_ptk(psk, b"B" * 32, b"S" * 32, AP_MAC, STA_MAC) != ptk1
 
 
+def _handshake(ap_psk, sta_psk, seed=1):
+    """Run the 4-way handshake between an AP session and a station
+    session wired back to back (no radio): each EAPOL message is handed
+    straight to the peer."""
+    sessions = {}
+    ap = ApWpaSession(Simulator(seed=seed), ap_psk, AP_MAC, STA_MAC,
+                      lambda m: sessions["sta"].handle_eapol(m),
+                      SimRandom(seed))
+    sta = StaWpaSession(sta_psk, STA_MAC, AP_MAC,
+                        lambda m: sessions["ap"].handle_eapol(m),
+                        SimRandom(seed + 1))
+    sessions.update(ap=ap, sta=sta)
+    ap.start()
+    ap.shutdown()  # no retries: the exchange above is all there is
+    return ap, sta
+
+
 def test_wpa_handshake_and_data_protection():
     psk = psk_from_passphrase("secret", "CORP")
-    ap = WpaPskAuthenticator(psk, AP_MAC, SimRandom(1))
-    sta = WpaPskSupplicant(psk, STA_MAC, SimRandom(2))
-    sessions = ap.handshake(sta)
-    assert sessions is not None
-    ap_tx, ap_rx = sessions
-    sta_tx, sta_rx = sta.sessions(AP_MAC)
+    ap, sta = _handshake(psk, psk)
+    assert ap.established and sta.established
     # Data flows both ways through TKIP.
-    assert sta_rx.decapsulate(ap_tx.encapsulate(b"downlink")) == b"downlink"
-    assert ap_rx.decapsulate(sta_tx.encapsulate(b"uplink")) == b"uplink"
+    assert sta.rx.decapsulate(ap.tx.encapsulate(b"downlink")) == b"downlink"
+    assert ap.rx.decapsulate(sta.tx.encapsulate(b"uplink")) == b"uplink"
 
 
 def test_wpa_rejects_wrong_psk_client():
-    ap = WpaPskAuthenticator(psk_from_passphrase("right", "CORP"), AP_MAC, SimRandom(1))
-    sta = WpaPskSupplicant(psk_from_passphrase("wrong", "CORP"), STA_MAC, SimRandom(2))
-    assert ap.handshake(sta) is None
+    ap, sta = _handshake(psk_from_passphrase("right", "CORP"),
+                         psk_from_passphrase("wrong", "CORP"))
+    assert not ap.established
     assert ap.mic_failures == 1
     assert not sta.established
-
-
-def test_wpa_client_detects_keyless_rogue_ap():
-    """WPA *does* close the open-rogue hole: msg3's MIC proves the AP
-    knows the PSK, and a keyless impostor fails there."""
-    psk = psk_from_passphrase("secret", "CORP")
-    rogue = WpaPskAuthenticator(psk_from_passphrase("guess", "CORP"),
-                                AP_MAC, SimRandom(3))
-    sta = WpaPskSupplicant(psk, STA_MAC, SimRandom(4))
-    # A by-the-book rogue aborts at msg2 (the client's MIC won't verify
-    # under its guessed key)...
-    assert rogue.handshake(sta) is None
-    assert not sta.established
-    # ...and a pushy rogue that barrels on to msg3 is caught by the
-    # client: the msg3 MIC is the step that authenticates the network.
-    import hmac
-    from repro.defense.wpa import derive_ptk, _Keys
-    sta2 = WpaPskSupplicant(psk, STA_MAC, SimRandom(5))
-    anonce = b"R" * 32
-    snonce, _mic2 = sta2.msg1(anonce, AP_MAC)
-    rogue_ptk = derive_ptk(psk_from_passphrase("guess", "CORP"),
-                           anonce, snonce, AP_MAC, STA_MAC)
-    rogue_mic3 = hmac.digest(_Keys.from_ptk(rogue_ptk).kck, b"msg3" + anonce, "sha1")
-    assert sta2.msg3(rogue_mic3) is False
-    assert not sta2.established
-    assert sta2.mic_failures == 1
 
 
 def test_wpa_insider_rogue_with_psk_succeeds():
@@ -140,26 +124,16 @@ def test_wpa_insider_rogue_with_psk_succeeds():
     vulnerable to MITM attack from valid network clients.'  Any valid
     client can run a rogue AP with the very same PSK."""
     psk = psk_from_passphrase("secret", "CORP")     # the insider has this
-    insider_rogue = WpaPskAuthenticator(psk, AP_MAC, SimRandom(5))
-    sta = WpaPskSupplicant(psk, STA_MAC, SimRandom(6))
-    sessions = insider_rogue.handshake(sta)
-    assert sessions is not None
+    insider_rogue, sta = _handshake(psk, psk, seed=5)
+    assert insider_rogue.established
     assert sta.established  # indistinguishable from the real network
 
 
 def test_wpa_tkip_blocks_bitflip():
     """Contrast with WEP: flipping TKIP ciphertext trips Michael."""
     psk = psk_from_passphrase("secret", "CORP")
-    ap = WpaPskAuthenticator(psk, AP_MAC, SimRandom(7))
-    sta = WpaPskSupplicant(psk, STA_MAC, SimRandom(8))
-    ap_tx, _ = ap.handshake(sta)
-    _, sta_rx = sta.sessions(AP_MAC)
-    frame = bytearray(ap_tx.encapsulate(b"payload"))
+    ap, sta = _handshake(psk, psk, seed=7)
+    frame = bytearray(ap.tx.encapsulate(b"payload"))
     frame[10] ^= 0x01
     with pytest.raises(TkipError):
-        sta_rx.decapsulate(bytes(frame))
-
-
-# ----------------------------------------------------------------------
-# §5.2 policy
-# ----------------------------------------------------------------------
+        sta.rx.decapsulate(bytes(frame))

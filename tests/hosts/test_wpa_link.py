@@ -1,19 +1,24 @@
 """WPA-PSK over the air: handshake, TKIP data path, and the §2.2 gap."""
 
+import hmac
+
 import pytest
 
-from repro.crypto.wpa_kdf import psk_from_passphrase
+from repro.crypto.wpa_kdf import derive_ptk, psk_from_passphrase
 from repro.dot11.mac import MacAddress
 from repro.hosts.access_point import AccessPoint
 from repro.hosts.station import Station
+from repro.hosts.wpa_link import NONCE_LEN, StaWpaSession, WpaKeys
 from repro.netstack.ethernet import Switch
 from repro.radio.medium import Medium
 from repro.radio.propagation import Position
 from repro.sim.errors import ConfigurationError
 from repro.sim.kernel import Simulator
+from repro.sim.rng import SimRandom
 from tests.conftest import make_wired_host
 
 BSSID = MacAddress("aa:bb:cc:dd:00:01")
+STA_MAC = MacAddress("00:02:2d:00:00:07")
 PSK = psk_from_passphrase("office-passphrase", "CORP")
 
 
@@ -116,6 +121,27 @@ def test_wpa_keyless_rogue_cannot_capture_client():
     if sta.associated_channel == 6:
         assert not sta.wlan.link_ready
     assert not rogue_ap.core.wpa_established(sta.wlan.mac)
+
+
+def test_wpa_client_refuses_msg3_under_a_guessed_psk():
+    """A keyless rogue that pushes on past message 2 to a message 3 is
+    caught by the client: msg3's MIC is the step that authenticates the
+    network.  (Over the air the keyless AP stops at msg2, so only this
+    unit test reaches the check.)"""
+    sent = []
+    sta = StaWpaSession(PSK, STA_MAC, BSSID, sent.append, SimRandom(5))
+    anonce = b"R" * NONCE_LEN
+    sta.handle_eapol(bytes([1]) + anonce)
+    assert len(sent) == 1                       # msg2 went out
+    rogue_ptk = derive_ptk(psk_from_passphrase("guessed", "CORP"),
+                           anonce, sta.snonce, BSSID, STA_MAC)
+    mic3 = hmac.digest(WpaKeys.from_ptk(rogue_ptk).kck, b"msg3" + anonce,
+                       "sha1")
+    sta.handle_eapol(bytes([3]) + mic3)
+    assert sta.mic_failures == 1
+    assert not sta.established
+    assert sta.tx is None and sta.rx is None    # no keys installed
+    assert len(sent) == 1                       # and no msg4
 
 
 def test_wpa_insider_rogue_captures_client():

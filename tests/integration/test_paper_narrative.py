@@ -114,7 +114,9 @@ def test_mac_filter_defeated_by_sniff_and_spoof():
 def test_rogue_without_wep_key_cannot_capture_wep_clients():
     """Sanity boundary: the §4 attack does need the key (valid client
     or Airsnort) when the network runs WEP."""
-    scenario = build_corp_scenario(seed=204, rogue_wep="none")
+    scenario = build_corp_scenario(seed=204, with_rogue=False)
+    scenario.add_rogue(None)
+    scenario.sim.run_for(4.0)
     victim = scenario.add_victim()
     scenario.sim.run_for(8.0)
     # The rogue beacons an open network; the WEP-configured victim's
