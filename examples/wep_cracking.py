@@ -34,7 +34,7 @@ def main() -> None:
     pump = WepTrafficPump(victim, "10.0.0.1", rate_pps=400.0)
     pump.start()
 
-    attack = AirsnortAttack(sniffer, key_length=5)
+    attack = AirsnortAttack(sniffer)
     cracked = None
     while cracked is None:
         sim.run_for(20.0)

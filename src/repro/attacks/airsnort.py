@@ -13,32 +13,32 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.attacks.sniffer import MonitorSniffer
+from repro.attacks.sniffer import MonitorSniffer, fms_samples_in
 from repro.crypto.fms import FmsAttack
 from repro.crypto.wep import WepError, WepKey, wep_decrypt
 from repro.dot11.frames import FrameSubtype
-from repro.dot11.mac import MacAddress
 
 __all__ = ["AirsnortAttack"]
 
 
 class AirsnortAttack:
-    """Crack a BSS's WEP key from a sniffer's capture."""
+    """Crack a 40-bit WEP key from a sniffer's capture."""
 
-    def __init__(self, sniffer: MonitorSniffer, *, key_length: int = 5,
-                 bssid: Optional[MacAddress] = None) -> None:
+    def __init__(self, sniffer: MonitorSniffer) -> None:
         self.sniffer = sniffer
-        self.bssid = bssid
-        self.fms = FmsAttack(key_length=key_length)
-        self._fed = 0
+        self.fms = FmsAttack(key_length=5)
+        self._scanned = 0  # capture frames already fed
 
     def ingest(self) -> int:
-        """Feed new capture samples into the vote tables; returns # fed."""
-        samples = list(self.sniffer.fms_samples(self.bssid))
-        fresh = samples[self._fed:]
-        for iv, ks0 in fresh:
-            self.fms.add_sample(iv, ks0)
-        self._fed = len(samples)
+        """Feed the frames captured since the last call; returns # fed.
+
+        The sniffer's capture is unbounded and append-only, so the
+        frames already fed are exactly its first ``_scanned``.
+        """
+        frames = self.sniffer.capture.frames
+        fresh = list(fms_samples_in(frames[self._scanned:]))
+        self._scanned = len(frames)
+        self.fms.extend(fresh)
         return len(fresh)
 
     def _verifier(self):

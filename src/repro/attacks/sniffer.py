@@ -13,12 +13,11 @@ sample via the known LLC/SNAP ``0xAA`` plaintext.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.crypto.wep import WepError, WepKey, wep_decrypt, wep_first_keystream_byte, wep_iv_of
 from repro.dot11.capture import CapturedFrame, FrameCapture
 from repro.dot11.frames import Dot11Frame, FrameSubtype
-from repro.dot11.mac import MacAddress
 from repro.netstack.ethernet import llc_decap, ETHERTYPE_IPV4
 from repro.netstack.ipv4 import PROTO_TCP, IPv4Packet
 from repro.netstack.tcp import TcpSegment
@@ -27,7 +26,20 @@ from repro.radio.propagation import Position
 from repro.sim.errors import ProtocolError
 from repro.sim.kernel import Simulator
 
-__all__ = ["MonitorSniffer"]
+__all__ = ["MonitorSniffer", "fms_samples_in"]
+
+
+def fms_samples_in(
+        frames: Iterable[CapturedFrame]) -> Iterator[tuple[bytes, int]]:
+    """(IV, keystream byte 0) for every protected data frame in ``frames``."""
+    for cap in frames:
+        frame = cap.frame
+        if frame.subtype is not FrameSubtype.DATA or not frame.protected:
+            continue
+        try:
+            yield wep_iv_of(frame.body), wep_first_keystream_byte(frame.body)
+        except WepError:
+            continue
 
 
 class MonitorSniffer:
@@ -59,17 +71,9 @@ class MonitorSniffer:
     # ------------------------------------------------------------------
     # FMS sample extraction (feeds repro.attacks.airsnort)
     # ------------------------------------------------------------------
-    def fms_samples(self, bssid: Optional[MacAddress] = None) -> Iterator[tuple[bytes, int]]:
+    def fms_samples(self) -> Iterator[tuple[bytes, int]]:
         """(IV, keystream byte 0) for every protected data frame seen."""
-        for cap in self.capture.select(subtype=FrameSubtype.DATA, protected=True):
-            frame = cap.frame
-            if bssid is not None and frame.addr3 != bssid and frame.addr2 != bssid \
-                    and frame.addr1 != bssid:
-                continue
-            try:
-                yield wep_iv_of(frame.body), wep_first_keystream_byte(frame.body)
-            except WepError:
-                continue
+        return fms_samples_in(self.capture.frames)
 
     # ------------------------------------------------------------------
     # decryption given a key (valid client, or post-Airsnort)

@@ -19,7 +19,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.dot11.ies import (
     IeId,
@@ -165,14 +165,16 @@ _MAC_HEADER = HeaderSpec(
 _BEACON_FIXED = struct.Struct("<QHH")
 
 #: One-entry memo of :meth:`Dot11Frame.parse_beacon`: ``(frame, info)``
-#: for the last beacon decoded.  Every NIC in range and every WIDS
-#: detector reads the same frame object back to back, so one entry
-#: serves them all.  It holds the frame itself, so an identity match can
-#: never be a recycled id, and it is sound for the same reason the
-#: encode cache is: wire fields are never mutated after construction.
-#: Kept here, not on the frame, so captured beacons carry no decoded
-#: copy.  A miss falls through to the content cache ``_beacon_fields``,
-#: which serves a fresh frame whose IE tail was decoded before.
+#: for the last beacon decoded.  Every NIC in range reads the same frame
+#: object back to back, and so does a monitor's one WIDS dispatcher
+#: (``repro.wids.detectors.DetectorBank``, which decodes once and hands
+#: the result to every detector), so one entry serves them all.  It
+#: holds the frame itself, so an identity match can never be a recycled
+#: id, and it is sound for the same reason the encode cache is: wire
+#: fields are never mutated after construction.  Kept here, not on the
+#: frame, so captured beacons carry no decoded copy.  A miss falls
+#: through to the content cache ``_beacon_fields``, which serves a fresh
+#: frame whose IE tail was decoded before.
 _last_beacon: tuple = (None, None)
 
 
@@ -467,9 +469,12 @@ class Dot11Frame:
         return parse_ies(self.body[offset:])
 
 
-@dataclass(frozen=True)
-class BeaconInfo:
-    """Decoded beacon contents — everything a scanning client learns."""
+class BeaconInfo(NamedTuple):
+    """Decoded beacon contents — everything a scanning client learns.
+
+    A named tuple, not a dataclass: one is built per beacon decode, and
+    a tuple is the cheapest immutable record to build.
+    """
 
     timestamp: int
     interval_tu: int

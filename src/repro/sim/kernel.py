@@ -1,9 +1,11 @@
 """Deterministic discrete-event simulation kernel.
 
-The kernel is intentionally small: a priority queue of :class:`Event`
-objects ordered by ``(time, sequence)``.  Ties in time are broken by
+The kernel is intentionally small: a priority queue of
+``(time, sequence, event)`` tuples.  Ties in time are broken by
 insertion order, which makes runs bit-for-bit reproducible across
 platforms — a property every experiment in this reproduction relies on.
+The sequence number is unique, so the heap's tuple compare never
+reaches the :class:`Event` and stays in C.
 
 Design notes (following the HPC guides' "make it work, make it right,
 measure before optimizing"):
@@ -51,8 +53,8 @@ class ScheduleError(SimulationError):
 class Event:
     """A single scheduled callback.
 
-    Events compare by ``(time, seq)`` so that two events at the same
-    simulated time fire in the order they were scheduled.
+    The queue orders events by ``(time, seq)`` so that two events at the
+    same simulated time fire in the order they were scheduled.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "kwargs", "cancelled")
@@ -75,14 +77,6 @@ class Event:
     def cancel(self) -> None:
         """Mark this event so the kernel skips it when popped."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        # Hot path: called O(log n) times per heap push/pop.  Written
-        # out longhand (rather than comparing two freshly-built tuples)
-        # because it shows up in radio fan-out profiles.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
@@ -115,7 +109,7 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -169,8 +163,8 @@ class Simulator:
                 f"cannot schedule at t={when!r}, current time is t={self._now!r}"
             )
         ev = Event(when, self._seq, fn, args, kwargs)
+        heapq.heappush(self._queue, (when, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._queue, ev)
         return ev
 
     def call_soon(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
@@ -230,7 +224,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next non-cancelled event.  Returns False if none left."""
         while self._queue:
-            ev = heapq.heappop(self._queue)
+            ev = heapq.heappop(self._queue)[2]
             if ev.cancelled:
                 continue
             if ev.time < self._now:  # pragma: no cover - defensive
@@ -259,7 +253,7 @@ class Simulator:
         dispatched = 0
         try:
             while self._queue:
-                nxt = self._queue[0]
+                nxt = self._queue[0][2]
                 if nxt.cancelled:
                     heapq.heappop(self._queue)
                     continue

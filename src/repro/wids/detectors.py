@@ -4,10 +4,13 @@ Two families live here:
 
 * **Streaming detectors** (:class:`Detector` subclasses) consume one
   :class:`~repro.dot11.capture.CapturedFrame` at a time via
-  :meth:`Detector.observe` and emit :class:`Detection` evidence that the
-  :mod:`~repro.wids.correlate` engine accumulates into alerts.  Each is
-  registered under a stable name with :func:`register` so engines,
-  evaluation sweeps, and the CLI can enumerate them.
+  :meth:`Detector.observe` and return at most one :class:`Detection`
+  per frame, evidence that the :mod:`~repro.wids.correlate` engine
+  accumulates into alerts.  Each is registered under a stable name
+  with :func:`register` so engines, evaluation sweeps, and the CLI can
+  enumerate them.  A :class:`DetectorBank` routes each frame only to
+  the detectors whose ``SUBTYPES`` name its subtype, and decodes a
+  beacon once for all of them.
 
 * The **offline** :class:`SeqCtlMonitor` — the §2.3 sequence-control
   analyser (also re-exported by :mod:`repro.defense`).  It
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterator, Optional, Tuple, Type
+from typing import (ClassVar, Dict, FrozenSet, Iterable, List, NamedTuple,
+                    Optional, Tuple, Type)
 
 from repro.dot11.capture import CapturedFrame, FrameCapture
 from repro.dot11.frames import BeaconInfo, FrameSubtype
@@ -43,6 +47,7 @@ __all__ = [
     "DeauthFloodDetector",
     "Detection",
     "Detector",
+    "DetectorBank",
     "DETECTORS",
     "MultiChannelSsidDetector",
     "RsnMismatchDetector",
@@ -59,13 +64,16 @@ __all__ = [
 # streaming detector framework
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """One piece of evidence a detector extracted from one frame."""
 
     subject: str          # who is accused (BSSID, SSID/BSSID pair, ...)
     score: float = 1.0    # evidence weight toward the alert threshold
     reason: str = ""
+
+
+#: Subtypes that carry a beacon body (:meth:`Dot11Frame.parse_beacon`).
+_BEACON_SUBTYPES = (FrameSubtype.BEACON, FrameSubtype.PROBE_RESP)
 
 
 class Detector:
@@ -74,14 +82,24 @@ class Detector:
     ``threshold`` is the accumulated-evidence score at which the
     correlation engine opens an alert for a subject; ``SWEEP`` is the
     threshold ladder the ROC evaluation walks (it includes
-    ``threshold``).
+    ``threshold``).  ``SUBTYPES`` names the frame subtypes the detector
+    reads: a :class:`DetectorBank` routes no other frame to it.  Each
+    detector still returns ``None`` for a frame outside them, so fed
+    every frame it scores exactly what the bank's routing scores.
     """
 
     name: ClassVar[str] = ""
     threshold: ClassVar[float] = 1.0
     SWEEP: ClassVar[Tuple[float, ...]] = (1.0,)
+    SUBTYPES: ClassVar[FrozenSet[FrameSubtype]] = frozenset(FrameSubtype)
 
-    def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
+    def observe(self, cap: CapturedFrame,
+                beacon: Optional[BeaconInfo]) -> Optional[Detection]:
+        """Fold one frame in; the evidence it yields, if any.
+
+        ``beacon`` is the frame's decoded beacon body: ``None`` unless
+        the frame is a beacon or probe response that decodes.
+        """
         raise NotImplementedError
 
 
@@ -105,11 +123,36 @@ def default_detectors() -> list[Detector]:
     return [cls() for cls in DETECTORS.values()]
 
 
-def _parse_beacon(cap: CapturedFrame) -> Optional[BeaconInfo]:
-    try:
-        return cap.frame.parse_beacon()
-    except ProtocolError:
-        return None
+class DetectorBank:
+    """Detectors routed by frame subtype, one beacon decode per frame.
+
+    The WIDS's one frame loop: the live engine and the offline
+    evaluation hand every captured frame to :meth:`observe`.  Detectors
+    keep their given order (registry order for
+    :func:`default_detectors`) within each subtype's route.
+    """
+
+    def __init__(self, detectors: Iterable[Detector]) -> None:
+        self.detectors = list(detectors)
+        self._routes = {subtype: [d for d in self.detectors
+                                  if subtype in d.SUBTYPES]
+                        for subtype in FrameSubtype}
+
+    def observe(self, cap: CapturedFrame) -> List[Tuple[Detector, Detection]]:
+        """``(detector, detection)`` for every detector the frame moved."""
+        frame = cap.frame
+        beacon = None
+        if frame.subtype in _BEACON_SUBTYPES:
+            try:
+                beacon = frame.parse_beacon()
+            except ProtocolError:
+                pass
+        hits = []
+        for detector in self._routes[frame.subtype]:
+            detection = detector.observe(cap, beacon)
+            if detection is not None:
+                hits.append((detector, detection))
+        return hits
 
 
 # ----------------------------------------------------------------------
@@ -134,23 +177,25 @@ class SeqCtlAnomalyDetector(Detector):
     def __init__(self) -> None:
         self._last_seq: Dict[MacAddress, int] = {}
 
-    def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
+    def observe(self, cap: CapturedFrame,
+                beacon: Optional[BeaconInfo]) -> Optional[Detection]:
         frame = cap.frame
         # Control frames (ACK) carry no sequence number; skip them.
         if frame.subtype is FrameSubtype.ACK:
-            return
+            return None
         prev = self._last_seq.get(frame.addr2)
         self._last_seq[frame.addr2] = frame.seq
         if prev is None:
-            return
+            return None
         gap = SequenceCounter.gap(prev, frame.seq)
         if gap > self.gap_threshold:
-            yield Detection(
+            return Detection(
                 subject=str(frame.addr2),
                 reason=(f"sequence jump {prev}->{frame.seq} "
                         f"(gap {gap} > {self.gap_threshold}) — "
                         f"interleaved counters"),
             )
+        return None
 
 
 @register
@@ -167,29 +212,28 @@ class BeaconFingerprintDetector(Detector):
     name = "fingerprint"
     threshold = 1.0
     SWEEP = (1.0, 2.0, 4.0, 8.0)
+    SUBTYPES = frozenset(_BEACON_SUBTYPES)
 
     def __init__(self) -> None:
         self._fingerprints: Dict[Tuple[str, MacAddress],
                                  Tuple[int, int, int]] = {}
 
-    def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
-        if cap.frame.subtype not in (FrameSubtype.BEACON,
-                                     FrameSubtype.PROBE_RESP):
-            return
-        info = _parse_beacon(cap)
-        if info is None:
-            return
-        key = (info.ssid, info.bssid)
-        fp = (info.capability, info.channel, info.interval_tu)
+    def observe(self, cap: CapturedFrame,
+                beacon: Optional[BeaconInfo]) -> Optional[Detection]:
+        if beacon is None:
+            return None
+        key = (beacon.ssid, beacon.bssid)
+        fp = (beacon.capability, beacon.channel, beacon.interval_tu)
         seen = self._fingerprints.get(key)
         if seen is None:
             self._fingerprints[key] = fp
         elif fp != seen:
-            yield Detection(
-                subject=f"{info.ssid}/{info.bssid}",
+            return Detection(
+                subject=f"{beacon.ssid}/{beacon.bssid}",
                 reason=(f"conflicting advertisement: "
                         f"cap/chan/interval {seen} vs {fp}"),
             )
+        return None
 
 
 @register
@@ -206,24 +250,28 @@ class MultiChannelSsidDetector(Detector):
     name = "multichannel"
     threshold = 2.0
     SWEEP = (1.0, 2.0, 4.0, 8.0)
+    SUBTYPES = frozenset(_BEACON_SUBTYPES)
 
     def __init__(self) -> None:
         self._home_channel: Dict[MacAddress, int] = {}
 
-    def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
-        if cap.frame.subtype not in (FrameSubtype.BEACON,
-                                     FrameSubtype.PROBE_RESP):
-            return
+    def observe(self, cap: CapturedFrame,
+                beacon: Optional[BeaconInfo]) -> Optional[Detection]:
+        # The subtype, not ``beacon``: a beacon that fails to decode was
+        # still sent on this channel.
+        if cap.frame.subtype not in _BEACON_SUBTYPES:
+            return None
         addr = cap.frame.addr2
         home = self._home_channel.get(addr)
         if home is None:
             self._home_channel[addr] = cap.channel
         elif cap.channel != home:
-            yield Detection(
+            return Detection(
                 subject=str(addr),
                 reason=(f"AP-role frames on channel {cap.channel} and "
                         f"{home} — one address, two radios"),
             )
+        return None
 
 
 @register
@@ -241,6 +289,7 @@ class BeaconJitterDetector(Detector):
     name = "beacon-jitter"
     threshold = 5.0
     SWEEP = (2.0, 5.0, 10.0, 20.0)
+    SUBTYPES = frozenset((FrameSubtype.BEACON,))
 
     #: Fractional deviation from the nearest interval multiple that a
     #: crystal-timed AP never shows (CSMA deferral is ~0.4% of 100 TU).
@@ -249,30 +298,31 @@ class BeaconJitterDetector(Detector):
     def __init__(self) -> None:
         self._last_beacon: Dict[Tuple[MacAddress, int], float] = {}
 
-    def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
+    def observe(self, cap: CapturedFrame,
+                beacon: Optional[BeaconInfo]) -> Optional[Detection]:
         if cap.frame.subtype is not FrameSubtype.BEACON:
-            return
-        info = _parse_beacon(cap)
-        if info is None or info.interval_tu <= 0:
-            return
-        key = (info.bssid, cap.channel)
+            return None
+        if beacon is None or beacon.interval_tu <= 0:
+            return None
+        key = (beacon.bssid, cap.channel)
         prev = self._last_beacon.get(key)
         self._last_beacon[key] = cap.time
         if prev is None:
-            return
-        expected = info.interval_tu * 1024e-6  # TU -> seconds
+            return None
+        expected = beacon.interval_tu * 1024e-6  # TU -> seconds
         dt = cap.time - prev
         multiples = round(dt / expected)
         if multiples < 1:
-            return
+            return None
         deviation = abs(dt - multiples * expected)
         if deviation > self.rel_tolerance * expected:
-            yield Detection(
-                subject=str(info.bssid),
+            return Detection(
+                subject=str(beacon.bssid),
                 reason=(f"beacon cadence off by {deviation * 1e3:.1f} ms "
                         f"from {multiples}x{expected * 1e3:.1f} ms — "
                         f"software-timed AP"),
             )
+        return None
 
 
 @register
@@ -288,16 +338,18 @@ class DeauthFloodDetector(Detector):
     name = "deauth-flood"
     threshold = 4.0
     SWEEP = (1.0, 2.0, 4.0, 8.0, 16.0)
+    SUBTYPES = frozenset((FrameSubtype.DEAUTH, FrameSubtype.DISASSOC))
     window_s = 5.0
     flood_count = 8
 
     def __init__(self) -> None:
         self._times: Dict[MacAddress, deque] = {}
 
-    def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
+    def observe(self, cap: CapturedFrame,
+                beacon: Optional[BeaconInfo]) -> Optional[Detection]:
         if cap.frame.subtype not in (FrameSubtype.DEAUTH,
                                      FrameSubtype.DISASSOC):
-            return
+            return None
         times = self._times.setdefault(cap.frame.addr2, deque())
         cutoff = cap.time - self.window_s
         while times and times[0] < cutoff:
@@ -305,11 +357,12 @@ class DeauthFloodDetector(Detector):
         times.append(cap.time)
         if len(times) > self.flood_count:
             subject = str(cap.frame.addr2)
-            yield Detection(
+            return Detection(
                 subject=subject,
                 reason=(f"{len(times)} deauth/disassoc in "
                         f"{self.window_s:g} s claiming {subject}"),
             )
+        return None
 
 
 @register
@@ -329,28 +382,27 @@ class RsnMismatchDetector(Detector):
     name = "rsn-mismatch"
     threshold = 1.0
     SWEEP = (1.0, 2.0, 4.0, 8.0)
+    SUBTYPES = frozenset(_BEACON_SUBTYPES)
 
     def __init__(self) -> None:
         self._postures: Dict[str, Optional[bytes]] = {}
 
-    def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
-        if cap.frame.subtype not in (FrameSubtype.BEACON,
-                                     FrameSubtype.PROBE_RESP):
-            return
-        info = _parse_beacon(cap)
-        if info is None:
-            return
-        posture = info.rsn  # raw IE bytes, None when absent
-        seen = self._postures.setdefault(info.ssid, posture)
+    def observe(self, cap: CapturedFrame,
+                beacon: Optional[BeaconInfo]) -> Optional[Detection]:
+        if beacon is None:
+            return None
+        posture = beacon.rsn  # raw IE bytes, None when absent
+        seen = self._postures.setdefault(beacon.ssid, posture)
         if posture != seen:
             def _label(p: Optional[bytes]) -> str:
                 return "no-RSN" if p is None else f"RSN[{p.hex()}]"
-            yield Detection(
-                subject=f"{info.ssid}/{info.bssid}",
-                reason=(f"SSID {info.ssid!r} advertised as "
+            return Detection(
+                subject=f"{beacon.ssid}/{beacon.bssid}",
+                reason=(f"SSID {beacon.ssid!r} advertised as "
                         f"{_label(posture)} but pinned as "
                         f"{_label(seen)} — downgrade lure"),
             )
+        return None
 
 
 @register
@@ -367,17 +419,15 @@ class UnexpectedCsaDetector(Detector):
     name = "unexpected-CSA"
     threshold = 5.0
     SWEEP = (1.0, 2.0, 5.0, 10.0, 20.0)
+    SUBTYPES = frozenset(_BEACON_SUBTYPES)
 
-    def observe(self, cap: CapturedFrame) -> Iterator[Detection]:
-        if cap.frame.subtype not in (FrameSubtype.BEACON,
-                                     FrameSubtype.PROBE_RESP):
-            return
-        info = _parse_beacon(cap)
-        if info is None or info.csa is None:
-            return
-        yield Detection(
+    def observe(self, cap: CapturedFrame,
+                beacon: Optional[BeaconInfo]) -> Optional[Detection]:
+        if beacon is None or beacon.csa is None:
+            return None
+        return Detection(
             subject=str(cap.frame.addr2),
-            reason=(f"CSA in beacon for {info.ssid!r} on channel "
+            reason=(f"CSA in beacon for {beacon.ssid!r} on channel "
                     f"{cap.channel} announcing a switch"),
         )
 

@@ -1,7 +1,8 @@
 """The WIDS engine: a detector bank wired to a frame feed.
 
-One :class:`WidsEngine` owns one set of detector instances and one
-:class:`~repro.wids.correlate.AlertCorrelator`.  It consumes frames
+One :class:`WidsEngine` owns one
+:class:`~repro.wids.detectors.DetectorBank` of detector instances and
+one :class:`~repro.wids.correlate.AlertCorrelator`.  It consumes frames
 either live — :meth:`attach` taps a monitor-mode
 :class:`~repro.dot11.capture.FrameCapture` via ``FrameCapture.tap`` —
 or offline via :meth:`scan` over an existing capture.
@@ -25,7 +26,7 @@ from repro.dot11.capture import CapturedFrame, FrameCapture
 from repro.obs.runtime import instruments
 from repro.wids.alerts import Alert
 from repro.wids.correlate import AlertCorrelator
-from repro.wids.detectors import Detector, default_detectors
+from repro.wids.detectors import Detector, DetectorBank, default_detectors
 
 __all__ = ["WidsEngine"]
 
@@ -39,9 +40,8 @@ class WidsEngine:
 
     def __init__(self, detectors: Optional[Iterable[Detector]] = None, *,
                  max_evidence: Optional[int] = None) -> None:
-        self.detectors: List[Detector] = (
-            list(detectors) if detectors is not None else default_detectors()
-        )
+        self.bank = DetectorBank(
+            detectors if detectors is not None else default_detectors())
         self.correlator = AlertCorrelator(max_evidence=max_evidence)
         self.frames_seen = 0
 
@@ -67,16 +67,15 @@ class WidsEngine:
         if m is not None:
             m.incr("wids.frames")
         trace_id = cap.frame.trace_id
-        for detector in self.detectors:
-            for detection in detector.observe(cap):
-                if m is not None:
-                    m.incr(f"wids.evidence.{detector.name}")
-                opened = self.correlator.ingest(
-                    detector.name, detector.threshold, detection,
-                    cap.time, trace_id)
-                if opened is not None and m is not None:
-                    m.incr("wids.alerts")
-                    m.incr(f"wids.alerts.{detector.name}")
+        for detector, detection in self.bank.observe(cap):
+            if m is not None:
+                m.incr(f"wids.evidence.{detector.name}")
+            opened = self.correlator.ingest(
+                detector.name, detector.threshold, detection,
+                cap.time, trace_id)
+            if opened is not None and m is not None:
+                m.incr("wids.alerts")
+                m.incr(f"wids.alerts.{detector.name}")
 
     # ------------------------------------------------------------------
     # results

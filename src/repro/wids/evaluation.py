@@ -2,22 +2,24 @@
 
 Ground truth comes from the scenario itself — we *built* the world, so
 we know whether a rogue is present and when the attack started.
-:func:`evaluate` scans a finished capture **once**: each frame goes to
-every registered detector in registry order, so all of them read a
-beacon back to back and share one decode (the ``parse_beacon`` identity
-memo; a fresh beacon with IEs seen before skips the IE decode through
-the content cache behind it).
+:func:`evaluate` scans a finished capture **once**, through the same
+:class:`~repro.wids.detectors.DetectorBank` the live engine uses: each
+frame goes only to the registered detectors whose ``SUBTYPES`` name its
+subtype, in registry order, and a beacon is decoded once for all of
+them (a fresh beacon with IEs seen before skips the IE decode through
+the content cache behind ``parse_beacon``).
 Per detector it keeps each subject's running evidence total and, for
 every ``SWEEP`` threshold, the time of the first event whose total
 reaches it; no event list is stored.  This is sound because detector
 ``observe()`` is threshold-independent (thresholds only gate the
-correlator), each detector still sees the whole capture in order, and
-the correlator opens its first alert at the first event where any
-subject's running score reaches the threshold — the totals here are
-the same float additions (``0.0 + s1 + s2 + ...``, stream order) it
-performs.  The per-threshold engine rescan and the trajectory this
-replaces are kept as oracles in the test suite, which pins the cells
-and crossings to them.
+correlator), each detector still sees every frame of its subtypes in
+order, and the correlator opens its first alert at the first event
+where any subject's running score reaches the threshold — the totals
+here are the same float additions (``0.0 + s1 + s2 + ...``, stream
+order) it performs.  The per-threshold engine rescan, the trajectory
+this replaces, and an unrouted bank whose detectors each decode every
+frame themselves are kept as oracles in the test suite, which pins the
+cells and crossings to them.
 
 The scored decision per world:
 
@@ -51,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.dot11.capture import FrameCapture
 from repro.obs.metrics import CounterMetric, MetricsRegistry, TimerMetric
 from repro.obs.runtime import instruments
-from repro.wids.detectors import DETECTORS
+from repro.wids.detectors import DETECTORS, DetectorBank
 
 __all__ = [
     "GroundTruth",
@@ -109,18 +111,19 @@ def evaluate_with_crossings(
 
     crossings: Dict[str, Dict[float, Optional[float]]] = {
         name: dict.fromkeys(cls.SWEEP) for name, cls in DETECTORS.items()}
-    # Per detector: instance, per-subject running totals, its crossing
-    # row, and the thresholds not yet crossed, ascending.
-    scans = [(cls(), {}, crossings[name], sorted(set(cls.SWEEP)))
-             for name, cls in DETECTORS.items()]
+    bank = DetectorBank(cls() for cls in DETECTORS.values())
+    # Per detector: per-subject running totals, its crossing row, and
+    # the thresholds not yet crossed, ascending.
+    scans = {detector: ({}, crossings[detector.name],
+                        sorted(set(detector.SWEEP)))
+             for detector in bank.detectors}
     for cap in list(capture.frames):
-        t = cap.time
-        for detector, totals, crossed, pending in scans:
-            for detection in detector.observe(cap):
-                cum = totals.get(detection.subject, 0.0) + detection.score
-                totals[detection.subject] = cum
-                while pending and pending[0] <= cum:
-                    crossed[pending.pop(0)] = t
+        for detector, detection in bank.observe(cap):
+            totals, crossed, pending = scans[detector]
+            cum = totals.get(detection.subject, 0.0) + detection.score
+            totals[detection.subject] = cum
+            while pending and pending[0] <= cum:
+                crossed[pending.pop(0)] = cap.time
 
     for name, cls in DETECTORS.items():
         for threshold in cls.SWEEP:

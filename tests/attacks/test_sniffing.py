@@ -64,7 +64,7 @@ def test_airsnort_recovers_wep_key(sniffed_world):
     Airsnort' — end-to-end over the air, from the captured weak-IV
     frames to the verified root key."""
     scenario, sniffer, victim = sniffed_world
-    attack = AirsnortAttack(sniffer, key_length=5)
+    attack = AirsnortAttack(sniffer)
     fed = attack.ingest()
     assert fed > 1000
     cracked = attack.crack()
@@ -96,3 +96,54 @@ def test_spoof_mac_changes_identity():
     original = spoof_mac(attacker.wlan, target_mac)
     assert attacker.wlan.mac == target_mac
     assert original != target_mac
+
+
+def test_airsnort_ingest_rounds_equal_one_final_ingest(monkeypatch):
+    """Ingesting a growing capture round by round feeds the same vote
+    samples as one ingest at the end, and parses each frame once."""
+    from repro.attacks import sniffer as sniffer_mod
+    from repro.crypto.fms import weak_iv_for
+    from repro.crypto.wep import wep_encrypt
+    from repro.dot11.capture import CapturedFrame
+    from repro.dot11.frames import make_beacon, make_data
+    from repro.dot11.mac import MacAddress
+    from repro.radio.medium import Medium
+    from repro.sim.kernel import Simulator
+
+    ap = MacAddress("aa:bb:cc:dd:00:01")
+    sta = MacAddress("00:02:2d:00:00:07")
+    key = WepKey(b"\x01\x02\x03\x04\x05")
+    sim = Simulator(seed=3)
+    sniffer = MonitorSniffer(sim, Medium(sim), Position(0.0, 0.0))
+    stepwise, final = AirsnortAttack(sniffer), AirsnortAttack(sniffer)
+
+    parsed = []
+    real_iv_of = sniffer_mod.wep_iv_of
+
+    def counting_iv_of(body):
+        parsed.append(body)
+        return real_iv_of(body)
+
+    monkeypatch.setattr(sniffer_mod, "wep_iv_of", counting_iv_of)
+    n = 0
+    for _round in range(6):
+        for _ in range(40):
+            iv = weak_iv_for(n % 5, n // 5 % 256)
+            body = wep_encrypt(key, iv, b"\xaa\xaa\x03\x00\x00\x00\x08\x00x")
+            for frame in (make_data(sta, ap, ap, body, to_ds=True,
+                                    protected=True, seq=n),
+                          make_data(sta, ap, ap, b"\x00", to_ds=True,
+                                    protected=True, seq=n),  # truncated
+                          make_beacon(ap, "CORP", 1, seq=n)):
+                sniffer.capture.add(CapturedFrame(
+                    time=n * 0.01, channel=1, rssi_dbm=-50.0, frame=frame))
+            n += 1
+        assert stepwise.ingest() == 40
+    assert stepwise.ingest() == 0
+    protected = 2 * n
+    assert len(parsed) == protected
+
+    assert final.ingest() == n
+    assert final.fms._buckets == stepwise.fms._buckets
+    assert (final.fms.samples_seen, final.fms.weak_samples) == \
+        (stepwise.fms.samples_seen, stepwise.fms.weak_samples) == (n, n)

@@ -14,6 +14,7 @@ from repro.wids.detectors import (DETECTORS, BeaconFingerprintDetector,
                                   Detector, MultiChannelSsidDetector,
                                   SeqCtlAnomalyDetector, SeqCtlMonitor,
                                   register)
+from tests.wids.oracles import own_beacon
 
 AP = MacAddress("aa:bb:cc:dd:00:01")
 STA = MacAddress("00:02:2d:00:00:07")
@@ -26,7 +27,9 @@ def _cap(frame, t=0.0, ch=1):
 def _detections(detector, caps):
     out = []
     for cap in caps:
-        out.extend(detector.observe(cap))
+        detection = detector.observe(cap, own_beacon(cap))
+        if detection is not None:
+            out.append(detection)
     return out
 
 

@@ -26,6 +26,7 @@ from repro.wids.engine import WidsEngine
 from repro.wids.evaluation import (GroundTruth, Scorecard, ScoreRow,
                                    _thr_token, _thr_value, evaluate,
                                    evaluate_with_crossings)
+from tests.wids.oracles import own_beacon
 
 AP = MacAddress("aa:bb:cc:dd:00:01")
 
@@ -92,10 +93,12 @@ def score_trajectory(
     totals: Dict[str, float] = {}
     for cap in list(capture.frames):
         t = cap.time
-        for detection in detector.observe(cap):
-            cum = totals.get(detection.subject, 0.0) + detection.score
-            totals[detection.subject] = cum
-            events.append((t, detection.subject, cum))
+        detection = detector.observe(cap, own_beacon(cap))
+        if detection is None:
+            continue
+        cum = totals.get(detection.subject, 0.0) + detection.score
+        totals[detection.subject] = cum
+        events.append((t, detection.subject, cum))
     return events
 
 
