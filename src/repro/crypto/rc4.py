@@ -9,9 +9,17 @@ algorithm (KSA) state evolution, because the FMS attack
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.obs.runtime import instruments
 
-__all__ = ["RC4", "rc4_keystream", "ksa"]
+__all__ = ["RC4", "rc4_keystream", "rc4_xor", "ksa"]
+
+#: Keystreams kept by :func:`_keystream`.  A WEP frame is encrypted once
+#: and decrypted by each receiver that holds the key (the AP, the rogue,
+#: a keyed sniffer), and an ESP datagram is sealed once and opened once,
+#: always with the same per-packet key and length.
+KEYSTREAM_CACHE_SIZE = 512
 
 
 def ksa(key: bytes) -> list[int]:
@@ -92,3 +100,29 @@ class RC4:
 def rc4_keystream(key: bytes, n: int) -> bytes:
     """First ``n`` keystream bytes for ``key`` (one-shot helper)."""
     return RC4(key).keystream(n)
+
+
+# WEP and ESP restart RC4 for every packet, so a packet's keystream
+# depends only on ``(per-packet key, length)`` and is computed once per
+# distinct pair in the cache below.  Integrity checks stay outside it,
+# and ``lru_cache`` never stores an exception: a bad key or a tampered
+# packet fails on every call.
+
+@lru_cache(maxsize=KEYSTREAM_CACHE_SIZE)
+def _keystream(per_packet_key: bytes, n: int) -> int:
+    """The first ``n`` RC4 keystream bytes of ``per_packet_key``, as a
+    big-endian integer."""
+    return int.from_bytes(RC4(per_packet_key).keystream(n), "big")
+
+
+def rc4_xor(per_packet_key: bytes, data: bytes) -> bytes:
+    """``data`` XOR the first ``len(data)`` keystream bytes of a fresh
+    RC4 keyed with ``per_packet_key`` (encrypt == decrypt)."""
+    n = len(data)
+    prof = instruments().profiler
+    if prof is None:
+        stream = _keystream(per_packet_key, n)
+    else:
+        with prof.span("crypto.rc4"):
+            stream = _keystream(per_packet_key, n)
+    return (int.from_bytes(data, "big") ^ stream).to_bytes(n, "big")

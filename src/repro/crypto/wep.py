@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 
-from repro.crypto.rc4 import RC4
-from repro.obs.runtime import instruments
+from repro.crypto.rc4 import rc4_xor
 from repro.sim.errors import IntegrityError
 
 __all__ = ["WepError", "WepKey", "IvGenerator", "wep_encrypt", "wep_decrypt"]
@@ -35,11 +33,6 @@ __all__ = ["WepError", "WepKey", "IvGenerator", "wep_encrypt", "wep_decrypt"]
 IV_LEN = 3
 ICV_LEN = 4
 HEADER_LEN = IV_LEN + 1  # IV + KeyID byte
-
-#: Per-packet keystreams kept by :func:`_keystream`.  A frame is
-#: encrypted once and decrypted by each receiver that holds the key (the
-#: AP, the rogue, a keyed sniffer), always with the same IV and length.
-KEYSTREAM_CACHE_SIZE = 512
 
 
 class WepError(IntegrityError):
@@ -107,38 +100,13 @@ class IvGenerator:
         return bytes(((iv >> 16) & 0xFF, (iv >> 8) & 0xFF, iv & 0xFF))
 
 
-# WEP restarts RC4 for every frame, so a frame's keystream depends only
-# on ``(IV || root key, length)`` and is computed once per distinct pair
-# in the cache below.  The ICV check stays outside it, and
-# ``lru_cache`` never stores an exception: a bad key or a tampered frame
-# raises on every call.
-
-@lru_cache(maxsize=KEYSTREAM_CACHE_SIZE)
-def _keystream(per_packet_key: bytes, n: int) -> int:
-    """The first ``n`` RC4 keystream bytes of ``per_packet_key``, as a
-    big-endian integer."""
-    return int.from_bytes(RC4(per_packet_key).keystream(n), "big")
-
-
-def _rc4_xor(per_packet_key: bytes, data: bytes) -> bytes:
-    """``data`` XOR the per-packet keystream (encrypt == decrypt)."""
-    n = len(data)
-    prof = instruments().profiler
-    if prof is None:
-        stream = _keystream(per_packet_key, n)
-    else:
-        with prof.span("crypto.rc4"):
-            stream = _keystream(per_packet_key, n)
-    return (int.from_bytes(data, "big") ^ stream).to_bytes(n, "big")
-
-
 def wep_encrypt(key: WepKey, iv: bytes, plaintext: bytes, key_id: int = 0) -> bytes:
     """Encrypt a frame body: returns ``IV | KeyID | RC4(plaintext | ICV)``."""
     if not 0 <= key_id <= 3:
         raise ValueError("WEP KeyID is 2 bits")
     icv = zlib.crc32(plaintext).to_bytes(4, "little")
-    return iv + bytes([key_id << 6]) + _rc4_xor(key.per_packet_key(iv),
-                                                plaintext + icv)
+    return iv + bytes([key_id << 6]) + rc4_xor(key.per_packet_key(iv),
+                                               plaintext + icv)
 
 
 def wep_decrypt(key: WepKey, body: bytes) -> bytes:
@@ -151,7 +119,7 @@ def wep_decrypt(key: WepKey, body: bytes) -> bytes:
     """
     if len(body) < HEADER_LEN + ICV_LEN:
         raise WepError("WEP body too short")
-    decrypted = _rc4_xor(key.per_packet_key(body[:IV_LEN]), body[HEADER_LEN:])
+    decrypted = rc4_xor(key.per_packet_key(body[:IV_LEN]), body[HEADER_LEN:])
     plaintext, icv = decrypted[:-ICV_LEN], decrypted[-ICV_LEN:]
     if zlib.crc32(plaintext).to_bytes(4, "little") != icv:
         raise WepError("WEP ICV check failed (wrong key or tampered frame)")

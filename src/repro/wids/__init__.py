@@ -15,8 +15,9 @@ the ambient :func:`wids_watch` context observes every medium without
 placing a radio in the world at all (zero-perturbation).
 
 One :class:`~repro.wids.correlate.AlertCorrelator` per engine turns
-evidence into alerts, and evaluation scans each capture once and
-records every threshold's first crossing on the way.
+evidence into alerts, and one :class:`~repro.wids.engine.CrossingMap`
+per engine records every threshold's first crossing; evaluation reads
+the live engine's map, or scans a capture no live engine saw whole.
 
 This package deliberately does **not** import
 :mod:`repro.wids.experiment` here, so importing ``repro.wids`` never

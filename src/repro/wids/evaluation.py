@@ -2,24 +2,32 @@
 
 Ground truth comes from the scenario itself — we *built* the world, so
 we know whether a rogue is present and when the attack started.
-:func:`evaluate` scans a finished capture **once**, through the same
-:class:`~repro.wids.detectors.DetectorBank` the live engine uses: each
-frame goes only to the registered detectors whose ``SUBTYPES`` name its
-subtype, in registry order, and a beacon is decoded once for all of
-them (a fresh beacon with IEs seen before skips the IE decode through
-the content cache behind ``parse_beacon``).
-Per detector it keeps each subject's running evidence total and, for
-every ``SWEEP`` threshold, the time of the first event whose total
-reaches it; no event list is stored.  This is sound because detector
-``observe()`` is threshold-independent (thresholds only gate the
-correlator), each detector still sees every frame of its subtypes in
-order, and the correlator opens its first alert at the first event
-where any subject's running score reaches the threshold — the totals
-here are the same float additions (``0.0 + s1 + s2 + ...``, stream
-order) it performs.  The per-threshold engine rescan, the trajectory
-this replaces, and an unrouted bank whose detectors each decode every
-frame themselves are kept as oracles in the test suite, which pins the
-cells and crossings to them.
+:func:`evaluate` needs, per detector, the time each ``SWEEP``
+threshold is first crossed: a :class:`~repro.wids.engine.CrossingMap`
+folded over the capture's detection stream.  It takes that map from
+wherever the stream has already been folded once:
+
+* **From the live engine.** A :class:`~repro.wids.engine.WidsEngine`
+  built on the registry's detectors, attached while the capture was
+  empty and still attached, has folded every detection of every frame
+  the capture holds (:func:`~repro.wids.engine.live_crossings` checks
+  its frame count and last frame); its map is copied and no frame is
+  scanned again.
+* **Otherwise from one scan** of the finished capture, through a fresh
+  :class:`~repro.wids.detectors.DetectorBank` of the registered
+  detectors: each frame goes only to the detectors whose ``SUBTYPES``
+  name its subtype, in registry order, and a beacon is decoded once
+  for all of them.
+
+Both give the same map.  Detector ``observe()`` is threshold-independent
+(thresholds only gate the correlator), a fresh detector and the live
+engine's see the same frames in the same order, and the correlator
+opens its first alert at the first event where any subject's running
+score reaches the threshold — the map's totals are the same float
+additions it performs.  The per-threshold engine rescan, the
+trajectory the map replaces, and an unrouted bank whose detectors each
+decode every frame themselves are kept as oracles in the test suite,
+which pins the cells and crossings to them, on both paths.
 
 The scored decision per world:
 
@@ -54,6 +62,7 @@ from repro.dot11.capture import FrameCapture
 from repro.obs.metrics import CounterMetric, MetricsRegistry, TimerMetric
 from repro.obs.runtime import instruments
 from repro.wids.detectors import DETECTORS, DetectorBank
+from repro.wids.engine import CrossingMap, Crossings, live_crossings
 
 __all__ = [
     "GroundTruth",
@@ -82,19 +91,29 @@ def _thr_value(token: str) -> float:
     return float(token[3:].replace("_", "."))
 
 
+def _scan(capture: FrameCapture) -> Crossings:
+    """The crossing map of one scan of ``capture`` by fresh detectors."""
+    bank = DetectorBank(cls() for cls in DETECTORS.values())
+    crossings = CrossingMap(bank.detectors)
+    for cap in list(capture.frames):
+        for detector, detection in bank.observe(cap):
+            crossings.fold(detector, detection, cap.time)
+    return crossings.crossings
+
+
 def evaluate_with_crossings(
     capture: FrameCapture,
     truth: GroundTruth,
     *,
     registry: Optional[MetricsRegistry] = None,
-) -> Tuple[MetricsRegistry, Dict[str, Dict[float, Optional[float]]]]:
+) -> Tuple[MetricsRegistry, Crossings]:
     """:func:`evaluate` that also returns the crossing map.
 
     The second return value maps ``detector -> {threshold: t}`` with the
     sim time a correlator at that threshold would open its first alert
-    (``None`` = never) — every ``SWEEP`` point of every detector, from
-    the same one scan that produced the cells, so any operating point
-    can be scored offline from this map without re-running the world.
+    (``None`` = never) — every ``SWEEP`` point of every detector, the
+    same map that produced the cells, so any operating point can be
+    scored offline from it without re-running the world.
     """
     local = registry if registry is not None else MetricsRegistry()
     ambient = instruments().metrics
@@ -109,21 +128,9 @@ def evaluate_with_crossings(
         if ambient is not None and ambient is not local:
             ambient.add_time(name, seconds)
 
-    crossings: Dict[str, Dict[float, Optional[float]]] = {
-        name: dict.fromkeys(cls.SWEEP) for name, cls in DETECTORS.items()}
-    bank = DetectorBank(cls() for cls in DETECTORS.values())
-    # Per detector: per-subject running totals, its crossing row, and
-    # the thresholds not yet crossed, ascending.
-    scans = {detector: ({}, crossings[detector.name],
-                        sorted(set(detector.SWEEP)))
-             for detector in bank.detectors}
-    for cap in list(capture.frames):
-        for detector, detection in bank.observe(cap):
-            totals, crossed, pending = scans[detector]
-            cum = totals.get(detection.subject, 0.0) + detection.score
-            totals[detection.subject] = cum
-            while pending and pending[0] <= cum:
-                crossed[pending.pop(0)] = cap.time
+    crossings = live_crossings(capture)
+    if crossings is None:
+        crossings = _scan(capture)
 
     for name, cls in DETECTORS.items():
         for threshold in cls.SWEEP:
@@ -149,9 +156,9 @@ def evaluate(
 ) -> MetricsRegistry:
     """Score every registered detector over one world's capture.
 
-    One scan of the capture feeds every detector; every threshold cell
-    of each ``SWEEP`` ladder comes from the first crossings recorded on
-    the way.
+    Every threshold cell of each ``SWEEP`` ladder comes from the first
+    crossings of one fold over the capture's detection stream: the live
+    engine's, when one saw the whole capture, else one scan.
 
     Writes ``wids.eval.*`` into ``registry`` (a fresh one when omitted)
     **and** into the ambient ``instruments().metrics`` registry when one is

@@ -9,6 +9,8 @@ known answers. They are written for clarity, not speed.
 ``wep_encrypt``/``wep_decrypt`` are the uncached WEP path: a fresh
 ``RC4(IV || root key)`` per frame, XORed byte by byte. The program takes
 the per-packet keystream from a cache and XORs it as one integer.
+``esp_seal`` is the uncached ESP path, the same way: a fresh
+``RC4(key || seq)`` per datagram and the RFC 2104 HMAC above.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Callable
 from repro.crypto.rc4 import RC4
 from repro.crypto.wep import HEADER_LEN, ICV_LEN, IV_LEN, WepError, WepKey
 
-__all__ = ["CRC32_TABLE", "MD5", "SHA1", "crc32", "hmac", "md5", "sha1",
-           "wep_decrypt", "wep_encrypt"]
+__all__ = ["CRC32_TABLE", "MD5", "SHA1", "crc32", "esp_seal", "hmac", "md5",
+           "sha1", "wep_decrypt", "wep_encrypt"]
 
 _MASK = 0xFFFFFFFF
 
@@ -206,3 +208,11 @@ def wep_decrypt(key: WepKey, body: bytes) -> bytes:
     if crc32(plaintext).to_bytes(4, "little") != icv:
         raise WepError("WEP ICV check failed")
     return plaintext
+
+
+def esp_seal(enc_key: bytes, mac_key: bytes, seq: int, inner: bytes) -> bytes:
+    """``seq(4) | RC4(enc_key || seq)(inner) | HMAC-SHA1-96``, uncached."""
+    seq_bytes = struct.pack(">I", seq)
+    ciphertext = RC4(enc_key + seq_bytes).crypt(inner)
+    return seq_bytes + ciphertext + hmac(mac_key, seq_bytes + ciphertext,
+                                         SHA1)[:12]

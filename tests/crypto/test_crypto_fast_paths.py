@@ -1,10 +1,12 @@
 """The two exact crypto fast paths against their oracles.
 
-* WEP takes each frame's keystream from ``_keystream``, a bounded cache
-  keyed on ``(IV || root key, length)``, and XORs it as one integer.
-  The oracle is the uncached path in ``tests/crypto/oracles.py``: a
-  fresh ``RC4(IV || root key)`` per frame.  The ICV check stays outside
-  the cache, so a wrong key or a tampered frame raises every time.
+* WEP and ESP take each packet's keystream from ``rc4._keystream``, a
+  bounded cache keyed on ``(per-packet key, length)``, and XOR it as
+  one integer.  The oracles are the uncached paths in
+  ``tests/crypto/oracles.py``: a fresh ``RC4(IV || root key)`` per WEP
+  frame and a fresh ``RC4(key || seq)`` per ESP datagram.  The ICV and
+  MAC checks stay outside the cache, so a wrong key or a tampered
+  packet fails every time.
 * ``DhGroup.pow_g`` computes ``g^x mod p`` with a fixed-base comb.  The
   oracle is builtin ``pow(g, x, p)``.
 
@@ -18,9 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import wep
+from repro.crypto import rc4
 from repro.crypto.dh import COMB_ROWS, DH_GROUP_1536, DH_GROUP_TOY, DiffieHellman
 from repro.crypto.wep import WepError, WepKey, wep_decrypt, wep_encrypt
+from repro.defense.ipsec import esp_open, esp_seal
 from repro.sim.rng import SimRandom
 from tests.crypto import oracles
 
@@ -78,8 +81,36 @@ def test_flipped_byte_raises_on_every_repeat(offset):
 
 
 def test_keystream_cache_is_bounded():
-    maxsize = wep._keystream.cache_info().maxsize
+    maxsize = rc4._keystream.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 4096
+
+
+# ----------------------------------------------------------------------
+# ESP on the same keystream cache
+# ----------------------------------------------------------------------
+
+@SETTINGS
+@given(enc_key=st.binary(min_size=1, max_size=32),
+       mac_key=st.binary(max_size=80),
+       seq=st.integers(0, 2**32 - 1),
+       inner=st.binary(max_size=1600))
+def test_esp_matches_the_uncached_oracle(enc_key, mac_key, seq, inner):
+    datagram = esp_seal(enc_key, mac_key, seq, inner)
+    assert datagram == oracles.esp_seal(enc_key, mac_key, seq, inner)
+    # Sealed once, opened by the peer: the open hits the cache.
+    assert esp_open(enc_key, mac_key, datagram) == (seq, inner)
+    assert esp_open(enc_key, mac_key, datagram) == (seq, inner)
+
+
+def test_esp_tampered_or_wrong_key_fails_on_every_repeat():
+    datagram = esp_seal(b"enc-key", b"mac-key", 7, b"inner packet")
+    tampered = bytearray(datagram)
+    tampered[5] ^= 0x01
+    for _ in range(3):
+        assert esp_open(b"enc-key", b"mac-key", bytes(tampered)) is None
+        assert esp_open(b"enc-key", b"wrong", datagram) is None
+    assert esp_open(b"other", b"mac-key", datagram) == \
+        (7, rc4.RC4(b"other" + datagram[:4]).crypt(datagram[4:-12]))
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,10 @@
 ``DetectorBank`` sends each frame only to the detectors whose
 ``SUBTYPES`` name its subtype and decodes a beacon once for all of
 them.  The oracle feeds every detector every frame, each with its own
-uncached decode.  The live engine and the single-scan evaluation both
-run on the bank, so both must match the oracle: the same alerts, the
-same cells, the same crossing map.
+uncached decode.  The live engine and the evaluation's scan both run
+on the bank, so both must match the oracle: the same alerts, the same
+cells, the same crossing map.  An evaluation of a capture that a live
+engine watched whole reads that engine's map and decodes nothing.
 """
 
 from typing import ClassVar, List, Optional
@@ -124,8 +125,7 @@ def test_narrow_subtypes_route_only_those_frames(ewids_worlds, monkeypatch):
     assert _DeauthOnlySpy.seen == [FrameSubtype.DEAUTH] * deauths
 
 
-def test_one_scan_decodes_each_beacon_once(ewids_worlds, monkeypatch):
-    capture, truth, _alerts = ewids_worlds[0]  # the naive rogue world
+def _count_beacon_decodes(monkeypatch) -> List[Dot11Frame]:
     decoded: List[Dot11Frame] = []
     real = Dot11Frame.parse_beacon
 
@@ -134,15 +134,38 @@ def test_one_scan_decodes_each_beacon_once(ewids_worlds, monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Dot11Frame, "parse_beacon", counting)
+    return decoded
+
+
+def test_one_scan_decodes_each_beacon_once(ewids_worlds, monkeypatch):
+    """Scanned without a live engine, every beacon is decoded once."""
+    capture, truth, _alerts = ewids_worlds[0]  # the naive rogue world
+    unwatched = FrameCapture()
+    for cap in capture.frames:
+        unwatched.add(cap)
+    decoded = _count_beacon_decodes(monkeypatch)
     beacons = [cap.frame for cap in capture.frames
                if cap.frame.subtype in _BEACONS]
     assert beacons
 
-    WidsEngine().scan(capture)
+    WidsEngine().scan(unwatched)
     assert decoded == beacons
     decoded.clear()
-    evaluate_with_crossings(capture, truth)
+    evaluate_with_crossings(unwatched, truth)
     assert decoded == beacons
+
+
+def test_live_engine_capture_evaluates_without_decoding(ewids_worlds,
+                                                        monkeypatch):
+    """The world's live engine already folded every beacon: evaluating
+    its capture decodes none, and scores what the scan scores."""
+    capture, truth, _alerts = ewids_worlds[0]
+    decoded = _count_beacon_decodes(monkeypatch)
+    registry, crossings = evaluate_with_crossings(capture, truth)
+    assert decoded == []
+    oracle_registry, oracle_crossings = oracle_evaluate(capture, truth)
+    assert crossings == oracle_crossings
+    assert registry.snapshot() == oracle_registry.snapshot()
 
 
 def test_undecodable_beacon_reaches_detectors_as_none():
