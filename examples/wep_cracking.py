@@ -9,8 +9,8 @@ key via Airsnort" in one script.
 
 (Time compression: the victim's IV counter is steered through the
 weak-IV classes so the demo collects in seconds what a real sequential
-card spreads over ~10M frames; E-FMS in benchmarks/ quantifies that
-economics honestly.)
+card spreads over ~10M frames; ``python -m repro run E-FMS`` quantifies
+that economics honestly.)
 
 Run:  python examples/wep_cracking.py
 """

@@ -4,8 +4,8 @@ A from-scratch Python implementation of everything the paper builds on
 and demonstrates: an 802.11b simulator (radio medium, MAC frames, WEP),
 a TCP/IP stack with Netfilter, the rogue-AP / parprouted / netsed
 man-in-the-middle of §4, the link-layer defenses §2 finds insufficient,
-and the PPP-over-SSH VPN solution of §5 — plus the benchmark harness
-that regenerates each figure and falsifiable claim.
+and the PPP-over-SSH VPN solution of §5 — plus the experiment registry
+that regenerates each figure and checks its falsifiable claims.
 
 Quick start::
 
@@ -18,8 +18,8 @@ Quick start::
     outcome = scenario.run_download_experiment(victim)
     print(outcome.compromised)                   # True: MD5 passed on a trojan
 
-See ``examples/`` for runnable walk-throughs and ``benchmarks/`` for
-the per-figure reproduction harness.
+See ``examples/`` for runnable walk-throughs and ``python -m repro run
+all`` for every figure's reproduction, checked against its claims.
 """
 
 from repro.core.scenario import (

@@ -44,6 +44,7 @@ import time
 from contextlib import ExitStack, contextmanager
 from typing import Iterator
 
+from repro.core.claims import claim_count
 from repro.core.registry import (EXPERIMENTS, SeededExperiment,
                                  get_experiment, render_result,
                                  spec_accepts_seed)
@@ -84,9 +85,9 @@ def _jsonable(value):
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    rows = [[s.exp_id, s.title, s.paper_anchor, s.bench_target]
+    rows = [[s.exp_id, s.title, s.paper_anchor, claim_count(s.claims)]
             for s in EXPERIMENTS]
-    print(format_table(["id", "title", "paper", "bench target"], rows,
+    print(format_table(["id", "title", "paper", "claims"], rows,
                        title="Experiments (see DESIGN.md §4)"))
     return 0
 
@@ -107,9 +108,11 @@ def cmd_run(args: argparse.Namespace) -> int:
       linked to the lineage ``trace_id``\\ s of its frames, and the
       detector scorecard when the run recorded ``wids.eval.*`` metrics.
 
-    ``--json`` writes every requested section; with ``all`` it writes
-    one such record per experiment under ``runs``.
-    ``--markdown`` writes the rendered tables as a report.
+    Every run prints the experiment's claims and exits 1 when one of
+    them fails.  ``--json`` writes the claims and every requested
+    section; with ``all`` it writes one such record per experiment
+    under ``runs``.  ``--markdown`` writes the rendered tables and the
+    claims as a report.
     """
     trace = (args.trace or args.pcap_path or args.chrome_path
              or args.follow is not None)
@@ -146,8 +149,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         rendered = render_result(result)
         print(rendered)
         print(f"[{spec.exp_id} completed in {elapsed:.1f}s]")
+        claims = spec.claims(result)
+        held = sum(c.ok for c in claims)
+        claim_lines = [f"[{'ok' if c.ok else 'FAIL'}] {c.name} — {c.detail}"
+                       for c in claims]
+        print(f"\nclaims: {held}/{len(claims)} hold")
+        for line in claim_lines:
+            print(f"  {line}")
+        if held < len(claims):
+            status = max(status, 1)
         record = {"experiment": spec.exp_id, "title": spec.title,
-                  "elapsed_s": elapsed}
+                  "elapsed_s": elapsed,
+                  "claims": [c._asdict() for c in claims]}
         if args.profile:
             print(f"\nprofiling {spec.exp_id}: self time by category, "
                   f"then the metrics registry")
@@ -163,9 +176,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             record.update(_wids_section(spec, watch, col))
         runs.append(record)
         markdown += [f"## {spec.exp_id} — {spec.title}", "",
-                     f"Paper anchor: {spec.paper_anchor}; bench: "
-                     f"`{spec.bench_target}`; runtime {elapsed:.1f}s.", "",
-                     "```", rendered, "```", ""]
+                     f"Paper anchor: {spec.paper_anchor}; runtime "
+                     f"{elapsed:.1f}s; claims {held}/{len(claims)} hold.",
+                     "", "```", rendered, "```", "",
+                     *(f"- {line}" for line in claim_lines), ""]
     if args.json_path:
         payload = {"runs": runs} if run_all else runs[0]
         status = max(status, _write_json(args.json_path, payload))

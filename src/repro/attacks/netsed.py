@@ -13,7 +13,7 @@ to the real destination, and rewrites matches in the relayed stream.
 Faithfully reproduced limitation (§4.2): "netsed will not match
 strings that cross packet boundaries."  The proxy applies its rules
 *per received segment*, so a pattern split across two TCP segments
-survives — measured by the E-NETSED benchmark.  The "could easily be
+survives — measured by the E-NETSED experiment.  The "could easily be
 addressed" fix the paper mentions is :class:`StreamingRewriter`, which
 withholds a pattern-length tail between chunks.
 """

@@ -23,9 +23,6 @@ package turns those claims into a *trajectory*:
   encode-cache hit rate, fleet scaling, WIDS evaluation throughput,
   flight-recorder overhead ratio, and the sim/crypto/netstack hot
   loops under them.
-* :mod:`repro.bench.records` — the structured-record sink the pytest
-  benchmarks under ``benchmarks/`` emit their tables through (instead
-  of ad-hoc prints), dumpable as JSON via ``--bench-records``.
 
 The committed ``BENCH_<area>.json`` files at the repo root are the
 baselines; ``python -m repro bench --check`` diffs a fresh run against
@@ -35,7 +32,6 @@ tolerance.  Re-baseline intentionally with
 """
 
 from repro.bench.diff import DiffReport, MetricDelta, diff_baselines
-from repro.bench.records import clear_records, emit_record, emit_table, records
 from repro.bench.registry import (BenchSample, BenchSpec, all_specs, areas,
                                   get_area, register)
 from repro.bench.runner import (baseline_path, capture_environment,
@@ -51,13 +47,9 @@ __all__ = [
     "areas",
     "baseline_path",
     "capture_environment",
-    "clear_records",
     "diff_baselines",
-    "emit_record",
-    "emit_table",
     "get_area",
     "load_baselines",
-    "records",
     "register",
     "run_spec",
     "run_suite",

@@ -11,8 +11,8 @@ content:
 * :mod:`repro.core.threatmodel` — the §1–§3 threat taxonomy with
   wired/wireless applicability.
 * :mod:`repro.core.experiments` / :mod:`repro.core.registry` — one
-  runner per table or figure, registered under its experiment id for
-  the CLI and the benchmark harness.
+  runner per table or figure, registered under its experiment id with
+  its claims (:mod:`repro.core.claims`) for the CLI and the tests.
 * :mod:`repro.core.campaign` — multi-seed trial runner.
 * :mod:`repro.core.report` — table rendering.
 """

@@ -1,9 +1,9 @@
 """Experiment runners: one function per table/figure of the reproduction.
 
 Each function builds fresh worlds from seeds, measures, and returns a
-plain dict of rows; ``benchmarks/`` wraps them in pytest-benchmark
-targets and asserts the expected *shape* (who wins, by what rough
-factor).  EXPERIMENTS.md records a reference run.
+plain dict of rows; :mod:`repro.core.claims` checks the expected
+*shape* of each (who wins, by what rough factor).  EXPERIMENTS.md
+records a reference run.
 
 The experiment ids (FIG1..E-8021X) are indexed in DESIGN.md §4.
 """

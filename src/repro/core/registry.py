@@ -10,6 +10,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core import claims as C
 from repro.core import experiments as E
 from repro.core.report import format_table
 from repro.rsn import experiment as R
@@ -27,72 +28,73 @@ class ExperimentSpec:
     title: str
     paper_anchor: str
     runner: Callable[..., dict]
-    bench_target: str
+    #: The paper's shapes as pass/fail checks on ``runner``'s result.
+    claims: Callable[[dict], list[C.Claim]]
 
 
 EXPERIMENTS: list[ExperimentSpec] = [
     ExperimentSpec("FIG1", "Rogue-AP configuration captures clients",
                    "Fig. 1, §4.1", E.fig1_mitm_configuration,
-                   "benchmarks/test_fig1_mitm_configuration.py"),
+                   C.fig1),
     ExperimentSpec("FIG2", "Software-download MITM detail",
                    "Fig. 2, §4.1–4.2", E.fig2_download_mitm,
-                   "benchmarks/test_fig2_download_mitm.py"),
+                   C.fig2),
     ExperimentSpec("FIG3", "VPN proxy through the compromised WLAN",
                    "Fig. 3, §5", E.fig3_vpn_proxy,
-                   "benchmarks/test_fig3_vpn_proxy.py"),
+                   C.fig3),
     ExperimentSpec("E-WEP", "WEP provides no protection here",
                    "§2.1", E.exp_wep_no_protection,
-                   "benchmarks/test_wep_no_protection.py"),
+                   C.wep_no_protection),
     ExperimentSpec("E-MAC", "MAC filtering vs sniff-and-spoof",
                    "§2.1", E.exp_mac_filtering,
-                   "benchmarks/test_mac_filtering.py"),
+                   C.mac_filtering),
     ExperimentSpec("E-FMS", "Airsnort key-recovery economics",
                    "§4, refs [3][11]", E.exp_airsnort_curve,
-                   "benchmarks/test_airsnort_key_recovery.py"),
+                   C.airsnort_curve),
     ExperimentSpec("E-DEAUTH", "Deauth forcing onto the rogue",
                    "§4", E.exp_deauth_capture,
-                   "benchmarks/test_deauth_capture.py"),
+                   C.deauth_capture),
     ExperimentSpec("E-NETSED", "netsed's packet-boundary limitation",
                    "§4.2", E.exp_netsed_boundaries,
-                   "benchmarks/test_netsed_boundaries.py"),
+                   C.netsed_boundaries),
     ExperimentSpec("E-WIRED", "Wired vs wireless prerequisites",
                    "§1.1–1.2, §3", E.exp_wired_vs_wireless,
-                   "benchmarks/test_wired_vs_wireless.py"),
+                   C.wired_vs_wireless),
     ExperimentSpec("E-VPNOH", "UDP over the TCP tunnel (§5.3 drawback)",
                    "§5.3", E.exp_vpn_overhead,
-                   "benchmarks/test_vpn_overhead.py"),
+                   C.vpn_overhead),
     ExperimentSpec("E-DETECT", "Sequence-control rogue detection",
                    "§2.3, ref [15]", E.exp_rogue_detection,
-                   "benchmarks/test_rogue_detection.py"),
+                   C.rogue_detection),
     ExperimentSpec("E-PROM", "Network promiscuity across domains",
                    "§3.2", E.exp_network_promiscuity,
-                   "benchmarks/test_network_promiscuity.py"),
+                   C.network_promiscuity),
     ExperimentSpec("E-CNN", "The trusted-website scenario",
                    "§5.1", E.exp_trusted_website,
-                   "benchmarks/test_trusted_website.py"),
+                   C.trusted_website),
     ExperimentSpec("E-8021X", "802.1X / WPA network-auth gap",
                    "§2.2, ref [9]", E.exp_dot1x_wpa_gap,
-                   "benchmarks/test_dot1x_wpa_gap.py"),
+                   C.dot1x_wpa_gap),
     # Extensions beyond the paper's own experiments (§6 future work, built):
     ExperimentSpec("X-PATH", "Victim-side first-hop rogue detection",
                    "extension (§6)", E.exp_first_hop_detection,
-                   "benchmarks/test_extensions.py"),
+                   C.first_hop_detection),
     ExperimentSpec("X-CONTAIN", "Active rogue containment",
                    "extension (§6)", E.exp_containment,
-                   "benchmarks/test_extensions.py"),
+                   C.containment),
     ExperimentSpec("E-WIDS", "Streaming WIDS detector evaluation",
                    "§2.3 + WIDS literature", W.exp_wids_eval,
-                   "benchmarks/test_wids_eval.py"),
+                   C.wids_eval),
     # Modern Wi-Fi scenario pack: the paper's rogue problem under RSN.
     ExperimentSpec("E-DOWNGRADE", "WPA3-transition downgrade coercion",
                    "§4 modernized (WPA3/RSN)", R.exp_downgrade,
-                   "benchmarks/test_rsn_scenarios.py"),
+                   C.downgrade),
     ExperimentSpec("E-CSA", "Channel-switch herding onto an evil twin",
                    "§4 modernized (802.11 CSA)", R.exp_csa_lure,
-                   "benchmarks/test_rsn_scenarios.py"),
+                   C.csa_lure),
     ExperimentSpec("E-PMF", "Deauth flood vs management-frame protection",
                    "§4 modernized (802.11w)", R.exp_pmf_flood,
-                   "benchmarks/test_rsn_scenarios.py"),
+                   C.pmf_flood),
 ]
 
 

@@ -1,8 +1,8 @@
 """Plain-text result tables.
 
-Every benchmark prints its reproduction of a paper figure/claim as an
-aligned table through this module, so ``pytest benchmarks/ -s`` output
-and EXPERIMENTS.md stay consistent.
+``python -m repro run`` prints every experiment's reproduction of a
+paper figure/claim as an aligned table through this module, so its
+output and EXPERIMENTS.md stay consistent.
 """
 
 from __future__ import annotations

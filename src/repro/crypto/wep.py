@@ -11,7 +11,7 @@ The paper (§2.1) notes WEP's weaknesses "have long been legendary" and
 that in the rogue-AP scenario it "provides no protection what so ever":
 the rogue either *is* a valid client that was given the key, or
 recovers it passively with the FMS attack (:mod:`repro.crypto.fms`).
-Both paths are exercised by the E-WEP benchmark.
+Both paths are exercised by the E-WEP experiment.
 
 Key-length note: the paper's example key is the ASCII string
 ``SECRET``.  Real 40-bit WEP keys are 5 ASCII characters and 104-bit

@@ -2,7 +2,7 @@
 
 Appendix A of the paper is a shell script; §4.1 prints literal
 ``iptables`` and ``netsed`` commands.  :class:`LinuxBox` lets scenario
-code (and the FIG2 benchmark) run those *same command strings* against
+code (and the FIG2 experiment) run those *same command strings* against
 a simulated host, so a reader can diff our setup against the paper's
 line by line::
 

@@ -10,8 +10,8 @@ encode is cached per variant key (``with_fcs`` True/False) and every
 later consumer gets the cached buffer back.
 
 Hit/miss counters land under ``codec.encode_cache.*`` when an
-observability context is installed — the wire-codec benchmark reports
-the hit rate from them.
+observability context is installed — the ``wire/encode_cache_hit_rate``
+bench metric reads the hit rate from them.
 
 Invalidation contract: the cache lives in a field excluded from
 ``dataclasses.replace`` (``init=False``), so every copy-on-write

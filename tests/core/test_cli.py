@@ -20,10 +20,11 @@ def test_registry_covers_design_index():
     assert ids == paper | extensions
 
 
-def test_registry_bench_targets_exist():
-    import os
+def test_registry_every_spec_has_claims():
+    from repro.core.claims import claim_count
+
     for spec in EXPERIMENTS:
-        assert os.path.exists(spec.bench_target), spec.bench_target
+        assert claim_count(spec.claims) > 0, spec.exp_id
 
 
 def test_get_experiment_case_insensitive():
@@ -250,13 +251,34 @@ def frameless_experiment(monkeypatch):
 
     spec = ExperimentSpec("STUB", "frameless", "-",
                           lambda: {"rows": [{"transmitted": False}]},
-                          "benchmarks/test_dot1x_wpa_gap.py")
+                          lambda result: [])
     monkeypatch.setattr(cli, "get_experiment", lambda exp_id: spec)
 
 
 def test_cli_trace_frameless_experiment(frameless_experiment, capsys):
     assert main(["run", "STUB", "--trace"]) == 0
     assert "no frames recorded" in capsys.readouterr().out
+
+
+def test_cli_run_exits_1_on_a_failing_claim(tmp_path, monkeypatch, capsys):
+    """A failed claim is printed, recorded in --json and fails the run."""
+    import repro.__main__ as cli
+    from repro.core.claims import Claim
+    from repro.core.registry import ExperimentSpec
+
+    spec = ExperimentSpec(
+        "STUB", "one claim holds, one fails", "-", lambda: {"n": 1},
+        lambda result: [Claim("n is one", result["n"] == 1, "n=1"),
+                        Claim("n is two", result["n"] == 2, "n=1")])
+    monkeypatch.setattr(cli, "get_experiment", lambda exp_id: spec)
+    out_file = tmp_path / "run.json"
+    assert main(["run", "STUB", "--json", str(out_file)]) == 1
+    out = capsys.readouterr().out
+    assert "claims: 1/2 hold" in out
+    assert "[ok] n is one" in out and "[FAIL] n is two" in out
+    assert json.loads(out_file.read_text())["claims"] == [
+        {"name": "n is one", "ok": True, "detail": "n=1"},
+        {"name": "n is two", "ok": False, "detail": "n=1"}]
 
 
 def test_cli_sweep_flight_recorder_ships_lineage_samples(tmp_path, capsys):
@@ -346,11 +368,12 @@ def test_cli_report_writes_markdown(tmp_path, monkeypatch, capsys):
     """`run all --markdown` runs the registry and writes a markdown file
     (patched down to one fast experiment to keep the test quick)."""
     import repro.__main__ as cli
+    from repro.core import claims
     from repro.core.registry import ExperimentSpec
     from repro.core.experiments import exp_dot1x_wpa_gap
 
     fast = [ExperimentSpec("E-8021X", "gap", "§2.2", exp_dot1x_wpa_gap,
-                           "benchmarks/test_dot1x_wpa_gap.py")]
+                           claims.dot1x_wpa_gap)]
     monkeypatch.setattr(cli, "EXPERIMENTS", fast)
     out_file = tmp_path / "report.md"
     assert cli.main(["run", "all", "--markdown", str(out_file)]) == 0
@@ -358,6 +381,7 @@ def test_cli_report_writes_markdown(tmp_path, monkeypatch, capsys):
     assert "# Reproduction report" in text
     assert "## E-8021X" in text
     assert "ROGUE" in text
+    assert "claims 5/5 hold" in text
 
 
 def test_cli_run_profile_trace_wids_in_one_pass(tmp_path, monkeypatch, capsys):

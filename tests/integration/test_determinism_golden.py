@@ -109,7 +109,12 @@ def _as_unrecorded(node):
     return node
 
 
-GOLDEN_RUNS = golden_runs()
+#: The first pinned run of each experiment.  E-VPNOH's second, default
+#: length run is there for its claims; its 4 s run drives the same code.
+_FIRST_RUNS: dict = {}
+for _run in golden_runs():
+    _FIRST_RUNS.setdefault(_run[0], _run)
+GOLDEN_RUNS = list(_FIRST_RUNS.values())
 
 
 @pytest.mark.parametrize("exp_id,kwargs,sha256", GOLDEN_RUNS,
@@ -189,6 +194,8 @@ def test_recorder_capacity_bounds_hold_under_a_full_world():
     assert len(rec) <= 32
     assert rec.evicted > 0  # FIG2 generates far more than 32 frames
     assert all(len(ln.hops) <= 4 for ln in rec.lineages())
+    # raw captures are bounded by the frames themselves
+    assert sum(len(ln.raw or b"") for ln in rec.lineages()) < 32 * 4096
 
 
 def test_fleet_merged_metrics_identical_serial_vs_parallel():

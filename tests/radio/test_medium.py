@@ -163,3 +163,62 @@ def test_disabled_port_neither_sends_nor_receives():
     tx.transmit(make_beacon(AP, "NET", 1))
     sim.run()
     assert got == []
+
+
+def test_back_to_back_beacons_all_reach_every_receiver():
+    """500 immediate transmissions defer, none collides: each of the 10
+    receivers hears every one."""
+    sim = Simulator(seed=2)
+    medium = Medium(sim)
+    tx = _port(medium, "tx", 0.0)
+    received = []
+    for i in range(10):
+        _port(medium, f"rx{i}", 5.0 + i).on_receive = \
+            lambda frame, rssi, ch: received.append(1)
+    beacon = make_beacon(AP, "NET", 1)
+    for _ in range(500):
+        tx.transmit(beacon)
+    sim.run()
+    assert len(received) == 5000
+
+
+def test_10k_station_world_fans_every_beacon_out_to_the_stations_in_range():
+    """A 10,000-station field around one AP, 50 beacons, 20 stations
+    walking toward the AP: the few hundred in hearing range receive
+    every beacon while the walkers keep invalidating cached rows."""
+    import math
+
+    sim = Simulator(seed=11)
+    medium = Medium(sim)
+    ap = _port(medium, "ap", 0.0, channel=6)
+    heard = []
+    rng = sim.rng.substream("stadium.layout")
+    ports = []
+    for i in range(10_000):
+        port = RadioPort(f"sta{i}", Position(rng.uniform(-1000.0, 1000.0),
+                                             rng.uniform(-1000.0, 1000.0)), 6)
+        port.on_receive = lambda frame, rssi, ch: heard.append(1)
+        medium.attach(port)
+        ports.append(port)
+
+    def walk():  # 1.5 m every 50 ms toward the AP, stopping there
+        for port in ports[:20]:
+            pos = port.position
+            remaining = math.hypot(pos.x, pos.y)
+            if remaining > 0.0:
+                keep = max(0.0, 1.0 - 1.5 / remaining)
+                port.position = Position(pos.x * keep, pos.y * keep)
+
+    sim.every(0.05, walk)
+    beacon = make_beacon(MacAddress("aa:bb:cc:dd:00:06"), "STADIUM", 6)
+    for k in range(50):
+        sim.schedule_at(k * 0.1, ap.transmit, beacon)
+    sim.run_for(5.0)
+    hearable_radius = 10.0 ** (
+        (ap.tx_power_dbm - medium.loss_model.hearing_floor_dbm
+         - medium.path_loss.pl_d0_db) / (10.0 * medium.path_loss.exponent))
+    in_range = sum(1 for p in ports
+                   if math.hypot(p.position.x, p.position.y) <= hearable_radius)
+    assert len(ports) == 10_000
+    assert in_range >= 100
+    assert len(heard) >= in_range * 10

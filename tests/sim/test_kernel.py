@@ -194,8 +194,9 @@ def test_determinism_same_seed_same_trace():
 
 
 def test_events_dispatched_counter():
-    sim = Simulator(seed=0)
-    for i in range(5):
-        sim.schedule(float(i), lambda: None)
-    sim.run()
-    assert sim.events_dispatched == 5
+    for n in (5, 10_000):
+        sim = Simulator(seed=0)
+        for i in range(n):
+            sim.schedule(float(i), lambda: None)
+        sim.run()
+        assert sim.events_dispatched == n

@@ -169,6 +169,20 @@ def test_real_encodes_counted_once_per_cold_path():
     assert snap["codec.encode_cache.hits"]["value"] == 8
 
 
+def test_codec_frame_spans_count_cached_encodes():
+    """The profiler keeps one ``codec.frame.encode`` span per call, cache
+    hits included, so the cache's payoff shows in the profile."""
+    with collecting(profile=True) as col:
+        frame = _frame()
+        raw = frame.to_bytes()
+        for _ in range(99):
+            frame.to_bytes()
+        for _ in range(50):
+            Dot11Frame.from_bytes(raw)
+    assert col.profiler.count("codec.frame.encode") == 100
+    assert col.profiler.count("codec.frame.decode") == 50
+
+
 def test_cached_bytes_roundtrip_after_invalidation():
     """Sanity: decoding a re-cached derivative sees the new body."""
     frame = _frame()
