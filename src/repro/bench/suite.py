@@ -13,11 +13,11 @@ One registration per claim the repo has shipped:
   content-keyed IE caches of ``repro.dot11.frames``;
 * ``netstack/tcpip_roundtrip_per_s`` — zero-copy decode + in-place
   checksum patching;
-* ``crypto/rc4_mb_per_s`` — the WEP/FMS inner loop;
-* ``crypto/wep_frames_per_s`` — WEP frames through the per-packet
-  keystream cache, one encryption and two decryptions each;
-* ``crypto/sae_handshakes_per_s`` — SAE over the 1536-bit group, whose
-  public values come from the fixed-base comb;
+* ``crypto/rc4_mb_per_s`` — the WEP/FMS inner loop, RC4 in libcrypto;
+* ``crypto/wep_frames_per_s`` — WEP frames, one encryption and two
+  decryptions each, a fresh RC4 per packet;
+* ``crypto/sae_handshakes_per_s`` — SAE over the 1536-bit group, its
+  modular exponentiations in libcrypto;
 * ``fleet/serial_trials_per_s``, ``fleet/parallel_speedup`` — PR 1's
   campaign engine (speedup is recorded against the usable-core count
   in the environment capture; a 1-core box legitimately reports <1);
@@ -320,13 +320,12 @@ def crypto_rc4(scale: float = 1.0) -> BenchSample:
 def crypto_wep_frames(scale: float = 1.0) -> BenchSample:
     """WEP frames/second: per fresh IV, one 1500-byte frame encrypted
     once and decrypted twice, the reuse of a download-mitm frame."""
-    from repro.crypto import rc4, wep
+    from repro.crypto import wep
 
     n = _scaled(400, scale, 100)
     key = wep.WepKey.from_passphrase("SECRET", bits=104)
     ivs = wep.IvGenerator()
     payload = bytes(range(256)) * 5 + bytes(220)
-    rc4._keystream.cache_clear()  # every repeat starts cold
     crc = 0
     t0 = time.perf_counter()
     for _ in range(n):
@@ -374,11 +373,13 @@ def crypto_sae_handshakes(scale: float = 1.0) -> BenchSample:
 # --------------------------------------------------------------------------
 
 def _fleet_trial(seed: int) -> float:
-    """CPU-bound, deterministic per seed (module-level: picklable)."""
-    from repro.crypto.rc4 import rc4_keystream
-
-    key = seed.to_bytes(8, "big") + b"bench-fleet"
-    return float(sum(rc4_keystream(key, 60_000)) % 1009)
+    """CPU-bound, deterministic per seed (module-level: picklable): about
+    10 ms of pure-Python arithmetic, so fork and IPC costs stay small
+    beside it."""
+    x = seed
+    for _ in range(60_000):
+        x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+    return float(x % 1009)
 
 
 @register("fleet", "serial_trials_per_s", unit="trials/s",

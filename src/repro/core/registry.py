@@ -133,19 +133,35 @@ class SeededExperiment:
         return spec.runner()
 
 
-def render_result(result: dict) -> str:
-    """Render an experiment runner's dict as text tables."""
+def render_result(result: dict, title: str = "") -> str:
+    """Render an experiment runner's dict as text tables.
+
+    A list of row dicts becomes a table, a non-empty dict its own blocks
+    (recursively, titled by the dotted key path), and any other value a
+    ``key = value`` line; consecutive such lines share one block.
+    """
     blocks: list[str] = []
+    lines: list[str] = []
     for key, value in result.items():
-        if isinstance(value, list) and value and isinstance(value[0], dict):
+        name = f"{title}.{key}" if title else str(key)
+        if isinstance(value, dict) and value:
+            block = render_result(value, name)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
             headers: list[str] = []
             for row in value:  # union of keys, first-seen order
                 for h in row:
                     if h not in headers:
                         headers.append(h)
-            blocks.append(format_table(
+            block = format_table(
                 headers, [[row.get(h, "") for h in headers] for row in value],
-                title=key))
+                title=name)
         else:
-            blocks.append(f"{key} = {value}")
+            lines.append(f"{name} = {value}")
+            continue
+        if lines:
+            blocks.append("\n".join(lines))
+            lines = []
+        blocks.append(block)
+    if lines:
+        blocks.append("\n".join(lines))
     return "\n\n".join(blocks)

@@ -5,10 +5,12 @@ The paper's attack and defense both hinge on *real* cryptography:
 * WEP uses RC4 with a 24-bit IV and a CRC-32 integrity check value;
   its famous weakness (Fluhrer–Mantin–Shamir, reference [3] of the
   paper) is what lets an outside attacker "retrieve the WEP key via
-  Airsnort" (§4).  RC4, WEP, and the FMS key-recovery attack are
-  implemented here from first principles, as are TKIP's Michael MIC and
-  the finite-field Diffie–Hellman of the VPN key exchange: they are the
-  paper's subject, and the standard library has no equivalent.
+  Airsnort" (§4).  WEP and the FMS key-recovery attack are implemented
+  here from first principles, as are TKIP's Michael MIC and the
+  finite-field Diffie–Hellman of the VPN key exchange: they are the
+  paper's subject.  The RC4 cipher and DH's modular exponentiation run
+  in the OpenSSL ``libcrypto`` that ``hashlib`` already loads
+  (:mod:`repro.crypto.libcrypto`).
 * The digests come from the standard library, as they came from
   shipped libraries on the paper's laptops: ``hashlib.md5`` for the
   download page's published MD5SUM (which netsed rewrites so that the

@@ -10,23 +10,53 @@ that VPN credentials be *pre-established out of band*, precisely
 because an unauthenticated DH is itself MITM-able.  The VPN layer
 therefore authenticates the exchange with a pre-shared secret from
 :class:`repro.crypto.keystore.KeyStore`; this module provides only the
-group arithmetic.
+group arithmetic.  Its modular exponentiation, :func:`modexp`, runs in
+OpenSSL's ``libcrypto`` (:mod:`repro.crypto.libcrypto`); builtin ``pow``
+is the test oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+from ctypes import create_string_buffer
 from dataclasses import dataclass
-from functools import cached_property
+
+from repro.crypto import libcrypto
+
+__all__ = ["DhGroup", "DiffieHellman", "DH_GROUP_1536", "derive_key", "modexp"]
 
 
-__all__ = ["DhGroup", "DiffieHellman", "DH_GROUP_1536", "derive_key"]
+def _bignum(value: int) -> int:
+    """A new ``BIGNUM`` holding ``value >= 0``; the caller frees it."""
+    raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+    return libcrypto.BN_bin2bn(raw, len(raw), None)
 
 
-#: Rows of the fixed-base comb behind :meth:`DhGroup.pow_g`: a table of
-#: ``2**COMB_ROWS`` group elements per group.
-COMB_ROWS = 8
+def modexp(base: int, exp: int, mod: int) -> int:
+    """``pow(base, exp, mod)`` by OpenSSL's ``BN_mod_exp``.
+
+    ``exp`` must be non-negative and ``mod`` positive; any ``base`` is
+    reduced mod ``mod`` first, as ``pow`` does.
+    """
+    if exp < 0 or mod < 1:
+        raise ValueError("modexp needs exp >= 0 and mod >= 1")
+    width = (mod.bit_length() + 7) // 8
+    out = create_string_buffer(width)
+    ctx = libcrypto.BN_CTX_new()
+    r = libcrypto.BN_new()
+    a, e, m = _bignum(base % mod), _bignum(exp), _bignum(mod)
+    try:
+        ok = (ctx and r and a and e and m
+              and libcrypto.BN_mod_exp(r, a, e, m, ctx)
+              and libcrypto.BN_bn2binpad(r, out, width) == width)
+    finally:
+        for bn in (r, a, e, m):
+            libcrypto.BN_free(bn)
+        libcrypto.BN_CTX_free(ctx)
+    if not ok:
+        raise RuntimeError("OpenSSL BN_mod_exp failed")
+    return int.from_bytes(out.raw, "big")
 
 
 @dataclass(frozen=True)
@@ -40,47 +70,6 @@ class DhGroup:
     def validate_public(self, y: int) -> bool:
         """Reject degenerate public values (0, 1, p-1 — small subgroups)."""
         return 1 < y < self.p - 1
-
-    def pow_g(self, x: int) -> int:
-        """``pow(g, x, p)`` by the Lim–Lee fixed-base comb (CRYPTO '94).
-
-        The exponent's bits are laid out in ``COMB_ROWS`` rows of
-        ``width`` bits; column ``j`` picks the table entry that
-        multiplies the row bases whose bit ``j`` is set.  That costs
-        ``width`` squarings and at most ``width`` multiplications,
-        against ``8 * width`` squarings for a variable base.  Valid for
-        ``0 <= x < 2**(COMB_ROWS * width)``, which covers every
-        exponent below ``p``.
-        """
-        width, table = self._comb
-        if x < 0 or x >> (COMB_ROWS * width):
-            raise ValueError("exponent outside the comb's range")
-        p = self.p
-        mask = (1 << width) - 1
-        # Top row first, so each column's bits read as the table index.
-        rows = [format((x >> (row * width)) & mask, f"0{width}b")
-                for row in reversed(range(COMB_ROWS))]
-        r = 1
-        for column in zip(*rows):
-            r = r * r % p
-            index = int("".join(column), 2)
-            if index:
-                r = r * table[index] % p
-        return r
-
-    @cached_property
-    def _comb(self) -> tuple[int, list[int]]:
-        """``(width, table)``: ``table[u]`` is the product of the row
-        bases ``g**(2**(row * width))`` over the set bits ``row`` of
-        ``u``.  Built on the first :meth:`pow_g`, not at import."""
-        p = self.p
-        width = -(-p.bit_length() // COMB_ROWS)
-        base = self.g % p
-        table = [1]
-        for _ in range(COMB_ROWS):
-            table += [t * base % p for t in table]
-            base = pow(base, 1 << width, p)  # the next row's base
-        return width, table
 
 
 # RFC 3526 group 5 (1536-bit MODP).
@@ -119,15 +108,13 @@ class DiffieHellman:
         bits = group.p.bit_length()
         # Private exponent: uniform in [2, p-2].
         self._x = 2 + int.from_bytes(rng.bytes((bits + 7) // 8), "big") % (group.p - 4)
-        self.public = group.pow_g(self._x)
+        self.public = modexp(group.g, self._x, group.p)
 
     def shared_secret(self, peer_public: int) -> bytes:
-        """Compute g^(xy) and return it as big-endian bytes.
-
-        The base is the peer's, so builtin ``pow`` does this one."""
+        """Compute g^(xy) and return it as big-endian bytes."""
         if not self.group.validate_public(peer_public):
             raise ValueError("degenerate DH public value")
-        z = pow(peer_public, self._x, self.group.p)
+        z = modexp(peer_public, self._x, self.group.p)
         nbytes = (self.group.p.bit_length() + 7) // 8
         return z.to_bytes(nbytes, "big")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from repro.crypto.rc4 import rc4_xor
+from repro.crypto.rc4 import RC4
 from repro.sim.errors import IntegrityError
 
 __all__ = ["WepError", "WepKey", "IvGenerator", "wep_encrypt", "wep_decrypt"]
@@ -105,8 +105,8 @@ def wep_encrypt(key: WepKey, iv: bytes, plaintext: bytes, key_id: int = 0) -> by
     if not 0 <= key_id <= 3:
         raise ValueError("WEP KeyID is 2 bits")
     icv = zlib.crc32(plaintext).to_bytes(4, "little")
-    return iv + bytes([key_id << 6]) + rc4_xor(key.per_packet_key(iv),
-                                               plaintext + icv)
+    return iv + bytes([key_id << 6]) + RC4(key.per_packet_key(iv)).crypt(
+        plaintext + icv)
 
 
 def wep_decrypt(key: WepKey, body: bytes) -> bytes:
@@ -119,7 +119,7 @@ def wep_decrypt(key: WepKey, body: bytes) -> bytes:
     """
     if len(body) < HEADER_LEN + ICV_LEN:
         raise WepError("WEP body too short")
-    decrypted = rc4_xor(key.per_packet_key(body[:IV_LEN]), body[HEADER_LEN:])
+    decrypted = RC4(key.per_packet_key(body[:IV_LEN])).crypt(body[HEADER_LEN:])
     plaintext, icv = decrypted[:-ICV_LEN], decrypted[-ICV_LEN:]
     if zlib.crc32(plaintext).to_bytes(4, "little") != icv:
         raise WepError("WEP ICV check failed (wrong key or tampered frame)")

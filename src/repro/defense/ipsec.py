@@ -20,7 +20,7 @@ import hmac
 import struct
 from typing import Optional
 
-from repro.crypto.rc4 import rc4_xor
+from repro.crypto.rc4 import RC4
 from repro.hosts.host import Host, UdpSocket
 from repro.hosts.nic import TunInterface
 from repro.netstack.addressing import IPv4Address, Network
@@ -41,7 +41,7 @@ def _packet_key(key: bytes, seq: int) -> bytes:
 def esp_seal(enc_key: bytes, mac_key: bytes, seq: int, inner: bytes) -> bytes:
     """One ESP-ish datagram: ``seq(4) | ct | mac12``."""
     seq_bytes = struct.pack(">I", seq)
-    ciphertext = rc4_xor(_packet_key(enc_key, seq), inner)
+    ciphertext = RC4(_packet_key(enc_key, seq)).crypt(inner)
     mac = hmac.digest(mac_key, seq_bytes + ciphertext, "sha1")[:TRUNC_MAC]
     return seq_bytes + ciphertext + mac
 
@@ -56,7 +56,7 @@ def esp_open(enc_key: bytes, mac_key: bytes, datagram: bytes) -> Optional[tuple[
     if not hmac.compare_digest(expected, mac):
         return None
     (seq,) = struct.unpack(">I", seq_bytes)
-    return seq, rc4_xor(_packet_key(enc_key, seq), ciphertext)
+    return seq, RC4(_packet_key(enc_key, seq)).crypt(ciphertext)
 
 
 class _ReplayWindow:

@@ -40,6 +40,24 @@ def test_render_result_tables_and_scalars():
     assert "note = hello" in out
 
 
+def test_render_result_nested_dicts_become_titled_blocks():
+    result = {"worlds": {"naive": {"alerts": [{"detector": "seqctl", "t": 4.1}],
+                                   "alert_count": 1, "first": None},
+                         "benign": {"alerts": [], "alert_count": 0}},
+              "scorecard": {"roc": {"seqctl": [{"fpr": "lo", "tpr": "hi"}]},
+                            "auc": {"seqctl": 1.0}},
+              "empty": {}, "ok": True}
+    blocks = render_result(result).split("\n\n")
+    assert blocks[0].splitlines()[:2] == ["worlds.naive.alerts",
+                                          "detector | t  "]
+    assert blocks[1:] == [
+        "worlds.naive.alert_count = 1\nworlds.naive.first = None",
+        "worlds.benign.alerts = []\nworlds.benign.alert_count = 0",
+        "scorecard.roc.seqctl\nfpr | tpr\n----+----\nlo  | hi ",
+        "scorecard.auc.seqctl = 1.0",
+        "empty = {}\nok = True"]
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

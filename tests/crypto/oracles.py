@@ -1,28 +1,29 @@
-"""Reference implementations of MD5, SHA-1, HMAC, CRC-32 and WEP.
+"""Reference implementations of MD5, SHA-1, HMAC, CRC-32, RC4 and WEP.
 
-The program hashes with ``hashlib``, ``hmac`` and ``zlib``. These
-pure-Python versions, written from RFC 1321, FIPS 180-1, RFC 2104 and
-the IEEE 802.3 polynomial, are the test oracles: the differential tests
-check the standard library against them, and both against the published
-known answers. They are written for clarity, not speed.
+The program hashes with ``hashlib``, ``hmac`` and ``zlib``, and runs
+RC4 and modular exponentiation in OpenSSL's ``libcrypto``. These
+pure-Python versions, written from RFC 1321, FIPS 180-1, RFC 2104, the
+IEEE 802.3 polynomial and the RC4 key schedule and generator, are the
+test oracles: the differential tests check the libraries against them,
+and both against the published known answers. Builtin ``pow`` is the
+modexp oracle. They are written for clarity, not speed.
 
-``wep_encrypt``/``wep_decrypt`` are the uncached WEP path: a fresh
-``RC4(IV || root key)`` per frame, XORed byte by byte. The program takes
-the per-packet keystream from a cache and XORs it as one integer.
-``esp_seal`` is the uncached ESP path, the same way: a fresh
-``RC4(key || seq)`` per datagram and the RFC 2104 HMAC above.
+``wep_encrypt``/``wep_decrypt`` are the WEP path built on them: a fresh
+oracle ``RC4(IV || root key)`` per frame, XORed byte by byte.
+``esp_seal`` is the ESP path, the same way: a fresh ``RC4(key || seq)``
+per datagram and the RFC 2104 HMAC above.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
-from repro.crypto.rc4 import RC4
 from repro.crypto.wep import HEADER_LEN, ICV_LEN, IV_LEN, WepError, WepKey
 
-__all__ = ["CRC32_TABLE", "MD5", "SHA1", "crc32", "esp_seal", "hmac", "md5",
-           "sha1", "wep_decrypt", "wep_encrypt"]
+__all__ = ["CRC32_TABLE", "MD5", "RC4", "SHA1", "crc32", "esp_seal", "hmac",
+           "ksa", "md5", "prga", "sha1", "wep_decrypt", "wep_encrypt"]
 
 _MASK = 0xFFFFFFFF
 
@@ -192,8 +193,49 @@ def crc32(data: bytes, crc: int = 0) -> int:
     return crc ^ _MASK
 
 
+def ksa(key: bytes) -> list[int]:
+    """RC4 key-scheduling algorithm: the 256-entry permutation for ``key``.
+
+    Round ``i`` reads key byte ``i mod len(key)``, so bytes past the
+    256th never matter.
+    """
+    if not key:
+        raise ValueError("RC4 key must be non-empty")
+    s = list(range(256))
+    j = 0
+    for i in range(256):
+        j = (j + s[i] + key[i % len(key)]) & 0xFF
+        s[i], s[j] = s[j], s[i]
+    return s
+
+
+def prga(s: list[int]) -> Iterator[int]:
+    """RC4 pseudo-random generation algorithm over a scheduled state."""
+    s = list(s)
+    i = j = 0
+    while True:
+        i = (i + 1) & 0xFF
+        j = (j + s[i]) & 0xFF
+        s[i], s[j] = s[j], s[i]
+        yield s[(s[i] + s[j]) & 0xFF]
+
+
+class RC4:
+    """RC4 from :func:`ksa` and :func:`prga`, with the program's
+    ``keystream``/``crypt`` interface."""
+
+    def __init__(self, key: bytes) -> None:
+        self._stream = prga(ksa(bytes(key)))
+
+    def keystream(self, n: int) -> bytes:
+        return bytes(islice(self._stream, n))
+
+    def crypt(self, data: bytes) -> bytes:
+        return bytes(b ^ k for b, k in zip(data, self._stream))
+
+
 def wep_encrypt(key: WepKey, iv: bytes, plaintext: bytes, key_id: int = 0) -> bytes:
-    """``IV | KeyID | RC4(IV || key)(plaintext | ICV)``, keystream uncached."""
+    """``IV | KeyID | RC4(IV || key)(plaintext | ICV)``."""
     icv = crc32(plaintext).to_bytes(4, "little")
     cipher = RC4(key.per_packet_key(iv))
     return iv + bytes([key_id << 6]) + cipher.crypt(plaintext + icv)
@@ -211,7 +253,7 @@ def wep_decrypt(key: WepKey, body: bytes) -> bytes:
 
 
 def esp_seal(enc_key: bytes, mac_key: bytes, seq: int, inner: bytes) -> bytes:
-    """``seq(4) | RC4(enc_key || seq)(inner) | HMAC-SHA1-96``, uncached."""
+    """``seq(4) | RC4(enc_key || seq)(inner) | HMAC-SHA1-96``."""
     seq_bytes = struct.pack(">I", seq)
     ciphertext = RC4(enc_key + seq_bytes).crypt(inner)
     return seq_bytes + ciphertext + hmac(mac_key, seq_bytes + ciphertext,

@@ -1,14 +1,14 @@
-"""The two exact crypto fast paths against their oracles.
+"""The libcrypto fast paths against their pure-Python oracles.
 
-* WEP and ESP take each packet's keystream from ``rc4._keystream``, a
-  bounded cache keyed on ``(per-packet key, length)``, and XOR it as
-  one integer.  The oracles are the uncached paths in
-  ``tests/crypto/oracles.py``: a fresh ``RC4(IV || root key)`` per WEP
-  frame and a fresh ``RC4(key || seq)`` per ESP datagram.  The ICV and
-  MAC checks stay outside the cache, so a wrong key or a tampered
-  packet fails every time.
-* ``DhGroup.pow_g`` computes ``g^x mod p`` with a fixed-base comb.  The
-  oracle is builtin ``pow(g, x, p)``.
+* ``repro.crypto.rc4.RC4`` runs OpenSSL's RC4.  The oracle is the
+  from-scratch KSA and PRGA in ``tests/crypto/oracles.py``, over keys of
+  every length from 1 to 300 bytes, interleaved ``keystream``/``crypt``
+  calls, two live ciphers at once, and ``bytes``, ``bytearray`` and
+  ``memoryview`` inputs.  WEP and ESP run a fresh RC4 per packet; their
+  oracles are the same paths over the oracle RC4, and the ICV and MAC
+  checks fail a wrong key or a tampered packet on every repeat.
+* ``repro.crypto.dh.modexp`` runs OpenSSL's ``BN_mod_exp``.  The oracle
+  is builtin ``pow``.
 
 CI runs this file as a dedicated step; ``derandomize=True`` keeps the
 corpus stable, so a red build reproduces locally with the same command.
@@ -20,8 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import rc4
-from repro.crypto.dh import COMB_ROWS, DH_GROUP_1536, DH_GROUP_TOY, DiffieHellman
+from repro.crypto.dh import DH_GROUP_1536, DH_GROUP_TOY, DiffieHellman, modexp
+from repro.crypto.rc4 import RC4, rc4_keystream
 from repro.crypto.wep import WepError, WepKey, wep_decrypt, wep_encrypt
 from repro.defense.ipsec import esp_open, esp_seal
 from repro.sim.rng import SimRandom
@@ -38,7 +38,58 @@ GROUPS = [DH_GROUP_1536, DH_GROUP_TOY]
 
 
 # ----------------------------------------------------------------------
-# WEP keystream cache
+# RC4
+# ----------------------------------------------------------------------
+
+@SETTINGS
+@given(key=st.binary(min_size=1, max_size=300), n=st.integers(0, 1100))
+def test_rc4_keystream_matches_the_oracle(key, n):
+    assert rc4_keystream(key, n) == oracles.RC4(key).keystream(n)
+
+
+@SETTINGS
+@given(key=st.binary(min_size=1, max_size=300),
+       calls=st.lists(st.tuples(st.booleans(), st.binary(max_size=700)),
+                      max_size=8))
+def test_rc4_interleaved_calls_match_the_oracle(key, calls):
+    """Any sequence of keystream/crypt calls continues one stream."""
+    cipher, oracle = RC4(key), oracles.RC4(key)
+    for use_crypt, data in calls:
+        if use_crypt:
+            assert cipher.crypt(data) == oracle.crypt(data)
+        else:
+            assert cipher.keystream(len(data)) == oracle.keystream(len(data))
+
+
+@SETTINGS
+@given(k1=st.binary(min_size=1, max_size=32),
+       k2=st.binary(min_size=1, max_size=32),
+       sizes=st.lists(st.integers(0, 300), max_size=10))
+def test_two_live_ciphers_keep_their_own_state(k1, k2, sizes):
+    """A VPN link holds a transmit and a receive cipher at once."""
+    ciphers = [RC4(k1), RC4(k2)]
+    oracle = [oracles.RC4(k1), oracles.RC4(k2)]
+    for turn, n in enumerate(sizes):
+        assert ciphers[turn % 2].keystream(n) == oracle[turn % 2].keystream(n)
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_rc4_accepts_any_bytes_like_input(kind):
+    key, data = b"bytes-like", bytes(range(256)) * 2
+    expected = oracles.RC4(key).crypt(data)
+    assert RC4(kind(key)).crypt(kind(data)) == expected
+    assert RC4(kind(key)).crypt(kind(b"")) == b""
+    assert RC4(kind(key)).keystream(0) == b""
+
+
+def test_rc4_rejects_an_empty_key():
+    for key in (b"", bytearray(), memoryview(b"")):
+        with pytest.raises(ValueError):
+            RC4(key)
+
+
+# ----------------------------------------------------------------------
+# WEP and ESP: a fresh RC4 per packet
 # ----------------------------------------------------------------------
 
 @SETTINGS
@@ -51,7 +102,7 @@ def test_wep_matches_the_uncached_oracle(root, iv, payload, key_id):
     key = WepKey(root)
     body = wep_encrypt(key, iv, payload, key_id)
     assert body == oracles.wep_encrypt(key, iv, payload, key_id)
-    # A frame is decrypted by every keyed receiver: the repeats hit the cache.
+    # A frame is decrypted by every keyed receiver.
     assert wep_decrypt(key, body) == payload
     assert wep_decrypt(key, body) == payload
     assert oracles.wep_decrypt(key, body) == payload
@@ -80,15 +131,6 @@ def test_flipped_byte_raises_on_every_repeat(offset):
     assert wep_decrypt(key, body) == bytes(range(64))
 
 
-def test_keystream_cache_is_bounded():
-    maxsize = rc4._keystream.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 4096
-
-
-# ----------------------------------------------------------------------
-# ESP on the same keystream cache
-# ----------------------------------------------------------------------
-
 @SETTINGS
 @given(enc_key=st.binary(min_size=1, max_size=32),
        mac_key=st.binary(max_size=80),
@@ -97,7 +139,7 @@ def test_keystream_cache_is_bounded():
 def test_esp_matches_the_uncached_oracle(enc_key, mac_key, seq, inner):
     datagram = esp_seal(enc_key, mac_key, seq, inner)
     assert datagram == oracles.esp_seal(enc_key, mac_key, seq, inner)
-    # Sealed once, opened by the peer: the open hits the cache.
+    # Sealed once, opened by the peer.
     assert esp_open(enc_key, mac_key, datagram) == (seq, inner)
     assert esp_open(enc_key, mac_key, datagram) == (seq, inner)
 
@@ -110,46 +152,54 @@ def test_esp_tampered_or_wrong_key_fails_on_every_repeat():
         assert esp_open(b"enc-key", b"mac-key", bytes(tampered)) is None
         assert esp_open(b"enc-key", b"wrong", datagram) is None
     assert esp_open(b"other", b"mac-key", datagram) == \
-        (7, rc4.RC4(b"other" + datagram[:4]).crypt(datagram[4:-12]))
+        (7, RC4(b"other" + datagram[:4]).crypt(datagram[4:-12]))
 
 
 # ----------------------------------------------------------------------
-# DH fixed-base comb
+# DH modexp
 # ----------------------------------------------------------------------
 
-def _boundary_exponents(group):
-    width = -(-group.p.bit_length() // COMB_ROWS)
-    out = []
-    for row in range(1, COMB_ROWS):
-        k = row * width
-        out += [(1 << k) - 1, 1 << k, (1 << k) + 1]
-    return [x for x in out if x < group.p]
+def _bases(p):
+    return [0, 1, 2, p - 1, p + 1, -2]  # pow reduces any base mod p
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
-def test_comb_edge_exponents(group):
+def test_modexp_edge_exponents(group):
     p = group.p
-    for x in [0, 1, 2, p - 2, *_boundary_exponents(group)]:
-        assert group.pow_g(x) == pow(group.g, x, p), x
+    for x in [0, 1, 2, p - 2, p - 1]:
+        for base in [group.g, *_bases(p)]:
+            assert modexp(base, x, p) == pow(base, x, p), (base, x)
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
-def test_comb_random_exponents(group):
+def test_modexp_random_exponents(group):
     rng = random.Random(20031006)
+    p = group.p
     for _ in range(25):
-        x = rng.randrange(group.p)
-        assert group.pow_g(x) == pow(group.g, x, group.p)
+        x, y = rng.randrange(p), rng.randrange(p)
+        for base in [group.g, y, *_bases(p)]:
+            assert modexp(base, x, p) == pow(base, x, p), (base, x)
+
+
+@SETTINGS
+@given(base=st.integers(-2**300, 2**300), exp=st.integers(0, 2**300),
+       mod=st.integers(1, 2**300))
+def test_modexp_matches_pow_on_any_modulus(base, exp, mod):
+    """Odd and even moduli of every bit length, not only whole bytes."""
+    assert modexp(base, exp, mod) == pow(base, exp, mod)
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
-def test_comb_rejects_exponents_outside_its_range(group):
-    width = -(-group.p.bit_length() // COMB_ROWS)
-    for x in (-1, 1 << (COMB_ROWS * width)):
-        with pytest.raises(ValueError):
-            group.pow_g(x)
+def test_modexp_rejects_a_negative_exponent(group):
+    with pytest.raises(ValueError):
+        modexp(group.g, -1, group.p)
 
 
 def test_diffie_hellman_public_is_g_to_the_private_exponent():
+    group = DH_GROUP_1536
     for seed in range(3):
-        dh = DiffieHellman(DH_GROUP_1536, SimRandom(seed))
-        assert dh.public == pow(DH_GROUP_1536.g, dh._x, DH_GROUP_1536.p)
+        dh = DiffieHellman(group, SimRandom(seed))
+        peer = DiffieHellman(group, SimRandom(seed + 100))
+        assert dh.public == pow(group.g, dh._x, group.p)
+        assert dh.shared_secret(peer.public) == \
+            pow(peer.public, dh._x, group.p).to_bytes(192, "big")

@@ -1,12 +1,13 @@
-"""RC4 against published test vectors, structural properties, and
-textbook reference loops (``ksa_partial``, ``prga``) kept here as
-oracles for the optimised cipher."""
+"""RC4 against published test vectors, structural properties, and the
+from-scratch key schedule and generator in ``tests/crypto/oracles.py``,
+plus ``ksa_partial``, the first KSA rounds as FMS reasons about them."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.rc4 import RC4, ksa, rc4_keystream
+from repro.crypto.rc4 import RC4, rc4_keystream
+from tests.crypto.oracles import ksa, prga
 
 
 def ksa_partial(key: bytes, rounds: int) -> tuple[list[int], int]:
@@ -21,17 +22,6 @@ def ksa_partial(key: bytes, rounds: int) -> tuple[list[int], int]:
         j = (j + s[i] + key[i % klen]) & 0xFF
         s[i], s[j] = s[j], s[i]
     return s, j
-
-
-def prga(s: list[int]):
-    """RC4 pseudo-random generation algorithm over a scheduled state."""
-    s = list(s)
-    i = j = 0
-    while True:
-        i = (i + 1) & 0xFF
-        j = (j + s[i]) & 0xFF
-        s[i], s[j] = s[j], s[i]
-        yield s[(s[i] + s[j]) & 0xFF]
 
 
 # Classic vectors (Wikipedia / original cypherpunks posting).
@@ -69,6 +59,8 @@ def test_ksa_partial_prefix_agrees_with_full():
 def test_ksa_rejects_empty_key():
     with pytest.raises(ValueError):
         ksa(b"")
+    with pytest.raises(ValueError):
+        RC4(b"")
 
 
 def test_keystream_continuity():
