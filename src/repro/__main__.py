@@ -438,7 +438,9 @@ def _stop_on_signal(stop: threading.Event) -> Iterator[None]:
 def _report_sweep(spec, args: argparse.Namespace, result) -> int:
     """Print the per-seed table and write the requested output files."""
     trials, seed_base = args.trials, args.seed_base
-    rows = [[f.seed, "FAILED", f"{f.kind}: {f.message}"] for f in result.failures]
+    rows = [[f.seed, "FAILED",
+             f"{f.kind}: {f.message.strip().splitlines()[-1]}"]
+            for f in result.failures]
     rows += [[seed, "ok", f"{len(value.get('rows', []))} rows"
               if isinstance(value, dict) else repr(value)]
              for seed, value in result.per_seed.items()]
@@ -487,8 +489,9 @@ def _report_sweep(spec, args: argparse.Namespace, result) -> int:
             "workers": result.workers,
             "scorecard": card.to_json_dict(),
         }))
-    if result.failures and not result.per_seed:
-        print("every trial failed", file=sys.stderr)
+    if result.failures:
+        print(f"{len(result.failures)} of {trials} trial(s) failed",
+              file=sys.stderr)
         return 1
     return status
 

@@ -1,18 +1,20 @@
 """Failure taxonomy for parallel campaigns.
 
-A campaign never aborts because one trial went wrong: every per-trial
-problem is classified, retried once (by default), and — if it persists —
-recorded as a :class:`TrialFailure` in the sweep result.  Only misuse of
-the engine itself (bad arguments, unpicklable trial under ``spawn``)
-raises.
+A trial is a pure function of its seed, so it gets exactly one attempt.
+A trial that goes wrong is classified and recorded as a
+:class:`TrialFailure` in the sweep result, with the formatted traceback
+when it raised; the rest of the sweep completes, and ``python -m repro
+sweep`` exits 1.  Only misuse of the engine itself (bad arguments,
+unpicklable trial under ``spawn``) and a raising ``on_snapshot``
+listener raise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
-__all__ = ["CampaignError", "FleetError", "TrialFailure",
+__all__ = ["FleetError", "TrialFailure",
            "FAIL_CRASH", "FAIL_ERROR", "FAIL_TIMEOUT"]
 
 #: The trial callable raised an exception.
@@ -29,7 +31,7 @@ class FleetError(Exception):
 
 @dataclass(frozen=True)
 class TrialFailure:
-    """One trial that failed every attempt it was given.
+    """One trial that failed.
 
     Attributes
     ----------
@@ -40,30 +42,14 @@ class TrialFailure:
     kind:
         One of :data:`FAIL_ERROR`, :data:`FAIL_TIMEOUT`, :data:`FAIL_CRASH`.
     message:
-        Human-readable description of the last failing attempt.
-    attempts:
-        Total attempts made (1 + retries).
+        The formatted traceback for :data:`FAIL_ERROR`; otherwise what
+        ended the trial (the timeout, or the dead worker's exit code).
     """
 
     seed: int
     index: int
     kind: str
     message: str
-    attempts: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {"seed": self.seed, "index": self.index, "kind": self.kind,
-                "message": self.message, "attempts": self.attempts}
-
-
-class CampaignError(FleetError):
-    """Raised by APIs that promise a complete aggregate (``run_trials``)
-    when one or more trials failed all their attempts."""
-
-    def __init__(self, failures: list[TrialFailure]) -> None:
-        self.failures = list(failures)
-        preview = "; ".join(
-            f"seed {f.seed}: {f.kind} ({f.message})" for f in self.failures[:3])
-        more = f" (+{len(self.failures) - 3} more)" if len(self.failures) > 3 else ""
-        super().__init__(
-            f"{len(self.failures)} trial(s) failed after retries: {preview}{more}")
+        return asdict(self)

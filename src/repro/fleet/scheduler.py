@@ -1,4 +1,4 @@
-"""Parent-process side of the fleet engine: sharding, watchdogs, reduction.
+"""Parent-process side of the fleet engine: assignment, watchdogs, reduction.
 
 ``run_campaign`` shards an ``n``-seed sweep across ``workers`` processes
 while preserving the repository's determinism contract:
@@ -8,18 +8,22 @@ while preserving the repository's determinism contract:
 * results are reduced in seed order (:mod:`repro.fleet.reduce`), so the
   aggregate is bit-for-bit identical to a serial run.
 
-Scheduling is dynamic (one shared task queue, workers pull as they
-finish) which keeps all cores busy regardless of per-trial variance;
-determinism is unaffected because reduction ignores completion order.
+Scheduling is dynamic: the parent sends each worker one index at a
+time over that worker's own pipe and sends the next when its result
+comes back, which keeps all cores busy regardless of per-trial
+variance.  Determinism is unaffected because reduction ignores
+completion order.
 
-Fault containment: a trial that raises is reported by its worker; a
+Every trial gets exactly one attempt.  A trial is a pure function of
+its seed, so one that fails is a bug that a retry would only repeat.
+A trial that raises is reported by its worker with its traceback; a
 trial that overruns its ``timeout`` is interrupted by the worker's
 SIGALRM; a trial hung in signal-blocking code is killed by the parent
-watchdog; a worker process that dies outright (segfault, ``os._exit``)
-is detected via its exit code and replaced.  In every case the affected
-trial is retried (``retries`` times, default once) and, if it keeps
-failing, recorded as a :class:`~repro.fleet.errors.TrialFailure` — the
-rest of the sweep always completes.
+watchdog; a worker that dies outright (segfault, ``os._exit``) reads as
+EOF on its pipe.  Each is recorded as a
+:class:`~repro.fleet.errors.TrialFailure`, a dead or killed worker is
+replaced, and the rest of the sweep completes; ``python -m repro
+sweep`` then exits 1.
 """
 
 from __future__ import annotations
@@ -27,14 +31,14 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.campaign import TrialStats
-from repro.fleet.errors import (FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT,
-                                FleetError, TrialFailure)
+from repro.fleet.errors import (FAIL_CRASH, FAIL_TIMEOUT, FleetError,
+                                TrialFailure)
 from repro.fleet.reduce import campaign_stats, merge_snapshots
-from repro.fleet.worker import (ObservedTrial, _TrialTimeout, run_one,
-                                worker_main)
+from repro.fleet.worker import ObservedTrial, attempt, worker_main
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["CampaignResult", "run_campaign"]
@@ -43,8 +47,6 @@ __all__ = ["CampaignResult", "run_campaign"]
 #: worker hung and killing it (the alarm normally fires first; the watchdog
 #: only triggers for trials stuck in signal-blocking native code).
 _WATCHDOG_GRACE_S = 1.0
-#: Poll interval for the parent's event loop.
-_POLL_S = 0.05
 
 
 @dataclass
@@ -52,7 +54,7 @@ class CampaignResult:
     """Everything a sweep produced, reducible and serializable.
 
     ``per_index`` maps trial index → value for every trial that
-    succeeded; ``failures`` lists every trial that failed all attempts;
+    succeeded; ``failures`` lists every trial that failed, in index order;
     ``metrics`` maps seed → per-trial metrics snapshot when the campaign
     ran with ``collect_metrics=True``; ``lineages`` maps seed → that
     trial's truncated flight-recorder sample when the campaign ran with
@@ -82,7 +84,7 @@ class CampaignResult:
     @property
     def stats(self) -> Optional[TrialStats]:
         """Seed-order :class:`TrialStats` aggregate (None for non-numeric sweeps)."""
-        return campaign_stats(self.per_index, self.n)
+        return campaign_stats(self.per_index)
 
     @property
     def throughput(self) -> float:
@@ -137,7 +139,7 @@ class CampaignResult:
 
 def run_campaign(n: int, trial: Callable[[int], Any], *,
                  seed_base: int = 1000, workers: int = 1,
-                 timeout: Optional[float] = None, retries: int = 1,
+                 timeout: Optional[float] = None,
                  collect_metrics: bool = False,
                  flight_recorder: int = 0,
                  on_snapshot: Optional[Callable[[int, dict], None]] = None,
@@ -158,9 +160,6 @@ def run_campaign(n: int, trial: Callable[[int], Any], *,
     timeout:
         Per-trial wall-clock budget in seconds.  Overruns are recorded
         as failures, not sweep aborts.
-    retries:
-        Extra attempts granted to a failed trial before it is recorded
-        as a :class:`TrialFailure`.
     collect_metrics:
         Run every trial inside a fresh observability context and ship
         each trial's :class:`MetricsRegistry` snapshot to the parent
@@ -178,26 +177,25 @@ def run_campaign(n: int, trial: Callable[[int], Any], *,
         trial's metrics snapshot (the same dict that lands in
         :attr:`CampaignResult.metrics`).  Setting it turns on
         ``collect_metrics``.  Calls follow completion order (index order
-        when serial); a failed attempt calls nothing, and a retried
-        trial calls once.  A callback that raises is switched off for
-        the rest of the sweep instead of aborting it.
+        when serial); a failed trial calls nothing.  A callback that
+        raises aborts the sweep: the exception propagates once every
+        worker has been stopped.
     """
     if n < 0:
         raise FleetError(f"trial count must be >= 0, got {n}")
-    if retries < 0:
-        raise FleetError(f"retries must be >= 0, got {retries}")
     observed = ObservedTrial(
         trial, metrics=collect_metrics or on_snapshot is not None,
         lineage_sample=flight_recorder)
-    results = _Results(on_snapshot)
+    results = _Results(seed_base, on_snapshot)
     started = time.perf_counter()
     if workers <= 1 or n <= 1:
-        failures = _run_serial(n, observed, seed_base, timeout, retries,
-                               results)
+        for index in range(n):
+            results.record(index, *attempt(observed, seed_base + index,
+                                           timeout))
         workers = 1
     else:
-        failures = _Fleet(_fleet_context(), n, observed, seed_base,
-                          min(workers, n), timeout, retries, results).run()
+        _Fleet(_fleet_context(), n, observed, seed_base, min(workers, n),
+               timeout, results).run()
 
     def by_seed(per_index: Dict[int, Any]) -> Dict[int, Any]:
         return {seed_base + i: v for i, v in sorted(per_index.items())}
@@ -206,27 +204,37 @@ def run_campaign(n: int, trial: Callable[[int], Any], *,
         n=n, seed_base=seed_base, workers=workers,
         elapsed_s=time.perf_counter() - started,
         per_index=results.per_index,
-        failures=sorted(failures, key=lambda f: f.index),
+        failures=sorted(results.failures, key=lambda f: f.index),
         metrics=by_seed(results.metrics),
         lineages=by_seed(results.lineages))
 
 
 class _Results:
-    """Every successful trial's value and shipped extras, by index.
+    """Every trial's outcome, by index: values, shipped extras, failures.
 
     The serial loop and the parallel fleet both record each trial here
     exactly once, which is where ``on_snapshot`` fires.  A listener that
-    raises is switched off instead of killing the sweep: a live view
-    must never be able to abort a campaign.
+    raises aborts the sweep: the listeners are the served sweep's store
+    and stream, so a crash in one is a bug to see, not to hide.
     """
 
-    def __init__(self, on_snapshot: Optional[Callable[[int, dict], None]]) -> None:
+    def __init__(self, seed_base: int,
+                 on_snapshot: Optional[Callable[[int, dict], None]]) -> None:
+        self.seed_base = seed_base
         self.on_snapshot = on_snapshot
         self.per_index: Dict[int, Any] = {}
         self.metrics: Dict[int, dict] = {}
         self.lineages: Dict[int, List[dict]] = {}
+        self.failures: List[TrialFailure] = []
 
-    def add(self, index: int, value: Any, extra: Optional[dict]) -> None:
+    def record(self, index: int, kind: str, payload: Any) -> None:
+        """Record one :func:`~repro.fleet.worker.attempt` outcome."""
+        if kind != "ok":
+            self.failures.append(TrialFailure(
+                seed=self.seed_base + index, index=index, kind=kind,
+                message=payload))
+            return
+        value, extra = payload
         self.per_index[index] = value
         extra = extra or {}
         if "lineage" in extra:
@@ -234,37 +242,7 @@ class _Results:
         if "metrics" in extra:
             self.metrics[index] = extra["metrics"]
             if self.on_snapshot is not None:
-                try:
-                    self.on_snapshot(index, extra["metrics"])
-                except Exception:
-                    # Broad on purpose: contains any crash in a user's listener.
-                    self.on_snapshot = None
-
-
-# ----------------------------------------------------------------------
-# serial fast path (workers=1): same semantics, no multiprocessing
-# ----------------------------------------------------------------------
-
-def _run_serial(n, trial, seed_base, timeout, retries,
-                results: _Results) -> List[TrialFailure]:
-    failures: List[TrialFailure] = []
-    for index in range(n):
-        for attempt in range(1, retries + 2):
-            try:
-                value, extra = run_one(trial, seed_base + index, timeout)
-            except _TrialTimeout:
-                kind, message = FAIL_TIMEOUT, f"trial exceeded its {timeout}s timeout"
-            except Exception as exc:
-                # Broad on purpose: contains any crash in a user's trial.
-                kind, message = FAIL_ERROR, f"{type(exc).__name__}: {exc}"
-            else:
-                results.add(index, value, extra)
-                break
-            if attempt == retries + 1:
-                failures.append(TrialFailure(
-                    seed=seed_base + index, index=index, kind=kind,
-                    message=message, attempts=attempt))
-    return failures
+                self.on_snapshot(index, extra["metrics"])
 
 
 # ----------------------------------------------------------------------
@@ -279,197 +257,103 @@ def _fleet_context():
 
 
 class _Fleet:
-    """Book-keeping for one parallel sweep."""
+    """One parallel sweep: the parent hands out indices one at a time.
 
-    def __init__(self, ctx, n, trial, seed_base, workers, timeout,
-                 retries, results):
+    Each worker has its own pipe.  ``busy`` maps a worker's pipe to
+    ``(process, index, deadline)`` for the index it was last sent, so a
+    result, an EOF (the worker died) or a passed deadline (the worker
+    hung) always resolves exactly that index, once.
+    """
+
+    def __init__(self, ctx, n, trial, seed_base, workers, timeout, results):
         self.ctx = ctx
-        self.n = n
         self.trial = trial
         self.seed_base = seed_base
+        self.workers = workers
         self.timeout = timeout
-        self.retries = retries
         self.results = results
-        # Tasks ride an mp.Queue (buffered: the parent can enqueue the whole
-        # sweep up-front without blocking).  Results ride a SimpleQueue:
-        # its put() writes to the pipe synchronously in the worker, so a
-        # worker that dies mid-trial has always flushed its "start"
-        # message first and the parent knows exactly which index it held.
-        self.task_queue = ctx.Queue()
-        self.result_queue = ctx.SimpleQueue()
-        self.procs: Dict[int, Any] = {}          # live worker id -> Process
-        self.in_flight: Dict[int, tuple] = {}    # worker id -> (index, deadline)
-        self.failed_attempts: Dict[int, int] = {}
-        self.failures: List[TrialFailure] = []
-        self.resolved: set[int] = set()
-        self._next_worker_id = 0
-        self._last_progress = time.monotonic()
-        self._stall_s = max(5.0, 2.0 * (timeout or 0.0))
-        for index in range(n):
-            self.task_queue.put(index)
-        for _ in range(workers):
-            self._spawn()
+        self.pending = iter(range(n))
+        self.busy: Dict[Any, tuple] = {}
+        self.procs: List[Any] = []
 
-    # -- workers -------------------------------------------------------
     def _spawn(self) -> None:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
+        """Start a worker and send it the next index, if any is left."""
+        index = next(self.pending, None)
+        if index is None:
+            return
+        conn, child_conn = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=worker_main,
-            args=(worker_id, self.trial, self.seed_base, self.timeout,
-                  self.task_queue, self.result_queue),
+            args=(child_conn, self.trial, self.seed_base, self.timeout),
             daemon=True)
         proc.start()
-        self.procs[worker_id] = proc
+        self.procs.append(proc)
+        child_conn.close()  # else the worker's death never reads as EOF
+        self._send(conn, proc, index)
 
-    def _retire(self, worker_id: int, *, kill: bool = False) -> None:
-        proc = self.procs.pop(worker_id, None)
-        self.in_flight.pop(worker_id, None)
-        if proc is None:
-            return
-        if kill and proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=1.0)
-
-    # -- per-trial resolution ------------------------------------------
-    def _record_success(self, index, value, extra) -> None:
-        if index in self.resolved:
-            return  # stale duplicate (e.g. retry raced a watchdog kill)
-        self.resolved.add(index)
-        self.results.add(index, value, extra)
-
-    def _record_failed_attempt(self, index, kind, message) -> None:
-        if index in self.resolved:
-            return
-        attempts = self.failed_attempts.get(index, 0) + 1
-        self.failed_attempts[index] = attempts
-        if attempts <= self.retries:
-            self.task_queue.put(index)  # one more chance
+    def _send(self, conn, proc, index: Optional[int]) -> None:
+        """Hand ``conn``'s worker ``index``, or stop it with ``None``."""
+        if index is None:
+            del self.busy[conn]
         else:
-            self.resolved.add(index)
-            self.failures.append(TrialFailure(
-                seed=self.seed_base + index, index=index, kind=kind,
-                message=message, attempts=attempts))
-
-    # -- failure detection ---------------------------------------------
-    def _deadline(self) -> Optional[float]:
-        if self.timeout is None:
-            return None
-        return time.monotonic() + self.timeout + _WATCHDOG_GRACE_S
-
-    def _police_workers(self) -> None:
-        """Reap dead workers, kill hung ones, keep the fleet staffed."""
-        for worker_id in list(self.procs):
-            proc = self.procs[worker_id]
-            flight = self.in_flight.get(worker_id)
-            if not proc.is_alive():
-                # Drain any messages the worker managed to send first.
-                if self._drain_one():
-                    return  # re-enter after processing; state may have changed
-                self._retire(worker_id)
-                if flight is not None:
-                    index = flight[0]
-                    self._record_failed_attempt(
-                        index, FAIL_CRASH,
-                        f"worker exited with code {proc.exitcode} mid-trial")
-                if len(self.resolved) < self.n:
-                    self._spawn()
-            elif (flight is not None and flight[1] is not None
-                  and time.monotonic() > flight[1]):
-                index = flight[0]
-                self._retire(worker_id, kill=True)
-                self._record_failed_attempt(
-                    index, FAIL_TIMEOUT,
-                    f"trial exceeded its {self.timeout}s timeout "
-                    f"(hung worker killed by watchdog)")
-                if len(self.resolved) < self.n:
-                    self._spawn()
-        self._recover_lost_tasks()
-
-    def _recover_lost_tasks(self) -> None:
-        """Last-resort accounting: re-enqueue indices nobody is working on.
-
-        The only way a task can vanish is a worker dying in the few
-        instructions between pulling an index off the task queue and
-        announcing it on the (synchronous) result queue — e.g. an
-        external SIGKILL at exactly the wrong moment.  If the fleet has
-        been idle (no in-flight trials, no progress) long enough that
-        any queued task would certainly have been picked up, re-enqueue
-        everything unresolved; duplicate completions are deduped by
-        :meth:`_record_success`.
-        """
-        if self.in_flight or len(self.resolved) >= self.n:
-            return
-        if time.monotonic() - self._last_progress < self._stall_s:
-            return
-        for index in range(self.n):
-            if index not in self.resolved:
-                self.task_queue.put(index)
-        self._last_progress = time.monotonic()
-
-    # -- event loop ----------------------------------------------------
-    def _handle(self, message) -> None:
-        kind, worker_id, index, a, b = message
-        self._last_progress = time.monotonic()
-        if kind == "start":
-            if worker_id in self.procs:
-                self.in_flight[worker_id] = (index, self._deadline())
-        elif kind == "ok":
-            self.in_flight.pop(worker_id, None)
-            self._record_success(index, a, b)
-        elif kind == "fail":
-            self.in_flight.pop(worker_id, None)
-            self._record_failed_attempt(index, a, b)
-        # "bye" needs no action here.
-
-    def _poll_result(self, timeout: float):
-        """Wait up to ``timeout`` for a result message; None on silence."""
-        reader = getattr(self.result_queue, "_reader", None)
-        if reader is not None:
-            if not reader.poll(timeout):
-                return None
-        else:  # pragma: no cover - SimpleQueue always has _reader today
-            end = time.monotonic() + timeout
-            while self.result_queue.empty():
-                if time.monotonic() >= end:
-                    return None
-                time.sleep(0.005)
+            self.busy[conn] = (proc, index, None if self.timeout is None else
+                               time.monotonic() + self.timeout
+                               + _WATCHDOG_GRACE_S)
         try:
-            return self.result_queue.get()
-        except EOFError:  # pragma: no cover - all writers vanished
-            return None
+            conn.send(index)
+        except OSError:
+            pass  # the worker is dead: its pipe reads EOF next
+        if index is None:
+            conn.close()
 
-    def _drain_one(self) -> bool:
-        message = self._poll_result(0.0)
+    def _resolve(self, conn, kind: str, payload: Any) -> None:
+        """Record ``conn``'s result and send that worker its next index."""
+        proc, index, _ = self.busy[conn]
+        self.results.record(index, kind, payload)
+        self._send(conn, proc, next(self.pending, None))
+
+    def _replace(self, conn, kind: str, message: Optional[str]) -> None:
+        """Record a dead or hung worker's index as failed; start another."""
+        proc, index, _ = self.busy.pop(conn)
+        conn.close()
+        if kind == FAIL_TIMEOUT:
+            proc.kill()
+        proc.join(timeout=5.0)
         if message is None:
-            return False
-        self._handle(message)
-        return True
+            message = f"worker exited with code {proc.exitcode} mid-trial"
+        self.results.record(index, kind, message)
+        self._spawn()
 
-    def run(self):
+    def _wait_s(self) -> Optional[float]:
+        """Seconds to the nearest watchdog deadline (``None``: no timeout)."""
+        deadlines = [d for _, _, d in self.busy.values() if d is not None]
+        if not deadlines:
+            return None
+        return max(0.0, min(deadlines) - time.monotonic())
+
+    def run(self) -> None:
         try:
-            while len(self.resolved) < self.n:
-                message = self._poll_result(_POLL_S)
-                if message is None:
-                    self._police_workers()
-                    continue
-                self._handle(message)
-            return self.failures
+            for _ in range(self.workers):
+                self._spawn()
+            while self.busy:
+                for conn in wait(list(self.busy), self._wait_s()):
+                    try:
+                        kind, payload = conn.recv()
+                    except (EOFError, OSError):
+                        self._replace(conn, FAIL_CRASH, None)
+                    else:
+                        self._resolve(conn, kind, payload)
+                now = time.monotonic()
+                for conn, (_, _, deadline) in list(self.busy.items()):
+                    if deadline is not None and now > deadline:
+                        self._replace(conn, FAIL_TIMEOUT, (
+                            f"trial exceeded its {self.timeout}s timeout "
+                            f"(hung worker killed by watchdog)"))
         finally:
-            self._shutdown()
-
-    def _shutdown(self) -> None:
-        for _ in self.procs:
-            self.task_queue.put(None)
-        deadline = time.monotonic() + 5.0
-        for worker_id in list(self.procs):
-            proc = self.procs[worker_id]
-            proc.join(timeout=max(0.1, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-            self.procs.pop(worker_id, None)
-        # Don't let the task queue's feeder thread block interpreter exit.
-        self.task_queue.cancel_join_thread()
-        self.task_queue.close()
-        self.result_queue.close()
+            for proc, _, _ in self.busy.values():
+                proc.kill()
+            for proc in self.procs:
+                proc.join(timeout=5.0)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()

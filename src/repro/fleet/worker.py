@@ -1,36 +1,31 @@
 """Worker-process side of the fleet engine.
 
-A worker is a plain loop: pull a trial index off the task queue, run
-``trial(seed_base + index)`` under an optional SIGALRM-based per-trial
-timeout, and push the outcome to the result queue.  Workers never decide
-policy — retries, watchdogs, and reduction all live in the parent
-(:mod:`repro.fleet.scheduler`) so that a worker can be killed and
-respawned at any moment without losing campaign state.
+A worker is a plain loop over its own pipe to the parent: receive a
+trial index, run ``trial(seed_base + index)`` through :func:`attempt`,
+send the outcome back, and stop on a ``None`` index.  Workers never
+decide policy — assignment, watchdogs and reduction all live in the
+parent (:mod:`repro.fleet.scheduler`), and the parent always knows which
+index a worker holds because it sent it.
 
-Wire protocol (all messages are 5-tuples on the result queue)::
-
-    ("start", worker_id, index, None, None)        # about to run index
-    ("ok",    worker_id, index, value, extra)      # extra: dict | None
-    ("fail",  worker_id, index, kind, message)     # kind: "error" | "timeout"
-    ("bye",   worker_id, None,  None, None)        # clean shutdown
+:func:`attempt` is the one place a trial runs, in a worker and in the
+serial loop alike.  It returns ``("ok", (value, extra))`` or
+``(kind, message)`` with ``kind`` ``"error"`` (``message`` is the
+formatted traceback) or ``"timeout"``.
 
 The trial a worker runs is always an :class:`ObservedTrial`, which
-returns the ``(value, extra)`` pair an ``"ok"`` message carries.
+returns the ``(value, extra)`` pair an ``"ok"`` outcome carries.
 ``extra`` is ``None`` or a dict with optional keys ``"metrics"`` (the
 trial's :class:`MetricsRegistry` snapshot when the campaign collects
 metrics; the parent hands it to ``on_snapshot``) and ``"lineage"`` (a
 truncated serialized flight-recorder sample when the campaign runs
-with ``flight_recorder=N``).  Nothing else crosses the queue while a
+with ``flight_recorder=N``).  Nothing else crosses the pipe while a
 trial runs.
-
-``"start"`` always precedes the matching ``"ok"``/``"fail"`` and the
-queue preserves per-worker ordering, so the parent always knows which
-index a dead or hung worker was holding.
 """
 
 from __future__ import annotations
 
 import signal
+import traceback
 from typing import Any, Callable, Optional, Tuple
 
 from repro.fleet.errors import FAIL_ERROR, FAIL_TIMEOUT
@@ -38,7 +33,7 @@ from repro.obs.lineage import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import installed
 
-__all__ = ["ObservedTrial", "run_one", "worker_main"]
+__all__ = ["ObservedTrial", "attempt", "worker_main"]
 
 
 class ObservedTrial:
@@ -52,7 +47,7 @@ class ObservedTrial:
     seed-order merge == one serial registry).  ``lineage_sample=N > 0``
     installs a :class:`~repro.obs.lineage.FlightRecorder` whose ring
     buffer keeps only the newest ``N`` lineages, so worker memory and
-    the result-queue payload stay bounded however much traffic the
+    the pipe payload stay bounded however much traffic the
     trial generates; raw frame bytes are clipped by
     :meth:`FlightRecorder.to_dicts`'s ``raw_limit`` on the way out.
     Both are observational only, so the trial's value is identical with
@@ -110,25 +105,21 @@ def run_one(trial: Callable[[int], Any], seed: int,
         signal.signal(signal.SIGALRM, previous)
 
 
-def worker_main(worker_id: int, trial: ObservedTrial, seed_base: int,
-                timeout: Optional[float], task_queue: Any,
-                result_queue: Any) -> None:
-    """Process entry point: drain the task queue until a ``None`` sentinel."""
-    while True:
-        index = task_queue.get()
-        if index is None:
-            result_queue.put(("bye", worker_id, None, None, None))
-            return
-        result_queue.put(("start", worker_id, index, None, None))
-        try:
-            value, extra = run_one(trial, seed_base + index, timeout)
-        except _TrialTimeout:
-            result_queue.put(("fail", worker_id, index, FAIL_TIMEOUT,
-                              f"trial exceeded its {timeout}s timeout"))
-            continue
-        except Exception as exc:
-            # Broad on purpose: contains any crash in a user's trial.
-            result_queue.put(("fail", worker_id, index, FAIL_ERROR,
-                              f"{type(exc).__name__}: {exc}"))
-            continue
-        result_queue.put(("ok", worker_id, index, value, extra))
+def attempt(trial: Callable[[int], Any], seed: int,
+            timeout: Optional[float]) -> Tuple[str, Any]:
+    """Run one trial once: ``("ok", result)`` or ``(kind, message)``."""
+    try:
+        return "ok", run_one(trial, seed, timeout)
+    except _TrialTimeout:
+        return FAIL_TIMEOUT, f"trial exceeded its {timeout}s timeout"
+    except Exception:
+        # Broad on purpose: the trial is recorded as failed, with its
+        # traceback, and the sweep reports it and exits non-zero.
+        return FAIL_ERROR, traceback.format_exc()
+
+
+def worker_main(conn: Any, trial: ObservedTrial, seed_base: int,
+                timeout: Optional[float]) -> None:
+    """Process entry point: run each index the parent sends until ``None``."""
+    while (index := conn.recv()) is not None:
+        conn.send(attempt(trial, seed_base + index, timeout))

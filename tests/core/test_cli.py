@@ -131,6 +131,38 @@ def test_cli_sweep_custom_seed_base(tmp_path, capsys):
     assert [r["seed"] for r in payload["results"]] == [7, 8]
 
 
+def _raises_on_seed_1001(seed):
+    if seed == 1001:
+        raise KeyError("no station for seed 1001")
+    return {"rows": [{"seed": seed}]}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_exits_1_when_a_trial_fails(workers, tmp_path,
+                                              monkeypatch, capsys):
+    """One failing seed fails the sweep; --json keeps its traceback."""
+    import repro.core.registry as registry
+    from repro.core.registry import ExperimentSpec
+
+    spec = ExperimentSpec("STUB", "raises on one seed", "-",
+                          _raises_on_seed_1001, lambda result: [])
+    monkeypatch.setattr(registry, "EXPERIMENTS",
+                        [*registry.EXPERIMENTS, spec])
+    out_file = tmp_path / "sweep.json"
+    assert main(["sweep", "STUB", "--trials", "3", "--workers", workers,
+                 "--json", str(out_file)]) == 1
+    captured = capsys.readouterr()
+    assert "1 of 3 trial(s) failed" in captured.err
+    assert "FAILED" in captured.out
+    assert "KeyError: 'no station for seed 1001'" in captured.out
+    payload = json.loads(out_file.read_text())
+    assert payload["ok"] == 2
+    [failure] = payload["failures"]
+    assert (failure["seed"], failure["kind"]) == (1001, "error")
+    assert failure["message"].startswith("Traceback")
+    assert "_raises_on_seed_1001" in failure["message"]
+
+
 def test_seeded_experiment_adapter():
     adapter = SeededExperiment("e-8021x")  # case-insensitive, normalized
     assert adapter.exp_id == "E-8021X"

@@ -43,8 +43,6 @@ def test_trial_stats_aggregation():
     assert stats.mean == 0.75
     assert stats.rate == 0.75
     assert stats.stdev == pytest.approx(0.5)
-    assert stats.ci95_halfwidth() > 0
-    assert "n=4" in str(stats)
 
 
 def test_trial_stats_empty():

@@ -5,16 +5,15 @@ multiprocessing start method (fork inherits them anyway; spawn needs
 the names importable).
 """
 
+import multiprocessing
 import os
 import signal
 import time
-from functools import partial
 
 import pytest
 
-from repro.core.campaign import TrialStats, run_trials
-from repro.fleet import (CampaignError, campaign_stats, merge_all,
-                         run_campaign, FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT)
+from repro.fleet import (campaign_stats, run_campaign, FAIL_CRASH,
+                         FAIL_ERROR, FAIL_TIMEOUT)
 from repro.sim.rng import SimRandom
 
 
@@ -30,9 +29,15 @@ def failing_trial(seed):
     return 1.0
 
 
-def crashing_trial(seed):
+def exiting_trial(seed):
     if seed == 1003:
         os._exit(17)  # hard death: no exception, no cleanup
+    return 0.5
+
+
+def killed_trial(seed):
+    if seed == 1003:
+        os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer would
     return 0.5
 
 
@@ -48,16 +53,6 @@ def signal_proof_hang_trial(seed):
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
         time.sleep(60)
     return 1.0
-
-
-def flaky_trial(seed, marker_dir=None):
-    """Fails the first attempt for each seed, succeeds on retry."""
-    marker = os.path.join(marker_dir, f"{seed}.attempted")
-    if not os.path.exists(marker):
-        with open(marker, "w"):
-            pass
-        raise RuntimeError("first attempt fails")
-    return 3.0
 
 
 def metric_trial(seed):
@@ -84,14 +79,6 @@ def test_parallel_aggregate_bit_identical_to_serial():
     assert serial.failures == parallel.failures == []
 
 
-def test_run_trials_workers_keyword_matches_serial():
-    serial = run_trials(40, rng_trial)
-    parallel = run_trials(40, rng_trial, workers=4)
-    assert serial.values == parallel.values
-    assert serial.mean == parallel.mean
-    assert serial.stdev == parallel.stdev
-
-
 def test_parallel_runs_are_repeatable():
     first = run_campaign(24, rng_trial, workers=3)
     second = run_campaign(24, rng_trial, workers=3)
@@ -99,7 +86,7 @@ def test_parallel_runs_are_repeatable():
 
 
 # ----------------------------------------------------------------------
-# fault containment: failures are data, not aborts
+# fault containment: one attempt per trial; failures are recorded data
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -110,7 +97,7 @@ def test_raising_trial_recorded_not_fatal(workers):
     failure = result.failures[0]
     assert failure.kind == FAIL_ERROR
     assert "seed 1005 always fails" in failure.message
-    assert failure.attempts == 2  # initial try + one retry
+    assert "Traceback" in failure.message  # the formatted traceback
     assert result.stats.n == 7  # failed trial contributes nothing
 
 
@@ -125,39 +112,28 @@ def test_timeout_enforced_by_worker_alarm():
 def test_timeout_enforced_by_parent_watchdog():
     """A trial hung with SIGALRM blocked is killed from the outside."""
     result = run_campaign(4, signal_proof_hang_trial, workers=2,
-                          timeout=0.5, retries=0)
+                          timeout=0.5)
     assert result.ok == 3
     assert [(f.seed, f.kind) for f in result.failures] == [(1001, FAIL_TIMEOUT)]
+    assert "killed by watchdog" in result.failures[0].message
+    assert multiprocessing.active_children() == []
 
 
 def test_dead_worker_detected_and_replaced():
-    result = run_campaign(6, crashing_trial, workers=2)
-    assert result.ok == 5  # the fleet was restaffed and finished the sweep
-    assert [(f.seed, f.kind) for f in result.failures] == [(1003, FAIL_CRASH)]
-    assert result.failures[0].attempts == 2
+    for crashing_trial, exitcode in [(exiting_trial, 17),
+                                     (killed_trial, -signal.SIGKILL)]:
+        result = run_campaign(6, crashing_trial, workers=2)
+        assert result.ok == 5  # the fleet was restaffed and finished
+        assert [(f.seed, f.kind) for f in result.failures] == \
+            [(1003, FAIL_CRASH)]
+        assert f"exited with code {exitcode}" in result.failures[0].message
+        assert multiprocessing.active_children() == []
 
 
 def test_serial_timeout_path():
-    result = run_campaign(4, sleepy_trial, workers=1, timeout=0.5, retries=0)
+    result = run_campaign(4, sleepy_trial, workers=1, timeout=0.5)
     assert result.ok == 3
     assert [(f.seed, f.kind) for f in result.failures] == [(1002, FAIL_TIMEOUT)]
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_retry_rescues_transient_failures(tmp_path, workers):
-    trial = partial(flaky_trial, marker_dir=str(tmp_path))
-    result = run_campaign(5, trial, workers=workers, retries=1)
-    assert result.failures == []
-    assert result.ok == 5
-    assert result.stats.values == [3.0] * 5
-    # every seed really did fail once before succeeding
-    assert len(list(tmp_path.glob("*.attempted"))) == 5
-
-
-def test_run_trials_raises_campaign_error_on_persistent_failure():
-    with pytest.raises(CampaignError) as excinfo:
-        run_trials(8, failing_trial, workers=2)
-    assert [f.seed for f in excinfo.value.failures] == [1005]
 
 
 # ----------------------------------------------------------------------
@@ -248,31 +224,19 @@ def test_flight_recorder_composes_with_metrics_and_traces():
 # ----------------------------------------------------------------------
 
 def test_campaign_stats_reduces_in_seed_order():
-    per_index = {i: float(i) for i in range(10)}
-    for chunk in (1, 3, 10, 64):
-        stats = campaign_stats(per_index, 10, chunk=chunk)
-        assert stats.values == [float(i) for i in range(10)]
+    per_index = {i: float(i) for i in reversed(range(10))}  # completion order
+    stats = campaign_stats(per_index)
+    assert stats.values == [float(i) for i in range(10)]
 
 
 def test_campaign_stats_skips_failed_indices():
     per_index = {0: 1.0, 2: 3.0}
-    stats = campaign_stats(per_index, 3)
+    stats = campaign_stats(per_index)
     assert stats.values == [1.0, 3.0]
 
 
 def test_campaign_stats_none_for_payload_sweeps():
-    assert campaign_stats({0: {"rows": []}}, 1) is None
-
-
-def test_merge_all_chains_accumulators():
-    parts = []
-    for lo in (0, 5):
-        part = TrialStats()
-        for v in range(lo, lo + 5):
-            part.add(float(v))
-        parts.append(part)
-    total = merge_all(TrialStats(), *parts)
-    assert total.values == [float(v) for v in range(10)]
+    assert campaign_stats({0: {"rows": []}}) is None
 
 
 def test_empty_campaign():
@@ -285,12 +249,6 @@ def test_empty_campaign():
 # ----------------------------------------------------------------------
 # on_snapshot: each successful trial's metrics snapshot, in the parent
 # ----------------------------------------------------------------------
-
-def flaky_metric_trial(seed, marker_dir=None):
-    """Records metrics, then fails the first attempt for each seed."""
-    metric_trial(seed)
-    return flaky_trial(seed, marker_dir)
-
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_on_snapshot_fires_once_per_successful_trial(workers):
@@ -323,32 +281,19 @@ def test_on_snapshot_turns_on_metrics_collection():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_on_snapshot_fires_once_for_a_retried_trial(tmp_path, workers):
-    seen = []
-    trial = partial(flaky_metric_trial, marker_dir=str(tmp_path))
-    result = run_campaign(3, trial, workers=workers, retries=1,
-                          on_snapshot=lambda index, snap: seen.append(index))
-    assert result.failures == [] and result.ok == 3
-    assert len(list(tmp_path.glob("*.attempted"))) == 3  # each failed once
-    assert sorted(seen) == [0, 1, 2]
-    # the failed attempt's registry was never shipped
-    assert all(snap["fleet.test.calls"]["value"] == 1
-               for snap in result.metrics.values())
-
-
-@pytest.mark.parametrize("workers", [1, 2])
 def test_raising_listener_contained_not_fatal(workers):
+    """A listener that raises aborts the sweep, and no worker survives it."""
     calls = []
 
     def bad_listener(index, snapshot):
         calls.append(index)
         raise RuntimeError("listener broke")
 
-    result = run_campaign(3, metric_trial, workers=workers,
-                          on_snapshot=bad_listener)
-    assert result.stats.values == [1000.0, 1001.0, 1002.0]  # sweep survived
-    assert sorted(result.metrics) == [1000, 1001, 1002]
-    assert len(calls) == 1  # switched off after the first failure
+    with pytest.raises(RuntimeError, match="listener broke"):
+        run_campaign(3, metric_trial, workers=workers,
+                     on_snapshot=bad_listener)
+    assert len(calls) == 1  # the first delivery raised, and nothing after
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

@@ -86,7 +86,8 @@ def test_fig2_world_identical_under_scalar_and_vector_kernels(monkeypatch):
 
 def test_fig2_campaign_identical_serial_vs_parallel():
     serial = run_trials(6, fig2_compromise_trial, seed_base=300)
-    parallel = run_trials(6, fig2_compromise_trial, seed_base=300, workers=4)
+    parallel = run_campaign(6, fig2_compromise_trial, seed_base=300,
+                            workers=4).stats
     assert serial.values == parallel.values  # bit-for-bit, not just close
     assert serial.mean == parallel.mean
 

@@ -12,6 +12,7 @@ import json
 from zlib import crc32
 
 from repro.core.campaign import run_trials
+from repro.fleet import run_campaign
 from repro.rsn.experiment import exp_csa_lure, exp_downgrade, exp_pmf_flood
 
 
@@ -40,17 +41,17 @@ def test_experiments_pure_functions_of_seed():
 
 def test_pmf_campaign_identical_serial_vs_parallel():
     serial = run_trials(2, pmf_trial, seed_base=500)
-    parallel = run_trials(2, pmf_trial, seed_base=500, workers=2)
+    parallel = run_campaign(2, pmf_trial, seed_base=500, workers=2).stats
     assert serial.values == parallel.values
 
 
 def test_downgrade_campaign_identical_serial_vs_parallel():
     serial = run_trials(2, downgrade_trial, seed_base=500)
-    parallel = run_trials(2, downgrade_trial, seed_base=500, workers=2)
+    parallel = run_campaign(2, downgrade_trial, seed_base=500, workers=2).stats
     assert serial.values == parallel.values
 
 
 def test_csa_campaign_identical_serial_vs_parallel():
     serial = run_trials(2, csa_trial, seed_base=500)
-    parallel = run_trials(2, csa_trial, seed_base=500, workers=2)
+    parallel = run_campaign(2, csa_trial, seed_base=500, workers=2).stats
     assert serial.values == parallel.values
