@@ -4,8 +4,7 @@ One registration per claim the repo has shipped:
 
 * ``sim/event_dispatch_per_s`` — the kernel every experiment stands on;
 * ``radio/fanout_frames_per_s`` — dense-crowd beacon delivery through
-  the vectorized radio kernel (PR 7), the number the ROADMAP's
-  vectorized-radio item promised to move;
+  the radio kernel's cached delivery plan;
 * ``wire/checksum_mb_per_s``, ``wire/encode_cache_hit_rate``,
   ``wire/encode_cached_speedup`` — PR 5's streaming checksum and
   ~144x encode cache;
@@ -18,9 +17,8 @@ One registration per claim the repo has shipped:
   decryptions each, a fresh RC4 per packet;
 * ``crypto/sae_handshakes_per_s`` — SAE over the 1536-bit group, its
   modular exponentiations in libcrypto;
-* ``fleet/serial_trials_per_s``, ``fleet/parallel_speedup`` — PR 1's
-  campaign engine (speedup is recorded against the usable-core count
-  in the environment capture; a 1-core box legitimately reports <1);
+* ``fleet/serial_trials_per_s`` — PR 1's campaign engine, one worker
+  (serial == parallel is a tier-1 test, not a bench metric);
 * ``wids/eval_alerts_per_s`` — PR 4's full E-WIDS evaluation, the
   sustained-throughput discipline the WIDS survey calls for;
 * ``wids/correlator_alerts_per_s`` — synthetic alert-storm evidence
@@ -77,13 +75,13 @@ def sim_event_dispatch(scale: float = 1.0) -> BenchSample:
 
 
 # --------------------------------------------------------------------------
-# radio — fan-out heavy delivery (the vectorized-kernel "before" number)
+# radio — fan-out heavy delivery through the cached delivery plan
 # --------------------------------------------------------------------------
 
 def _fanout_world(receivers: int, transmissions: int):
     """Dense-crowd beacon fan-out: ``receivers`` co-located clients all
-    hearing one AP (the stadium/crowded-floor case the vectorized kernel
-    targets).  Returns ``(elapsed_s, deliveries)``.
+    hearing one AP: one transmitter, so one plan serves every
+    transmission.  Returns ``(elapsed_s, deliveries)``.
 
     The consumer callback is a no-op so the number measures the medium's
     fan-out machinery, not the benchmark's own bookkeeping; deliveries
@@ -373,9 +371,8 @@ def crypto_sae_handshakes(scale: float = 1.0) -> BenchSample:
 # --------------------------------------------------------------------------
 
 def _fleet_trial(seed: int) -> float:
-    """CPU-bound, deterministic per seed (module-level: picklable): about
-    10 ms of pure-Python arithmetic, so fork and IPC costs stay small
-    beside it."""
+    """CPU-bound, deterministic per seed: about 10 ms of pure-Python
+    arithmetic."""
     x = seed
     for _ in range(60_000):
         x = (x * 1103515245 + 12345) & 0x7FFFFFFF
@@ -394,35 +391,6 @@ def fleet_serial(scale: float = 1.0) -> BenchSample:
         value=result.throughput,
         payload={"trials": trials, "failures": len(result.failures),
                  "stats_mean": result.stats.mean if result.stats else None})
-
-
-@register("fleet", "parallel_speedup", unit="x", higher_is_better=True,
-          tolerance=0.9)
-def fleet_parallel_speedup(scale: float = 1.0) -> BenchSample:
-    """4-worker over 1-worker campaign speedup (hardware-bound).
-
-    On a 1-core box this is legitimately <1 (fork + IPC overhead with
-    nothing to parallelize) — the environment capture records the
-    usable-core count next to it.  The determinism half (aggregates
-    bit-identical across worker counts) is asserted here regardless.
-    """
-    from repro.fleet import run_campaign
-
-    trials = _scaled(16, scale, 4)
-    workers = 4
-    serial = run_campaign(trials, _fleet_trial, workers=1)
-    parallel = run_campaign(trials, _fleet_trial, workers=workers)
-    identical = (serial.failures == [] and parallel.failures == []
-                 and serial.stats.values == parallel.stats.values)
-    if not identical:
-        raise AssertionError(
-            "fleet determinism contract violated: serial and parallel "
-            "campaigns disagree")
-    speedup = (parallel.throughput / serial.throughput
-               if serial.throughput else 0.0)
-    return BenchSample(value=speedup,
-                       payload={"trials": trials, "workers": workers,
-                                "deterministic": identical})
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from the restricted physical access of traditional wired networks"
 is delivered to every radio in range on an overlapping channel, with
 RSSI from a log-distance path-loss model, optional frame loss and
 collisions.  One propagation kernel,
-:class:`VectorKernel`, resolves every transmission from cached pair
-geometry.
+:class:`VectorKernel`, resolves every transmission from a per-
+transmitter delivery plan that any PHY change drops.
 """
 
 from repro.radio.kernel import VectorKernel

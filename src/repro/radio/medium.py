@@ -15,9 +15,10 @@ results depend on contention behaviour; experiments that need a clean
 medium simply pace their traffic.
 
 Propagation is resolved by :class:`~repro.radio.kernel.VectorKernel`,
-which serves RSSI and fan-out plans from an incrementally maintained
-station-pair geometry cache.  The tests hold it bit-identical to a
-per-pair test oracle — same deliveries, same drops, same RNG draws.
+which serves each transmitter's fan-out from a cached delivery plan
+and drops every plan on any PHY change.  The tests hold it
+bit-identical to a per-pair test oracle — same deliveries, same drops,
+same RNG draws.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ class RadioPort:
     PHY state that the medium's propagation kernel caches against —
     position, channel, ``any_channel``, ``enabled``, ``on_receive`` —
     is exposed through notifying properties: plain assignment (e.g.
-    ``port.position = ...`` or ``port.channel = 6``) routes through the
-    kernel's invalidation hooks, so cached geometry can never go stale
+    ``port.position = ...`` or ``port.channel = 6``) invalidates the
+    kernel's delivery plans, so a cached plan can never go stale
     silently.  :meth:`move_to` is the explicit movement API; every
-    position write funnels through it and bumps :attr:`position_epoch`.
+    position write funnels through it.
     """
 
     def __init__(
@@ -76,9 +77,6 @@ class RadioPort:
         # Set by the owner: called with (frame, rssi_dbm, channel).
         self._on_receive: Optional[Callable[[Dot11Frame, float, int], None]] = None
         self._medium: Optional["Medium"] = None
-        #: Bumped on every position write; the geometry-cache staleness
-        #: contract tests assert against it.
-        self.position_epoch = 0
         # PHY counters.
         self.tx_frames = 0
         self.tx_bytes = 0
@@ -87,6 +85,10 @@ class RadioPort:
         self.rx_dropped_collision = 0
 
     # -- kernel-notifying PHY state ------------------------------------
+    def _changed(self) -> None:
+        if self._medium is not None:
+            self._medium._kernel.invalidate()
+
     @property
     def position(self) -> Position:
         return self._position
@@ -99,9 +101,7 @@ class RadioPort:
         """Move the radio; the attached medium's kernel is notified so
         the very next transmission reflects the new geometry."""
         self._position = position
-        self.position_epoch += 1
-        if self._medium is not None:
-            self._medium._kernel.on_move(self)
+        self._changed()
 
     @property
     def channel(self) -> int:
@@ -110,8 +110,7 @@ class RadioPort:
     @channel.setter
     def channel(self, value: int) -> None:
         self._channel = value
-        if self._medium is not None:
-            self._medium._kernel.on_phy_change(self)
+        self._changed()
 
     @property
     def any_channel(self) -> bool:
@@ -120,8 +119,7 @@ class RadioPort:
     @any_channel.setter
     def any_channel(self, value: bool) -> None:
         self._any_channel = value
-        if self._medium is not None:
-            self._medium._kernel.on_phy_change(self)
+        self._changed()
 
     @property
     def enabled(self) -> bool:
@@ -130,8 +128,7 @@ class RadioPort:
     @enabled.setter
     def enabled(self, value: bool) -> None:
         self._enabled = value
-        if self._medium is not None:
-            self._medium._kernel.on_phy_change(self)
+        self._changed()
 
     @property
     def on_receive(self) -> Optional[Callable[[Dot11Frame, float, int], None]]:
@@ -140,8 +137,7 @@ class RadioPort:
     @on_receive.setter
     def on_receive(self, value) -> None:
         self._on_receive = value
-        if self._medium is not None:
-            self._medium._kernel.on_phy_change(self)
+        self._changed()
 
     # -- lifecycle -----------------------------------------------------
     def attach(self, medium: "Medium") -> None:
@@ -217,7 +213,7 @@ class Medium:
         if port in self.ports:
             raise ConfigurationError(f"radio {port.name!r} already attached")
         self.ports.append(port)
-        self._kernel.on_attach(port)
+        self._kernel.invalidate()
         port.attach(self)
         m = instruments().metrics
         if m is not None:
@@ -226,9 +222,8 @@ class Medium:
 
     def detach(self, port: RadioPort) -> None:
         if port in self.ports:
-            # Kernel first, while its port index is still aligned.
-            self._kernel.on_detach(port)
             self.ports.remove(port)
+            self._kernel.invalidate()
             # Clear the back-reference so a detached port cannot keep
             # transmitting into this medium through a stale handle.
             port._medium = None

@@ -50,11 +50,9 @@ class TraceRecord:
 class Trace:
     """An append-only record of simulation events with query helpers."""
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.records: list[TraceRecord] = []
-        self.capacity = capacity
         self._clock: Callable[[], float] = lambda: 0.0
-        self.enabled = True
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the time source (normally ``lambda: sim.now``)."""
@@ -63,15 +61,10 @@ class Trace:
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
-    def emit(self, category: str, source: str, **detail: Any) -> Optional[TraceRecord]:
+    def emit(self, category: str, source: str, **detail: Any) -> TraceRecord:
         """Record an event."""
-        if not self.enabled:
-            return None
         rec = TraceRecord(time=self._clock(), category=category, source=source, detail=detail)
         self.records.append(rec)
-        if self.capacity is not None and len(self.records) > self.capacity:
-            # Drop the oldest half in one slice rather than one-at-a-time.
-            del self.records[: self.capacity // 2]
         return rec
 
     # ------------------------------------------------------------------
@@ -123,9 +116,6 @@ class Trace:
         for rec in self.select(category=category, **kw):
             result = rec
         return result
-
-    def clear(self) -> None:
-        self.records.clear()
 
     def summary(self) -> dict[str, Any]:
         """Compact, serializable digest: record count, per-category counts, span."""

@@ -281,7 +281,7 @@ def test_on_snapshot_turns_on_metrics_collection():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_raising_listener_contained_not_fatal(workers):
+def test_raising_listener_aborts_sweep(workers):
     """A listener that raises aborts the sweep, and no worker survives it."""
     calls = []
 

@@ -3,7 +3,7 @@
 :class:`ScalarKernel` is the original per-(tx, rx) formulation of the
 medium — ``math.hypot`` + ``math.log10`` + channel rejection recomputed
 for every pair on every transmission, nothing cached.  It exposes the
-same hooks as :class:`repro.radio.kernel.VectorKernel`, so a test swaps
+same interface as :class:`repro.radio.kernel.VectorKernel`, so a test swaps
 it into a medium before any port attaches::
 
     medium = Medium(sim)
@@ -39,17 +39,8 @@ class ScalarKernel:
     def __init__(self, medium) -> None:
         self.medium = medium
 
-    # -- invalidation hooks: nothing is cached, nothing to do ----------
-    def on_attach(self, port) -> None:
-        pass
-
-    def on_detach(self, port) -> None:
-        pass
-
-    def on_move(self, port) -> None:
-        pass
-
-    def on_phy_change(self, port) -> None:
+    # -- invalidation hook: nothing is cached, nothing to do -----------
+    def invalidate(self) -> None:
         pass
 
     # -- propagation ---------------------------------------------------

@@ -1,13 +1,13 @@
-"""Property tests for the vectorized kernel's geometry cache.
+"""Property tests for the radio kernel's plan cache.
 
 The cache's contract: after *any* interleaving of moves, attaches and
 detaches, ``rssi_between`` returns exactly what a fresh
-``LogDistancePathLoss`` computation would — epoch invalidation never
-serves stale geometry, and caching never changes a single bit.  Plus
-the satellite regression for the silent stale-position hazard: a plain
-``port.position = ...`` assignment must behave exactly like
-``move_to()`` (bump the epoch, invalidate, and be visible on the very
-next transmission).
+``LogDistancePathLoss`` computation would, and a transmission fans out
+with the geometry of that moment — invalidation never serves a stale
+plan, and caching never changes a single bit.  Plus the regression for
+the silent stale-position hazard: a plain ``port.position = ...``
+assignment must behave exactly like ``move_to()`` (invalidate, and be
+visible on the very next transmission).
 """
 
 import math
@@ -68,8 +68,6 @@ def test_cached_rssi_equals_fresh_computation_after_any_interleaving(
         elif kind == "attach" and port._medium is None:
             medium.attach(port)
         elif kind == "rssi":
-            # Interleaved reads warm the cache mid-sequence so later
-            # invalidations act on *populated* rows, not empty ones.
             other = ports[op["j"] % len(ports)]
             if other is not port:
                 medium.rssi_between(port, other)
@@ -87,8 +85,7 @@ def test_cached_rssi_equals_fresh_computation_after_any_interleaving(
        power=st.floats(min_value=1.0, max_value=30.0, allow_nan=False))
 def test_rssi_is_symmetric_for_equal_powers(ax, ay, bx, by, power):
     """``math.hypot`` of negated deltas is bit-identical, so with equal
-    tx powers the cached RSSI must be *exactly* symmetric — each
-    direction cached in a different transmitter's row."""
+    tx powers the RSSI must be *exactly* symmetric."""
     sim = Simulator(seed=7)
     medium = Medium(sim)
     a = RadioPort("a", Position(ax, ay), 1, tx_power_dbm=power)
@@ -113,30 +110,6 @@ def test_sub_decimetre_distances_clamp_to_point_one_metre():
     assert medium.rssi_between(a, near) == clamped
 
 
-def test_move_updates_cached_rows_incrementally():
-    """Movement patches the mover's column in cached rows (row_updates)
-    rather than rebuilding every row from scratch (row_builds)."""
-    sim = Simulator(seed=7)
-    medium = Medium(sim)
-    ports = [RadioPort(f"p{i}", Position(float(i * 3), 0.0), 1)
-             for i in range(4)]
-    for p in ports:
-        medium.attach(p)
-    # Warm rows for two transmitters.
-    medium.rssi_between(ports[0], ports[1])
-    medium.rssi_between(ports[1], ports[2])
-    stats = medium.kernel.cache_stats()
-    assert stats["row_builds"] == 2 and stats["pl_rows"] == 2
-    ports[3].move_to(Position(1.0, 1.0))
-    stats = medium.kernel.cache_stats()
-    # One column patched per cached row, zero rebuilds.
-    assert stats["row_updates"] == 2
-    assert stats["row_builds"] == 2
-    # A mover with a cached row loses it (rebuilt lazily on next use).
-    ports[0].move_to(Position(2.0, 2.0))
-    assert medium.kernel.cache_stats()["pl_rows"] == 1
-
-
 class _Recorder:
     def __init__(self, port):
         self.rssi = []
@@ -158,9 +131,7 @@ def test_direct_position_write_is_visible_on_next_transmission():
 
     tx.transmit(beacon)
     sim.run()
-    epoch_before = tx.position_epoch
     tx.position = Position(40.0, 0.0)          # plain write, not move_to()
-    assert tx.position_epoch == epoch_before + 1
     tx.transmit(beacon)
     sim.run()
 
@@ -174,7 +145,7 @@ def test_direct_position_write_is_visible_on_next_transmission():
 
 def test_receiver_move_invalidates_delivery_plans_too():
     """Plans cache per-receiver RSSI; a *receiver* moving must
-    invalidate the transmitter's plan, not just the mover's own row."""
+    invalidate the transmitter's plan, not just the mover's own."""
     sim = Simulator(seed=7)
     medium = Medium(sim)
     tx = RadioPort("tx", Position(0.0, 0.0), 1)
@@ -194,10 +165,9 @@ def test_receiver_move_invalidates_delivery_plans_too():
 
 def test_detach_mid_flight_leaves_no_stale_row():
     """A transmitter that detaches while its frame is still in the air
-    must not leave a cached row or plan behind: the fan-out computes
-    its geometry uncached, because nothing would ever evict a row keyed
-    by a detached port and on_move/on_attach refresh columns on the
-    premise that every cached transmitter is attached."""
+    gets a plan that is served but never cached: a plan keyed by a
+    detached port's id could be inherited by whatever object recycles
+    the address."""
     sim = Simulator(seed=7)
     medium = Medium(sim)
     tx = RadioPort("tx", Position(0.0, 0.0), 1, tx_power_dbm=5.0)
@@ -208,14 +178,10 @@ def test_detach_mid_flight_leaves_no_stale_row():
     beacon = make_beacon(AP, "CACHE", 1)
     sim.schedule_at(0.001, lambda: tx.transmit(beacon))
     sim.schedule_at(0.001 + 1e-5, lambda: medium.detach(tx))  # mid-flight
-    # The regression: this move used to raise KeyError in _port_of while
-    # refreshing the detached transmitter's orphaned row.
     sim.schedule_at(0.01, lambda: rx.move_to(Position(1.0, 2.0)))
     sim.run()
     assert heard.rssi  # the in-flight frame still delivered
-    kernel = medium.kernel
-    assert all(pid in kernel._idx for pid in kernel._pl_rows)
-    assert all(pid in kernel._idx for pid in kernel._plans)
+    assert id(tx) not in medium.kernel._plans
 
 
 def test_detach_mid_flight_delivery_matches_scalar_kernel():
@@ -237,3 +203,28 @@ def test_detach_mid_flight_delivery_matches_scalar_kernel():
         sim.run()
         return heard.rssi
     assert run("vector") == run("scalar")
+
+
+def test_retune_mid_flight_delivers_on_the_channel_it_was_sent_on():
+    """A transmitter that retunes while its frame is in the air: the
+    frame stays on the channel it went out on, as in the scalar oracle,
+    so the plan is matched against the frame's channel, not the
+    transmitter's current one."""
+    def run(kernel):
+        sim = Simulator(seed=11)
+        medium = Medium(sim)
+        if kernel == "scalar":
+            medium._kernel = ScalarKernel(medium)
+        tx = RadioPort("tx", Position(0.0, 0.0), 1)
+        rx = RadioPort("rx", Position(3.0, 0.0), 1)
+        heard = _Recorder(rx)
+        medium.attach(tx)
+        medium.attach(rx)
+        beacon = make_beacon(AP, "CACHE", 1)
+        sim.schedule_at(0.001, lambda: tx.transmit(beacon))
+        sim.schedule_at(0.001 + 1e-5, lambda: setattr(tx, "channel", 11))
+        sim.run()
+        return heard.rssi
+    vector = run("vector")
+    assert len(vector) == 1
+    assert vector == run("scalar")

@@ -4,20 +4,26 @@ the per-pair scalar oracle.
 Every hypothesis-generated world — random positions, channels, tx
 powers, frame loss, collisions from carrier-sense-off injectors, moves
 mid-run (through ``move_to`` and plain ``port.position =``), attach/
-detach and retuning mid-run — is executed twice with the
+detach, retuning, ``enabled`` toggles, ``tx_power_dbm`` writes and
+``loss_model.extra_loss`` writes mid-run — is executed twice with the
 same seed, once with the medium's kernel swapped for
 :class:`~tests.radio.scalar_oracle.ScalarKernel` and once under the
 kernel ``Medium`` builds.  The runs must agree on:
 
 * the full delivery sequence, **including exact RSSI floats** (a 1-ULP
-  drift would fail — this is why the kernel computes pair geometry with
-  scalar ``math`` and uses numpy only for IEEE-exact add/sub/compare);
+  drift would fail — this is why the kernel builds its plans with the
+  oracle's scalar ``math`` calls in the oracle's op order);
 * every per-port counter (tx/rx/drop-by-loss/drop-by-collision);
 * the final RNG stream positions of both the medium substream and the
   root simulator stream — equal results with a diverged stream would
   still be a caching bug waiting to perturb the next subsystem;
 * the ``radio.*`` metrics snapshot (minus the kernel's own
   ``radio.kernel.*`` cache telemetry, which intentionally differs).
+
+Each mid-run write takes a different path to a fresh plan: a notifying
+``RadioPort`` setter (moves, ``channel``, ``enabled``), the plan's own
+power check (``tx_power_dbm``) or the per-fan-out parameter snapshot
+(``extra_loss``, which E-VPNOH sets after its world is built).
 
 CI runs this file as a dedicated step with a
 fixed profile (``derandomize=True`` keeps the corpus stable across
@@ -60,13 +66,17 @@ _port_spec = st.fixed_dictionaries({
 _action = st.fixed_dictionaries({
     "kind": st.sampled_from(
         ["tx", "tx", "tx", "tx_nocs", "move", "move_raw",
-         "detach", "attach", "channel"]),
+         "detach", "attach", "channel", "enabled", "power",
+         "extra_loss"]),
     "i": st.integers(min_value=0, max_value=7),
     "dt": st.floats(min_value=1e-5, max_value=2e-3,
                     allow_nan=False, allow_infinity=False),
     "x": _coord,
     "y": _coord,
     "channel": st.integers(min_value=1, max_value=11),
+    "power": st.floats(min_value=5.0, max_value=25.0,
+                       allow_nan=False, allow_infinity=False),
+    "extra_loss": st.sampled_from([0.0, 0.2, 0.5]),
 })
 
 _world = st.fixed_dictionaries({
@@ -75,6 +85,26 @@ _world = st.fixed_dictionaries({
     "ports": st.lists(_port_spec, min_size=2, max_size=6),
     "actions": st.lists(_action, min_size=1, max_size=14),
 })
+
+_WRITES = ["move", "move_raw", "detach", "attach", "channel", "enabled",
+           "power", "extra_loss"]
+# Every attached port transmits, well after the previous action.
+_TX_ALL = {"kind": "tx_all", "i": 0, "dt": 0.01}
+
+
+def _bracket_writes(spec: dict) -> dict:
+    """Put a round in which every port transmits before and after each
+    write, so every write meets warm plans and its effect is read by
+    the next round.  Drawn freely, worlds hold about three actions and
+    a write seldom lands between two transmissions of one port."""
+    actions = [_TX_ALL]
+    for a in spec["actions"]:
+        if a["kind"] in _WRITES:
+            actions += [a, _TX_ALL]
+    return {**spec, "actions": actions}
+
+
+_bracketed_world = _world.map(_bracket_writes)
 
 
 def _run_world(kernel: str, spec: dict) -> dict:
@@ -109,6 +139,10 @@ def _run_world(kernel: str, spec: dict) -> dict:
             if kind == "tx":
                 if port._medium is not None:
                     port.transmit(beacon)
+            elif kind == "tx_all":
+                for p in ports:
+                    if p._medium is not None:
+                        p.transmit(beacon)
             elif kind == "tx_nocs":
                 # Carrier-sense-off injector: transmits immediately,
                 # provoking time-overlap collisions.
@@ -128,6 +162,12 @@ def _run_world(kernel: str, spec: dict) -> dict:
                     medium.attach(port)
             elif kind == "channel":
                 port.channel = a["channel"]
+            elif kind == "enabled":
+                port.enabled = not port.enabled
+            elif kind == "power":
+                port.tx_power_dbm = a["power"]
+            elif kind == "extra_loss":
+                medium.loss_model.extra_loss = a["extra_loss"]
 
         t = 0.0
         for a in spec["actions"]:
@@ -152,9 +192,7 @@ def _run_world(kernel: str, spec: dict) -> dict:
         }
 
 
-@DIFF_SETTINGS
-@given(spec=_world)
-def test_vector_kernel_matches_scalar_reference(spec):
+def _assert_kernels_agree(spec: dict) -> None:
     scalar = _run_world("scalar", spec)
     vector = _run_world("vector", spec)
     assert vector["log"] == scalar["log"]
@@ -162,6 +200,18 @@ def test_vector_kernel_matches_scalar_reference(spec):
     assert vector["medium_rng"] == scalar["medium_rng"]
     assert vector["sim_rng"] == scalar["sim_rng"]
     assert vector["metrics"] == scalar["metrics"]
+
+
+@DIFF_SETTINGS
+@given(spec=_world)
+def test_vector_kernel_matches_scalar_reference(spec):
+    _assert_kernels_agree(spec)
+
+
+@DIFF_SETTINGS
+@given(spec=_bracketed_world)
+def test_every_mid_run_write_matches_scalar_reference(spec):
+    _assert_kernels_agree(spec)
 
 
 @DIFF_SETTINGS

@@ -185,7 +185,7 @@ def test_back_to_back_beacons_all_reach_every_receiver():
 def test_10k_station_world_fans_every_beacon_out_to_the_stations_in_range():
     """A 10,000-station field around one AP, 50 beacons, 20 stations
     walking toward the AP: the few hundred in hearing range receive
-    every beacon while the walkers keep invalidating cached rows."""
+    every beacon while the walkers keep invalidating the cached plan."""
     import math
 
     sim = Simulator(seed=11)

@@ -1,4 +1,4 @@
-"""Trace: emission, filtering, capacity."""
+"""Trace: emission, filtering, queries."""
 
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace, TraceRecord
@@ -41,37 +41,6 @@ def test_select_since():
     sim.schedule(5.0, sim.trace.emit, "a", "s")
     sim.run()
     assert sim.trace.count("a", since=2.0) == 1
-
-
-def test_capacity_drops_oldest():
-    t = Trace(capacity=10)
-    for i in range(25):
-        t.emit("c", "s", i=i)
-    assert len(t.records) <= 11
-    # the newest records survive
-    assert t.records[-1].detail["i"] == 24
-
-
-def test_capacity_trims_oldest_half_exactly_once_past_limit():
-    t = Trace(capacity=10)
-    for i in range(10):
-        t.emit("c", "s", i=i)
-    assert [r.detail["i"] for r in t.records] == list(range(10))  # at capacity: untouched
-    t.emit("c", "s", i=10)  # 11th record crosses the limit
-    assert [r.detail["i"] for r in t.records] == [5, 6, 7, 8, 9, 10]
-    # the buffer then refills to capacity before the next trim
-    for i in range(11, 15):
-        t.emit("c", "s", i=i)
-    assert [r.detail["i"] for r in t.records] == [5, 6, 7, 8, 9, 10, 11, 12, 13, 14]
-    t.emit("c", "s", i=15)  # crosses the limit again: one more half-trim
-    assert [r.detail["i"] for r in t.records] == [10, 11, 12, 13, 14, 15]
-
-
-def test_disabled_trace_is_silent():
-    t = Trace()
-    t.enabled = False
-    assert t.emit("c", "s") is None
-    assert t.count() == 0
 
 
 def test_record_detail_is_defensively_copied_on_construction():
