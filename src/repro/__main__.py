@@ -21,12 +21,10 @@ Usage::
                                          # multi-seed parallel campaign
     python -m repro sweep E-WIDS --trials 8 --wids scorecard.json
                                          # merged fleet-wide scorecard
-    python -m repro sweep FIG2 --trials 32 --port 9100 --jsonl s.jsonl
-                                         # the merged registry of the
-                                         # trials finished so far on
-                                         # GET /metrics (Prometheus text),
-                                         # one JSON line per trial; keeps
-                                         # serving until SIGINT/SIGTERM
+    python -m repro sweep FIG2 --trials 32 --jsonl s.jsonl
+                                         # one JSON line per finished
+                                         # trial (follow it with tail -f),
+                                         # then the merged registry
     python -m repro bench --check        # run the perf suite, diff
                                          # against the committed
                                          # BENCH_<area>.json baselines
@@ -37,12 +35,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
 import sys
-import threading
 import time
-from contextlib import ExitStack, contextmanager
-from typing import Iterator
+from contextlib import ExitStack, nullcontext
 
 from repro.core.claims import claim_count
 from repro.core.registry import (EXPERIMENTS, SeededExperiment,
@@ -348,91 +343,41 @@ def _wids_section(spec, watch, col) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a registered experiment as a parallel multi-seed campaign.
 
-    ``--port`` serves the seed-order merged registry of the trials
-    finished so far on ``GET /metrics`` (``/healthz`` beside it) and,
-    once the sweep ends, keeps serving the final view until SIGINT or
-    SIGTERM.  A signal during the sweep lets it finish and skips that
-    wait; a second one acts as it would without ``--port``.  ``--jsonl``
-    appends a ``meta`` record, one ``snapshot`` per finished trial and a
-    ``final`` record with the merged registry.
+    ``--jsonl`` appends a ``meta`` record, one ``snapshot`` per finished
+    trial and a ``final`` record with the merged registry, flushed per
+    line so ``tail -f`` follows the sweep live.
     """
     from repro.fleet import run_campaign
-    from repro.telemetry import JsonlWriter, LiveStore, serving
+    from repro.telemetry import JsonlWriter
 
-    if args.port is None and (args.host is not None
-                              or args.port_file is not None):
-        print("--host and --port-file need --port", file=sys.stderr)
-        return 2
     spec = get_experiment(args.experiment)
     if not spec_accepts_seed(spec):
         print(f"note: {spec.exp_id}'s runner loops seeds internally; "
               f"every sweep seed reproduces the same tables", file=sys.stderr)
     trials, seed_base = args.trials, args.seed_base
-    status = 0
-    store, writer, stop = LiveStore(), None, threading.Event()
-
-    def deliver(index: int, snapshot: dict) -> None:
-        store.update(index, seed_base + index, snapshot)
+    stream = JsonlWriter(args.jsonl_path) if args.jsonl_path \
+        else nullcontext()
+    with stream as writer:
         if writer is not None:
-            writer.write_snapshot(index, seed_base + index, snapshot)
-
-    with ExitStack() as stack:
-        if args.port is not None:
-            stack.enter_context(_stop_on_signal(stop))
-            server = stack.enter_context(
-                serving(store, args.host or "127.0.0.1", args.port))
-            host, port = server.server_address[:2]
-            print(f"serving the merged registry on "
-                  f"http://{host}:{port}/metrics", flush=True)
-            if args.port_file:
-                status = _write(args.port_file, f"{port}\n")
-        if args.jsonl_path:
-            writer = stack.enter_context(JsonlWriter(args.jsonl_path))
             writer.write_meta(experiment=spec.exp_id, trials=trials,
                               seed_base=seed_base, workers=args.workers)
-        live = args.port is not None or writer is not None
+
+        def deliver(index: int, snapshot: dict) -> None:
+            writer.write_snapshot(index, seed_base + index, snapshot)
+
         result = run_campaign(trials, SeededExperiment(spec.exp_id),
                               seed_base=seed_base, workers=args.workers,
                               timeout=args.timeout,
-                              collect_metrics=(live
+                              collect_metrics=(writer is not None
                                                or args.metrics_path is not None
                                                or args.wids_path is not None),
                               flight_recorder=args.flight_recorder,
-                              on_snapshot=deliver if live else None)
+                              on_snapshot=(deliver if writer is not None
+                                           else None))
         if writer is not None:
             merged = result.merged_metrics
             writer.write_final(merged.snapshot() if merged is not None else {})
-        status = max(status, _report_sweep(spec, args, result))
-        if args.port is not None and not stop.is_set():
-            print("sweep done; serving the final view until SIGINT or "
-                  "SIGTERM", flush=True)
-            while not stop.wait(0.1):
-                pass
-    return status
-
-
-@contextmanager
-def _stop_on_signal(stop: threading.Event) -> Iterator[None]:
-    """Set ``stop`` on the first SIGINT/SIGTERM, which also puts the
-    previous handlers back, so a second signal acts as usual."""
-    previous = {signum: signal.getsignal(signum)
-                for signum in (signal.SIGINT, signal.SIGTERM)}
-
-    def restore() -> None:
-        for signum, handler in previous.items():
-            signal.signal(signum,
-                          signal.SIG_DFL if handler is None else handler)
-
-    def on_signal(signum: int, frame: object) -> None:
-        stop.set()
-        restore()
-
-    for signum in previous:
-        signal.signal(signum, on_signal)
-    try:
-        yield
-    finally:
-        restore()
+    return _report_sweep(spec, args, result)
 
 
 def _report_sweep(spec, args: argparse.Namespace, result) -> int:
@@ -581,15 +526,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="collect per-trial wids.eval.* metrics, print "
                             "the seed-order merged detector scorecard and "
                             "write it as JSON to PATH")
-    sweep.add_argument("--port", type=int, default=None,
-                       help="serve the merged registry of the finished "
-                            "trials on GET /metrics (0 picks a free port); "
-                            "after the sweep, serve the final view until "
-                            "SIGINT or SIGTERM")
-    sweep.add_argument("--host", default=None,
-                       help="bind address for --port (default 127.0.0.1)")
-    sweep.add_argument("--port-file", dest="port_file", default=None,
-                       help="write the bound --port to this file")
     sweep.add_argument("--jsonl", dest="jsonl_path", default=None,
                        metavar="PATH",
                        help="append a meta record, one snapshot per "

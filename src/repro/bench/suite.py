@@ -24,10 +24,7 @@ One registration per claim the repo has shipped:
 * ``wids/correlator_alerts_per_s`` — synthetic alert-storm evidence
   through ``AlertCorrelator.ingest``;
 * ``trace/overhead_ratio`` — PR 3's flight recorder must stay a small
-  multiple of an unrecorded run (lower is better);
-* ``telemetry/snapshot_export_per_s`` — how fast ``sweep --port`` /
-  ``--jsonl`` render and encode a merged registry (Prometheus text +
-  JSON-lines).
+  multiple of an unrecorded run (lower is better).
 
 Every function takes ``scale`` (the runner passes 0.25 for
 ``--smoke``) and floors its workload so rates stay meaningful.
@@ -477,49 +474,3 @@ def trace_overhead(scale: float = 1.0) -> BenchSample:
         value=recorded_s / base_s if base_s > 0 else 1.0,
         payload={"capacity": 8192, "lineages": summary["lineages"],
                  "hops": summary["hops"], "evicted": summary["evicted"]})
-
-
-# --------------------------------------------------------------------------
-# telemetry — the served sweep's scrape path
-# --------------------------------------------------------------------------
-
-@register("telemetry", "snapshot_export_per_s", unit="exports/s",
-          higher_is_better=True)
-def telemetry_snapshot_export(scale: float = 1.0) -> BenchSample:
-    """Merged-registry exports/second (Prometheus text + JSON-lines).
-
-    The served sweep's scrape-path hot loop: snapshot a registry,
-    render the text exposition, and JSON-encode the snapshot record.
-    The payload pins the rendered bytes (crc32) so a formatting change
-    cannot masquerade as a perf change.
-    """
-    import json as _json
-
-    from repro.obs.metrics import MetricsRegistry
-    from repro.telemetry.prometheus import parse_exposition, render_exposition
-
-    registry = MetricsRegistry()
-    for i in range(40):
-        registry.incr(f"telemetry.bench.counter.{i:02d}", i * 7 + 1)
-        registry.set_gauge(f"telemetry.bench.gauge.{i:02d}", i * 0.25)
-    for i in range(400):
-        registry.observe("telemetry.session.latency_s", (i % 97) * 0.3,
-                         lo=0.0, hi=40.0, bins=160)
-        registry.add_time("telemetry.bench.timer", (i % 13) * 0.01)
-    n = _scaled(300, scale, 30)
-    text = ""
-    t0 = time.perf_counter()
-    for _ in range(n):
-        snapshot = registry.snapshot()
-        text = render_exposition(snapshot)
-        _json.dumps({"kind": "snapshot", "index": 0, "seed": 1000,
-                     "metrics": snapshot}, sort_keys=True,
-                    separators=(",", ":"))
-    elapsed = time.perf_counter() - t0
-    families = parse_exposition(text)
-    samples = sum(len(f["samples"]) for f in families.values())
-    return BenchSample(
-        value=n / elapsed if elapsed > 0 else 0.0,
-        payload={"exports": n, "families": len(families),
-                 "samples": samples,
-                 "crc32": zlib.crc32(text.encode("utf-8"))})

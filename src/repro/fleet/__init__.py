@@ -17,7 +17,7 @@ determinism contract intact:
   sweep completes, and ``sweep`` exits 1;
 * a parent-side ``on_snapshot(index, snapshot)`` listener sees each
   successful trial's metrics snapshot as it lands, which is what
-  ``sweep --port``/``--jsonl`` serve and stream.
+  ``sweep --jsonl`` streams.
 
 Entry points: :func:`run_campaign` here and ``python -m repro sweep``
 on the command line.  See DESIGN.md §7 for the architecture sketch.

@@ -237,10 +237,6 @@ class Medium:
     def airtime(self, frame: Dot11Frame, bitrate: float) -> float:
         return PREAMBLE_SECONDS + frame.air_bytes() * 8.0 / bitrate
 
-    def rssi_between(self, tx: RadioPort, rx: RadioPort) -> float:
-        """RSSI at ``rx`` for a transmission from ``tx`` (before channel rejection)."""
-        return self._kernel.rssi(tx, rx)
-
     def transmit(self, tx_port: RadioPort, frame: Dot11Frame, bitrate: float,
                  *, carrier_sense: bool = True) -> None:
         """Put a frame on the air, deferring while the channel is busy.

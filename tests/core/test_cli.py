@@ -8,6 +8,7 @@ from repro.__main__ import main
 from repro.core.registry import (EXPERIMENTS, SeededExperiment,
                                  get_experiment, render_result,
                                  spec_accepts_seed)
+from repro.telemetry import read_records, replay
 
 
 def test_registry_covers_design_index():
@@ -116,11 +117,25 @@ def test_cli_sweep_unknown_experiment(capsys):
     assert main(["sweep", "E-NOPE"]) == 2
 
 
-@pytest.mark.parametrize("flag", [["--port-file", "port"],
-                                  ["--host", "0.0.0.0"]])
-def test_cli_sweep_serving_options_need_port(flag, capsys):
-    assert main(["sweep", "E-8021X", "--trials", "1", *flag]) == 2
-    assert "need --port" in capsys.readouterr().err
+def test_cli_sweep_streams_the_merged_registry(tmp_path, capsys):
+    stream, metrics = tmp_path / "s.jsonl", tmp_path / "m.json"
+    streamed_json, plain_json = tmp_path / "j.json", tmp_path / "plain.json"
+    assert main(["sweep", "FIG2", "--trials", "3", "--workers", "2",
+                 "--jsonl", str(stream), "--metrics", str(metrics),
+                 "--json", str(streamed_json)]) == 0
+
+    records = list(read_records(str(stream)))
+    assert [r["kind"] for r in records] \
+        == ["meta", "snapshot", "snapshot", "snapshot", "final"]
+    assert sorted(r["seed"] for r in records[1:-1]) == [1000, 1001, 1002]
+    merged = json.loads(metrics.read_text())["metrics"]
+    assert replay(str(stream)).snapshot() == merged == records[-1]["metrics"]
+
+    # streaming leaves the experiment's results alone
+    assert main(["sweep", "FIG2", "--trials", "3",
+                 "--json", str(plain_json)]) == 0
+    assert json.loads(streamed_json.read_text())["results"] \
+        == json.loads(plain_json.read_text())["results"]
 
 
 def test_cli_sweep_custom_seed_base(tmp_path, capsys):

@@ -1,16 +1,14 @@
 """Property tests for the radio kernel's plan cache.
 
-The cache's contract: after *any* interleaving of moves, attaches and
-detaches, ``rssi_between`` returns exactly what a fresh
-``LogDistancePathLoss`` computation would, and a transmission fans out
-with the geometry of that moment — invalidation never serves a stale
-plan, and caching never changes a single bit.  Plus the regression for
-the silent stale-position hazard: a plain ``port.position = ...``
-assignment must behave exactly like ``move_to()`` (invalidate, and be
-visible on the very next transmission).
+The cache's contract: after *any* interleaving of moves, attaches,
+detaches and transmissions, every frame a transmission delivers carries
+exactly the RSSI a fresh ``LogDistancePathLoss`` computation gives for
+the geometry of that moment — invalidation never serves a stale plan,
+and caching never changes a single bit.  Plus the regression for the
+silent stale-position hazard: a plain ``port.position = ...`` assignment
+must behave exactly like ``move_to()`` (invalidate, and be visible on
+the very next transmission).
 """
-
-import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,9 +26,9 @@ _coord = st.floats(min_value=-60.0, max_value=60.0,
                    allow_nan=False, allow_infinity=False, width=64)
 
 _op = st.fixed_dictionaries({
-    "kind": st.sampled_from(["move", "move_raw", "detach", "attach", "rssi"]),
+    "kind": st.sampled_from(["move", "move_raw", "detach", "attach",
+                             "transmit"]),
     "i": st.integers(min_value=0, max_value=7),
-    "j": st.integers(min_value=0, max_value=7),
     "x": _coord,
     "y": _coord,
 })
@@ -40,6 +38,41 @@ def _fresh_rssi(medium: Medium, tx: RadioPort, rx: RadioPort) -> float:
     """The uncached reference: recompute path loss from scratch."""
     distance = tx.position.distance_to(rx.position)
     return tx.tx_power_dbm - medium.path_loss.path_loss_db(distance)
+
+
+def _listen(ports) -> list:
+    """Record every delivery as ``(receiver, rssi)``."""
+    heard = []
+    for rx in ports:
+        rx.on_receive = (lambda frame, rssi, ch, rx=rx:
+                         heard.append((rx, rssi)))
+    return heard
+
+
+def _delivered(medium: Medium, tx: RadioPort, heard: list) -> dict:
+    """Transmit one beacon from ``tx`` and run it out: the RSSI each
+    receiver that heard it was handed, by receiver."""
+    heard.clear()
+    tx.transmit(make_beacon(AP, "CACHE", 1))
+    medium.sim.run()
+    got = dict(heard)
+    assert len(got) == len(heard)  # one delivery per receiver
+    return got
+
+
+def _check_transmission(medium: Medium, tx: RadioPort, heard: list) -> int:
+    """Every delivered RSSI equals a from-scratch computation; every
+    receiver sure to hear (success probability 1, no RNG draw) heard.
+    Returns the number of deliveries."""
+    got = _delivered(medium, tx, heard)
+    for rx, rssi in got.items():
+        assert rx is not tx and rx in medium.ports
+        assert rssi == _fresh_rssi(medium, tx, rx)
+    for rx in medium.ports:
+        if rx is not tx and medium.loss_model.success_probability(
+                _fresh_rssi(medium, tx, rx)) >= 1.0:
+            assert rx in got
+    return len(got)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None,
@@ -56,6 +89,7 @@ def test_cached_rssi_equals_fresh_computation_after_any_interleaving(
              for i, (x, y) in enumerate(positions)]
     for p in ports:
         medium.attach(p)
+    heard = _listen(ports)
     for op in ops:
         port = ports[op["i"] % len(ports)]
         kind = op["kind"]
@@ -67,17 +101,12 @@ def test_cached_rssi_equals_fresh_computation_after_any_interleaving(
             medium.detach(port)
         elif kind == "attach" and port._medium is None:
             medium.attach(port)
-        elif kind == "rssi":
-            other = ports[op["j"] % len(ports)]
-            if other is not port:
-                medium.rssi_between(port, other)
-    # After the dust settles every pair — cached or not — must agree
-    # with a from-scratch computation, exactly.
-    for tx in ports:
-        for rx in ports:
-            if tx is rx:
-                continue
-            assert medium.rssi_between(tx, rx) == _fresh_rssi(medium, tx, rx)
+        elif kind == "transmit" and port._medium is not None:
+            _check_transmission(medium, port, heard)
+    # After the dust settles every attached port's transmission — from
+    # a cached plan or a fresh one — delivers the fresh RSSI, exactly.
+    for tx in list(medium.ports):
+        _check_transmission(medium, tx, heard)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -85,19 +114,25 @@ def test_cached_rssi_equals_fresh_computation_after_any_interleaving(
        power=st.floats(min_value=1.0, max_value=30.0, allow_nan=False))
 def test_rssi_is_symmetric_for_equal_powers(ax, ay, bx, by, power):
     """``math.hypot`` of negated deltas is bit-identical, so with equal
-    tx powers the RSSI must be *exactly* symmetric."""
+    tx powers the delivered RSSI must be *exactly* symmetric."""
     sim = Simulator(seed=7)
     medium = Medium(sim)
     a = RadioPort("a", Position(ax, ay), 1, tx_power_dbm=power)
     b = RadioPort("b", Position(bx, by), 1, tx_power_dbm=power)
     medium.attach(a)
     medium.attach(b)
-    assert medium.rssi_between(a, b) == medium.rssi_between(b, a)
+    heard = _listen([a, b])
+    a_to_b = _delivered(medium, a, heard).get(b)
+    b_to_a = _delivered(medium, b, heard).get(a)
+    for rssi in (a_to_b, b_to_a):
+        assert rssi is None or rssi == _fresh_rssi(medium, a, b)
+    if a_to_b is not None and b_to_a is not None:
+        assert a_to_b == b_to_a
 
 
 def test_sub_decimetre_distances_clamp_to_point_one_metre():
     """Coincident and near-coincident ports hit the 0.1 m clamp — the
-    cache must reproduce it, not divide by a tiny distance."""
+    plan must reproduce it, not divide by a tiny distance."""
     sim = Simulator(seed=7)
     medium = Medium(sim)
     a = RadioPort("a", Position(0.0, 0.0), 1)
@@ -105,9 +140,10 @@ def test_sub_decimetre_distances_clamp_to_point_one_metre():
     near = RadioPort("c", Position(0.05, 0.0), 1)
     for p in (a, coincident, near):
         medium.attach(p)
+    heard = _listen([coincident, near])
     clamped = a.tx_power_dbm - medium.path_loss.path_loss_db(0.1)
-    assert medium.rssi_between(a, coincident) == clamped
-    assert medium.rssi_between(a, near) == clamped
+    assert _delivered(medium, a, heard) == {coincident: clamped,
+                                            near: clamped}
 
 
 class _Recorder:
