@@ -454,8 +454,8 @@ def cmd_threats(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.cli import cmd_bench as run_bench
 
-    return run_bench(args.area, args.repeat, args.smoke, args.json_path,
-                     args.check, args.update)
+    return run_bench(args.area, args.repeat, args.json_path, args.check,
+                     args.update)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,15 +20,16 @@ package turns those claims into a *trajectory*:
   classification, and a hard rule that improvements are never flagged.
 * :mod:`repro.bench.suite` — the registered benchmarks themselves:
   radio fan-out frames/sec, ``repro.wire`` checksum MB/s and
-  encode-cache hit rate, fleet scaling, WIDS evaluation throughput,
-  flight-recorder overhead ratio, and the sim/crypto/netstack hot
-  loops under them.
+  encode-cache hit rate, serial campaign throughput, WIDS evaluation
+  throughput, flight-recorder overhead ratio, and the
+  sim/crypto/netstack hot loops under them.
 
 The committed ``BENCH_<area>.json`` files at the repo root are the
-baselines; ``python -m repro bench --check`` diffs a fresh run against
-them and CI's ``bench-gate`` job fails on any regression beyond
-tolerance.  Re-baseline intentionally with
-``python -m repro bench --update``.  See DESIGN.md §12.
+baselines; ``python -m repro bench --check`` runs the workloads they
+describe, diffs the fresh run against them, and CI's ``bench-gate``
+job fails on any regression beyond tolerance.  Re-baseline
+intentionally with ``python -m repro bench --update``.  See DESIGN.md
+§12.
 """
 
 from repro.bench.diff import DiffReport, MetricDelta, diff_baselines

@@ -1,9 +1,10 @@
 """``python -m repro bench`` — run, check, and update perf baselines.
 
-Modes (composable)::
+Options (composable); every run is the full workload the committed
+baselines describe::
 
     python -m repro bench                     # run, print the table
-    python -m repro bench --smoke             # scaled-down, 1 repeat
+    python -m repro bench --repeat 5          # median of 5 (default 3)
     python -m repro bench --area wire radio   # subset of areas
     python -m repro bench --json out.json     # combined machine output
     python -m repro bench --check [DIR]       # diff vs BENCH_*.json,
@@ -18,7 +19,6 @@ repository root, where the committed ``BENCH_<area>.json`` files live.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from typing import Optional
@@ -27,7 +27,7 @@ from repro.bench.diff import diff_baselines
 from repro.bench.registry import all_specs
 from repro.bench.runner import load_baselines, run_suite, write_baselines
 
-__all__ = ["add_bench_parser", "cmd_bench", "main"]
+__all__ = ["add_bench_parser", "cmd_bench"]
 
 
 def add_bench_parser(sub) -> None:
@@ -39,8 +39,6 @@ def add_bench_parser(sub) -> None:
                        help="restrict to these areas (default: all)")
     bench.add_argument("--repeat", type=int, default=3,
                        help="median-of-k repetitions (default 3)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="scaled-down single-repeat run for CI gates")
     bench.add_argument("--json", dest="json_path", default=None,
                        help="write the combined run as one JSON file")
     bench.add_argument("--check", nargs="?", const=".", default=None,
@@ -68,14 +66,13 @@ def _print_run_table(docs: dict) -> None:
         rows, title="repro.bench suite"))
 
 
-def cmd_bench(areas: Optional[list], repeat: int, smoke: bool,
+def cmd_bench(areas: Optional[list], repeat: int,
               json_path: Optional[str], check_dir: Optional[str],
               update_dir: Optional[str]) -> int:
     specs = all_specs(areas)  # KeyError -> exit 2, handled by main()
     print(f"running {len(specs)} benchmark(s) across "
-          f"{len({s.area for s in specs})} area(s)"
-          + (" [smoke]" if smoke else ""))
-    docs = run_suite(area_filter=areas, repeat=repeat, smoke=smoke,
+          f"{len({s.area for s in specs})} area(s)")
+    docs = run_suite(area_filter=areas, repeat=repeat,
                      progress=lambda msg: print(f"  {msg}", flush=True))
     print()
     _print_run_table(docs)
@@ -114,12 +111,3 @@ def cmd_bench(areas: Optional[list], repeat: int, smoke: bool,
             return 1
         print("\nbench gate: ok")
     return 0
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(prog="python -m repro.bench")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_bench_parser(sub)
-    args = parser.parse_args(["bench"] + list(argv or []))
-    return cmd_bench(args.area, args.repeat, args.smoke, args.json_path,
-                     args.check, args.update)

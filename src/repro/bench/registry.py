@@ -5,14 +5,16 @@ returns a :class:`BenchSample`: the measured value plus a *payload* of
 deterministic, timing-free facts about the run (counters, table rows,
 hit rates).  The split matters — the runner repeats the function and
 takes the median of the values (timing is noisy), while the payload
-must be bit-identical across repeats (that invariant is pinned by
-``tests/bench/test_determinism.py``).
+must be bit-identical across repeats and equal to the payload committed
+in the area's baseline (both pinned by
+``tests/bench/test_determinism.py``).  Each function therefore runs one
+fixed workload, the one its committed baseline describes.
 
 Registration is declarative::
 
     @register("wire", "checksum_mb_per_s", unit="MB/s",
               higher_is_better=True, tolerance=0.8)
-    def checksum_throughput(scale: float = 1.0) -> BenchSample:
+    def checksum_throughput() -> BenchSample:
         ...
 
 * ``area`` groups metrics into one ``BENCH_<area>.json`` baseline.
@@ -21,8 +23,6 @@ Registration is declarative::
   on purpose: the gate exists to catch algorithmic regressions such as
   losing the ~144x encode cache, not scheduler noise).  Deterministic
   metrics (hit rates, counts) register tight tolerances instead.
-* ``scale`` lets the runner shrink the workload for ``--smoke`` runs;
-  implementations apply floors so tiny scales stay meaningful.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class BenchSpec:
     def key(self) -> Tuple[str, str]:
         return (self.area, self.metric)
 
-    def run(self, scale: float = 1.0) -> BenchSample:
-        sample = self.fn(scale=scale)
+    def run(self) -> BenchSample:
+        sample = self.fn()
         if not isinstance(sample, BenchSample):
             raise TypeError(
                 f"benchmark {self.area}/{self.metric} returned "

@@ -2,9 +2,10 @@
 
 The runner's contract:
 
-* each registered benchmark runs ``repeat`` times; the recorded value
-  is the **median** of the samples (robust to one noisy run, cheap
-  enough to commit to);
+* each registered benchmark runs its one fixed workload ``repeat``
+  times, so a fresh run and a committed baseline measure the same
+  work; the recorded value is the **median** of the samples (robust to
+  one noisy run, cheap enough to commit to);
 * every emitted document carries an environment capture — Python
   version, platform, ``PYTHONHASHSEED``, commit, usable cores — so a
   baseline read six PRs later says *where* its numbers came from;
@@ -24,7 +25,6 @@ import os
 import platform
 import statistics
 import subprocess
-import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.bench.registry import BenchSample, BenchSpec, all_specs
@@ -34,13 +34,8 @@ __all__ = ["baseline_path", "capture_environment", "load_baselines",
 
 SCHEMA_VERSION = 1
 
-#: ``--smoke`` workload scale: small enough for a CI gate measured in
-#: tens of seconds, large enough that the rates stay meaningful (each
-#: benchmark applies its own floor).
-SMOKE_SCALE = 0.25
 
-
-def capture_environment(*, mode: str = "full") -> dict:
+def capture_environment() -> dict:
     """Where these numbers came from — recorded in every emitted doc."""
     try:
         commit = subprocess.run(
@@ -60,7 +55,6 @@ def capture_environment(*, mode: str = "full") -> dict:
         "usable_cores": cores,
         "pythonhashseed": os.environ.get("PYTHONHASHSEED", "unset"),
         "commit": commit,
-        "mode": mode,
     }
 
 
@@ -71,7 +65,7 @@ def _round(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-def run_spec(spec: BenchSpec, *, repeat: int = 3, scale: float = 1.0) -> dict:
+def run_spec(spec: BenchSpec, *, repeat: int = 3) -> dict:
     """Run one benchmark ``repeat`` times; return its metric entry.
 
     The value is the median of the samples.  The payload is taken from
@@ -80,7 +74,7 @@ def run_spec(spec: BenchSpec, *, repeat: int = 3, scale: float = 1.0) -> dict:
     """
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
-    samples: List[BenchSample] = [spec.run(scale=scale) for _ in range(repeat)]
+    samples: List[BenchSample] = [spec.run() for _ in range(repeat)]
     values = [s.value for s in samples]
     return {
         "value": _round(statistics.median(values)),
@@ -94,27 +88,21 @@ def run_spec(spec: BenchSpec, *, repeat: int = 3, scale: float = 1.0) -> dict:
 
 
 def run_suite(*, area_filter: "list[str] | None" = None, repeat: int = 3,
-              smoke: bool = False,
               progress: Optional[Callable[[str], None]] = None
               ) -> Dict[str, dict]:
     """Run the registered suite; return ``{area: BENCH document}``."""
-    scale = SMOKE_SCALE if smoke else 1.0
-    if smoke:
-        repeat = 1
-    env = capture_environment(mode="smoke" if smoke else "full")
+    env = capture_environment()
     docs: Dict[str, dict] = {}
     for spec in all_specs(area_filter):
         if progress is not None:
-            progress(f"bench {spec.area}/{spec.metric} "
-                     f"(x{repeat}, scale {scale:g}) ...")
+            progress(f"bench {spec.area}/{spec.metric} (x{repeat}) ...")
         doc = docs.setdefault(spec.area, {
             "schema": SCHEMA_VERSION,
             "area": spec.area,
             "environment": env,
             "metrics": {},
         })
-        doc["metrics"][spec.metric] = run_spec(spec, repeat=repeat,
-                                               scale=scale)
+        doc["metrics"][spec.metric] = run_spec(spec, repeat=repeat)
     return docs
 
 
@@ -155,8 +143,3 @@ def load_baselines(directory: str,
             continue
         docs[area] = doc
     return docs
-
-
-def main() -> int:  # pragma: no cover - thin alias
-    from repro.bench.cli import main as cli_main
-    return cli_main(sys.argv[1:])

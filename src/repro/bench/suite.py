@@ -21,14 +21,12 @@ One registration per claim the repo has shipped:
   (serial == parallel is a tier-1 test, not a bench metric);
 * ``wids/eval_alerts_per_s`` — PR 4's full E-WIDS evaluation, the
   sustained-throughput discipline the WIDS survey calls for;
-* ``wids/correlator_alerts_per_s`` — synthetic alert-storm evidence
-  through ``AlertCorrelator.ingest``;
 * ``trace/overhead_ratio`` — PR 3's flight recorder must stay a small
   multiple of an unrecorded run (lower is better).
 
-Every function takes ``scale`` (the runner passes 0.25 for
-``--smoke``) and floors its workload so rates stay meaningful.
-Payloads are deterministic and timing-free — pinned by
+Every function runs one fixed workload, the one its committed
+baseline describes.  Payloads are deterministic and timing-free, and
+equal to the committed ones — pinned by
 ``tests/bench/test_determinism.py``.
 """
 
@@ -45,21 +43,17 @@ _MAC_AP = "aa:bb:cc:dd:00:01"
 _MAC_STA = "00:02:2d:00:00:07"
 
 
-def _scaled(base: int, scale: float, floor: int) -> int:
-    return max(floor, int(base * scale))
-
-
 # --------------------------------------------------------------------------
 # sim — the discrete-event kernel
 # --------------------------------------------------------------------------
 
 @register("sim", "event_dispatch_per_s", unit="events/s",
           higher_is_better=True)
-def sim_event_dispatch(scale: float = 1.0) -> BenchSample:
+def sim_event_dispatch() -> BenchSample:
     """Events/second through the simulator core (flat schedule batch)."""
     from repro.sim.kernel import Simulator
 
-    n = _scaled(20_000, scale, 2_000)
+    n = 20_000
     sim = Simulator(seed=1)
     sink: list = []
     for i in range(n):
@@ -116,15 +110,10 @@ def _fanout_world(receivers: int, transmissions: int):
 
 @register("radio", "fanout_frames_per_s", unit="frames/s",
           higher_is_better=True)
-def radio_fanout(scale: float = 1.0) -> BenchSample:
-    """Beacon fan-out delivery rate across a dense receiver field.
-
-    Only the number of transmissions scales: frames/s depends on how
-    many receivers each transmission reaches, so a smaller world would
-    read slower on an unchanged kernel and fail a full-size baseline.
-    """
+def radio_fanout() -> BenchSample:
+    """Beacon fan-out delivery rate across a dense receiver field."""
     receivers = 200
-    transmissions = _scaled(400, scale, 100)
+    transmissions = 400
     elapsed, deliveries = _fanout_world(receivers, transmissions)
     return BenchSample(
         value=deliveries / elapsed,
@@ -137,12 +126,12 @@ def radio_fanout(scale: float = 1.0) -> BenchSample:
 # --------------------------------------------------------------------------
 
 @register("wire", "checksum_mb_per_s", unit="MB/s", higher_is_better=True)
-def wire_checksum(scale: float = 1.0) -> BenchSample:
+def wire_checksum() -> BenchSample:
     """RFC 1071 streaming checksum throughput over a 64 KiB buffer."""
     from repro.wire.checksum import internet_checksum
 
     blob = bytes(range(256)) * 256          # 64 KiB
-    reps = _scaled(80, scale, 20)
+    reps = 80
     checksum = internet_checksum(blob)
     t0 = time.perf_counter()
     for _ in range(reps):
@@ -156,7 +145,7 @@ def wire_checksum(scale: float = 1.0) -> BenchSample:
 
 @register("wire", "encode_cache_hit_rate", unit="ratio",
           higher_is_better=True, tolerance=0.02)
-def wire_encode_cache_hit_rate(scale: float = 1.0) -> BenchSample:
+def wire_encode_cache_hit_rate() -> BenchSample:
     """Hit rate of the per-frame encode cache in a transmit fan-out.
 
     Deterministic — each frame encodes cold once then serves its
@@ -167,7 +156,7 @@ def wire_encode_cache_hit_rate(scale: float = 1.0) -> BenchSample:
     from repro.dot11.mac import MacAddress
     from repro.obs.runtime import collecting
 
-    frames = _scaled(200, scale, 50)
+    frames = 200
     fanout = 5          # per-receiver x3 + sniffer + recorder
     with collecting() as col:
         for i in range(frames):
@@ -184,12 +173,12 @@ def wire_encode_cache_hit_rate(scale: float = 1.0) -> BenchSample:
 
 
 @register("wire", "encode_cached_speedup", unit="x", higher_is_better=True)
-def wire_encode_cached_speedup(scale: float = 1.0) -> BenchSample:
+def wire_encode_cached_speedup() -> BenchSample:
     """Cached re-encode speedup over cold encodes of fresh frames."""
     from repro.dot11.frames import make_data
     from repro.dot11.mac import MacAddress
 
-    rounds = _scaled(2_000, scale, 500)
+    rounds = 2_000
     sta, ap = MacAddress(_MAC_STA), MacAddress(_MAC_AP)
 
     def fresh(i: int):
@@ -212,11 +201,11 @@ def wire_encode_cached_speedup(scale: float = 1.0) -> BenchSample:
 
 @register("wire", "rsn_ie_roundtrips_per_s", unit="ops/s",
           higher_is_better=True)
-def wire_rsn_ie_roundtrips(scale: float = 1.0) -> BenchSample:
+def wire_rsn_ie_roundtrips() -> BenchSample:
     """RSN IE pack → parse round-trips over the three standard postures."""
     from repro.rsn.ie import RsnIe
 
-    rounds = _scaled(3_000, scale, 500)
+    rounds = 3_000
     postures = (RsnIe.wpa2(), RsnIe.wpa3(), RsnIe.wpa3_transition())
     blobs = [ie.pack() for ie in postures]
     crc = 0
@@ -234,7 +223,7 @@ def wire_rsn_ie_roundtrips(scale: float = 1.0) -> BenchSample:
 
 @register("wire", "beacon_roundtrips_per_s", unit="ops/s",
           higher_is_better=True)
-def wire_beacon_roundtrips(scale: float = 1.0) -> BenchSample:
+def wire_beacon_roundtrips() -> BenchSample:
     """``make_beacon`` → ``parse_beacon`` round trips, a fresh frame each.
 
     An AP's beacon loop: the timestamp and sequence number change, the
@@ -245,7 +234,7 @@ def wire_beacon_roundtrips(scale: float = 1.0) -> BenchSample:
     from repro.dot11.mac import MacAddress
     from repro.rsn.ie import RsnIe
 
-    rounds = _scaled(5_000, scale, 1_000)
+    rounds = 5_000
     bssid = MacAddress(_MAC_AP)
     rsn = (RsnIe.wpa2().to_ie(),)
     t0 = time.perf_counter()
@@ -267,13 +256,13 @@ def wire_beacon_roundtrips(scale: float = 1.0) -> BenchSample:
 
 @register("netstack", "tcpip_roundtrip_per_s", unit="ops/s",
           higher_is_better=True)
-def netstack_roundtrip(scale: float = 1.0) -> BenchSample:
+def netstack_roundtrip() -> BenchSample:
     """IPv4+TCP encode then zero-copy decode, round trips per second."""
     from repro.netstack.addressing import IPv4Address
     from repro.netstack.ipv4 import IPv4Packet
     from repro.netstack.tcp import FLAG_ACK, TcpSegment
 
-    rounds = _scaled(2_000, scale, 400)
+    rounds = 2_000
     ip_a, ip_b = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
     seg = TcpSegment(src_port=80, dst_port=1234, seq=1, ack=2,
                      flags=FLAG_ACK, payload=bytes(512))
@@ -297,11 +286,11 @@ def netstack_roundtrip(scale: float = 1.0) -> BenchSample:
 # --------------------------------------------------------------------------
 
 @register("crypto", "rc4_mb_per_s", unit="MB/s", higher_is_better=True)
-def crypto_rc4(scale: float = 1.0) -> BenchSample:
+def crypto_rc4() -> BenchSample:
     """RC4 keystream generation throughput."""
     from repro.crypto.rc4 import rc4_keystream
 
-    n = _scaled(240_000, scale, 60_000)
+    n = 240_000
     t0 = time.perf_counter()
     stream = rc4_keystream(b"bench-key", n)
     elapsed = time.perf_counter() - t0
@@ -312,12 +301,12 @@ def crypto_rc4(scale: float = 1.0) -> BenchSample:
 
 @register("crypto", "wep_frames_per_s", unit="frames/s",
           higher_is_better=True)
-def crypto_wep_frames(scale: float = 1.0) -> BenchSample:
+def crypto_wep_frames() -> BenchSample:
     """WEP frames/second: per fresh IV, one 1500-byte frame encrypted
     once and decrypted twice, the reuse of a download-mitm frame."""
     from repro.crypto import wep
 
-    n = _scaled(400, scale, 100)
+    n = 400
     key = wep.WepKey.from_passphrase("SECRET", bits=104)
     ivs = wep.IvGenerator()
     payload = bytes(range(256)) * 5 + bytes(220)
@@ -336,14 +325,14 @@ def crypto_wep_frames(scale: float = 1.0) -> BenchSample:
 
 @register("crypto", "sae_handshakes_per_s", unit="handshakes/s",
           higher_is_better=True)
-def crypto_sae_handshakes(scale: float = 1.0) -> BenchSample:
+def crypto_sae_handshakes() -> BenchSample:
     """Full SAE commit/confirm handshakes over the real 1536-bit group."""
     from repro.crypto.dh import DH_GROUP_1536
     from repro.dot11.mac import MacAddress
     from repro.rsn.sae import SaeParty
     from repro.sim.rng import SimRandom
 
-    n = _scaled(8, scale, 2)
+    n = 8
     ap_mac = MacAddress("aa:bb:cc:dd:00:01")
     sta_mac = MacAddress("aa:bb:cc:dd:00:02")
     crc = 0
@@ -378,11 +367,11 @@ def _fleet_trial(seed: int) -> float:
 
 @register("fleet", "serial_trials_per_s", unit="trials/s",
           higher_is_better=True)
-def fleet_serial(scale: float = 1.0) -> BenchSample:
+def fleet_serial() -> BenchSample:
     """Single-worker campaign throughput on a CPU-bound trial."""
     from repro.fleet import run_campaign
 
-    trials = _scaled(16, scale, 4)
+    trials = 16
     result = run_campaign(trials, _fleet_trial, workers=1)
     return BenchSample(
         value=result.throughput,
@@ -396,12 +385,12 @@ def fleet_serial(scale: float = 1.0) -> BenchSample:
 
 @register("wids", "eval_alerts_per_s", unit="alerts/s",
           higher_is_better=True)
-def wids_eval_throughput(scale: float = 1.0) -> BenchSample:
+def wids_eval_throughput() -> BenchSample:
     """Alerts/second through the full E-WIDS four-world evaluation.
 
-    The workload is the complete naive/evasive/deauth/benign sweep —
-    it does not scale down (a partial world changes the detector
-    shape), so smoke runs pay the full ~1 s once.
+    The workload is the complete naive/evasive/deauth/benign sweep at
+    E-WIDS's default seed, so it also times the detector bank and the
+    alert correlator inside the worlds they score.
     """
     from repro.wids.experiment import exp_wids_eval
 
@@ -419,38 +408,13 @@ def wids_eval_throughput(scale: float = 1.0) -> BenchSample:
                  "scorecard_rows": len(result["scorecard"]["rows"])})
 
 
-@register("wids", "correlator_alerts_per_s", unit="alerts/s",
-          higher_is_better=True)
-def wids_correlator_throughput(scale: float = 1.0) -> BenchSample:
-    """Evidence events/second through ``AlertCorrelator.ingest``.
-
-    A pre-built synthetic alert storm (hot subjects hammering the
-    open-alert update path, 5% churn growing the evidence map) is fed
-    through one correlator; only the ingest loop is timed.
-    """
-    from repro.wids.correlate import AlertCorrelator
-    from repro.wids.storm import alert_storm, storm_digest
-
-    n = _scaled(1_000_000, scale, 100_000)
-    events = alert_storm(n, subjects=64, detectors=4, churn=0.05, seed=7)
-    correlator = AlertCorrelator()
-    ingest = correlator.ingest
-    t0 = time.perf_counter()
-    for detector, threshold, detection, t, trace_id in events:
-        ingest(detector, threshold, detection, t, trace_id)
-    elapsed = time.perf_counter() - t0
-    digest = storm_digest(correlator)
-    return BenchSample(value=n / elapsed,
-                       payload={"events": n, **digest})
-
-
 # --------------------------------------------------------------------------
 # trace — flight-recorder overhead (PR 3); lower is better
 # --------------------------------------------------------------------------
 
 @register("trace", "overhead_ratio", unit="x", higher_is_better=False,
           tolerance=1.5)
-def trace_overhead(scale: float = 1.0) -> BenchSample:
+def trace_overhead() -> BenchSample:
     """Recorded-over-unrecorded wall-clock ratio on the FIG2 world."""
     from repro.core.scenario import build_corp_scenario
     from repro.obs.lineage import recording

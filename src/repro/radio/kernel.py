@@ -102,9 +102,6 @@ class VectorKernel:
         self.medium = medium
         self._plans: dict[int, _TxPlan] = {}    # id(tx) -> delivery plan
         self._params = self._snapshot_params()
-        # Engineering counters (plan_builds is mirrored to obs when active).
-        self.plan_builds = 0
-        self.invalidations = 0
 
     # ------------------------------------------------------------------
     # invalidation
@@ -125,7 +122,6 @@ class VectorKernel:
     def invalidate(self) -> None:
         """Drop every plan (called on attach, detach and any PHY write)."""
         self._plans.clear()
-        self.invalidations += 1
 
     # ------------------------------------------------------------------
     # propagation
@@ -165,7 +161,6 @@ class VectorKernel:
             # caching.
             return plan
         self._plans[id(tx)] = plan
-        self.plan_builds += 1
         m = instruments().metrics
         if m is not None:
             m.incr("radio.kernel.plan_builds")
@@ -233,13 +228,3 @@ class VectorKernel:
                 else:
                     new.collide_at(rx)
                     other.collide_at(rx)
-
-    # ------------------------------------------------------------------
-    # introspection (tests, obs)
-    # ------------------------------------------------------------------
-    def cache_stats(self) -> dict:
-        return {
-            "plans": len(self._plans),
-            "plan_builds": self.plan_builds,
-            "invalidations": self.invalidations,
-        }

@@ -203,7 +203,7 @@ class Medium:
 
     @property
     def kernel(self) -> VectorKernel:
-        """The propagation kernel (its cache is introspectable)."""
+        """The propagation kernel and its delivery-plan cache."""
         return self._kernel
 
     # ------------------------------------------------------------------

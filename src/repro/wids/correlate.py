@@ -8,12 +8,9 @@ after that *updates* the open alert (score, count, last-seen time,
 contributing trace_ids) rather than duplicating it — a deauth flood is
 one alert with a rising score, not ten thousand.
 
-Memory under alert floods is bounded by ``max_evidence``: when the
-evidence map outgrows the bound, the oldest *alert-less* entries are
-evicted in insertion order (entries with an open alert are never
-evicted — the alert must keep updating).  Eviction trades exactness
-for a memory ceiling: a re-appearing evicted subject restarts its
-accumulation.
+The evidence map holds one entry per ``(detector, subject)`` pair seen
+and is never pruned, so a subject's accumulation is exact for the
+whole run.
 """
 
 from __future__ import annotations
@@ -45,19 +42,11 @@ class AlertCorrelator:
 
     Alerts appear in :attr:`alerts` in threshold-crossing order, which
     is deterministic because frames arrive in simulation order.
-
-    ``max_evidence`` bounds the evidence map (``None`` = unbounded):
-    past the bound, the oldest alert-less entries are evicted in
-    insertion order and counted in :attr:`evicted`.
     """
 
-    def __init__(self, *, max_evidence: Optional[int] = None) -> None:
-        if max_evidence is not None and max_evidence < 1:
-            raise ValueError("max_evidence must be >= 1 or None")
+    def __init__(self) -> None:
         self._evidence: Dict[Tuple[str, str], _Evidence] = {}
         self.alerts: List[Alert] = []
-        self.max_evidence = max_evidence
-        self.evicted = 0
 
     def ingest(self, detector: str, threshold: float, detection: Detection,
                t: float, trace_id: Optional[int] = None) -> Optional[Alert]:
@@ -67,9 +56,6 @@ class AlertCorrelator:
         if ev is None:
             ev = _Evidence(first_t=t)
             self._evidence[key] = ev
-            if self.max_evidence is not None \
-                    and len(self._evidence) > self.max_evidence:
-                self._evict()
         ev.score += detection.score
         ev.count += 1
         ev.last_t = t
@@ -104,26 +90,6 @@ class AlertCorrelator:
             return alert
         return None
 
-    def _evict(self) -> None:
-        """Drop the oldest alert-less evidence entries past the bound.
-
-        Insertion order *is* dict order, so the scan is oldest-first and
-        deterministic.  Entries with an open alert survive — their alert
-        object must keep tracking fresh evidence.
-        """
-        over = len(self._evidence) - self.max_evidence
-        if over <= 0:
-            return
-        doomed = []
-        for key, ev in self._evidence.items():
-            if ev.alert is None:
-                doomed.append(key)
-                if len(doomed) >= over:
-                    break
-        for key in doomed:
-            del self._evidence[key]
-        self.evicted += len(doomed)
-
     def evidence_score(self, detector: str, subject: str) -> float:
         ev = self._evidence.get((detector, subject))
         return ev.score if ev is not None else 0.0
@@ -132,7 +98,3 @@ class AlertCorrelator:
         ev = self._evidence.get((detector, subject))
         return ev.alert if ev is not None else None
 
-    @property
-    def evidence_size(self) -> int:
-        """Live evidence entries (the quantity ``max_evidence`` bounds)."""
-        return len(self._evidence)

@@ -56,8 +56,7 @@ class CrossingMap:
     total reaches it; no event list is stored.  The totals are the same
     float additions (``0.0 + s1 + s2 + ...``, stream order) the
     correlator performs, so the crossing at a detector's default
-    threshold is the time of its first alert (unless ``max_evidence``
-    evicted that subject's evidence first).
+    threshold is the time of its first alert.
     """
 
     def __init__(self, detectors: Iterable[Detector]) -> None:
@@ -89,18 +88,13 @@ _LIVE: "weakref.WeakKeyDictionary[FrameCapture, List[WidsEngine]]" = \
 
 
 class WidsEngine:
-    """A detector bank plus correlator consuming one frame stream.
+    """A detector bank plus correlator consuming one frame stream."""
 
-    ``max_evidence`` bounds the correlator's evidence map so an alert
-    flood cannot grow memory without bound.
-    """
-
-    def __init__(self, detectors: Optional[Iterable[Detector]] = None, *,
-                 max_evidence: Optional[int] = None) -> None:
+    def __init__(self, detectors: Optional[Iterable[Detector]] = None) -> None:
         self._registry_bank = detectors is None
         self.bank = DetectorBank(
             detectors if detectors is not None else default_detectors())
-        self.correlator = AlertCorrelator(max_evidence=max_evidence)
+        self.correlator = AlertCorrelator()
         self.crossings = CrossingMap(self.bank.detectors)
         self.frames_seen = 0
         self._last: Optional[CapturedFrame] = None

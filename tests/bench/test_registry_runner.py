@@ -31,10 +31,10 @@ def synthetic_spec():
 
     @register(AREA, "ops_per_s", unit="ops/s", higher_is_better=True,
               tolerance=0.5)
-    def synthetic(scale: float = 1.0):
+    def synthetic():
         state["calls"] += 1
         value = state["values"][min(state["calls"], len(state["values"])) - 1]
-        return BenchSample(value=value, payload={"scale": scale, "n": 7})
+        return BenchSample(value=value, payload={"n": 7})
 
     spec = breg._REGISTRY[(AREA, "ops_per_s")]
     yield spec, state
@@ -44,7 +44,7 @@ def synthetic_spec():
 def test_duplicate_registration_rejected(synthetic_spec):
     with pytest.raises(ValueError, match="duplicate"):
         register(AREA, "ops_per_s", unit="ops/s", higher_is_better=True)(
-            lambda scale=1.0: BenchSample(1.0))
+            lambda: BenchSample(1.0))
 
 
 def test_registry_lists_builtin_areas():
@@ -66,7 +66,7 @@ def test_run_spec_takes_median_of_k(synthetic_spec):
     assert entry["samples"] == [1.0, 100.0, 3.0]
     assert entry["repeat"] == 3
     assert entry["unit"] == "ops/s" and entry["tolerance"] == 0.5
-    assert entry["payload"] == {"scale": 1.0, "n": 7}
+    assert entry["payload"] == {"n": 7}
 
 
 def test_run_spec_rejects_bad_repeat(synthetic_spec):
@@ -76,11 +76,11 @@ def test_run_spec_rejects_bad_repeat(synthetic_spec):
 
 
 def test_environment_capture_fields():
-    env = capture_environment(mode="smoke")
+    env = capture_environment()
     for key in ("python", "platform", "pythonhashseed", "commit",
-                "usable_cores", "mode"):
+                "usable_cores"):
         assert key in env, key
-    assert env["mode"] == "smoke"
+    assert "mode" not in env
     assert env["usable_cores"] >= 1
 
 
@@ -103,15 +103,6 @@ def test_suite_doc_schema_and_emission(tmp_path, synthetic_spec):
     first = open(paths[0]).read()
     write_baselines(docs, str(tmp_path))
     assert open(paths[0]).read() == first
-
-
-def test_smoke_mode_scales_down_and_single_repeat(synthetic_spec):
-    spec, state = synthetic_spec
-    docs = run_suite(area_filter=[AREA], repeat=5, smoke=True)
-    entry = docs[AREA]["metrics"]["ops_per_s"]
-    assert entry["repeat"] == 1                 # smoke forces k=1
-    assert entry["payload"]["scale"] == 0.25    # and the smoke scale
-    assert docs[AREA]["environment"]["mode"] == "smoke"
 
 
 def test_injected_synthetic_slowdown_is_caught(synthetic_spec):
@@ -143,13 +134,13 @@ def test_injected_synthetic_slowdown_is_caught(synthetic_spec):
 def test_cli_gate_end_to_end(tmp_path, synthetic_spec, capsys):
     """--update then --check passes; a tampered baseline fails with 1."""
     spec, state = synthetic_spec
-    rc = cmd_bench([AREA], 1, False, None, None, str(tmp_path))
+    rc = cmd_bench([AREA], 1, None, None, str(tmp_path))
     assert rc == 0
     path = baseline_path(str(tmp_path), AREA)
     assert json.load(open(path))["metrics"]["ops_per_s"]["value"] == 10.0
 
     state.update(calls=0)
-    rc = cmd_bench([AREA], 1, False, None, str(tmp_path), None)
+    rc = cmd_bench([AREA], 1, None, str(tmp_path), None)
     assert rc == 0
     assert "bench gate: ok" in capsys.readouterr().out
 
@@ -159,7 +150,7 @@ def test_cli_gate_end_to_end(tmp_path, synthetic_spec, capsys):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     state.update(calls=0)
-    rc = cmd_bench([AREA], 1, False, None, str(tmp_path), None)
+    rc = cmd_bench([AREA], 1, None, str(tmp_path), None)
     assert rc == 1
     captured = capsys.readouterr()
     assert "REGRESSION" in captured.out
@@ -167,14 +158,14 @@ def test_cli_gate_end_to_end(tmp_path, synthetic_spec, capsys):
 
 
 def test_cli_check_without_baselines_fails(tmp_path, synthetic_spec, capsys):
-    rc = cmd_bench([AREA], 1, False, None, str(tmp_path), None)
+    rc = cmd_bench([AREA], 1, None, str(tmp_path), None)
     assert rc == 1
     assert "no BENCH_*.json baselines" in capsys.readouterr().err
 
 
 def test_cli_json_output(tmp_path, synthetic_spec):
     out = tmp_path / "combined.json"
-    rc = cmd_bench([AREA], 1, False, str(out), None, None)
+    rc = cmd_bench([AREA], 1, str(out), None, None)
     assert rc == 0
     combined = json.load(open(out))
     assert combined["schema"] == 1
@@ -201,21 +192,3 @@ def test_committed_baselines_cover_the_issue_areas():
         for metric in doc["metrics"]:
             assert (area, metric) in registered, (area, metric)
 
-
-def test_radio_smoke_world_has_the_baseline_receivers():
-    """``--smoke`` scales only the transmissions of the radio fan-out.
-
-    Frames/s depends on how many receivers each transmission reaches, so
-    a smoke world with fewer receivers than the committed full-mode
-    baseline reads slower on an unchanged kernel and fails the gate.
-    """
-    import os
-
-    from repro.bench.runner import SMOKE_SCALE
-    from repro.bench.suite import radio_fanout
-
-    root = os.path.join(os.path.dirname(__file__), "..", "..")
-    full = load_baselines(root, ["radio"])["radio"]["metrics"]
-    smoke = radio_fanout(SMOKE_SCALE).payload
-    assert smoke["receivers"] == full["fanout_frames_per_s"]["payload"]["receivers"]
-    assert smoke["transmissions"] < full["fanout_frames_per_s"]["payload"]["transmissions"]

@@ -154,8 +154,3 @@ def test_engine_benign_traffic_no_alerts():
         capture.add(_cap(make_beacon(AP, "CORP", 1, seq=i % 4096),
                          t=i * tbtt))
     assert engine.alerts == []
-
-
-def test_engine_max_evidence_passthrough():
-    engine = WidsEngine([DeauthFloodDetector()], max_evidence=2)
-    assert engine.correlator.max_evidence == 2
